@@ -147,12 +147,15 @@ def integrated_cvar(
     """Minimize the CVaR of fleet cost over joint schedules.
 
     CVaR does not decompose over assets, so this is a genuine joint
-    problem. Within the evaluation budget the full lattice is enumerated
-    and the result is the exact optimum; beyond it, coordinate descent
-    starts from the expected-cost schedule and accepts strict
-    improvements, which keeps the result at least as good (in CVaR) as
-    that warm start. Ties resolve toward the lexicographically earliest
-    schedule, or the incumbent during descent.
+    problem. Within the evaluation budget the result is the exact optimum
+    over the full lattice: since CVaR is never below the expected cost,
+    the search prices only schedules whose expected cost does not exceed
+    a coordinate-descent incumbent (plus 1e-9 relative slack), and every
+    skipped schedule provably cannot win or tie. Beyond the budget,
+    coordinate descent starts from the expected-cost schedule and accepts
+    strict improvements, which keeps the result at least as good (in
+    CVaR) as that warm start. Ties resolve toward the lexicographically
+    earliest schedule, or the incumbent during descent.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -164,9 +167,7 @@ def integrated_cvar(
         )
     else:
         warm = _expected_indices(m, scenarios.weights)
-        indices, _ = coordinate_descent_cvar(
-            m, scenarios.weights, alpha, warm, threads=threads
-        )
+        indices, _ = coordinate_descent_cvar(m, scenarios.weights, alpha, warm)
     return schedule_from_indices(fleet, indices)
 
 

@@ -230,8 +230,9 @@ def write_scenario_csvs(
 def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
     """Rebuild an equally weighted scenario set from exported CSVs.
 
-    Every (asset, scenario, period) cell must be present; missing or extra
-    entries raise a ValueError.
+    Every (asset, scenario, period) cell must be present exactly once, and
+    every RUL row must name a scenario the usage file defines; missing,
+    duplicate, negative or out-of-range entries raise a ValueError.
     """
     t = fleet.horizon
     index = {a.id: i for i, a in enumerate(fleet.assets)}
@@ -245,9 +246,16 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
             if asset_id not in index:
                 raise ValueError(f"usage file references unknown asset {asset_id!r}")
             w, period = int(row["scenario"]), int(row["period"])
+            if w < 0:
+                raise ValueError(f"usage file scenario {w} is negative")
             if not 1 <= period <= t:
                 raise ValueError(f"usage file period {period} outside 1..{t}")
-            usage_rows[(index[asset_id], w, period - 1)] = float(row["usage_increment"])
+            cell = (index[asset_id], w, period - 1)
+            if cell in usage_rows:
+                raise ValueError(
+                    f"usage file repeats asset {asset_id!r} scenario {w} period {period}"
+                )
+            usage_rows[cell] = float(row["usage_increment"])
             n_scen = max(n_scen, w + 1)
     if n_scen == 0:
         raise ValueError("usage file contains no scenarios")
@@ -259,13 +267,21 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
         inc[i, w, k] = value
 
     rul = np.full((fleet.n_assets, n_scen), np.nan)
+    rul_seen = np.zeros((fleet.n_assets, n_scen), dtype=bool)
     with open(rul_path, newline="") as f:
         reader = csv.DictReader(f)
         for row in reader:
             asset_id = row["asset_id"]
             if asset_id not in index:
                 raise ValueError(f"RUL file references unknown asset {asset_id!r}")
-            rul[index[asset_id], int(row["scenario"])] = float(row["latent_rul"])
+            w = int(row["scenario"])
+            if not 0 <= w < n_scen:
+                raise ValueError(f"RUL file scenario {w} outside 0..{n_scen - 1}")
+            i = index[asset_id]
+            if rul_seen[i, w]:
+                raise ValueError(f"RUL file repeats asset {asset_id!r} scenario {w}")
+            rul_seen[i, w] = True
+            rul[i, w] = float(row["latent_rul"])
     if np.any(np.isnan(rul)):
         raise ValueError("RUL file does not cover every (asset, scenario) cell")
 

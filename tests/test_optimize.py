@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetmaint.criteria import CostDistribution, cvar_alpha, expected_cost
 from fleetmaint.optimize import (
+    _BLOCK_ROWS,
     BudgetExceededError,
+    EvaluationMatrix,
     batch_cvar,
     build_matrix,
     coordinate_descent_cvar,
@@ -194,7 +198,85 @@ def brute_force_cvar_argmin(matrix, fleet, weights, alpha):
     return best
 
 
+def full_scan_cvar_argmin(matrix, weights, alpha):
+    """Unpruned oracle: price every schedule in one batch, first minimum wins."""
+    rows = [indices_from_schedule(s, matrix.fleet) for s in enumerate_schedules(matrix.fleet)]
+    totals = np.zeros((len(rows), matrix.n_scenarios))
+    for r, indices in enumerate(rows):
+        for i, c in enumerate(indices):
+            totals[r] += matrix.costs[i, c]
+    cvars = batch_cvar(totals, weights, alpha)
+    best = int(np.argmin(cvars))
+    return rows[best], float(cvars[best])
+
+
+@st.composite
+def small_instances(draw, exact: bool):
+    """Random (matrix, weights, alpha) with N <= 3, T <= 4 and copied cost rows.
+
+    With ``exact``, costs are small integers and weights are dyadic
+    fractions, so every sum and product is exact: ties between schedules
+    sharing a copied row are then true ties whatever the BLAS kernel's
+    summation order, and the earliest one must win.
+    """
+    n = draw(st.integers(1, 3))
+    horizon = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 8))
+    size = n * (horizon + 1) * s
+    if exact:
+        cells = st.integers(0, 30).map(float)
+    else:
+        cells = st.floats(0.0, 1000.0, allow_nan=False, allow_infinity=False)
+    costs = np.array(draw(st.lists(cells, min_size=size, max_size=size))).reshape(
+        n, horizon + 1, s
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        src = (draw(st.integers(0, n - 1)), draw(st.integers(0, horizon)))
+        dst = (draw(st.integers(0, n - 1)), draw(st.integers(0, horizon)))
+        costs[dst] = costs[src]
+    raw = draw(st.lists(st.integers(0, 4), min_size=s, max_size=s).filter(any))
+    if exact:
+        total = sum(raw)
+        power = 1 << (total - 1).bit_length()
+        raw[-1] += power - total  # pad the total to a power of two
+    weights = np.array(raw, dtype=float) / sum(raw)
+    alpha = draw(st.sampled_from([0.1, 0.5, 0.75, 0.9, 0.99]))
+    fleet = make_fleet(n_assets=n, horizon=horizon)
+    return EvaluationMatrix(fleet, costs), weights, alpha
+
+
 class TestExhaustiveSearch:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_instances(exact=True))
+    def test_matches_unpruned_scan_with_exact_ties(self, instance):
+        matrix, weights, alpha = instance
+        indices, value = exhaustive_cvar_argmin(matrix, weights, alpha)
+        ref_indices, ref_value = full_scan_cvar_argmin(matrix, weights, alpha)
+        assert indices == tuple(ref_indices)
+        assert value == ref_value
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_instances(exact=False))
+    def test_matches_unpruned_scan_value_on_float_costs(self, instance):
+        # batch_cvar's matrix products may round a row differently with its
+        # position in the batch, so float instances are compared to 1e-12
+        matrix, weights, alpha = instance
+        _, value = exhaustive_cvar_argmin(matrix, weights, alpha)
+        _, ref_value = full_scan_cvar_argmin(matrix, weights, alpha)
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+
+    def test_all_survivors_span_blocks_and_threads(self):
+        # constant costs put every schedule at the bound, so all 9^4 survive
+        # and the walk crosses block and thread boundaries
+        fleet = make_fleet(n_assets=4, horizon=8)
+        matrix = EvaluationMatrix(fleet, np.ones((4, 9, 5)))
+        assert 9 ** 4 > _BLOCK_ROWS
+        weights = np.full(5, 0.2)
+        serial = exhaustive_cvar_argmin(matrix, weights, 0.9, threads=1)
+        threaded = exhaustive_cvar_argmin(matrix, weights, 0.9, threads=2)
+        assert serial[0] == threaded[0] == (0, 0, 0, 0)
+        assert serial[1] == threaded[1] == 4.0
+
     @pytest.mark.parametrize("alpha", [0.6, 0.9])
     def test_agrees_with_schedule_scan(self, alpha):
         fleet = make_fleet(n_assets=2, horizon=3)

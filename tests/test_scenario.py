@@ -230,3 +230,43 @@ class TestCsvRoundTrip:
         usage.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError):
             read_scenario_csvs(fleet, usage, rul)
+
+    @pytest.fixture
+    def exported(self, tmp_path):
+        fleet = make_fleet(n_assets=2, horizon=5)
+        s = generate_scenarios(fleet, 4, seed=3)
+        usage, rul = tmp_path / "usage.csv", tmp_path / "rul.csv"
+        write_scenario_csvs(s, fleet, usage, rul)
+        return fleet, usage, rul
+
+    def test_negative_scenario_cannot_stand_in_for_missing_cell(self, exported):
+        fleet, usage, rul = exported
+        lines = usage.read_text().splitlines()
+        lines.remove(next(line for line in lines if line.startswith("A1,2,2,")))
+        lines.append("A1,-1,2,999.0")
+        usage.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="scenario -1 is negative"):
+            read_scenario_csvs(fleet, usage, rul)
+
+    def test_duplicate_usage_cell_rejected(self, exported):
+        fleet, usage, rul = exported
+        lines = usage.read_text().splitlines()
+        lines[1] = lines[2].rsplit(",", 1)[0] + ",999.0"
+        usage.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="repeats asset 'A1' scenario 0 period 2"):
+            read_scenario_csvs(fleet, usage, rul)
+
+    @pytest.mark.parametrize("scenario", [-1, 4])
+    def test_rul_scenario_out_of_range_rejected(self, exported, scenario):
+        fleet, usage, rul = exported
+        with rul.open("a") as f:
+            f.write(f"A2,{scenario},7.5\n")
+        with pytest.raises(ValueError, match=f"RUL file scenario {scenario} outside 0..3"):
+            read_scenario_csvs(fleet, usage, rul)
+
+    def test_duplicate_rul_row_rejected(self, exported):
+        fleet, usage, rul = exported
+        with rul.open("a") as f:
+            f.write("A2,1,7.5\n")
+        with pytest.raises(ValueError, match="repeats asset 'A2' scenario 1"):
+            read_scenario_csvs(fleet, usage, rul)
