@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 from .criteria import CostDistribution, cvar_alpha, expected_cost, var_alpha
 from .fleet import (
     AssetSpec,
-    AssetState,
     FleetGenConfig,
     FleetSpec,
     Schedule,
-    advance_state,
     generate_fleet,
     validate_schedule,
 )
@@ -50,7 +48,6 @@ from .riskcost import (
 from .scenario import (
     ScenarioSet,
     cell_stream,
-    cumulative_usage,
     generate_scenarios,
     sample_gamma,
     sample_truncated_normal,
@@ -59,16 +56,13 @@ from .scenario import (
 __all__ = [
     "__version__",
     "AssetSpec",
-    "AssetState",
     "FleetGenConfig",
     "FleetSpec",
     "Schedule",
-    "advance_state",
     "generate_fleet",
     "validate_schedule",
     "ScenarioSet",
     "cell_stream",
-    "cumulative_usage",
     "generate_scenarios",
     "sample_gamma",
     "sample_truncated_normal",

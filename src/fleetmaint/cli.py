@@ -1,9 +1,10 @@
 """Command-line interface and study pipeline.
 
 Subcommands: gen-fleet, gen-scenarios, evaluate, optimize, study. All of
-them accept --config (JSON), --seed (overrides the config seeds), --out,
-and --threads. Exit codes: 0 on success, 2 for configuration problems,
-3 for runtime failures.
+them accept --config (JSON), --seed (overrides the config seeds) and --out.
+They also accept --threads for compatibility; it must be >= 1 and has no
+effect, since every command runs on one thread. Exit codes: 0 on success,
+2 for configuration problems, 3 for runtime failures.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .criteria import CostDistribution, cvar_alpha, expected_cost, var_alpha
 from .fleet import FleetSpec, Schedule, validate_schedule
 from .optimize import EvaluationMatrix, build_matrix, schedule_cost_distribution
 from .policies import PolicyKind, run_policy
-from .report import EcdfCurve, PolicySummary, ecdf, emit_outputs, summarize_policy
+from .report import EcdfCurve, PolicySummary, _write_csv, ecdf, emit_outputs, summarize_policy
 from .scenario import ScenarioSet, generate_scenarios, write_scenario_csvs
 
 __all__ = ["main", "run_study", "compute_study", "StudyResult", "POLICY_ORDER"]
@@ -48,7 +49,7 @@ class StudyResult:
     curves: dict[str, EcdfCurve]
 
 
-def compute_study(config: RunConfig, threads: int = 1) -> StudyResult:
+def compute_study(config: RunConfig) -> StudyResult:
     """Run every policy against one shared scenario set."""
     fleet = config.build_fleet()
     scenarios = generate_scenarios(fleet, config.n_scenarios, config.scenario_seed)
@@ -67,7 +68,6 @@ def compute_study(config: RunConfig, threads: int = 1) -> StudyResult:
             alpha=config.alpha,
             matrix=matrix,
             budget=config.exhaustive_budget,
-            threads=threads,
         )
         name = kind.value
         schedules[name] = schedule
@@ -90,11 +90,9 @@ def compute_study(config: RunConfig, threads: int = 1) -> StudyResult:
     )
 
 
-def run_study(
-    config: RunConfig, out_dir=None, threads: int = 1
-) -> tuple[StudyResult, list[Path]]:
+def run_study(config: RunConfig, out_dir=None) -> tuple[StudyResult, list[Path]]:
     """Compute a study and emit its output files."""
-    result = compute_study(config, threads=threads)
+    result = compute_study(config)
     meta = {"seed": config.scenario_seed, "config": config.to_json_dict()}
     paths = emit_outputs(
         result.summaries,
@@ -119,17 +117,6 @@ def _print_summary_table(summaries: list[PolicySummary]) -> None:
         )
 
 
-def _write_rows(path: Path, header, rows) -> None:
-    try:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        Path(path).unlink(missing_ok=True)
-        raise OSError(f"failed writing {path}: {exc}") from exc
-
-
 def _write_fleet_csv(fleet: FleetSpec, path: Path) -> None:
     header = (
         "id", "calendar_limit", "usage_limit", "rul_mean", "rul_std",
@@ -146,7 +133,7 @@ def _write_fleet_csv(fleet: FleetSpec, path: Path) -> None:
         ]
         for a in fleet.assets
     ]
-    _write_rows(path, header, rows)
+    _write_csv(path, header, rows)
 
 
 def _read_schedule_csv(path: Path, fleet: FleetSpec) -> Schedule:
@@ -159,6 +146,10 @@ def _read_schedule_csv(path: Path, fleet: FleetSpec) -> Schedule:
                     f"schedule file {path} must have exactly the columns asset_id,date"
                 )
             for row in reader:
+                if row["asset_id"] in dates:
+                    raise ValueError(
+                        f"schedule file {path} lists asset {row['asset_id']!r} more than once"
+                    )
                 raw = row["date"].strip()
                 if raw == "none":
                     dates[row["asset_id"]] = None
@@ -230,7 +221,7 @@ def _cmd_evaluate(args) -> int:
     print(f"var_{config.alpha:g}={var_alpha(dist, config.alpha):.12g}")
     print(f"cvar_{config.alpha:g}={cvar_alpha(dist, config.alpha):.12g}")
     path = out / "eval_distribution.csv"
-    _write_rows(
+    _write_csv(
         path,
         ("scenario", "cost", "weight"),
         [
@@ -261,14 +252,13 @@ def _cmd_optimize(args) -> int:
         alpha=config.alpha,
         matrix=matrix,
         budget=config.exhaustive_budget,
-        threads=args.threads,
     )
     dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
     objective = (
         expected_cost(dist) if args.criterion == "expected" else cvar_alpha(dist, config.alpha)
     )
     path = out / "schedule.csv"
-    _write_rows(
+    _write_csv(
         path,
         ("asset_id", "date"),
         [
@@ -284,7 +274,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_study(args) -> int:
     config = _load(args)
     out = _out_dir(args, config)
-    result, paths = run_study(config, out_dir=out, threads=args.threads)
+    result, paths = run_study(config, out_dir=out)
     _print_summary_table(result.summaries)
     for p in paths:
         print(f"wrote {p}")
@@ -302,7 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file (defaults apply if omitted)")
         sp.add_argument("--seed", type=int, help="override the fleet and scenario seeds")
         sp.add_argument("--out", help="output directory (default from config)")
-        sp.add_argument("--threads", type=int, default=1, help="parallelism cap")
+        sp.add_argument(
+            "--threads", type=int, default=1,
+            help="accepted for compatibility; has no effect",
+        )
 
     sp = sub.add_parser("gen-fleet", help="sample a fleet and write fleet.csv")
     add_common(sp)

@@ -288,7 +288,10 @@ def parse_config(data: dict) -> RunConfig:
                 else a
                 for a in assets
             ]
-        explicit_assets = tuple(assets)
+        try:
+            explicit_assets = FleetSpec(assets=assets, horizon=horizon).assets
+        except ValueError as exc:
+            raise ConfigError(f"fleet: {exc}") from exc
         known_ids = {a.id for a in explicit_assets}
     else:
         _check_keys("fleet", fleet_raw, _FLEET_GEN_KEYS)

@@ -1,4 +1,4 @@
-"""Fleet model: asset parameters, maintenance schedules, and state dynamics.
+"""Fleet model: asset parameters and maintenance schedules.
 
 Each asset carries three kinds of maintenance-relevant information: a
 calendar limit on the time since the last overhaul, a usage limit in
@@ -19,10 +19,8 @@ __all__ = [
     "MaintenanceDate",
     "AssetSpec",
     "FleetSpec",
-    "AssetState",
     "Schedule",
     "FleetGenConfig",
-    "advance_state",
     "validate_schedule",
     "generate_fleet",
     "DEFAULT_COST_PM",
@@ -123,24 +121,6 @@ class FleetSpec:
     def ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.assets)
 
-    def index_of(self, asset_id: str) -> int:
-        for i, a in enumerate(self.assets):
-            if a.id == asset_id:
-                return i
-        raise KeyError(f"unknown asset id {asset_id!r}")
-
-
-@dataclass(frozen=True)
-class AssetState:
-    """Calendar age and accumulated usage of one asset."""
-
-    a: float
-    u: float
-
-    def __post_init__(self) -> None:
-        _require(self.a >= 0, "age must be >= 0")
-        _require(self.u >= 0, "usage must be >= 0")
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -157,19 +137,6 @@ class Schedule:
 
     def date_for(self, asset_id: str) -> MaintenanceDate:
         return self.dates.get(asset_id)
-
-
-def advance_state(state: AssetState, maintain: bool, usage_increment: float) -> AssetState:
-    """One period of state dynamics.
-
-    Maintenance resets both descriptors to zero; otherwise age advances by
-    one period and usage accumulates the increment.
-    """
-    if usage_increment < 0:
-        raise ValueError("usage_increment must be >= 0")
-    if maintain:
-        return AssetState(0.0, 0.0)
-    return AssetState(state.a + 1.0, state.u + usage_increment)
 
 
 def validate_schedule(schedule: Schedule, fleet: FleetSpec) -> list[str]:

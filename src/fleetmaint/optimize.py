@@ -15,18 +15,16 @@ coordinate-descent incumbent therefore rules out every schedule whose mean
 exceeds it (up to a 1e-9 relative slack for rounding); at the default
 profile about 0.1% of the lattice survives. Candidate indices are ordered
 lexicographically by (asset order, date order with "none" last); ties on
-the objective resolve to the earliest schedule in that order, and blocks
-are fixed before any thread runs, so results do not depend on the thread
-count. The batch CVaR evaluator
-deliberately mirrors the arithmetic of :func:`fleetmaint.criteria.cvar_alpha`
-so that a schedule found by the search reports the same objective when
-re-evaluated through the criteria module.
+the objective resolve to the earliest schedule in that order. The batch
+CVaR evaluator deliberately mirrors the arithmetic of
+:func:`fleetmaint.criteria.cvar_alpha` so that a schedule found by the
+search reports the same objective when re-evaluated through the criteria
+module.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -199,19 +197,11 @@ def batch_cvar(totals: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndar
     return tail_cost / tail_weight
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def exhaustive_cvar_argmin(
     matrix: EvaluationMatrix,
     weights: np.ndarray,
     alpha: float,
     budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
-    threads: int = 1,
 ) -> tuple[tuple[int, ...], float]:
     """Global CVaR minimizer over every schedule: bound, then price survivors.
 
@@ -221,9 +211,8 @@ def exhaustive_cvar_argmin(
     schedule whose mean exceeds the incumbent (plus 1e-9 relative slack)
     has CVaR >= mean > incumbent >= optimum, so it can be neither the
     minimizer nor a tie, and is skipped. The survivors, in enumeration
-    order, are priced in blocks with totals summed in asset order; per-block
-    results carry the flat schedule index, so the final reduction picks the
-    earliest minimizer regardless of thread count. The result is the exact
+    order, are priced in blocks with totals summed in asset order, and only
+    a strictly lower CVaR replaces the best so far. The result is the exact
     optimum, earliest in enumeration order among ties. (batch_cvar's
     matrix products may round a row differently with its position in a
     batch, so schedules whose CVaRs agree only to the last bit can rank
@@ -246,22 +235,16 @@ def exhaustive_cvar_argmin(
     threshold = incumbent + _PRUNE_SLACK * max(1.0, abs(incumbent))
     survivors = np.flatnonzero(lattice <= threshold)
     shape = (k1,) * n
-
-    def eval_block(start: int) -> tuple[float, int]:
+    best_val, best_flat = np.inf, -1
+    for start in range(0, survivors.size, _BLOCK_ROWS):
         flat = survivors[start:start + _BLOCK_ROWS]
         totals = np.zeros((flat.size, s))
         for i, part in enumerate(np.unravel_index(flat, shape)):
             totals += costs[i][part]
         cvars = batch_cvar(totals, weights, alpha)
         m = int(np.argmin(cvars))
-        return float(cvars[m]), int(flat[m])
-
-    starts = list(range(0, survivors.size, _BLOCK_ROWS))
-    results = _map_ordered(eval_block, starts, threads)
-    best_val, best_flat = np.inf, -1
-    for val, flat in results:
-        if val < best_val or (val == best_val and flat < best_flat):
-            best_val, best_flat = val, flat
+        if cvars[m] < best_val:
+            best_val, best_flat = float(cvars[m]), int(flat[m])
     indices = tuple(int(x) for x in np.unravel_index(best_flat, shape))
     return indices, best_val
 

@@ -142,7 +142,6 @@ def integrated_cvar(
     *,
     matrix: EvaluationMatrix | None = None,
     budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
-    threads: int = 1,
 ) -> Schedule:
     """Minimize the CVaR of fleet cost over joint schedules.
 
@@ -162,9 +161,7 @@ def integrated_cvar(
     m = matrix if matrix is not None else build_matrix(fleet, scenarios, params)
     count = (fleet.horizon + 1) ** fleet.n_assets
     if count <= budget:
-        indices, _ = exhaustive_cvar_argmin(
-            m, scenarios.weights, alpha, budget=budget, threads=threads
-        )
+        indices, _ = exhaustive_cvar_argmin(m, scenarios.weights, alpha, budget=budget)
     else:
         warm = _expected_indices(m, scenarios.weights)
         indices, _ = coordinate_descent_cvar(m, scenarios.weights, alpha, warm)
@@ -181,7 +178,6 @@ def run_policy(
     alpha: float = DEFAULT_ALPHA,
     matrix: EvaluationMatrix | None = None,
     budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
-    threads: int = 1,
 ) -> Schedule:
     """Dispatch a policy by kind with shared defaults."""
     kind = PolicyKind(kind)
@@ -193,6 +189,4 @@ def run_policy(
         return rul_threshold(fleet, scenarios, trigger_prob)
     if kind is PolicyKind.INTEGRATED_EXPECTED:
         return integrated_expected(fleet, scenarios, params, matrix=matrix)
-    return integrated_cvar(
-        fleet, scenarios, params, alpha, matrix=matrix, budget=budget, threads=threads
-    )
+    return integrated_cvar(fleet, scenarios, params, alpha, matrix=matrix, budget=budget)

@@ -29,7 +29,6 @@ __all__ = [
     "sample_truncated_normal",
     "cell_stream",
     "generate_scenarios",
-    "cumulative_usage",
     "write_scenario_csvs",
     "read_scenario_csvs",
 ]
@@ -93,22 +92,26 @@ class ScenarioSet:
         return self.usage_increments.shape[2]
 
 
-def sample_gamma(mean: float, cv: float, rng: np.random.Generator) -> float:
-    """One gamma draw with the given mean and coefficient of variation.
+def sample_gamma(
+    mean: float, cv: float, rng: np.random.Generator, size: int | None = None
+) -> float | np.ndarray:
+    """Gamma draws with the given mean and coefficient of variation.
 
     Moment matching: shape k = 1/cv^2 and scale theta = mean * cv^2, so
     k * theta = mean and 1/sqrt(k) = cv. A zero cv is the exact point mass
-    at the mean and consumes no draws from the stream.
+    at the mean and consumes no draws from the stream. Returns one float
+    when ``size`` is None, else an array of ``size`` draws (which equal
+    ``size`` scalar draws taken in turn from the same stream).
     """
     if mean <= 0:
         raise ValueError("mean must be > 0")
     if not 0.0 <= cv < 1.0:
         raise ValueError("cv must lie in [0, 1)")
     if cv == 0.0:
-        return float(mean)
+        return float(mean) if size is None else np.full(size, float(mean))
     shape = 1.0 / (cv * cv)
     scale = mean * cv * cv
-    return float(rng.gamma(shape, scale))
+    return rng.gamma(shape, scale, size=size)
 
 
 def sample_truncated_normal(
@@ -151,10 +154,10 @@ def generate_scenarios(fleet: FleetSpec, n_scenarios: int, seed: int) -> Scenari
     """Draw an equally weighted scenario set for a fleet.
 
     Each (asset, scenario) cell uses its own substream from
-    :func:`cell_stream`: T gamma usage increments with the asset's mean and
-    cv, then one truncated-normal latent RUL bounded below by zero. The
-    latent RUL is drawn once per cell and reused by every candidate
-    maintenance date downstream.
+    :func:`cell_stream`: T usage increments from :func:`sample_gamma` with
+    the asset's mean and cv, then one truncated-normal latent RUL bounded
+    below by zero. The latent RUL is drawn once per cell and reused by
+    every candidate maintenance date downstream.
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be >= 1")
@@ -162,16 +165,9 @@ def generate_scenarios(fleet: FleetSpec, n_scenarios: int, seed: int) -> Scenari
     inc = np.empty((n, n_scenarios, t))
     rul = np.empty((n, n_scenarios))
     for i, asset in enumerate(fleet.assets):
-        cv = asset.usage_cv
-        if cv > 0:
-            shape = 1.0 / (cv * cv)
-            scale = asset.usage_mean_per_period * cv * cv
         for w in range(n_scenarios):
             rng = cell_stream(seed, i, w)
-            if cv > 0:
-                inc[i, w, :] = rng.gamma(shape, scale, size=t)
-            else:
-                inc[i, w, :] = asset.usage_mean_per_period
+            inc[i, w, :] = sample_gamma(asset.usage_mean_per_period, asset.usage_cv, rng, size=t)
             rul[i, w] = sample_truncated_normal(asset.rul_mean, asset.rul_std, 0.0, rng)
     weights = np.full(n_scenarios, 1.0 / n_scenarios)
     return ScenarioSet(
@@ -181,23 +177,6 @@ def generate_scenarios(fleet: FleetSpec, n_scenarios: int, seed: int) -> Scenari
         latent_rul=rul,
         seed=seed,
     )
-
-
-def cumulative_usage(
-    scenarios: ScenarioSet, fleet: FleetSpec, asset_index: int, scenario: int, period: int
-) -> float:
-    """Accumulated usage of one asset through the end of a period.
-
-    Period 0 returns the initial usage (empty sum).
-    """
-    if not 0 <= asset_index < fleet.n_assets:
-        raise ValueError(f"asset_index {asset_index} out of range")
-    if not 0 <= scenario < scenarios.n_scenarios:
-        raise ValueError(f"scenario {scenario} out of range")
-    if not 0 <= period <= scenarios.horizon:
-        raise ValueError(f"period {period} out of range 0..{scenarios.horizon}")
-    u0 = fleet.assets[asset_index].initial_usage
-    return float(u0 + scenarios.usage_increments[asset_index, scenario, :period].sum())
 
 
 def write_scenario_csvs(

@@ -65,7 +65,7 @@ def seed_studies():
     for seed in STUDY_SEEDS:
         config = parse_config({}).with_seed(seed)
         started = time.perf_counter()
-        result = compute_study(config, threads=1)
+        result = compute_study(config)
         elapsed = time.perf_counter() - started
         records.append(
             {

@@ -19,6 +19,16 @@ SMALL_CONFIG = {
     "scenarios": {"n_scenarios": 100, "seed": 5},
 }
 
+EXPLICIT_ASSET = {
+    "id": "pump-1",
+    "calendar_limit": 9,
+    "usage_limit": 150,
+    "rul_mean": 6,
+    "rul_std": 1.2,
+    "usage_mean_per_period": 12,
+    "usage_cv": 0.2,
+}
+
 
 def run_cli(args, cwd):
     env = dict(os.environ)
@@ -330,6 +340,33 @@ class TestCliCommands:
         proc = run_cli(["study", "--config", str(bad)], tmp_path)
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "fleet",
+        [
+            {"horizon": 0, "assets": [EXPLICIT_ASSET]},
+            {"horizon": 6, "assets": [EXPLICIT_ASSET, EXPLICIT_ASSET]},
+        ],
+        ids=["zero-horizon", "repeated-id"],
+    )
+    def test_bad_explicit_fleet_exits_2(self, fleet, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"fleet": fleet}))
+        proc = run_cli(["gen-fleet", "--config", str(bad), "--out", "fleet_out"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr
+
+    def test_evaluate_rejects_repeated_asset(self, config_file, tmp_path):
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("asset_id,date\nA1,3\nA2,1\nA3,1\nA1,5\n")
+        proc = run_cli(
+            ["evaluate", "--config", str(config_file), "--schedule", str(repeated),
+             "--out", "eval_repeated"],
+            tmp_path,
+        )
+        assert proc.returncode == 3
+        assert "'A1'" in proc.stderr and str(repeated) in proc.stderr
+        assert not (tmp_path / "eval_repeated" / "eval_distribution.csv").exists()
 
     def test_zero_threads_exits_2(self, config_file, tmp_path):
         proc = run_cli(

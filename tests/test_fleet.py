@@ -1,4 +1,4 @@
-"""Fleet model: state dynamics, schedule validation, synthetic generation."""
+"""Fleet model: schedule validation, spec validation, synthetic generation."""
 
 import numpy as np
 import pytest
@@ -6,45 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetmaint.fleet import (
-    AssetState,
     FleetGenConfig,
     FleetSpec,
     Schedule,
-    advance_state,
     generate_fleet,
     validate_schedule,
 )
 from helpers import make_asset, make_fleet
-
-
-class TestAdvanceState:
-    def test_no_maintenance_accumulates(self):
-        out = advance_state(AssetState(a=3.0, u=120.0), False, 14.2)
-        assert out == AssetState(a=4.0, u=134.2)
-
-    def test_maintenance_resets(self):
-        assert advance_state(AssetState(a=7.0, u=300.0), True, 14.2) == AssetState(0.0, 0.0)
-
-    def test_reset_from_origin(self):
-        assert advance_state(AssetState(a=0.0, u=0.0), True, 5.0) == AssetState(0.0, 0.0)
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError):
-            advance_state(AssetState(a=1.0, u=1.0), False, -0.1)
-
-    @given(st.floats(min_value=0, max_value=1e6, allow_nan=False))
-    def test_maintain_always_lands_on_origin(self, inc):
-        state = advance_state(AssetState(a=9.0, u=415.0), True, inc)
-        assert state.a == 0.0 and state.u == 0.0
-
-    @given(st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), max_size=30))
-    @settings(max_examples=50)
-    def test_k_steps_accumulate(self, incs):
-        state = AssetState(a=2.0, u=10.0)
-        for inc in incs:
-            state = advance_state(state, False, inc)
-        assert state.a == 2.0 + len(incs)
-        assert state.u == pytest.approx(10.0 + sum(incs), abs=1e-9)
 
 
 class TestValidateSchedule:
@@ -109,10 +77,6 @@ class TestSpecValidation:
     def test_bad_asset_params_rejected(self, field, value):
         with pytest.raises(ValueError):
             make_asset(**{field: value})
-
-    def test_negative_state_rejected(self):
-        with pytest.raises(ValueError):
-            AssetState(a=-1.0, u=0.0)
 
 
 class TestGenerateFleet:

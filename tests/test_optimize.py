@@ -265,22 +265,28 @@ class TestExhaustiveSearch:
         _, ref_value = full_scan_cvar_argmin(matrix, weights, alpha)
         assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
 
-    def test_all_survivors_span_blocks_and_threads(self):
+    def test_all_survivors_span_blocks(self):
         # constant costs put every schedule at the bound, so all 9^4 survive
-        # and the walk crosses block and thread boundaries
+        # and the walk crosses a block boundary
         fleet = make_fleet(n_assets=4, horizon=8)
         matrix = EvaluationMatrix(fleet, np.ones((4, 9, 5)))
         assert 9 ** 4 > _BLOCK_ROWS
         weights = np.full(5, 0.2)
-        serial = exhaustive_cvar_argmin(matrix, weights, 0.9, threads=1)
-        threaded = exhaustive_cvar_argmin(matrix, weights, 0.9, threads=2)
-        assert serial[0] == threaded[0] == (0, 0, 0, 0)
-        assert serial[1] == threaded[1] == 4.0
+        indices, value = exhaustive_cvar_argmin(matrix, weights, 0.9)
+        assert indices == (0, 0, 0, 0)
+        assert value == 4.0
 
-    @pytest.mark.parametrize("alpha", [0.6, 0.9])
-    def test_agrees_with_schedule_scan(self, alpha):
-        fleet = make_fleet(n_assets=2, horizon=3)
-        scenarios = random_scenarios(fleet, n_scenarios=30, seed=13)
+    @pytest.mark.parametrize(
+        "alpha, n_assets, horizon, n_scenarios, seed",
+        [
+            pytest.param(0.6, 2, 3, 30, 13, id="0.6"),
+            pytest.param(0.9, 2, 3, 30, 13, id="0.9"),
+            pytest.param(0.9, 3, 4, 25, 19, id="three-assets"),
+        ],
+    )
+    def test_agrees_with_schedule_scan(self, alpha, n_assets, horizon, n_scenarios, seed):
+        fleet = make_fleet(n_assets=n_assets, horizon=horizon)
+        scenarios = random_scenarios(fleet, n_scenarios=n_scenarios, seed=seed)
         matrix = build_matrix(fleet, scenarios, RiskParams())
         indices, value = exhaustive_cvar_argmin(matrix, scenarios.weights, alpha)
         _, ref_value = brute_force_cvar_argmin(matrix, fleet, scenarios.weights, alpha)
@@ -289,15 +295,6 @@ class TestExhaustiveSearch:
             matrix, schedule_from_indices(fleet, indices), scenarios.weights
         )
         assert cvar_alpha(dist, alpha) == pytest.approx(value, abs=1e-9)
-
-    def test_three_assets_with_threads(self):
-        fleet = make_fleet(n_assets=3, horizon=4)
-        scenarios = random_scenarios(fleet, n_scenarios=25, seed=19)
-        matrix = build_matrix(fleet, scenarios, RiskParams())
-        serial = exhaustive_cvar_argmin(matrix, scenarios.weights, 0.9, threads=1)
-        threaded = exhaustive_cvar_argmin(matrix, scenarios.weights, 0.9, threads=4)
-        assert list(serial[0]) == list(threaded[0])
-        assert serial[1] == threaded[1]
 
     def test_budget_enforced(self):
         fleet = make_fleet(n_assets=2, horizon=3)

@@ -267,13 +267,6 @@ class TestIntegratedCvar:
         assert exact_val <= desc_val + 1e-9
         assert desc_val <= warm_val + 1e-9
 
-    def test_deterministic_across_thread_counts(self):
-        fleet = make_fleet(n_assets=3, horizon=5)
-        scenarios = random_scenarios(fleet, n_scenarios=40, seed=61)
-        a = integrated_cvar(fleet, scenarios, alpha=0.9, threads=1)
-        b = integrated_cvar(fleet, scenarios, alpha=0.9, threads=4)
-        assert a.dates == b.dates
-
     def test_invalid_alpha_rejected(self):
         fleet = make_fleet()
         scenarios = const_scenarios(fleet, [5.0])

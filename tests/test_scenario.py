@@ -6,7 +6,6 @@ import pytest
 from fleetmaint.scenario import (
     ScenarioSet,
     cell_stream,
-    cumulative_usage,
     generate_scenarios,
     read_scenario_csvs,
     sample_gamma,
@@ -20,6 +19,8 @@ class TestSampleGamma:
     def test_zero_cv_is_point_mass(self):
         rng = np.random.default_rng(0)
         assert sample_gamma(12.0, 0.0, rng) == 12.0
+        assert sample_gamma(12.0, 0.0, rng, size=4).tolist() == [12.0] * 4
+        assert rng.uniform() == np.random.default_rng(0).uniform()  # no draws taken
 
     def test_invalid_args(self):
         rng = np.random.default_rng(0)
@@ -43,6 +44,13 @@ class TestSampleGamma:
         a = [sample_gamma(16.0, 0.25, np.random.default_rng(7)) for _ in range(1)]
         b = [sample_gamma(16.0, 0.25, np.random.default_rng(7)) for _ in range(1)]
         assert a == b
+
+    def test_sized_draws_equal_scalar_draws(self):
+        rng = np.random.default_rng(7)
+        scalars = [sample_gamma(16.0, 0.25, rng) for _ in range(12)]
+        sized = sample_gamma(16.0, 0.25, np.random.default_rng(7), size=12)
+        assert sized.shape == (12,)
+        assert sized.tolist() == scalars
 
 
 class TestSampleTruncatedNormal:
@@ -178,35 +186,6 @@ class TestScenarioSetValidation:
         s = generate_scenarios(fleet, 5, seed=1)
         with pytest.raises(ValueError):
             s.latent_rul[0, 0] = 99.0
-
-
-class TestCumulativeUsage:
-    def test_period_zero_is_initial_usage(self):
-        fleet = make_fleet()
-        s = generate_scenarios(fleet, 3, seed=1)
-        assert cumulative_usage(s, fleet, 0, 0, 0) == 60.0
-
-    def test_constant_increments_sum(self):
-        fleet = make_fleet(usage_cv=0.0)
-        s = generate_scenarios(fleet, 2, seed=1)
-        # initial 60 plus six periods of exactly 15
-        assert cumulative_usage(s, fleet, 0, 1, 6) == pytest.approx(150.0)
-
-    def test_monotone_in_period(self):
-        fleet = make_fleet()
-        s = generate_scenarios(fleet, 4, seed=8)
-        values = [cumulative_usage(s, fleet, 0, 2, t) for t in range(13)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_out_of_range_rejected(self):
-        fleet = make_fleet()
-        s = generate_scenarios(fleet, 2, seed=1)
-        with pytest.raises(ValueError):
-            cumulative_usage(s, fleet, 0, 0, 13)
-        with pytest.raises(ValueError):
-            cumulative_usage(s, fleet, 0, 5, 2)
-        with pytest.raises(ValueError):
-            cumulative_usage(s, fleet, 3, 0, 2)
 
 
 class TestCsvRoundTrip:
