@@ -21,7 +21,6 @@ from .optimize import (
     BudgetExceededError,
     EvaluationMatrix,
     build_matrix,
-    enumerate_schedules,
     schedule_cost_distribution,
 )
 from .policies import (
@@ -33,18 +32,7 @@ from .policies import (
     usage_only,
 )
 from .report import EcdfCurve, PolicySummary, ecdf, emit_outputs, summarize_policy
-from .riskcost import (
-    CostBreakdown,
-    CostSample,
-    RiskParams,
-    asset_scenario_cost,
-    early_penalty,
-    effective_rul,
-    failure_probability,
-    failure_proxy,
-    performance_penalty,
-    total_cost,
-)
+from .riskcost import RiskParams, failure_probability, performance_penalty
 from .scenario import (
     ScenarioSet,
     cell_stream,
@@ -67,15 +55,8 @@ __all__ = [
     "sample_gamma",
     "sample_truncated_normal",
     "RiskParams",
-    "CostBreakdown",
-    "CostSample",
-    "asset_scenario_cost",
-    "early_penalty",
-    "effective_rul",
     "failure_probability",
-    "failure_proxy",
     "performance_penalty",
-    "total_cost",
     "CostDistribution",
     "expected_cost",
     "var_alpha",
@@ -90,7 +71,6 @@ __all__ = [
     "BudgetExceededError",
     "build_matrix",
     "schedule_cost_distribution",
-    "enumerate_schedules",
     "EcdfCurve",
     "PolicySummary",
     "ecdf",

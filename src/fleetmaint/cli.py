@@ -71,14 +71,10 @@ def compute_study(config: RunConfig) -> StudyResult:
         )
         name = kind.value
         schedules[name] = schedule
-        distributions[name] = schedule_cost_distribution(matrix, schedule, scenarios.weights)
-        summaries.append(
-            summarize_policy(
-                name, schedule, matrix, scenarios.weights, config.alpha,
-                fleet, scenarios, config.risk,
-            )
-        )
-        curves[name] = ecdf(distributions[name])
+        dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
+        distributions[name] = dist
+        summaries.append(summarize_policy(name, schedule, dist, matrix, config.alpha))
+        curves[name] = ecdf(dist)
     return StudyResult(
         fleet=fleet,
         scenarios=scenarios,
@@ -146,6 +142,11 @@ def _read_schedule_csv(path: Path, fleet: FleetSpec) -> Schedule:
                     f"schedule file {path} must have exactly the columns asset_id,date"
                 )
             for row in reader:
+                if None in row or None in row.values():
+                    raise ValueError(
+                        f"schedule file {path}, line {reader.line_num}: "
+                        "a row must have exactly two fields, asset_id and date"
+                    )
                 if row["asset_id"] in dates:
                     raise ValueError(
                         f"schedule file {path} lists asset {row['asset_id']!r} more than once"

@@ -262,10 +262,12 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("costs.per_asset must be a JSON object")
     cost_overrides: dict[str, dict[str, float]] = {}
     for asset_id, entry in overrides_raw.items():
-        _check_keys(f"costs.per_asset.{asset_id}", entry, _COST_OVERRIDE_KEYS)
-        cost_overrides[asset_id] = {
-            k: _get_number(f"costs.per_asset.{asset_id}", entry, k, None) for k in entry
-        }
+        section = f"costs.per_asset.{asset_id}"
+        _check_keys(section, entry, _COST_OVERRIDE_KEYS)
+        cost_overrides[asset_id] = {k: _get_number(section, entry, k, None) for k in entry}
+        for k, v in cost_overrides[asset_id].items():
+            if v < 0:
+                raise ConfigError(f"{section}.{k} must be >= 0")
 
     fleet_raw = data.get("fleet", {})
     if not isinstance(fleet_raw, dict):

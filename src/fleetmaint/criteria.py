@@ -7,6 +7,13 @@ tail conditional expectation, evaluated directly on the support rather
 than through a minimization form). On discrete distributions this choice
 is exact, needs no auxiliary variable, and keeps ties well defined.
 
+One kernel computes both: :func:`batch_cvar` prices a batch of cost rows
+that share one weight vector, and the schedule search in
+:mod:`fleetmaint.optimize` calls it directly. :func:`cvar_alpha` is its
+one-row case and :func:`var_alpha` its quantile step, so a schedule found
+by the search reports the same objective when re-evaluated here, up to
+the last-bit rounding that a row's position in a batch can cause.
+
 Cumulative-weight comparisons allow 1e-12 of absolute slack; without it,
 accumulated rounding in equal weights (ten 0.1 entries sum to just under
 1) would shift quantiles off their exact discrete values.
@@ -18,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CostDistribution", "expected_cost", "var_alpha", "cvar_alpha", "CUM_TOL"]
+__all__ = [
+    "CostDistribution",
+    "expected_cost",
+    "var_alpha",
+    "cvar_alpha",
+    "batch_cvar",
+    "CUM_TOL",
+]
 
 CUM_TOL = 1e-12
 
@@ -57,24 +71,52 @@ def expected_cost(dist: CostDistribution) -> float:
     return float(dist.weights @ dist.values)
 
 
-def var_alpha(dist: CostDistribution, alpha: float) -> float:
-    """Lower alpha-quantile: smallest value whose cumulative weight reaches alpha.
+def _batch_var(totals: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndarray:
+    """Lower alpha-quantile of each row of a (M, S) cost array.
 
-    Equal values are merged before the quantile walk so duplicated support
-    points behave exactly like a single point with the combined weight.
+    Equal weights share one quantile index and use a partition instead of
+    a full sort. Otherwise each row is sorted and its weights accumulated
+    in that order; tied values need no merging, because the first position
+    whose cumulative weight reaches alpha holds the same value whichever
+    order the ties take.
     """
+    s = weights.size
+    if np.all(weights == weights[0]):
+        cum = np.cumsum(weights)
+        k = int(np.searchsorted(cum, alpha - CUM_TOL, side="left"))
+        k = min(k, s - 1)
+        return np.partition(totals, k, axis=1)[:, k]
+    order = np.argsort(totals, axis=1)
+    sorted_vals = np.take_along_axis(totals, order, axis=1)
+    cum = np.cumsum(weights[order], axis=1)
+    k = np.minimum((cum < alpha - CUM_TOL).sum(axis=1), s - 1)
+    return sorted_vals[np.arange(totals.shape[0]), k]
+
+
+def batch_cvar(totals: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndarray:
+    """CVaR_alpha of each row of a (M, S) cost array sharing one weight vector.
+
+    The VaR of each row is its lower alpha-quantile; the CVaR is the
+    weight-normalized mean over the row's values at or above it. The
+    matrix products may round a row differently with its position and the
+    row count of the batch (last bit only).
+    """
+    totals = np.atleast_2d(np.asarray(totals, dtype=float))
+    weights = np.asarray(weights, dtype=float)
+    var = _batch_var(totals, weights, alpha)
+    tail = totals >= var[:, None]
+    tail_weight = tail @ weights
+    tail_cost = (totals * tail) @ weights
+    return tail_cost / tail_weight
+
+
+def var_alpha(dist: CostDistribution, alpha: float) -> float:
+    """Lower alpha-quantile: smallest value whose cumulative weight reaches alpha."""
     _check_alpha(alpha)
-    uniq, inverse = np.unique(dist.values, return_inverse=True)
-    merged = np.bincount(inverse, weights=dist.weights)
-    cum = np.cumsum(merged)
-    idx = int(np.searchsorted(cum, alpha - CUM_TOL, side="left"))
-    idx = min(idx, uniq.size - 1)
-    return float(uniq[idx])
+    return float(_batch_var(dist.values[None, :], dist.weights, alpha)[0])
 
 
 def cvar_alpha(dist: CostDistribution, alpha: float) -> float:
     """Mean cost over the upper tail {z : z >= VaR_alpha}, weight-normalized."""
-    v = var_alpha(dist, alpha)
-    tail = dist.values >= v
-    tail_weight = float(dist.weights[tail].sum())
-    return float(dist.weights[tail] @ dist.values[tail]) / tail_weight
+    _check_alpha(alpha)
+    return float(batch_cvar(dist.values, dist.weights, alpha)[0])

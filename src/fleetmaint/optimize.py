@@ -15,22 +15,23 @@ coordinate-descent incumbent therefore rules out every schedule whose mean
 exceeds it (up to a 1e-9 relative slack for rounding); at the default
 profile about 0.1% of the lattice survives. Candidate indices are ordered
 lexicographically by (asset order, date order with "none" last); ties on
-the objective resolve to the earliest schedule in that order. The batch
-CVaR evaluator deliberately mirrors the arithmetic of
-:func:`fleetmaint.criteria.cvar_alpha` so that a schedule found by the
-search reports the same objective when re-evaluated through the criteria
-module.
+the objective resolve to the earliest schedule in that order. Schedules
+are priced with :func:`fleetmaint.criteria.batch_cvar`, the kernel that
+also reports a schedule's CVaR through :func:`~fleetmaint.criteria.cvar_alpha`.
+
+The matrix build is the one place that evaluates the hazard. Next to the
+cost rows it keeps each asset's expected accrued failure probability per
+candidate date, so a schedule's failure proxy is a sum of N lookups.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .criteria import CUM_TOL, CostDistribution
+from .criteria import CostDistribution, batch_cvar
 from .fleet import FleetSpec, Schedule, validate_schedule
 from .riskcost import RiskParams, failure_probability, performance_penalty
 from .scenario import ScenarioSet
@@ -41,12 +42,10 @@ __all__ = [
     "DEFAULT_EXHAUSTIVE_BUDGET",
     "build_matrix",
     "schedule_cost_distribution",
-    "enumerate_schedules",
     "schedule_from_indices",
     "indices_from_schedule",
     "exhaustive_cvar_argmin",
     "coordinate_descent_cvar",
-    "batch_cvar",
 ]
 
 DEFAULT_EXHAUSTIVE_BUDGET = 1_000_000
@@ -70,30 +69,45 @@ class EvaluationMatrix:
     """Per-asset, per-candidate-date, per-scenario cost table.
 
     ``costs[i, c, w]`` is asset i's cost in scenario w when maintained at
-    date c+1 for c < T, or never maintained for c == T.
+    date c+1 for c < T, or never maintained for c == T. ``failure[i, c]``
+    is the scenario-weighted sum of asset i's per-period failure
+    probabilities over the same candidate's accrual window: periods
+    1..c, which for c == T is the whole horizon.
     """
 
     fleet: FleetSpec
     costs: np.ndarray
+    failure: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.asarray(self.costs, dtype=float)
+        f = np.asarray(self.failure, dtype=float)
         expected = (self.fleet.n_assets, self.fleet.horizon + 1)
         if c.ndim != 3 or c.shape[:2] != expected:
             raise ValueError(f"costs must have shape ({expected[0]}, {expected[1]}, S)")
+        if f.shape != expected:
+            raise ValueError(f"failure must have shape {expected}")
         c.setflags(write=False)
+        f.setflags(write=False)
         object.__setattr__(self, "costs", c)
+        object.__setattr__(self, "failure", f)
 
     @property
     def n_scenarios(self) -> int:
         return self.costs.shape[2]
 
 
-def _asset_cost_table(asset, latent_rul: np.ndarray, horizon: int, params: RiskParams) -> np.ndarray:
-    """(T+1, S) cost rows for one asset, vectorized over scenarios."""
+def _asset_tables(
+    asset, latent_rul: np.ndarray, weights: np.ndarray, horizon: int, params: RiskParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """(T+1, S) cost rows and (T+1,) failure row for one asset."""
     t_grid = np.arange(1, horizon + 1)
     margins = latent_rul[:, None] - t_grid[None, :]
-    hazard = asset.cost_fail * failure_probability(margins, params)
+    probs = failure_probability(margins, params)
+    # One row sum per window, not a running sum, so each entry rounds like a
+    # direct sum over its window (numpy sums rows of over 8 terms pairwise).
+    failure = np.array([weights @ probs[:, :k].sum(axis=1) for k in range(horizon + 1)])
+    hazard = asset.cost_fail * probs
     hazard += performance_penalty(margins, asset.cost_perf, params)
     # accrued[:, k] charges hazard for periods 1..k; column 0 is the empty sum.
     accrued = np.concatenate(
@@ -103,20 +117,20 @@ def _asset_cost_table(asset, latent_rul: np.ndarray, horizon: int, params: RiskP
     table = np.empty((horizon + 1, latent_rul.size))
     table[:horizon] = (asset.cost_pm + early + accrued[:, :horizon]).T
     table[horizon] = accrued[:, horizon]
-    return table
+    return table, failure
 
 
 def build_matrix(
     fleet: FleetSpec, scenarios: ScenarioSet, params: RiskParams = RiskParams()
 ) -> EvaluationMatrix:
-    """Precompute every asset's cost rows against a frozen scenario set."""
+    """Precompute every asset's cost and failure rows against a frozen scenario set."""
     if scenarios.n_assets != fleet.n_assets or scenarios.horizon != fleet.horizon:
         raise ValueError("scenario set shape does not match the fleet")
-    tables = [
-        _asset_cost_table(asset, scenarios.latent_rul[i], fleet.horizon, params)
+    costs, failure = zip(*(
+        _asset_tables(asset, scenarios.latent_rul[i], scenarios.weights, fleet.horizon, params)
         for i, asset in enumerate(fleet.assets)
-    ]
-    return EvaluationMatrix(fleet=fleet, costs=np.stack(tables))
+    ))
+    return EvaluationMatrix(fleet=fleet, costs=np.stack(costs), failure=np.stack(failure))
 
 
 def indices_from_schedule(schedule: Schedule, fleet: FleetSpec) -> tuple[int, ...]:
@@ -147,54 +161,6 @@ def schedule_cost_distribution(
     for i, c in enumerate(indices):
         totals += matrix.costs[i, c]
     return CostDistribution(values=totals, weights=np.asarray(weights, dtype=float))
-
-
-def enumerate_schedules(fleet: FleetSpec, budget: int = DEFAULT_EXHAUSTIVE_BUDGET) -> Iterator[Schedule]:
-    """All (T+1)^N schedules in lexicographic candidate order.
-
-    Dates run 1..T then "none" for each asset, with the first asset as the
-    most significant position. Refuses up front, rather than truncating,
-    when the count would exceed the budget.
-    """
-    count = (fleet.horizon + 1) ** fleet.n_assets
-    if count > budget:
-        raise BudgetExceededError(
-            f"{count} schedules exceed the enumeration budget of {budget}"
-        )
-
-    def _iter() -> Iterator[Schedule]:
-        for combo in itertools.product(range(fleet.horizon + 1), repeat=fleet.n_assets):
-            yield schedule_from_indices(fleet, combo)
-
-    return _iter()
-
-
-def batch_cvar(totals: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndarray:
-    """CVaR_alpha of each row of a (M, S) cost array.
-
-    Matches criteria.cvar_alpha: lower-quantile VaR with 1e-12 slack on
-    cumulative weights, then a weight-normalized mean over values >= VaR.
-    Equal weights share one precomputed quantile index and use a partition
-    instead of a full sort.
-    """
-    totals = np.atleast_2d(np.asarray(totals, dtype=float))
-    weights = np.asarray(weights, dtype=float)
-    s = weights.size
-    if np.all(weights == weights[0]):
-        cum = np.cumsum(weights)
-        k = int(np.searchsorted(cum, alpha - CUM_TOL, side="left"))
-        k = min(k, s - 1)
-        var = np.partition(totals, k, axis=1)[:, k]
-    else:
-        order = np.argsort(totals, axis=1)
-        sorted_vals = np.take_along_axis(totals, order, axis=1)
-        cum = np.cumsum(weights[order], axis=1)
-        k = np.minimum((cum < alpha - CUM_TOL).sum(axis=1), s - 1)
-        var = sorted_vals[np.arange(totals.shape[0]), k]
-    tail = totals >= var[:, None]
-    tail_weight = tail @ weights
-    tail_cost = (totals * tail) @ weights
-    return tail_cost / tail_weight
 
 
 def exhaustive_cvar_argmin(

@@ -19,9 +19,7 @@ import numpy as np
 from . import __version__
 from .criteria import CostDistribution, cvar_alpha, expected_cost
 from .fleet import FleetSpec, Schedule
-from .optimize import EvaluationMatrix, schedule_cost_distribution
-from .riskcost import RiskParams, failure_proxy
-from .scenario import ScenarioSet
+from .optimize import EvaluationMatrix, indices_from_schedule
 
 __all__ = [
     "PolicySummary",
@@ -65,31 +63,30 @@ class EcdfCurve:
 def summarize_policy(
     name: str,
     schedule: Schedule,
+    dist: CostDistribution,
     matrix: EvaluationMatrix,
-    weights: np.ndarray,
     alpha: float,
-    fleet: FleetSpec,
-    scenarios: ScenarioSet,
-    params: RiskParams = RiskParams(),
 ) -> PolicySummary:
-    """Headline numbers for one policy's schedule.
+    """Headline numbers for one policy's schedule and its cost distribution.
 
     Unscheduled assets enter the mean maintenance time as horizon + 1; the
     convention is recorded in the run metadata so the summary stays a flat
-    table.
+    table. The failure proxy is the scenario-weighted failure probability
+    accrued before each asset's date (over the whole horizon when
+    unscheduled), summed over assets; it is an exposure measure, not a
+    cost term.
     """
-    dist = schedule_cost_distribution(matrix, schedule, weights)
-    times = [
-        fleet.horizon + 1 if schedule.date_for(a.id) is None else schedule.date_for(a.id)
-        for a in fleet.assets
-    ]
+    indices = indices_from_schedule(schedule, matrix.fleet)
+    proxy = 0.0
+    for i, c in enumerate(indices):
+        proxy += float(matrix.failure[i, c])
     return PolicySummary(
         policy=name,
         expected_cost=expected_cost(dist),
         cvar=cvar_alpha(dist, alpha),
         alpha=alpha,
-        mean_maintenance_time=float(np.mean(times)),
-        mean_failure_proxy=failure_proxy(schedule, fleet, scenarios, params),
+        mean_maintenance_time=float(np.mean([c + 1 for c in indices])),
+        mean_failure_proxy=proxy,
     )
 
 

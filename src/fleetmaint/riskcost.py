@@ -1,4 +1,4 @@
-"""Degradation-risk cost model for candidate maintenance dates.
+"""Hazard shape of the degradation-risk cost model.
 
 The model prices one asset-scenario trajectory as four nonnegative terms:
 a fixed preventive-maintenance charge, an expected-failure charge, a
@@ -18,6 +18,12 @@ m = R - t of the scenario's latent RUL R:
 
 Usage affects maintenance timing only through the usage-threshold policy;
 it does not enter the hazard, which is driven by the latent RUL alone.
+
+This module holds the hazard functions and their constants. The cost
+terms are assembled once, for every asset, candidate date and scenario,
+by :func:`fleetmaint.optimize.build_matrix`, which also keeps the
+scenario-weighted accrued failure probability that summary.csv reports
+as the failure proxy.
 """
 
 from __future__ import annotations
@@ -26,21 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fleet import AssetSpec, FleetSpec, Schedule, validate_schedule
-from .scenario import ScenarioSet
-
-__all__ = [
-    "RiskParams",
-    "CostBreakdown",
-    "CostSample",
-    "effective_rul",
-    "failure_probability",
-    "performance_penalty",
-    "early_penalty",
-    "asset_scenario_cost",
-    "total_cost",
-    "failure_proxy",
-]
+__all__ = ["RiskParams", "failure_probability", "performance_penalty"]
 
 
 @dataclass(frozen=True)
@@ -63,47 +55,6 @@ class RiskParams:
             raise ValueError("decay_rate must be > 0")
         if self.perf_window <= 0:
             raise ValueError("perf_window must be > 0")
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Cost components for one asset in one scenario."""
-
-    pm: float
-    fail: float
-    perf: float
-    early: float
-
-    def __post_init__(self) -> None:
-        for name in ("pm", "fail", "perf", "early"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} component must be >= 0")
-
-    @property
-    def total(self) -> float:
-        return self.pm + self.fail + self.perf + self.early
-
-
-@dataclass(frozen=True)
-class CostSample:
-    """Fleet cost of one schedule under one scenario, by asset."""
-
-    scenario: int
-    breakdowns: dict[str, CostBreakdown]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "breakdowns", dict(self.breakdowns))
-
-    @property
-    def total(self) -> float:
-        return sum(b.total for b in self.breakdowns.values())
-
-
-def effective_rul(latent_rul: float, period: int):
-    """Remaining life margin at a period; negative once nominal life is spent."""
-    if period < 1:
-        raise ValueError("period must be >= 1")
-    return latent_rul - period
 
 
 def failure_probability(margin, params: RiskParams = RiskParams()):
@@ -135,117 +86,3 @@ def performance_penalty(margin, cost_perf: float, params: RiskParams = RiskParam
     if np.ndim(margin) == 0:
         return float(out)
     return out
-
-
-def early_penalty(latent_rul, maintenance_time: int, rul_mean: float, cost_early: float):
-    """Opportunity cost of maintaining while useful life remains.
-
-    Proportional to the remaining life given up at the action date, in
-    units of the asset's mean life so assets of different longevity are
-    penalized comparably. Zero when the action happens at or past the
-    latent RUL.
-    """
-    if maintenance_time < 1:
-        raise ValueError("maintenance_time must be >= 1")
-    if rul_mean <= 0:
-        raise ValueError("rul_mean must be > 0")
-    if cost_early < 0:
-        raise ValueError("cost_early must be >= 0")
-    r = np.asarray(latent_rul, dtype=float)
-    out = cost_early * np.maximum(0.0, r - maintenance_time) / rul_mean
-    if np.ndim(latent_rul) == 0:
-        return float(out)
-    return out
-
-
-def _hazard(asset: AssetSpec, margin: float, params: RiskParams) -> tuple[float, float]:
-    fail = asset.cost_fail * failure_probability(margin, params)
-    perf = performance_penalty(margin, asset.cost_perf, params)
-    return fail, perf
-
-
-def asset_scenario_cost(
-    asset: AssetSpec,
-    date: int | None,
-    latent_rul: float,
-    horizon: int,
-    params: RiskParams = RiskParams(),
-) -> CostBreakdown:
-    """Cost breakdown for one asset, candidate date, and latent RUL.
-
-    A dated action charges the maintenance fee plus hazard over periods
-    1..date-1 plus the early penalty at the date. No action charges hazard
-    over the whole horizon and nothing else.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if date is not None:
-        if isinstance(date, bool) or int(date) != date:
-            raise ValueError(f"date must be an integer period, got {date!r}")
-        if not 1 <= date <= horizon:
-            raise ValueError(f"date {date} out of horizon 1..{horizon}")
-    last_accrual = horizon if date is None else date - 1
-    fail = 0.0
-    perf = 0.0
-    for t in range(1, last_accrual + 1):
-        f, p = _hazard(asset, effective_rul(latent_rul, t), params)
-        fail += f
-        perf += p
-    if date is None:
-        return CostBreakdown(pm=0.0, fail=fail, perf=perf, early=0.0)
-    early = early_penalty(latent_rul, date, asset.rul_mean, asset.cost_early)
-    return CostBreakdown(pm=asset.cost_pm, fail=fail, perf=perf, early=early)
-
-
-def total_cost(
-    schedule: Schedule,
-    fleet: FleetSpec,
-    scenarios: ScenarioSet,
-    scenario: int,
-    params: RiskParams = RiskParams(),
-) -> CostSample:
-    """Fleet cost of a schedule under one scenario; additive over assets."""
-    violations = validate_schedule(schedule, fleet)
-    if violations:
-        raise ValueError("invalid schedule: " + "; ".join(violations))
-    if not 0 <= scenario < scenarios.n_scenarios:
-        raise ValueError(f"scenario {scenario} out of range")
-    breakdowns = {}
-    for i, asset in enumerate(fleet.assets):
-        breakdowns[asset.id] = asset_scenario_cost(
-            asset,
-            schedule.date_for(asset.id),
-            float(scenarios.latent_rul[i, scenario]),
-            fleet.horizon,
-            params,
-        )
-    return CostSample(scenario=scenario, breakdowns=breakdowns)
-
-
-def failure_proxy(
-    schedule: Schedule,
-    fleet: FleetSpec,
-    scenarios: ScenarioSet,
-    params: RiskParams = RiskParams(),
-) -> float:
-    """Scenario-weighted accumulated failure probability of a schedule.
-
-    Sums the per-period failure probabilities over each asset's accrual
-    window (up to the action date, or the whole horizon when unscheduled)
-    and averages over scenarios. A unitless exposure measure for reporting;
-    it is not a cost term.
-    """
-    violations = validate_schedule(schedule, fleet)
-    if violations:
-        raise ValueError("invalid schedule: " + "; ".join(violations))
-    t_grid = np.arange(1, fleet.horizon + 1)
-    acc = 0.0
-    for i, asset in enumerate(fleet.assets):
-        date = schedule.date_for(asset.id)
-        last_accrual = fleet.horizon if date is None else date - 1
-        if last_accrual < 1:
-            continue
-        margins = scenarios.latent_rul[i][:, None] - t_grid[None, :last_accrual]
-        probs = failure_probability(margins, params)
-        acc += float(scenarios.weights @ probs.sum(axis=1))
-    return acc

@@ -25,14 +25,9 @@ from fleetmaint.criteria import CostDistribution, cvar_alpha, expected_cost, var
 from fleetmaint.fleet import FleetGenConfig, Schedule, generate_fleet
 from fleetmaint.optimize import build_matrix, schedule_cost_distribution
 from fleetmaint.policies import integrated_cvar, integrated_expected
-from fleetmaint.riskcost import (
-    RiskParams,
-    asset_scenario_cost,
-    failure_probability,
-    performance_penalty,
-    total_cost,
-)
+from fleetmaint.riskcost import RiskParams, failure_probability, performance_penalty
 from fleetmaint.scenario import generate_scenarios, sample_gamma, sample_truncated_normal
+from helpers import asset_scenario_cost, total_cost
 
 # Frozen evaluation seeds for the default-profile studies. The criteria
 # describe typical draws from the default generator ranges; this block is

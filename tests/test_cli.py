@@ -368,6 +368,51 @@ class TestCliCommands:
         assert "'A1'" in proc.stderr and str(repeated) in proc.stderr
         assert not (tmp_path / "eval_repeated" / "eval_distribution.csv").exists()
 
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("asset_id,date\nA1\nA2,1\nA3,1\n", 2),
+            ("asset_id,date\nA1,1,9\nA2,1\nA3,1\n", 2),
+            ("asset_id,date\nA1,3\nA2,1\nA3,1,\n", 4),
+        ],
+        ids=["missing-field", "extra-field", "trailing-comma"],
+    )
+    def test_evaluate_rejects_row_of_wrong_length(self, body, line, config_file, tmp_path):
+        bad = tmp_path / "bad_row.csv"
+        bad.write_text(body)
+        proc = run_cli(
+            ["evaluate", "--config", str(config_file), "--schedule", str(bad),
+             "--out", "eval_bad_row"],
+            tmp_path,
+        )
+        assert proc.returncode == 3
+        assert f"line {line}" in proc.stderr and str(bad) in proc.stderr
+        assert not (tmp_path / "eval_bad_row" / "eval_distribution.csv").exists()
+
+    @pytest.mark.parametrize(
+        "document, key",
+        [
+            (
+                {"fleet": {"n_assets": 2}, "costs": {"per_asset": {"A1": {"pm": -5}}}},
+                "costs.per_asset.A1.pm",
+            ),
+            (
+                {
+                    "fleet": {"horizon": 6, "assets": [EXPLICIT_ASSET]},
+                    "costs": {"per_asset": {"pump-1": {"fail": -1}}},
+                },
+                "costs.per_asset.pump-1.fail",
+            ),
+        ],
+        ids=["generated-fleet", "explicit-fleet"],
+    )
+    def test_negative_cost_override_exits_2(self, document, key, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        proc = run_cli(["gen-fleet", "--config", str(bad), "--out", "fleet_out"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr and key in proc.stderr
+
     def test_zero_threads_exits_2(self, config_file, tmp_path):
         proc = run_cli(
             ["study", "--config", str(config_file), "--threads", "0"], tmp_path

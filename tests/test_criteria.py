@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetmaint.criteria import CostDistribution, cvar_alpha, expected_cost, var_alpha
+from fleetmaint.criteria import (
+    CostDistribution,
+    batch_cvar,
+    cvar_alpha,
+    expected_cost,
+    var_alpha,
+)
+from helpers import cvar_alpha_merged, var_alpha_merged
 
 
 def oracle_var(values, weights, alpha):
@@ -261,3 +268,55 @@ class TestProperties:
         cvars = [cvar_alpha(dist, a) for a in grid]
         assert all(b >= a - 1e-9 for a, b in zip(vars_, vars_[1:]))
         assert all(b >= a - 1e-9 for a, b in zip(cvars, cvars[1:]))
+
+
+@st.composite
+def kernel_batches(draw, exact: bool):
+    """(rows, weights, alpha): 1-4 cost rows over one ragged weight vector.
+
+    Values come from a coarse grid, so rows are full of ties. Weights are
+    small integers, zeros included, normalized. With ``exact`` the values
+    are half-integers and the weights dyadic fractions, so every sum and
+    product is exact and the kernel must match the oracle bit for bit.
+    """
+    s = draw(st.integers(1, 30))
+    m = draw(st.integers(1, 4))
+    if exact:
+        cells = st.integers(-40, 40).map(lambda k: k / 2)
+    else:
+        cells = st.integers(-40, 40).map(lambda k: k / 3) | st.floats(-1e3, 1e3)
+    rows = np.array(draw(st.lists(cells, min_size=m * s, max_size=m * s))).reshape(m, s)
+    raw = draw(st.lists(st.integers(0, 4), min_size=s, max_size=s).filter(any))
+    if exact:
+        total = sum(raw)
+        raw[raw.index(max(raw))] += (1 << (total - 1).bit_length()) - total
+    weights = np.array(raw, dtype=float) / sum(raw)
+    alpha = draw(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9, 0.99]) | st.floats(0.01, 0.99))
+    return rows, weights, alpha
+
+
+class TestOneKernel:
+    """cvar_alpha and batch_cvar are one kernel; the oracle merges ties first."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kernel_batches(exact=True))
+    def test_exact_on_half_integers_with_dyadic_weights(self, batch):
+        rows, weights, alpha = batch
+        cvars = batch_cvar(rows, weights, alpha)
+        for row, value in zip(rows, cvars):
+            dist = CostDistribution(row, weights)
+            assert var_alpha(dist, alpha) == var_alpha_merged(dist, alpha)
+            assert cvar_alpha(dist, alpha) == cvar_alpha_merged(dist, alpha)
+            assert value == cvar_alpha_merged(dist, alpha)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kernel_batches(exact=False))
+    def test_within_1e12_relative_otherwise(self, batch):
+        rows, weights, alpha = batch
+        cvars = batch_cvar(rows, weights, alpha)
+        for row, value in zip(rows, cvars):
+            dist = CostDistribution(row, weights)
+            expected = cvar_alpha_merged(dist, alpha)
+            assert var_alpha(dist, alpha) == var_alpha_merged(dist, alpha)
+            assert cvar_alpha(dist, alpha) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)

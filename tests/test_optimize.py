@@ -5,24 +5,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetmaint.criteria import CostDistribution, cvar_alpha, expected_cost
+from fleetmaint.criteria import CostDistribution, batch_cvar, cvar_alpha, expected_cost
 from fleetmaint.optimize import (
     _BLOCK_ROWS,
     BudgetExceededError,
     EvaluationMatrix,
-    batch_cvar,
     build_matrix,
     coordinate_descent_cvar,
-    enumerate_schedules,
     exhaustive_cvar_argmin,
     indices_from_schedule,
     schedule_cost_distribution,
     schedule_from_indices,
 )
 from fleetmaint.fleet import Schedule
-from fleetmaint.riskcost import RiskParams, asset_scenario_cost, total_cost
+from fleetmaint.riskcost import RiskParams
 from fleetmaint.scenario import generate_scenarios
-from helpers import const_scenarios, make_fleet, random_scenarios
+from helpers import (
+    asset_cost_table,
+    asset_scenario_cost,
+    const_scenarios,
+    cvar_alpha_merged,
+    enumerate_schedules,
+    make_fleet,
+    random_scenarios,
+    total_cost,
+)
+
+
+def cost_only_matrix(fleet, costs):
+    """A matrix over hand-made cost rows; the search never reads the failure table."""
+    costs = np.asarray(costs, dtype=float)
+    return EvaluationMatrix(fleet, costs, np.zeros(costs.shape[:2]))
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +50,20 @@ class TestMatrixCells:
     def test_shape(self, small_setup):
         fleet, scenarios, matrix = small_setup
         assert matrix.costs.shape == (2, 5, 12)
+        assert matrix.failure.shape == (2, 5)
         assert matrix.n_scenarios == 12
+
+    @pytest.mark.parametrize("n_assets, horizon, seed", [(2, 4, 81), (3, 12, 5), (1, 9, 2)])
+    def test_costs_equal_reference_table_bit_for_bit(self, n_assets, horizon, seed):
+        fleet = make_fleet(n_assets=n_assets, horizon=horizon)
+        scenarios = generate_scenarios(fleet, n_scenarios=50, seed=seed)
+        params = RiskParams()
+        matrix = build_matrix(fleet, scenarios, params)
+        reference = np.stack([
+            asset_cost_table(asset, scenarios.latent_rul[i], horizon, params)
+            for i, asset in enumerate(fleet.assets)
+        ])
+        assert np.array_equal(matrix.costs, reference)
 
     def test_every_cell_matches_direct_evaluation(self, small_setup):
         fleet, scenarios, matrix = small_setup
@@ -73,12 +99,16 @@ class TestMatrixCells:
         _, _, matrix = small_setup
         with pytest.raises(ValueError):
             matrix.costs[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            matrix.failure[0, 0] = 1.0
 
     def test_shape_mismatch_rejected(self, small_setup):
         fleet, scenarios, _ = small_setup
         other = make_fleet(n_assets=3, horizon=4)
         with pytest.raises(ValueError):
             build_matrix(other, scenarios, RiskParams())
+        with pytest.raises(ValueError):
+            EvaluationMatrix(fleet, np.ones((2, 5, 3)), np.zeros((2, 4)))
 
 
 class TestIndexMapping:
@@ -166,7 +196,7 @@ class TestBatchCvar:
             batch = batch_cvar(totals, weights, alpha)
             for row in range(50):
                 dist = CostDistribution(totals[row], weights)
-                assert batch[row] == pytest.approx(cvar_alpha(dist, alpha), abs=1e-9)
+                assert batch[row] == pytest.approx(cvar_alpha_merged(dist, alpha), abs=1e-9)
 
     def test_matches_scalar_on_ragged_weights(self):
         rng = np.random.default_rng(37)
@@ -177,14 +207,14 @@ class TestBatchCvar:
             batch = batch_cvar(totals, weights, alpha)
             for row in range(40):
                 dist = CostDistribution(totals[row], weights)
-                assert batch[row] == pytest.approx(cvar_alpha(dist, alpha), abs=1e-9)
+                assert batch[row] == pytest.approx(cvar_alpha_merged(dist, alpha), abs=1e-9)
 
     def test_handles_duplicate_totals(self):
         totals = np.array([[1.0, 1.0, 2.0, 2.0, 3.0]] * 3)
         weights = np.full(5, 0.2)
         dist = CostDistribution(totals[0], weights)
         batch = batch_cvar(totals, weights, 0.8)
-        assert np.allclose(batch, cvar_alpha(dist, 0.8))
+        assert np.allclose(batch, cvar_alpha_merged(dist, 0.8))
 
 
 def brute_force_cvar_argmin(matrix, fleet, weights, alpha):
@@ -242,7 +272,7 @@ def small_instances(draw, exact: bool):
     weights = np.array(raw, dtype=float) / sum(raw)
     alpha = draw(st.sampled_from([0.1, 0.5, 0.75, 0.9, 0.99]))
     fleet = make_fleet(n_assets=n, horizon=horizon)
-    return EvaluationMatrix(fleet, costs), weights, alpha
+    return cost_only_matrix(fleet, costs), weights, alpha
 
 
 class TestExhaustiveSearch:
@@ -269,7 +299,7 @@ class TestExhaustiveSearch:
         # constant costs put every schedule at the bound, so all 9^4 survive
         # and the walk crosses a block boundary
         fleet = make_fleet(n_assets=4, horizon=8)
-        matrix = EvaluationMatrix(fleet, np.ones((4, 9, 5)))
+        matrix = cost_only_matrix(fleet, np.ones((4, 9, 5)))
         assert 9 ** 4 > _BLOCK_ROWS
         weights = np.full(5, 0.2)
         indices, value = exhaustive_cvar_argmin(matrix, weights, 0.9)
@@ -309,7 +339,7 @@ class TestExhaustiveSearch:
         fleet = make_fleet(n_assets=2, horizon=3)
         scenarios = const_scenarios(fleet, [5.0, 5.0], n_scenarios=4)
         costs = np.ones((2, 4, 4))
-        matrix = type(build_matrix(fleet, scenarios, RiskParams()))(fleet, costs)
+        matrix = cost_only_matrix(fleet, costs)
         indices, value = exhaustive_cvar_argmin(matrix, scenarios.weights, 0.9)
         assert list(indices) == [0, 0]
         assert value == pytest.approx(2.0)

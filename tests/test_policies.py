@@ -17,8 +17,15 @@ from fleetmaint.policies import (
     run_policy,
     usage_only,
 )
-from fleetmaint.riskcost import RiskParams, asset_scenario_cost, total_cost
-from helpers import const_scenarios, make_asset, make_fleet, random_scenarios
+from fleetmaint.riskcost import RiskParams
+from helpers import (
+    asset_scenario_cost,
+    const_scenarios,
+    make_asset,
+    make_fleet,
+    random_scenarios,
+    total_cost,
+)
 
 
 class TestCalendarOnly:

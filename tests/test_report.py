@@ -27,14 +27,18 @@ def setup():
     return fleet, scenarios, matrix
 
 
+def summarize(setup, schedule, name="demo"):
+    _, scenarios, matrix = setup
+    dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
+    return summarize_policy(name, schedule, dist, matrix, 0.9)
+
+
 class TestSummarize:
     def test_values_match_direct_computation(self, setup):
         fleet, scenarios, matrix = setup
         schedule = Schedule({"A1": 2, "A2": 5, "A3": None})
-        summary = summarize_policy(
-            "demo", schedule, matrix, scenarios.weights, 0.9, fleet, scenarios
-        )
         dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
+        summary = summarize_policy("demo", schedule, dist, matrix, 0.9)
         assert summary.policy == "demo"
         assert summary.expected_cost == pytest.approx(expected_cost(dist))
         assert summary.cvar == pytest.approx(cvar_alpha(dist, 0.9))
@@ -42,19 +46,13 @@ class TestSummarize:
         assert summary.cvar >= summary.expected_cost - 1e-9
 
     def test_unscheduled_assets_counted_past_horizon(self, setup):
-        fleet, scenarios, matrix = setup
         schedule = Schedule({"A1": 2, "A2": 5, "A3": None})
-        summary = summarize_policy(
-            "demo", schedule, matrix, scenarios.weights, 0.9, fleet, scenarios
-        )
+        summary = summarize(setup, schedule)
         assert summary.mean_maintenance_time == pytest.approx((2 + 5 + 7) / 3)
 
     def test_all_scheduled_mean(self, setup):
-        fleet, scenarios, matrix = setup
         schedule = Schedule({"A1": 1, "A2": 1, "A3": 4})
-        summary = summarize_policy(
-            "demo", schedule, matrix, scenarios.weights, 0.9, fleet, scenarios
-        )
+        summary = summarize(setup, schedule)
         assert summary.mean_maintenance_time == pytest.approx(2.0)
 
 
@@ -104,11 +102,7 @@ def run_emit(setup, out):
     summaries = []
     curves = {}
     for name, schedule in schedules.items():
-        summaries.append(
-            summarize_policy(
-                name, schedule, matrix, scenarios.weights, 0.9, fleet, scenarios
-            )
-        )
+        summaries.append(summarize(setup, schedule, name))
         curves[name] = ecdf(
             schedule_cost_distribution(matrix, schedule, scenarios.weights)
         )

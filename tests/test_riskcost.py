@@ -1,23 +1,34 @@
-"""Cost model: fixed points, accrual windows, additivity, proxy measure."""
+"""Cost model: fixed points, accrual windows, additivity, proxy measure.
 
+The scalar cost model under test here is the reference implementation in
+``helpers``; the library's matrix build is checked against it in
+test_optimize.py. The failure proxy is checked on the library's path,
+the evaluation matrix as summarize_policy reads it.
+"""
+
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from fleetmaint.fleet import Schedule
-from fleetmaint.riskcost import (
+from fleetmaint.optimize import build_matrix, schedule_cost_distribution
+from fleetmaint.report import summarize_policy
+from fleetmaint.riskcost import RiskParams, failure_probability, performance_penalty
+from helpers import (
     CostBreakdown,
-    RiskParams,
     asset_scenario_cost,
+    const_scenarios,
     early_penalty,
     effective_rul,
-    failure_probability,
+    enumerate_schedules,
     failure_proxy,
-    performance_penalty,
+    make_asset,
+    make_fleet,
+    random_scenarios,
     total_cost,
 )
-from helpers import const_scenarios, make_asset, make_fleet
 
 # Frozen from direct evaluation of p_max * exp(-decay_rate * m) at m=1.
 P_FAIL_MARGIN_1 = 0.44874822510396395
@@ -40,6 +51,13 @@ def brute_force_cost(asset, date, latent_rul, horizon, params=RiskParams()):
         pm = asset.cost_pm
         early = asset.cost_early * max(0.0, latent_rul - date) / asset.rul_mean
     return pm, fail, perf, early
+
+
+def matrix_proxy(schedule, fleet, scenarios, params=RiskParams()):
+    """The failure proxy as a study reports it: N lookups in the matrix."""
+    matrix = build_matrix(fleet, scenarios, params)
+    dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
+    return summarize_policy("p", schedule, dist, matrix, 0.9).mean_failure_proxy
 
 
 class TestEffectiveRul:
@@ -251,20 +269,20 @@ class TestFailureProxy:
         fleet = make_fleet(n_assets=2)
         scenarios = const_scenarios(fleet, [6.0, 3.0])
         schedule = Schedule({"A1": 1, "A2": 1})
-        assert failure_proxy(schedule, fleet, scenarios) == 0.0
+        assert matrix_proxy(schedule, fleet, scenarios) == 0.0
 
     def test_two_term_hand_value(self):
         # single scenario with latent RUL 2 and a date of 3 accrues the
         # failure probabilities at margins 1 and 0
         fleet = make_fleet(n_assets=1)
         scenarios = const_scenarios(fleet, [2.0])
-        proxy = failure_proxy(Schedule({"A1": 3}), fleet, scenarios)
+        proxy = matrix_proxy(Schedule({"A1": 3}), fleet, scenarios)
         assert proxy == pytest.approx(P_FAIL_MARGIN_1 + 0.95, abs=1e-12)
 
     def test_scenario_weighting(self):
         fleet = make_fleet(n_assets=1)
         scenarios = const_scenarios(fleet, np.array([[2.0, 30.0]]))
-        proxy = failure_proxy(Schedule({"A1": 3}), fleet, scenarios)
+        proxy = matrix_proxy(Schedule({"A1": 3}), fleet, scenarios)
         lhs = 0.5 * (P_FAIL_MARGIN_1 + 0.95)
         rhs = 0.5 * sum(
             0.95 * math.exp(-0.75 * (30.0 - t)) for t in (1, 2)
@@ -274,7 +292,7 @@ class TestFailureProxy:
     def test_unscheduled_accrues_whole_horizon(self):
         fleet = make_fleet(n_assets=1)
         scenarios = const_scenarios(fleet, [5.0])
-        none_proxy = failure_proxy(Schedule({"A1": None}), fleet, scenarios)
+        none_proxy = matrix_proxy(Schedule({"A1": None}), fleet, scenarios)
         expected = sum(failure_probability(5.0 - t) for t in range(1, 13))
         assert none_proxy == pytest.approx(expected, rel=1e-12)
 
@@ -282,10 +300,29 @@ class TestFailureProxy:
         fleet = make_fleet(n_assets=2)
         rng = np.random.default_rng(11)
         scenarios = const_scenarios(fleet, rng.uniform(0, 14, size=(2, 6)))
-        none_proxy = failure_proxy(Schedule({}), fleet, scenarios)
+        none_proxy = matrix_proxy(Schedule({}), fleet, scenarios)
         for date1 in (1, 5, 12):
             for date2 in (None, 2, 9):
-                dated = failure_proxy(
+                dated = matrix_proxy(
                     Schedule({"A1": date1, "A2": date2}), fleet, scenarios
                 )
                 assert dated <= none_proxy + 1e-12
+
+    @pytest.mark.parametrize(
+        "n_assets, horizon, seed",
+        [(1, 4, 3), (2, 3, 5), (3, 4, 7), (3, 2, 9)],
+    )
+    def test_matches_scalar_oracle_on_every_schedule(self, n_assets, horizon, seed):
+        fleet = make_fleet(n_assets=n_assets, horizon=horizon)
+        scenarios = random_scenarios(fleet, n_scenarios=9, seed=seed)
+        raw = np.random.default_rng(seed).uniform(0.0, 1.0, 9)
+        raw[0] = 0.0  # a zero-weight scenario
+        scenarios = dataclasses.replace(scenarios, weights=raw / raw.sum())
+        params = RiskParams(p_max=0.8, decay_rate=0.5, perf_window=3.0)
+        matrix = build_matrix(fleet, scenarios, params)
+        for schedule in enumerate_schedules(fleet):
+            dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
+            proxy = summarize_policy("p", schedule, dist, matrix, 0.9).mean_failure_proxy
+            assert proxy == pytest.approx(
+                failure_proxy(schedule, fleet, scenarios, params), rel=1e-12, abs=0.0
+            )
