@@ -98,6 +98,13 @@ def _get_int(section: str, data: dict, key: str, default: int) -> int:
     return int(value)
 
 
+def _get_seed(section: str, data: dict) -> int:
+    seed = _get_int(section, data, "seed", DEFAULT_SEED)
+    if seed < 0:
+        raise ConfigError(f"{section}.seed must be >= 0")
+    return seed
+
+
 def _get_range(section: str, data: dict, key: str, default) -> tuple[float, float]:
     value = data.get(key, None)
     if value is None:
@@ -131,6 +138,8 @@ class RunConfig:
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Copy with both the fleet and scenario seeds forced to one value."""
+        if seed < 0:
+            raise ConfigError("--seed must be >= 0")
         gen = self.fleet_gen
         if gen is not None:
             gen = dataclasses.replace(gen, seed=seed)
@@ -328,7 +337,7 @@ def parse_config(data: dict) -> RunConfig:
                 cost_fail=cost_defaults["fail"],
                 cost_perf=cost_defaults["perf"],
                 cost_early=cost_defaults["early"],
-                seed=_get_int("fleet", fleet_raw, "seed", DEFAULT_SEED),
+                seed=_get_seed("fleet", fleet_raw),
             )
         except ValueError as exc:
             raise ConfigError(f"fleet: {exc}") from exc
@@ -345,7 +354,7 @@ def parse_config(data: dict) -> RunConfig:
     n_scenarios = _get_int("scenarios", scen_raw, "n_scenarios", DEFAULT_N_SCENARIOS)
     if n_scenarios < 1:
         raise ConfigError("scenarios.n_scenarios must be >= 1")
-    scenario_seed = _get_int("scenarios", scen_raw, "seed", DEFAULT_SEED)
+    scenario_seed = _get_seed("scenarios", scen_raw)
 
     risk_raw = data.get("risk", {})
     _check_keys("risk", risk_raw, _RISK_KEYS)

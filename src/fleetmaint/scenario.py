@@ -8,9 +8,17 @@ random numbers.
 
 Determinism contract: the random stream for cell (asset i, scenario w) is
 derived only from (seed, i, w), via
-``numpy.random.SeedSequence(seed, spawn_key=(i, w))``. Cells can therefore
-be generated in any order, or in parallel, without changing a single draw.
-Within a cell the T usage increments are drawn first, then the latent RUL.
+``numpy.random.SeedSequence(seed, spawn_key=(i, w))`` seeding a PCG64
+generator (:func:`cell_stream`). Cells can therefore be generated in any
+order, or in parallel, without changing a single draw. Within a cell the T
+usage increments are drawn first, then the latent RUL.
+
+:func:`generate_scenarios` keeps that contract without building one
+``SeedSequence`` and one ``Generator`` per cell. SeedSequence's hash and
+PCG64's seeding step are pure functions of the seed words, so the state of
+every cell of an asset is computed in one pass of uint32 array arithmetic
+(:func:`_cell_seed_words`, :func:`_pcg64_state`) and set on one reused
+generator before the cell's draws.
 """
 
 from __future__ import annotations
@@ -37,6 +45,19 @@ __all__ = [
 # profile keeps truncation mass tiny, so the fallback almost never fires,
 # but it guarantees termination for far-tail parameter choices.
 _MAX_REJECTS = 256
+
+# numpy's SeedSequence: pool size, hash constants and the xorshift of its
+# hashmix/mix steps (numpy/random/bit_generator.pyx, after M. E. O'Neill's
+# randutils seed_seq_fe).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64).
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -150,23 +171,112 @@ def cell_stream(seed: int, asset_index: int, scenario_index: int) -> np.random.G
     return np.random.default_rng(seq)
 
 
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative integer, as SeedSequence splits it."""
+    if value < 0:
+        raise ValueError(f"seed and spawn key must be >= 0, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hash_constants(start: int, mult: int):
+    """The (current, next) hash constant pairs of SeedSequence's hashmix."""
+    const = start
+    while True:
+        following = (const * mult) & _MASK32
+        yield np.uint32(const), np.uint32(following)
+        const = following
+
+
+def _cell_seed_words(seed: int, asset_index: int, n_scenarios: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(asset_index, w)).generate_state(4, uint64)``
+    for every w in 0..n_scenarios-1, as an (n_scenarios, 4) uint64 array.
+
+    The entropy of cell w is the seed's words, zero-padded to the pool size,
+    then the asset index's words, then w (one word: scenario counts stay
+    below 2^32). Every cell runs the same hash steps with the same
+    constants, so the steps run once on columns of uint32 arrays, whose
+    products wrap modulo 2^32 as the reference's do.
+    """
+    run = _uint32_words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = [np.full(n_scenarios, word, np.uint32) for word in run + _uint32_words(asset_index)]
+    entropy.append(np.arange(n_scenarios, dtype=np.uint32))
+
+    def hashmix(value, consts):
+        const, following = next(consts)
+        value = (value ^ const) * following
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[k], consts) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], consts))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word, consts))
+
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    state = np.empty((n_scenarios, 8), dtype=np.uint32)
+    for k in range(8):
+        state[:, k] = hashmix(pool[k % _POOL_SIZE], consts)
+    return state.view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(words) -> dict:
+    """The state ``PCG64`` takes when seeded with four SeedSequence words.
+
+    PCG64 reads words 0-1 as the 128-bit initial state and words 2-3 as
+    the stream selector (high word first), then runs pcg_setseq_128_srandom:
+    ``inc = (initseq << 1) | 1``, ``state = (inc + initstate) * MULT + inc``.
+    """
+    w0, w1, w2, w3 = words
+    initstate = (w0 << 64) | w1
+    inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
+    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def generate_scenarios(fleet: FleetSpec, n_scenarios: int, seed: int) -> ScenarioSet:
     """Draw an equally weighted scenario set for a fleet.
 
-    Each (asset, scenario) cell uses its own substream from
-    :func:`cell_stream`: T usage increments from :func:`sample_gamma` with
-    the asset's mean and cv, then one truncated-normal latent RUL bounded
-    below by zero. The latent RUL is drawn once per cell and reused by
-    every candidate maintenance date downstream.
+    Each (asset, scenario) cell draws from its own :func:`cell_stream`
+    substream: T usage increments from :func:`sample_gamma` with the
+    asset's mean and cv, then one truncated-normal latent RUL bounded below
+    by zero. The latent RUL is drawn once per cell and reused by every
+    candidate maintenance date downstream.
+
+    The substreams are derived in bulk, one asset at a time: the seed words
+    of all its cells in one array pass, then, per cell, the resulting PCG64
+    state set on one reused generator. The draws are bit-identical to
+    building each cell's ``cell_stream``.
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be >= 1")
     n, t = fleet.n_assets, fleet.horizon
     inc = np.empty((n, n_scenarios, t))
     rul = np.empty((n, n_scenarios))
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
     for i, asset in enumerate(fleet.assets):
+        words = _cell_seed_words(seed, i, n_scenarios).tolist()
         for w in range(n_scenarios):
-            rng = cell_stream(seed, i, w)
+            bit_generator.state = _pcg64_state(words[w])
             inc[i, w, :] = sample_gamma(asset.usage_mean_per_period, asset.usage_cv, rng, size=t)
             rul[i, w] = sample_truncated_normal(asset.rul_mean, asset.rul_std, 0.0, rng)
     weights = np.full(n_scenarios, 1.0 / n_scenarios)
@@ -211,7 +321,9 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
 
     Every (asset, scenario, period) cell must be present exactly once, and
     every RUL row must name a scenario the usage file defines; missing,
-    duplicate, negative or out-of-range entries raise a ValueError.
+    duplicate, negative or out-of-range entries raise a ValueError, as does
+    a non-finite value (``inf`` or ``nan``), named by the file and the first
+    bad cell in (asset, scenario, period) order.
     """
     t = fleet.horizon
     index = {a.id: i for i, a in enumerate(fleet.assets)}
@@ -244,8 +356,15 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
     inc = np.empty((fleet.n_assets, n_scen, t))
     for (i, w, k), value in usage_rows.items():
         inc[i, w, k] = value
+    bad = np.argwhere(~np.isfinite(inc))
+    if bad.size:
+        i, w, k = bad[0]
+        raise ValueError(
+            f"usage file {usage_path}: non-finite usage increment {float(inc[i, w, k])!r} for "
+            f"asset {fleet.assets[i].id!r} scenario {w} period {k + 1}"
+        )
 
-    rul = np.full((fleet.n_assets, n_scen), np.nan)
+    rul = np.empty((fleet.n_assets, n_scen))
     rul_seen = np.zeros((fleet.n_assets, n_scen), dtype=bool)
     with open(rul_path, newline="") as f:
         reader = csv.DictReader(f)
@@ -261,8 +380,15 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
                 raise ValueError(f"RUL file repeats asset {asset_id!r} scenario {w}")
             rul_seen[i, w] = True
             rul[i, w] = float(row["latent_rul"])
-    if np.any(np.isnan(rul)):
+    if not rul_seen.all():
         raise ValueError("RUL file does not cover every (asset, scenario) cell")
+    bad = np.argwhere(~np.isfinite(rul))
+    if bad.size:
+        i, w = bad[0]
+        raise ValueError(
+            f"RUL file {rul_path}: non-finite latent RUL {float(rul[i, w])!r} for "
+            f"asset {fleet.assets[i].id!r} scenario {w}"
+        )
 
     weights = np.full(n_scen, 1.0 / n_scen)
     return ScenarioSet(

@@ -413,6 +413,25 @@ class TestCliCommands:
         assert proc.returncode == 2, proc.stderr
         assert "config error" in proc.stderr and key in proc.stderr
 
+    @pytest.mark.parametrize(
+        "document, extra, key",
+        [
+            ({"fleet": {"n_assets": 2, "seed": -1}}, [], "fleet.seed"),
+            ({"scenarios": {"n_scenarios": 10, "seed": -2}}, [], "scenarios.seed"),
+            ({"scenarios": {"n_scenarios": 10}}, ["--seed", "-3"], "--seed"),
+        ],
+        ids=["fleet-seed", "scenario-seed", "seed-flag"],
+    )
+    def test_negative_seed_exits_2(self, document, extra, key, tmp_path):
+        config = tmp_path / "negative_seed.json"
+        config.write_text(json.dumps(document))
+        proc = run_cli(
+            ["gen-scenarios", "--config", str(config), "--out", "scen_out", *extra], tmp_path
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr and f"{key} must be >= 0" in proc.stderr
+        assert not (tmp_path / "scen_out" / "scenario_usage.csv").exists()
+
     def test_zero_threads_exits_2(self, config_file, tmp_path):
         proc = run_cli(
             ["study", "--config", str(config_file), "--threads", "0"], tmp_path

@@ -1,10 +1,18 @@
 """Samplers, scenario generation, substream determinism, CSV round-trips."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fleetmaint import scenario
+from fleetmaint.fleet import FleetSpec
 from fleetmaint.scenario import (
     ScenarioSet,
+    _cell_seed_words,
+    _pcg64_state,
     cell_stream,
     generate_scenarios,
     read_scenario_csvs,
@@ -12,7 +20,56 @@ from fleetmaint.scenario import (
     sample_truncated_normal,
     write_scenario_csvs,
 )
-from helpers import make_fleet
+from helpers import make_asset, make_fleet
+
+# One- to five-word seeds. The pool holds four words: shorter seeds are
+# zero-padded, and the five-word seed mixes its fifth word in before the
+# spawn key.
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**70 + 5, 2**130 + 7]
+
+# Asset kinds for the property test. "wide" keeps 49% of its RUL mass below
+# zero, so with one rejection allowed about half its cells take the
+# inverse-CDF fallback of sample_truncated_normal.
+ASSET_KINDS = {
+    "typical": {},
+    "zero_cv": {"usage_cv": 0.0},
+    "wide": {"rul_mean": 0.5, "rul_std": 20.0},
+}
+
+
+def oracle_scenarios(fleet, n_scenarios, seed):
+    """Each cell drawn from its own cell_stream, in turn."""
+    inc = np.empty((fleet.n_assets, n_scenarios, fleet.horizon))
+    rul = np.empty((fleet.n_assets, n_scenarios))
+    for i, asset in enumerate(fleet.assets):
+        for w in range(n_scenarios):
+            rng = cell_stream(seed, i, w)
+            inc[i, w] = sample_gamma(
+                asset.usage_mean_per_period, asset.usage_cv, rng, size=fleet.horizon
+            )
+            rul[i, w] = sample_truncated_normal(asset.rul_mean, asset.rul_std, 0.0, rng)
+    return inc, rul
+
+
+def mixed_fleet(kinds, horizon):
+    assets = tuple(
+        make_asset(id=f"A{j + 1}", **ASSET_KINDS[kind]) for j, kind in enumerate(kinds)
+    )
+    return FleetSpec(assets=assets, horizon=horizon)
+
+
+def fallbacks_when_generating(fleet, n_scenarios, seed):
+    """Generate with one rejection allowed; check against the oracle bit for bit.
+
+    Returns how many draws took the inverse-CDF fallback (its only ndtri call).
+    """
+    with mock.patch.object(scenario, "_MAX_REJECTS", 1):
+        with mock.patch.object(scenario, "ndtri", wraps=scenario.ndtri) as spy:
+            s = generate_scenarios(fleet, n_scenarios, seed)
+        inc, rul = oracle_scenarios(fleet, n_scenarios, seed)
+    assert np.array_equal(s.usage_increments, inc)
+    assert np.array_equal(s.latent_rul, rul)
+    return spy.call_count
 
 
 class TestSampleGamma:
@@ -161,6 +218,57 @@ class TestGenerateScenarios:
         with pytest.raises(ValueError):
             generate_scenarios(make_fleet(), 0, seed=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            generate_scenarios(make_fleet(), 3, seed=-1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kinds=st.lists(st.sampled_from(sorted(ASSET_KINDS)), min_size=1, max_size=3),
+        n_scenarios=st.integers(min_value=1, max_value=40),
+        horizon=st.integers(min_value=1, max_value=8),
+        seed=st.one_of(
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.integers(min_value=2**32, max_value=2**160),
+        ),
+    )
+    @example(kinds=["zero_cv", "wide", "typical"], n_scenarios=40, horizon=8, seed=2**130 + 7)
+    def test_matches_cell_stream_oracle(self, kinds, n_scenarios, horizon, seed):
+        fallbacks_when_generating(mixed_fleet(kinds, horizon), n_scenarios, seed)
+
+    def test_oracle_check_covers_inverse_cdf_fallback(self):
+        fleet = mixed_fleet(["wide", "zero_cv"], horizon=4)
+        assert fallbacks_when_generating(fleet, 40, seed=2**70 + 5) > 0
+
+
+class TestBulkStreamDerivation:
+    """The bulk derivation against numpy's own SeedSequence and PCG64.
+
+    These fail if a numpy release changes how either derives its state.
+    """
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_words_match_seed_sequence(self, seed):
+        for asset_index in (0, 1, 39):
+            words = _cell_seed_words(seed, asset_index, 25)
+            expected = np.array(
+                [
+                    np.random.SeedSequence(seed, spawn_key=(asset_index, w)).generate_state(
+                        4, np.uint64
+                    )
+                    for w in range(25)
+                ]
+            )
+            assert words.dtype == np.uint64
+            assert np.array_equal(words, expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pcg64_state_matches_seeded_generator(self, seed):
+        words = _cell_seed_words(seed, 2, 6).tolist()
+        for w in range(6):
+            expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, w))).state
+            assert _pcg64_state(words[w]) == expected
+
 
 class TestScenarioSetValidation:
     def test_bad_weights_rejected(self):
@@ -249,3 +357,24 @@ class TestCsvRoundTrip:
             f.write("A2,1,7.5\n")
         with pytest.raises(ValueError, match="repeats asset 'A2' scenario 1"):
             read_scenario_csvs(fleet, usage, rul)
+
+    @pytest.mark.parametrize(
+        "target, prefix, value, message",
+        [
+            ("usage", "A2,1,3,", "inf", "usage increment inf for asset 'A2' scenario 1 period 3"),
+            ("usage", "A1,3,5,", "nan", "usage increment nan for asset 'A1' scenario 3 period 5"),
+            ("rul", "A2,2,", "inf", "latent RUL inf for asset 'A2' scenario 2"),
+            ("rul", "A1,0,", "nan", "latent RUL nan for asset 'A1' scenario 0"),
+        ],
+        ids=["usage-inf", "usage-nan", "rul-inf", "rul-nan"],
+    )
+    def test_non_finite_value_rejected(self, exported, target, prefix, value, message):
+        fleet, usage, rul = exported
+        path = usage if target == "usage" else rul
+        lines = path.read_text().splitlines()
+        row = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+        lines[row] = prefix + value
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="non-finite " + message) as info:
+            read_scenario_csvs(fleet, usage, rul)
+        assert str(path) in str(info.value)
