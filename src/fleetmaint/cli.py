@@ -12,14 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .criteria import CostDistribution, cvar_alpha, expected_cost, var_alpha
-from .fleet import FleetSpec, Schedule, validate_schedule
+from .fleet import AssetSpec, FleetSpec, Schedule, validate_schedule
 from .optimize import EvaluationMatrix, build_matrix, schedule_cost_distribution
 from .policies import PolicyKind, run_policy
 from .report import EcdfCurve, PolicySummary, _write_csv, ecdf, emit_outputs, summarize_policy
@@ -114,21 +114,8 @@ def _print_summary_table(summaries: list[PolicySummary]) -> None:
 
 
 def _write_fleet_csv(fleet: FleetSpec, path: Path) -> None:
-    header = (
-        "id", "calendar_limit", "usage_limit", "rul_mean", "rul_std",
-        "usage_mean_per_period", "usage_cv", "initial_age", "initial_usage",
-        "cost_pm", "cost_fail", "cost_perf", "cost_early",
-    )
-    rows = [
-        [
-            a.id,
-            *(
-                format(getattr(a, k), ".17g")
-                for k in header[1:]
-            ),
-        ]
-        for a in fleet.assets
-    ]
+    header = [f.name for f in fields(AssetSpec)]
+    rows = [[a.id, *(format(getattr(a, k), ".17g") for k in header[1:])] for a in fleet.assets]
     _write_csv(path, header, rows)
 
 

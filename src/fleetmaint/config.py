@@ -2,27 +2,22 @@
 
 Configs are plain JSON with six optional sections (fleet, scenarios,
 risk, costs, policies, output). Missing keys fall back to the default
-small-fleet study profile; unknown keys are rejected by name rather than
-ignored, so typos fail loudly. The fleet section either lists explicit
-assets or gives sampling ranges for a generated fleet.
+small-fleet study profile; unknown keys and non-finite numbers are
+rejected by name rather than ignored, so typos fail loudly. The fleet
+section either lists explicit assets or gives sampling ranges for a
+generated fleet. The keys, types and defaults of ``fleet``,
+``fleet.assets[]`` and ``risk`` are the fields of FleetGenConfig,
+AssetSpec and RiskParams; the ``costs`` keys are AssetSpec's ``cost_*``
+fields without the prefix.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
-from .fleet import (
-    DEFAULT_COST_EARLY,
-    DEFAULT_COST_FAIL,
-    DEFAULT_COST_PERF,
-    DEFAULT_COST_PM,
-    AssetSpec,
-    FleetGenConfig,
-    FleetSpec,
-    generate_fleet,
-)
+from .fleet import AssetSpec, FleetGenConfig, FleetSpec, generate_fleet
 from .policies import DEFAULT_ALPHA, DEFAULT_TRIGGER_PROB
 from .optimize import DEFAULT_EXHAUSTIVE_BUDGET
 from .riskcost import RiskParams
@@ -33,41 +28,17 @@ DEFAULT_SEED = 1
 DEFAULT_N_SCENARIOS = 800
 DEFAULT_OUT_DIR = "out"
 
+_ASSET_FIELDS = fields(AssetSpec)
+_ASSET_DEFAULTS = {f.name: f.default for f in _ASSET_FIELDS if f.default is not MISSING}
+_COST_NAMES = [f.name[5:] for f in _ASSET_FIELDS if f.name.startswith("cost_")]
+# The generator's cost fields come from the costs section, not from "fleet".
+_FLEET_GEN_FIELDS = [f for f in fields(FleetGenConfig) if not f.name.startswith("cost_")]
+# Both config seeds default to DEFAULT_SEED, not to the generator's own 0.
+_FLEET_GEN_DEFAULTS = asdict(FleetGenConfig()) | {"seed": DEFAULT_SEED}
+
 _TOP_KEYS = {"fleet", "scenarios", "risk", "costs", "policies", "output"}
-_FLEET_GEN_KEYS = {
-    "n_assets",
-    "horizon",
-    "calendar_limit_range",
-    "usage_limit_range",
-    "rul_mean_range",
-    "rul_std_range",
-    "usage_mean_range",
-    "usage_cv_range",
-    "initial_fraction_range",
-    "seed",
-}
 _FLEET_EXPLICIT_KEYS = {"assets", "horizon"}
-_ASSET_REQUIRED_KEYS = {
-    "id",
-    "calendar_limit",
-    "usage_limit",
-    "rul_mean",
-    "rul_std",
-    "usage_mean_per_period",
-    "usage_cv",
-}
-_ASSET_OPTIONAL_KEYS = {
-    "initial_age",
-    "initial_usage",
-    "cost_pm",
-    "cost_fail",
-    "cost_perf",
-    "cost_early",
-}
 _SCENARIO_KEYS = {"n_scenarios", "seed"}
-_RISK_KEYS = {"p_max", "decay_rate", "perf_window"}
-_COST_KEYS = {"pm", "fail", "perf", "early", "per_asset"}
-_COST_OVERRIDE_KEYS = {"pm", "fail", "perf", "early"}
 _POLICY_KEYS = {"trigger_prob", "alpha", "exhaustive_budget"}
 _OUTPUT_KEYS = {"directory", "formats"}
 
@@ -84,10 +55,19 @@ def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
             raise ConfigError(f"unknown key {key!r} in section {section!r}")
 
 
-def _get_number(section: str, data: dict, key: str, default: float) -> float:
+def _get_str(section: str, data: dict, key: str, default: str | None) -> str:
+    value = data.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{section}.{key} must be a string")
+    return value
+
+
+def _get_number(section: str, data: dict, key: str, default: float | None) -> float:
     value = data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key} must be a finite number")
     return float(value)
 
 
@@ -115,7 +95,28 @@ def _get_range(section: str, data: dict, key: str, default) -> tuple[float, floa
         or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)
     ):
         raise ConfigError(f"{section}.{key} must be a [lo, hi] number pair")
+    if not all(math.isfinite(x) for x in value):
+        raise ConfigError(f"{section}.{key} must be a finite number pair")
     return float(value[0]), float(value[1])
+
+
+# By field annotation, a string under the dataclass modules' postponed annotations.
+_READERS = {"str": _get_str, "int": _get_int, "float": _get_number,
+            "tuple[float, float]": _get_range}
+
+
+def _read_fields(section: str, data: dict, schema, defaults: dict) -> dict:
+    """Read dataclass fields from ``data`` in order, each as its annotation says."""
+    return {f.name: _READERS[f.type](section, data, f.name, defaults.get(f.name)) for f in schema}
+
+
+def _cost_fields(costs: dict[str, float]) -> dict[str, float]:
+    return {f"cost_{k}": v for k, v in costs.items()}
+
+
+def _with_overrides(assets, overrides: dict[str, dict[str, float]]) -> tuple[AssetSpec, ...]:
+    """Apply the ``costs.per_asset`` overrides to the assets they name."""
+    return tuple(replace(a, **_cost_fields(overrides.get(a.id, {}))) for a in assets)
 
 
 @dataclass
@@ -142,62 +143,27 @@ class RunConfig:
             raise ConfigError("--seed must be >= 0")
         gen = self.fleet_gen
         if gen is not None:
-            gen = dataclasses.replace(gen, seed=seed)
-        return dataclasses.replace(self, fleet_gen=gen, scenario_seed=seed)
+            gen = replace(gen, seed=seed)
+        return replace(self, fleet_gen=gen, scenario_seed=seed)
 
     def build_fleet(self) -> FleetSpec:
         if self.explicit_assets is not None:
             return FleetSpec(assets=self.explicit_assets, horizon=self.horizon)
         fleet = generate_fleet(self.fleet_gen)
-        if not self.cost_overrides:
-            return fleet
-        assets = []
-        for asset in fleet.assets:
-            override = self.cost_overrides.get(asset.id)
-            if override:
-                asset = dataclasses.replace(
-                    asset, **{f"cost_{k}": v for k, v in override.items()}
-                )
-            assets.append(asset)
-        return FleetSpec(assets=tuple(assets), horizon=fleet.horizon)
+        return replace(fleet, assets=_with_overrides(fleet.assets, self.cost_overrides))
 
     def to_json_dict(self) -> dict:
         """The effective config as a loadable JSON document."""
         if self.explicit_assets is not None:
             fleet: dict = {
                 "horizon": self.horizon,
-                "assets": [
-                    {
-                        "id": a.id,
-                        "calendar_limit": a.calendar_limit,
-                        "usage_limit": a.usage_limit,
-                        "rul_mean": a.rul_mean,
-                        "rul_std": a.rul_std,
-                        "usage_mean_per_period": a.usage_mean_per_period,
-                        "usage_cv": a.usage_cv,
-                        "initial_age": a.initial_age,
-                        "initial_usage": a.initial_usage,
-                        "cost_pm": a.cost_pm,
-                        "cost_fail": a.cost_fail,
-                        "cost_perf": a.cost_perf,
-                        "cost_early": a.cost_early,
-                    }
-                    for a in self.explicit_assets
-                ],
+                "assets": [asdict(a) for a in self.explicit_assets],
             }
         else:
-            gen = self.fleet_gen
+            gen = asdict(self.fleet_gen)
             fleet = {
-                "n_assets": gen.n_assets,
-                "horizon": gen.horizon,
-                "calendar_limit_range": list(gen.calendar_limit_range),
-                "usage_limit_range": list(gen.usage_limit_range),
-                "rul_mean_range": list(gen.rul_mean_range),
-                "rul_std_range": list(gen.rul_std_range),
-                "usage_mean_range": list(gen.usage_mean_range),
-                "usage_cv_range": list(gen.usage_cv_range),
-                "initial_fraction_range": list(gen.initial_fraction_range),
-                "seed": gen.seed,
+                f.name: list(gen[f.name]) if f.type.startswith("tuple") else gen[f.name]
+                for f in _FLEET_GEN_FIELDS
             }
         costs = dict(self.cost_defaults)
         if self.cost_overrides:
@@ -205,11 +171,7 @@ class RunConfig:
         return {
             "fleet": fleet,
             "scenarios": {"n_scenarios": self.n_scenarios, "seed": self.scenario_seed},
-            "risk": {
-                "p_max": self.risk.p_max,
-                "decay_rate": self.risk.decay_rate,
-                "perf_window": self.risk.perf_window,
-            },
+            "risk": asdict(self.risk),
             "costs": costs,
             "policies": {
                 "trigger_prob": self.trigger_prob,
@@ -220,34 +182,18 @@ class RunConfig:
         }
 
 
-def _parse_asset(entry, defaults: dict[str, float], index: int) -> AssetSpec:
+def _parse_asset(entry, cost_defaults: dict[str, float], index: int) -> AssetSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"fleet.assets[{index}] must be a JSON object")
     section = f"fleet.assets[{index}]"
-    _check_keys(section, entry, _ASSET_REQUIRED_KEYS | _ASSET_OPTIONAL_KEYS)
-    missing = _ASSET_REQUIRED_KEYS - set(entry)
+    names = {f.name for f in _ASSET_FIELDS}
+    _check_keys(section, entry, names)
+    missing = names - _ASSET_DEFAULTS.keys() - entry.keys()
     if missing:
         raise ConfigError(f"{section} missing required keys: {sorted(missing)}")
-    if not isinstance(entry["id"], str):
-        raise ConfigError(f"{section}.id must be a string")
-    kwargs = {"id": entry["id"]}
-    for key in (
-        "calendar_limit",
-        "usage_limit",
-        "rul_mean",
-        "rul_std",
-        "usage_mean_per_period",
-        "usage_cv",
-    ):
-        kwargs[key] = _get_number(section, entry, key, None)
-    kwargs["initial_age"] = _get_number(section, entry, "initial_age", 0.0)
-    kwargs["initial_usage"] = _get_number(section, entry, "initial_usage", 0.0)
-    for short in ("pm", "fail", "perf", "early"):
-        kwargs[f"cost_{short}"] = _get_number(
-            section, entry, f"cost_{short}", defaults[short]
-        )
+    defaults = _ASSET_DEFAULTS | _cost_fields(cost_defaults)
     try:
-        return AssetSpec(**kwargs)
+        return AssetSpec(**_read_fields(section, entry, _ASSET_FIELDS, defaults))
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
@@ -259,12 +205,9 @@ def parse_config(data: dict) -> RunConfig:
     _check_keys("top level", data, _TOP_KEYS)
 
     costs_raw = data.get("costs", {})
-    _check_keys("costs", costs_raw, _COST_KEYS)
+    _check_keys("costs", costs_raw, {*_COST_NAMES, "per_asset"})
     cost_defaults = {
-        "pm": _get_number("costs", costs_raw, "pm", DEFAULT_COST_PM),
-        "fail": _get_number("costs", costs_raw, "fail", DEFAULT_COST_FAIL),
-        "perf": _get_number("costs", costs_raw, "perf", DEFAULT_COST_PERF),
-        "early": _get_number("costs", costs_raw, "early", DEFAULT_COST_EARLY),
+        k: _get_number("costs", costs_raw, k, _ASSET_DEFAULTS[f"cost_{k}"]) for k in _COST_NAMES
     }
     overrides_raw = costs_raw.get("per_asset", {})
     if not isinstance(overrides_raw, dict):
@@ -272,7 +215,7 @@ def parse_config(data: dict) -> RunConfig:
     cost_overrides: dict[str, dict[str, float]] = {}
     for asset_id, entry in overrides_raw.items():
         section = f"costs.per_asset.{asset_id}"
-        _check_keys(section, entry, _COST_OVERRIDE_KEYS)
+        _check_keys(section, entry, set(_COST_NAMES))
         cost_overrides[asset_id] = {k: _get_number(section, entry, k, None) for k in entry}
         for k, v in cost_overrides[asset_id].items():
             if v < 0:
@@ -287,60 +230,25 @@ def parse_config(data: dict) -> RunConfig:
         _check_keys("fleet", fleet_raw, _FLEET_EXPLICIT_KEYS)
         if not isinstance(fleet_raw["assets"], list) or not fleet_raw["assets"]:
             raise ConfigError("fleet.assets must be a nonempty list")
-        horizon = _get_int("fleet", fleet_raw, "horizon", 12)
-        assets = [
-            _parse_asset(entry, cost_defaults, i)
-            for i, entry in enumerate(fleet_raw["assets"])
-        ]
-        for asset_id, entry in cost_overrides.items():
-            assets = [
-                dataclasses.replace(a, **{f"cost_{k}": v for k, v in entry.items()})
-                if a.id == asset_id
-                else a
-                for a in assets
-            ]
+        horizon = _get_int("fleet", fleet_raw, "horizon", _FLEET_GEN_DEFAULTS["horizon"])
+        assets = [_parse_asset(a, cost_defaults, i) for i, a in enumerate(fleet_raw["assets"])]
         try:
-            explicit_assets = FleetSpec(assets=assets, horizon=horizon).assets
+            explicit_assets = FleetSpec(_with_overrides(assets, cost_overrides), horizon).assets
         except ValueError as exc:
             raise ConfigError(f"fleet: {exc}") from exc
         known_ids = {a.id for a in explicit_assets}
     else:
-        _check_keys("fleet", fleet_raw, _FLEET_GEN_KEYS)
-        horizon = _get_int("fleet", fleet_raw, "horizon", 12)
-        base = FleetGenConfig()
+        _check_keys("fleet", fleet_raw, {f.name for f in _FLEET_GEN_FIELDS})
+        # Horizon first, as in the explicit branch, so its error is named first.
+        order = sorted(_FLEET_GEN_FIELDS, key=lambda f: f.name != "horizon")
+        gen = _read_fields("fleet", fleet_raw, order, _FLEET_GEN_DEFAULTS)
+        if gen["seed"] < 0:
+            raise ConfigError("fleet.seed must be >= 0")
         try:
-            fleet_gen = FleetGenConfig(
-                n_assets=_get_int("fleet", fleet_raw, "n_assets", base.n_assets),
-                horizon=horizon,
-                calendar_limit_range=_get_range(
-                    "fleet", fleet_raw, "calendar_limit_range", base.calendar_limit_range
-                ),
-                usage_limit_range=_get_range(
-                    "fleet", fleet_raw, "usage_limit_range", base.usage_limit_range
-                ),
-                rul_mean_range=_get_range(
-                    "fleet", fleet_raw, "rul_mean_range", base.rul_mean_range
-                ),
-                rul_std_range=_get_range(
-                    "fleet", fleet_raw, "rul_std_range", base.rul_std_range
-                ),
-                usage_mean_range=_get_range(
-                    "fleet", fleet_raw, "usage_mean_range", base.usage_mean_range
-                ),
-                usage_cv_range=_get_range(
-                    "fleet", fleet_raw, "usage_cv_range", base.usage_cv_range
-                ),
-                initial_fraction_range=_get_range(
-                    "fleet", fleet_raw, "initial_fraction_range", base.initial_fraction_range
-                ),
-                cost_pm=cost_defaults["pm"],
-                cost_fail=cost_defaults["fail"],
-                cost_perf=cost_defaults["perf"],
-                cost_early=cost_defaults["early"],
-                seed=_get_seed("fleet", fleet_raw),
-            )
+            fleet_gen = FleetGenConfig(**gen, **_cost_fields(cost_defaults))
         except ValueError as exc:
             raise ConfigError(f"fleet: {exc}") from exc
+        horizon = fleet_gen.horizon
         known_ids = {f"A{j + 1}" for j in range(fleet_gen.n_assets)}
 
     unknown_overrides = set(cost_overrides) - known_ids
@@ -357,13 +265,11 @@ def parse_config(data: dict) -> RunConfig:
     scenario_seed = _get_seed("scenarios", scen_raw)
 
     risk_raw = data.get("risk", {})
-    _check_keys("risk", risk_raw, _RISK_KEYS)
+    risk_fields = fields(RiskParams)
+    _check_keys("risk", risk_raw, {f.name for f in risk_fields})
+    defaults = asdict(RiskParams())
     try:
-        risk = RiskParams(
-            p_max=_get_number("risk", risk_raw, "p_max", 0.95),
-            decay_rate=_get_number("risk", risk_raw, "decay_rate", 0.75),
-            perf_window=_get_number("risk", risk_raw, "perf_window", 4.0),
-        )
+        risk = RiskParams(**_read_fields("risk", risk_raw, risk_fields, defaults))
     except ValueError as exc:
         raise ConfigError(f"risk: {exc}") from exc
 

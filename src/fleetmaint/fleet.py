@@ -11,7 +11,7 @@ absent from a schedule are treated as unscheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,6 +43,11 @@ DEFAULT_COST_EARLY = 12.0
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
+
+
+def _cost_names(record) -> list[str]:
+    """The cost coefficient fields (``cost_*``) of a dataclass record."""
+    return [f.name for f in fields(record) if f.name.startswith("cost_")]
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,7 @@ class AssetSpec:
         )
         _require(self.initial_age >= 0, f"asset {self.id}: initial_age must be >= 0")
         _require(self.initial_usage >= 0, f"asset {self.id}: initial_usage must be >= 0")
-        for name in ("cost_pm", "cost_fail", "cost_perf", "cost_early"):
+        for name in _cost_names(self):
             _require(getattr(self, name) >= 0, f"asset {self.id}: {name} must be >= 0")
 
 
@@ -200,18 +205,11 @@ class FleetGenConfig:
                  "n_assets must be a positive integer")
         _require(int(self.horizon) == self.horizon and self.horizon >= 1,
                  "horizon must be a positive integer")
-        for name in (
-            "calendar_limit_range",
-            "usage_limit_range",
-            "rul_mean_range",
-            "rul_std_range",
-            "usage_mean_range",
-            "usage_cv_range",
-            "initial_fraction_range",
-        ):
-            object.__setattr__(self, name, _as_range(getattr(self, name), name))
+        for f in fields(self):
+            if f.name.endswith("_range"):
+                object.__setattr__(self, f.name, _as_range(getattr(self, f.name), f.name))
         _require(self.usage_cv_range[1] < 1.0, "usage_cv_range must stay below 1")
-        for name in ("cost_pm", "cost_fail", "cost_perf", "cost_early"):
+        for name in _cost_names(self):
             _require(getattr(self, name) >= 0, f"{name} must be >= 0")
 
 
@@ -246,10 +244,7 @@ def generate_fleet(config: FleetGenConfig) -> FleetSpec:
                 usage_cv=usage_cv,
                 initial_age=age_frac * calendar,
                 initial_usage=usage_frac * usage_limit,
-                cost_pm=config.cost_pm,
-                cost_fail=config.cost_fail,
-                cost_perf=config.cost_perf,
-                cost_early=config.cost_early,
+                **{name: getattr(config, name) for name in _cost_names(config)},
             )
         )
     return FleetSpec(assets=tuple(assets), horizon=config.horizon)

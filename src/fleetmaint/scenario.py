@@ -59,6 +59,10 @@ _MASK32 = 0xFFFFFFFF
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
+# The exported CSV columns, with the converters the reader applies to them.
+_USAGE_COLUMNS = {"asset_id": str, "scenario": int, "period": int, "usage_increment": float}
+_RUL_COLUMNS = {"asset_id": str, "scenario": int, "latent_rul": float}
+
 
 @dataclass(frozen=True)
 class ScenarioSet:
@@ -301,7 +305,7 @@ def write_scenario_csvs(
     """
     with open(usage_path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["asset_id", "scenario", "period", "usage_increment"])
+        writer.writerow(_USAGE_COLUMNS)
         for i, asset in enumerate(fleet.assets):
             for w in range(scenarios.n_scenarios):
                 for t in range(scenarios.horizon):
@@ -310,10 +314,27 @@ def write_scenario_csvs(
                     )
     with open(rul_path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["asset_id", "scenario", "latent_rul"])
+        writer.writerow(_RUL_COLUMNS)
         for i, asset in enumerate(fleet.assets):
             for w in range(scenarios.n_scenarios):
                 writer.writerow([asset.id, w, format(scenarios.latent_rul[i, w], ".17g")])
+
+
+def _csv_rows(name: str, path, f, columns: dict) -> csv.DictReader:
+    reader = csv.DictReader(f)
+    if sorted(reader.fieldnames or ()) != sorted(columns):
+        raise ValueError(f"{name} {path} must have exactly the columns {','.join(columns)}")
+    return reader
+
+
+def _bad_field(name: str, path, reader: csv.DictReader, row: dict, columns: dict) -> ValueError:
+    """The error for a row that failed to parse, naming its first bad column."""
+    for column, convert in columns.items():
+        try:
+            convert(row[column])
+        except (TypeError, ValueError):
+            break
+    return ValueError(f"{name} {path}, line {reader.line_num}: bad {column} {row[column]!r}")
 
 
 def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
@@ -323,7 +344,9 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
     every RUL row must name a scenario the usage file defines; missing,
     duplicate, negative or out-of-range entries raise a ValueError, as does
     a non-finite value (``inf`` or ``nan``), named by the file and the first
-    bad cell in (asset, scenario, period) order.
+    bad cell in (asset, scenario, period) order. Each file must have exactly
+    the columns :func:`write_scenario_csvs` writes, and a field that does not
+    parse is named by the file, the line and the column.
     """
     t = fleet.horizon
     index = {a.id: i for i, a in enumerate(fleet.assets)}
@@ -331,12 +354,16 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
     usage_rows: dict[tuple[int, int, int], float] = {}
     n_scen = 0
     with open(usage_path, newline="") as f:
-        reader = csv.DictReader(f)
+        reader = _csv_rows("usage file", usage_path, f, _USAGE_COLUMNS)
         for row in reader:
             asset_id = row["asset_id"]
             if asset_id not in index:
                 raise ValueError(f"usage file references unknown asset {asset_id!r}")
-            w, period = int(row["scenario"]), int(row["period"])
+            try:
+                w, period = int(row["scenario"]), int(row["period"])
+                value = float(row["usage_increment"])
+            except (TypeError, ValueError):
+                raise _bad_field("usage file", usage_path, reader, row, _USAGE_COLUMNS) from None
             if w < 0:
                 raise ValueError(f"usage file scenario {w} is negative")
             if not 1 <= period <= t:
@@ -346,7 +373,7 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
                 raise ValueError(
                     f"usage file repeats asset {asset_id!r} scenario {w} period {period}"
                 )
-            usage_rows[cell] = float(row["usage_increment"])
+            usage_rows[cell] = value
             n_scen = max(n_scen, w + 1)
     if n_scen == 0:
         raise ValueError("usage file contains no scenarios")
@@ -367,19 +394,22 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
     rul = np.empty((fleet.n_assets, n_scen))
     rul_seen = np.zeros((fleet.n_assets, n_scen), dtype=bool)
     with open(rul_path, newline="") as f:
-        reader = csv.DictReader(f)
+        reader = _csv_rows("RUL file", rul_path, f, _RUL_COLUMNS)
         for row in reader:
             asset_id = row["asset_id"]
             if asset_id not in index:
                 raise ValueError(f"RUL file references unknown asset {asset_id!r}")
-            w = int(row["scenario"])
+            try:
+                w, value = int(row["scenario"]), float(row["latent_rul"])
+            except (TypeError, ValueError):
+                raise _bad_field("RUL file", rul_path, reader, row, _RUL_COLUMNS) from None
             if not 0 <= w < n_scen:
                 raise ValueError(f"RUL file scenario {w} outside 0..{n_scen - 1}")
             i = index[asset_id]
             if rul_seen[i, w]:
                 raise ValueError(f"RUL file repeats asset {asset_id!r} scenario {w}")
             rul_seen[i, w] = True
-            rul[i, w] = float(row["latent_rul"])
+            rul[i, w] = value
     if not rul_seen.all():
         raise ValueError("RUL file does not cover every (asset, scenario) cell")
     bad = np.argwhere(~np.isfinite(rul))

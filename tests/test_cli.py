@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from fleetmaint.cli import POLICY_ORDER, compute_study, run_study
 from fleetmaint.config import ConfigError, load_config, parse_config
+from fleetmaint.fleet import AssetSpec, FleetGenConfig
+from fleetmaint.riskcost import RiskParams
 from fleetmaint.scenario import generate_scenarios, read_scenario_csvs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -28,6 +31,57 @@ EXPLICIT_ASSET = {
     "usage_mean_per_period": 12,
     "usage_cv": 0.2,
 }
+
+
+# Sets every optional asset key, a per-asset cost override and every risk key.
+EXPLICIT_CONFIG = {
+    "fleet": {
+        "horizon": 5,
+        "assets": [
+            EXPLICIT_ASSET,
+            {
+                **EXPLICIT_ASSET,
+                "id": "fan-2",
+                "initial_age": 2,
+                "initial_usage": 30.5,
+                "cost_pm": 11,
+                "cost_fail": 90.5,
+                "cost_perf": 3,
+                "cost_early": 7,
+            },
+        ],
+    },
+    "costs": {"pm": 25, "per_asset": {"pump-1": {"fail": 400, "early": 0}}},
+    "risk": {"p_max": 0.9, "decay_rate": 0.5, "perf_window": 3},
+    "scenarios": {"n_scenarios": 50, "seed": 4},
+}
+
+# Sets every *_range key of a generated fleet.
+RANGES_CONFIG = {
+    "fleet": {
+        "n_assets": 4,
+        "horizon": 7,
+        "seed": 9,
+        "calendar_limit_range": [5, 9],
+        "usage_limit_range": [100, 200],
+        "rul_mean_range": [3, 8],
+        "rul_std_range": [0.5, 1],
+        "usage_mean_range": [5, 15],
+        "usage_cv_range": [0, 0.5],
+        "initial_fraction_range": [0.1, 0.2],
+    },
+}
+
+
+def _other_value(value):
+    """A valid value of the same type as ``value`` that differs from it."""
+    if isinstance(value, str):
+        return value + "-b"
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, list):
+        return [_other_value(v) for v in value]
+    return value * 0.5 + 0.25
 
 
 def run_cli(args, cwd):
@@ -122,8 +176,13 @@ class TestParseConfig:
         assert config.fleet_gen.seed == 99
         assert config.scenario_seed == 99
 
-    def test_effective_echo_round_trips(self):
-        config = parse_config(SMALL_CONFIG)
+    @pytest.mark.parametrize(
+        "document",
+        [SMALL_CONFIG, EXPLICIT_CONFIG, RANGES_CONFIG],
+        ids=["small-generated", "explicit-every-key", "generated-every-range"],
+    )
+    def test_effective_echo_round_trips(self, document):
+        config = parse_config(document)
         echoed = parse_config(config.to_json_dict())
         assert echoed.to_json_dict() == config.to_json_dict()
         assert echoed.build_fleet() == config.build_fleet()
@@ -138,11 +197,44 @@ class TestParseConfig:
             {"risk": {"p_max": 2.0}},
             {"output": {"formats": ["xml"]}},
             {"fleet": {"n_assets": 3, "usage_cv_range": [0.5, 1.2]}},
+            {"risk": {"decay_rate": float("nan")}},
+            {"costs": {"pm": float("inf")}},
+            {"fleet": {"n_assets": 3, "usage_limit_range": [160, float("inf")]}},
+            {"fleet": {"assets": [{**EXPLICIT_ASSET, "calendar_limit": float("inf")}]}},
+            {"fleet": {"n_assets": 2}, "costs": {"per_asset": {"A1": {"fail": float("inf")}}}},
         ],
     )
     def test_bad_values_rejected(self, document):
         with pytest.raises(ConfigError):
             parse_config(document)
+
+    @pytest.mark.parametrize(
+        "record, document, section",
+        [
+            (
+                AssetSpec,
+                lambda **keys: {"fleet": {"assets": [{**EXPLICIT_ASSET, **keys}]}},
+                lambda echo: echo["fleet"]["assets"][0],
+            ),
+            (FleetGenConfig, lambda **keys: {"fleet": keys}, lambda echo: echo["fleet"]),
+            (RiskParams, lambda **keys: {"risk": keys}, lambda echo: echo["risk"]),
+        ],
+        ids=["asset", "fleet-generation", "risk"],
+    )
+    def test_every_field_is_a_config_key(self, record, document, section):
+        # A generated fleet takes its cost_* fields from the costs section.
+        names = [
+            f.name
+            for f in fields(record)
+            if record is not FleetGenConfig or not f.name.startswith("cost_")
+        ]
+        base = section(parse_config(document()).to_json_dict())
+        assert set(base) == set(names)
+        for name in names:
+            value = _other_value(base[name])
+            assert value != base[name]
+            echoed = section(parse_config(document(**{name: value})).to_json_dict())
+            assert echoed[name] == value, name
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):
@@ -431,6 +523,16 @@ class TestCliCommands:
         assert proc.returncode == 2, proc.stderr
         assert "config error" in proc.stderr and f"{key} must be >= 0" in proc.stderr
         assert not (tmp_path / "scen_out" / "scenario_usage.csv").exists()
+
+    def test_non_finite_config_number_exits_2(self, tmp_path):
+        config = tmp_path / "nan.json"
+        config.write_text(
+            '{"fleet": {"n_assets": 2, "horizon": 4}, "scenarios": {"n_scenarios": 20},'
+            ' "risk": {"decay_rate": NaN}}'
+        )
+        proc = run_cli(["study", "--config", str(config), "--out", "nan_out"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "risk.decay_rate must be a finite number" in proc.stderr
 
     def test_zero_threads_exits_2(self, config_file, tmp_path):
         proc = run_cli(

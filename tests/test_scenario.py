@@ -378,3 +378,40 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="non-finite " + message) as info:
             read_scenario_csvs(fleet, usage, rul)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "target, prefix, value, message",
+        [
+            ("usage", "A1,0,2,", None, "line 3: bad scenario '0.5'"),
+            ("usage", "A2,1,3,", "abc", "line 29: bad usage_increment 'abc'"),
+            ("rul", "A2,3,", "x", "line 9: bad latent_rul 'x'"),
+        ],
+        ids=["usage-fractional-scenario", "usage-bad-increment", "rul-bad-value"],
+    )
+    def test_unparsable_field_named(self, exported, target, prefix, value, message):
+        fleet, usage, rul = exported
+        path = usage if target == "usage" else rul
+        lines = path.read_text().splitlines()
+        row = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+        lines[row] = "A1,0.5,2,1.0" if value is None else prefix + value
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message) as info:
+            read_scenario_csvs(fleet, usage, rul)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "target, header",
+        [
+            ("rul", "asset_id,scenario,rul"),
+            ("usage", "asset_id,scenario,usage_increment"),
+        ],
+        ids=["rul-without-latent_rul", "usage-without-period"],
+    )
+    def test_wrong_header_rejected(self, exported, target, header):
+        fleet, usage, rul = exported
+        path = usage if target == "usage" else rul
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([header, *lines[1:]]) + "\n")
+        with pytest.raises(ValueError, match="must have exactly the columns") as info:
+            read_scenario_csvs(fleet, usage, rul)
+        assert str(path) in str(info.value)
