@@ -22,7 +22,15 @@ from .criteria import CostDistribution, cvar_alpha, expected_cost, var_alpha
 from .fleet import AssetSpec, FleetSpec, Schedule, validate_schedule
 from .optimize import EvaluationMatrix, build_matrix, schedule_cost_distribution
 from .policies import PolicyKind, run_policy
-from .report import EcdfCurve, PolicySummary, _write_csv, ecdf, emit_outputs, summarize_policy
+from .report import (
+    EcdfCurve,
+    PolicySummary,
+    _write_csv,
+    ecdf,
+    emit_outputs,
+    staged_outputs,
+    summarize_policy,
+)
 from .scenario import ScenarioSet, generate_scenarios, write_scenario_csvs
 
 __all__ = ["main", "run_study", "compute_study", "StudyResult", "POLICY_ORDER"]
@@ -161,17 +169,15 @@ def _load(args) -> RunConfig:
 
 
 def _out_dir(args, config: RunConfig) -> Path:
-    out = Path(args.out) if args.out else Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out) if args.out else Path(config.out_dir)
 
 
 def _cmd_gen_fleet(args) -> int:
     config = _load(args)
     out = _out_dir(args, config)
-    path = out / "fleet.csv"
-    _write_fleet_csv(config.build_fleet(), path)
-    print(f"wrote {path}")
+    with staged_outputs(out) as stage:
+        _write_fleet_csv(config.build_fleet(), stage / "fleet.csv")
+    print(f"wrote {out / 'fleet.csv'}")
     return 0
 
 
@@ -180,15 +186,11 @@ def _cmd_gen_scenarios(args) -> int:
     out = _out_dir(args, config)
     fleet = config.build_fleet()
     scenarios = generate_scenarios(fleet, config.n_scenarios, config.scenario_seed)
-    usage_path, rul_path = out / "scenario_usage.csv", out / "scenario_rul.csv"
-    try:
-        write_scenario_csvs(scenarios, fleet, usage_path, rul_path)
-    except OSError:
-        usage_path.unlink(missing_ok=True)
-        rul_path.unlink(missing_ok=True)
-        raise
-    print(f"wrote {usage_path}")
-    print(f"wrote {rul_path}")
+    names = ("scenario_usage.csv", "scenario_rul.csv")
+    with staged_outputs(out) as stage:
+        write_scenario_csvs(scenarios, fleet, stage / names[0], stage / names[1])
+    for name in names:
+        print(f"wrote {out / name}")
     return 0
 
 
@@ -208,16 +210,16 @@ def _cmd_evaluate(args) -> int:
     print(f"expected_cost={expected_cost(dist):.12g}")
     print(f"var_{config.alpha:g}={var_alpha(dist, config.alpha):.12g}")
     print(f"cvar_{config.alpha:g}={cvar_alpha(dist, config.alpha):.12g}")
-    path = out / "eval_distribution.csv"
-    _write_csv(
-        path,
-        ("scenario", "cost", "weight"),
-        [
-            [w, format(dist.values[w], ".17g"), format(dist.weights[w], ".17g")]
-            for w in range(dist.values.size)
-        ],
-    )
-    print(f"wrote {path}")
+    with staged_outputs(out) as stage:
+        _write_csv(
+            stage / "eval_distribution.csv",
+            ("scenario", "cost", "weight"),
+            [
+                [w, format(dist.values[w], ".17g"), format(dist.weights[w], ".17g")]
+                for w in range(dist.values.size)
+            ],
+        )
+    print(f"wrote {out / 'eval_distribution.csv'}")
     return 0
 
 
@@ -245,17 +247,17 @@ def _cmd_optimize(args) -> int:
     objective = (
         expected_cost(dist) if args.criterion == "expected" else cvar_alpha(dist, config.alpha)
     )
-    path = out / "schedule.csv"
-    _write_csv(
-        path,
-        ("asset_id", "date"),
-        [
-            [a.id, "none" if schedule.date_for(a.id) is None else schedule.date_for(a.id)]
-            for a in fleet.assets
-        ],
-    )
+    with staged_outputs(out) as stage:
+        _write_csv(
+            stage / "schedule.csv",
+            ("asset_id", "date"),
+            [
+                [a.id, "none" if schedule.date_for(a.id) is None else schedule.date_for(a.id)]
+                for a in fleet.assets
+            ],
+        )
     print(f"criterion={args.criterion} alpha={config.alpha:g} objective={objective:.12g}")
-    print(f"wrote {path}")
+    print(f"wrote {out / 'schedule.csv'}")
     return 0
 
 

@@ -86,9 +86,9 @@ def _get_seed(section: str, data: dict) -> int:
 
 
 def _get_range(section: str, data: dict, key: str, default) -> tuple[float, float]:
-    value = data.get(key, None)
-    if value is None:
+    if key not in data:
         return default
+    value = data[key]
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2

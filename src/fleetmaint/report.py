@@ -3,14 +3,21 @@
 All CSV output uses a fixed column order, 6 significant digits for floats,
 and "\n" line endings, so reruns with the same seed and config are
 byte-identical. The run metadata JSON carries the only nondeterministic
-field (a timestamp).
+field (a timestamp). Every command writes its files through
+:func:`staged_outputs`, so a failed run leaves the previous run's files as
+they were.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import json
+import os
+import shutil
+import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +34,7 @@ __all__ = [
     "summarize_policy",
     "ecdf",
     "emit_outputs",
+    "staged_outputs",
     "SUMMARY_COLUMNS",
 ]
 
@@ -102,14 +110,33 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+@contextlib.contextmanager
+def staged_outputs(output_dir) -> Iterator[Path]:
+    """A fresh staging directory inside output_dir (created if needed).
+
+    The block writes its files into the staging directory. When it finishes,
+    each file replaces its namesake in output_dir through ``os.replace``.
+    The staging directory is removed either way, so a block that fails
+    leaves output_dir as it found it; an OSError is re-raised naming
+    output_dir.
+    """
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        yield stage
+        for path in stage.iterdir():
+            os.replace(path, out / path.name)
     except OSError as exc:
-        Path(path).unlink(missing_ok=True)
-        raise OSError(f"failed writing {path}: {exc}") from exc
+        raise OSError(f"failed writing outputs to {out}: {exc}") from exc
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def emit_outputs(
@@ -122,15 +149,17 @@ def emit_outputs(
 ) -> list[Path]:
     """Write summary.csv, per-policy ECDF files, schedules.csv, run_meta.json.
 
-    Files are written into output_dir (created if needed). On failure the
-    files already written by this call are removed before re-raising, so a
-    broken run leaves no partial output set behind.
+    The files are staged (:func:`staged_outputs`) and then moved into
+    output_dir together; the return value lists their final paths in that
+    order. A failure leaves output_dir's earlier files untouched.
     """
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        path = out / "summary.csv"
+    names = [
+        "summary.csv",
+        *(f"ecdf_{name}.csv" for name in curves),
+        "schedules.csv",
+        "run_meta.json",
+    ]
+    with staged_outputs(output_dir) as stage:
         rows = [
             [
                 s.policy,
@@ -142,28 +171,22 @@ def emit_outputs(
             ]
             for s in summaries
         ]
-        _write_csv(path, SUMMARY_COLUMNS, rows)
-        written.append(path)
+        _write_csv(stage / "summary.csv", SUMMARY_COLUMNS, rows)
 
         for name, curve in curves.items():
-            path = out / f"ecdf_{name}.csv"
             _write_csv(
-                path,
+                stage / f"ecdf_{name}.csv",
                 ("cost", "cum_prob"),
                 [[_fmt(c), _fmt(p)] for c, p in zip(curve.costs, curve.cum_probs)],
             )
-            written.append(path)
 
-        path = out / "schedules.csv"
         rows = []
         for name, schedule in schedules.items():
             for asset in fleet.assets:
                 date = schedule.date_for(asset.id)
                 rows.append([name, asset.id, "none" if date is None else date])
-        _write_csv(path, ("policy", "asset_id", "date"), rows)
-        written.append(path)
+        _write_csv(stage / "schedules.csv", ("policy", "asset_id", "date"), rows)
 
-        path = out / "run_meta.json"
         payload = dict(meta or {})
         payload.setdefault("version", __version__)
         payload.setdefault(
@@ -175,16 +198,7 @@ def emit_outputs(
             "mean_maintenance_time_none_convention",
             "unscheduled assets counted as horizon + 1",
         )
-        try:
-            with open(path, "w", newline="") as f:
-                json.dump(payload, f, indent=2, sort_keys=True)
-                f.write("\n")
-        except OSError as exc:
-            Path(path).unlink(missing_ok=True)
-            raise OSError(f"failed writing {path}: {exc}") from exc
-        written.append(path)
-    except BaseException:
-        for p in written:
-            p.unlink(missing_ok=True)
-        raise
-    return written
+        with open(stage / "run_meta.json", "w", newline="") as f:
+            json.dump(payload, f, indent=2, sort_keys=True)
+            f.write("\n")
+    return [Path(output_dir) / name for name in names]

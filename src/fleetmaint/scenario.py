@@ -24,10 +24,11 @@ generator before the cell's draws.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .fleet import FleetSpec
 
@@ -45,6 +46,9 @@ __all__ = [
 # profile keeps truncation mass tiny, so the fallback almost never fires,
 # but it guarantees termination for far-tail parameter choices.
 _MAX_REJECTS = 256
+
+# The standard normal quantile function (Wichura's AS241 algorithm).
+_normal_quantile = NormalDist().inv_cdf
 
 # numpy's SeedSequence: pool size, hash constants and the xorshift of its
 # hashmix/mix steps (numpy/random/bit_generator.pyx, after M. E. O'Neill's
@@ -139,6 +143,11 @@ def sample_gamma(
     return rng.gamma(shape, scale, size=size)
 
 
+def _normal_upper_tail(a: float) -> float:
+    """P(Z >= a) for a standard normal Z, with full relative precision in the upper tail."""
+    return 0.5 * math.erfc(a / math.sqrt(2.0))
+
+
 def sample_truncated_normal(
     mean: float, std: float, lower: float, rng: np.random.Generator
 ) -> float:
@@ -147,8 +156,13 @@ def sample_truncated_normal(
     Uses rejection against the untruncated normal, which is exact and cheap
     when the truncated mass is small. After _MAX_REJECTS misses it switches
     to one inverse-CDF draw from the conditional distribution, still exact
-    and still a pure function of the stream state. A zero std is the point
-    mass at the mean (an error if the mean lies below the truncation point).
+    and still a pure function of the stream state: the upper-tail mass above
+    the standardized bound a comes from ``math.erfc`` and its quantile from
+    the standard library's ``NormalDist().inv_cdf``. Past a of about 38.5
+    the tail mass underflows to zero; the draw is then ``lower``, the limit
+    of the conditional law, after the same one uniform draw. A zero std is
+    the point mass at the mean (an error if the mean lies below the
+    truncation point).
     """
     if std < 0:
         raise ValueError("std must be >= 0")
@@ -163,9 +177,13 @@ def sample_truncated_normal(
     # Conditional inverse CDF, written against the upper tail so precision
     # survives even when nearly all mass is truncated away.
     a = (lower - mean) / std
-    tail = float(ndtr(-a))
-    u = rng.uniform()
-    z = -float(ndtri((1.0 - u) * tail))
+    p = (1.0 - rng.uniform()) * _normal_upper_tail(a)
+    if not 0.0 < p < 1.0:
+        # p underflows to 0 in the far tail (always once the tail mass does),
+        # and reaches 1 only when the tail mass rounds to 1 and u is 0; in
+        # both cases the draw's limit is the bound.
+        return float(lower)
+    z = -_normal_quantile(p)
     return max(float(mean + std * z), float(lower))
 
 
@@ -320,21 +338,32 @@ def write_scenario_csvs(
                 writer.writerow([asset.id, w, format(scenarios.latent_rul[i, w], ".17g")])
 
 
-def _csv_rows(name: str, path, f, columns: dict) -> csv.DictReader:
+def _csv_rows(name: str, path, f, columns: dict):
+    """The (line number, row) pairs of a scenario CSV.
+
+    Checks the header against ``columns`` and rejects a row with more fields
+    than the header names.
+    """
     reader = csv.DictReader(f)
     if sorted(reader.fieldnames or ()) != sorted(columns):
         raise ValueError(f"{name} {path} must have exactly the columns {','.join(columns)}")
-    return reader
+    for row in reader:
+        if None in row:
+            raise ValueError(
+                f"{name} {path}, line {reader.line_num}: "
+                f"a row must have exactly {len(columns)} fields, {','.join(columns)}"
+            )
+        yield reader.line_num, row
 
 
-def _bad_field(name: str, path, reader: csv.DictReader, row: dict, columns: dict) -> ValueError:
+def _bad_field(name: str, path, line: int, row: dict, columns: dict) -> ValueError:
     """The error for a row that failed to parse, naming its first bad column."""
     for column, convert in columns.items():
         try:
             convert(row[column])
         except (TypeError, ValueError):
             break
-    return ValueError(f"{name} {path}, line {reader.line_num}: bad {column} {row[column]!r}")
+    return ValueError(f"{name} {path}, line {line}: bad {column} {row[column]!r}")
 
 
 def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
@@ -345,8 +374,9 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
     duplicate, negative or out-of-range entries raise a ValueError, as does
     a non-finite value (``inf`` or ``nan``), named by the file and the first
     bad cell in (asset, scenario, period) order. Each file must have exactly
-    the columns :func:`write_scenario_csvs` writes, and a field that does not
-    parse is named by the file, the line and the column.
+    the columns :func:`write_scenario_csvs` writes. A row with extra fields is
+    named by the file and the line, and a field that does not parse by the
+    file, the line and the column.
     """
     t = fleet.horizon
     index = {a.id: i for i, a in enumerate(fleet.assets)}
@@ -354,8 +384,7 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
     usage_rows: dict[tuple[int, int, int], float] = {}
     n_scen = 0
     with open(usage_path, newline="") as f:
-        reader = _csv_rows("usage file", usage_path, f, _USAGE_COLUMNS)
-        for row in reader:
+        for line, row in _csv_rows("usage file", usage_path, f, _USAGE_COLUMNS):
             asset_id = row["asset_id"]
             if asset_id not in index:
                 raise ValueError(f"usage file references unknown asset {asset_id!r}")
@@ -363,7 +392,7 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
                 w, period = int(row["scenario"]), int(row["period"])
                 value = float(row["usage_increment"])
             except (TypeError, ValueError):
-                raise _bad_field("usage file", usage_path, reader, row, _USAGE_COLUMNS) from None
+                raise _bad_field("usage file", usage_path, line, row, _USAGE_COLUMNS) from None
             if w < 0:
                 raise ValueError(f"usage file scenario {w} is negative")
             if not 1 <= period <= t:
@@ -394,15 +423,14 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
     rul = np.empty((fleet.n_assets, n_scen))
     rul_seen = np.zeros((fleet.n_assets, n_scen), dtype=bool)
     with open(rul_path, newline="") as f:
-        reader = _csv_rows("RUL file", rul_path, f, _RUL_COLUMNS)
-        for row in reader:
+        for line, row in _csv_rows("RUL file", rul_path, f, _RUL_COLUMNS):
             asset_id = row["asset_id"]
             if asset_id not in index:
                 raise ValueError(f"RUL file references unknown asset {asset_id!r}")
             try:
                 w, value = int(row["scenario"]), float(row["latent_rul"])
             except (TypeError, ValueError):
-                raise _bad_field("RUL file", rul_path, reader, row, _RUL_COLUMNS) from None
+                raise _bad_field("RUL file", rul_path, line, row, _RUL_COLUMNS) from None
             if not 0 <= w < n_scen:
                 raise ValueError(f"RUL file scenario {w} outside 0..{n_scen - 1}")
             i = index[asset_id]

@@ -1,11 +1,17 @@
-"""The public API surface: every exported name resolves."""
+"""The public API surface: every exported name resolves, on numpy alone."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import fleetmaint
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SUBMODULES = sorted(
     f"fleetmaint.{info.name}"
@@ -21,3 +27,16 @@ def test_every_exported_name_resolves(module_name):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys, fleetmaint.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

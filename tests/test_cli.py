@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import fleetmaint.cli
 from fleetmaint.cli import POLICY_ORDER, compute_study, run_study
 from fleetmaint.config import ConfigError, load_config, parse_config
 from fleetmaint.fleet import AssetSpec, FleetGenConfig
@@ -202,6 +203,7 @@ class TestParseConfig:
             {"fleet": {"n_assets": 3, "usage_limit_range": [160, float("inf")]}},
             {"fleet": {"assets": [{**EXPLICIT_ASSET, "calendar_limit": float("inf")}]}},
             {"fleet": {"n_assets": 2}, "costs": {"per_asset": {"A1": {"fail": float("inf")}}}},
+            {"fleet": {"rul_mean_range": None}},
         ],
     )
     def test_bad_values_rejected(self, document):
@@ -344,6 +346,22 @@ class TestCliCommands:
 
         np.testing.assert_array_equal(loaded.usage_increments, expected.usage_increments)
         np.testing.assert_array_equal(loaded.latent_rul, expected.latent_rul)
+
+    def test_failed_gen_scenarios_rerun_keeps_previous_export(
+        self, config_file, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "scen"
+        argv = ["gen-scenarios", "--config", str(config_file), "--out", str(out)]
+        assert fleetmaint.cli.main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def fail_after_usage(scenarios, fleet, usage_path, rul_path):
+            Path(usage_path).write_text("partial\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fleetmaint.cli, "write_scenario_csvs", fail_after_usage)
+        assert fleetmaint.cli.main(argv) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_optimize_then_evaluate_round_trip(self, config_file, tmp_path):
         proc = run_cli(

@@ -187,7 +187,8 @@ class TestEmitOutputs:
         raw = (tmp_path / "summary.csv").read_bytes()
         assert b"\r" not in raw
 
-    def test_failure_removes_partial_outputs(self, setup, tmp_path, monkeypatch):
+    @pytest.fixture
+    def third_write_fails(self, monkeypatch):
         import fleetmaint.report as report_module
 
         original = report_module._write_csv
@@ -199,10 +200,22 @@ class TestEmitOutputs:
                 raise OSError("disk full")
             original(path, header, rows)
 
-        monkeypatch.setattr(report_module, "_write_csv", flaky)
+        return lambda: monkeypatch.setattr(report_module, "_write_csv", flaky)
+
+    def test_failure_removes_partial_outputs(self, setup, tmp_path, third_write_fails):
+        third_write_fails()
         with pytest.raises(OSError):
             run_emit(setup, tmp_path / "broken")
         assert list((tmp_path / "broken").iterdir()) == []
+
+    def test_failed_rerun_keeps_previous_outputs(self, setup, tmp_path, third_write_fails):
+        out = tmp_path / "out"
+        run_emit(setup, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        third_write_fails()
+        with pytest.raises(OSError, match="disk full"):
+            run_emit(setup, out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_curve_type_is_reexported(self):
         assert EcdfCurve.__name__ == "EcdfCurve"

@@ -1,5 +1,6 @@
 """Samplers, scenario generation, substream determinism, CSV round-trips."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -61,10 +62,12 @@ def mixed_fleet(kinds, horizon):
 def fallbacks_when_generating(fleet, n_scenarios, seed):
     """Generate with one rejection allowed; check against the oracle bit for bit.
 
-    Returns how many draws took the inverse-CDF fallback (its only ndtri call).
+    Returns how many draws took the inverse-CDF fallback (its only quantile call).
     """
     with mock.patch.object(scenario, "_MAX_REJECTS", 1):
-        with mock.patch.object(scenario, "ndtri", wraps=scenario.ndtri) as spy:
+        with mock.patch.object(
+            scenario, "_normal_quantile", wraps=scenario._normal_quantile
+        ) as spy:
             s = generate_scenarios(fleet, n_scenarios, seed)
         inc, rul = oracle_scenarios(fleet, n_scenarios, seed)
     assert np.array_equal(s.usage_increments, inc)
@@ -144,6 +147,30 @@ class TestSampleTruncatedNormal:
             for s in range(20)
         ]
         assert draws == again
+
+    @pytest.mark.parametrize("mean", [-38.0, -45.0])
+    def test_underflowing_tail_mass_gives_finite_draws(self, mean):
+        # the upper-tail mass above a = 38 is subnormal and above a = 45 it
+        # is 0; the draw must stay a finite value at or above the bound
+        draws = [
+            sample_truncated_normal(mean, 1.0, 0.0, np.random.default_rng(s))
+            for s in range(20)
+        ]
+        assert all(math.isfinite(d) and d >= 0.0 for d in draws)
+        again = [
+            sample_truncated_normal(mean, 1.0, 0.0, np.random.default_rng(s))
+            for s in range(20)
+        ]
+        assert draws == again
+
+    def test_fallback_tail_mass_and_quantile_match_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        a = np.linspace(-40.0, 37.5, 2001)
+        tail = [scenario._normal_upper_tail(x) for x in a]
+        np.testing.assert_allclose(tail, special.ndtr(-a), rtol=1e-12, atol=0.0)
+        p = np.logspace(-300.0, math.log10(0.5), 2001)
+        quantile = [scenario._normal_quantile(x) for x in p]
+        np.testing.assert_allclose(quantile, special.ndtri(p), rtol=1e-14, atol=1e-15)
 
 
 class TestGenerateScenarios:
@@ -396,6 +423,22 @@ class TestCsvRoundTrip:
         lines[row] = "A1,0.5,2,1.0" if value is None else prefix + value
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=message) as info:
+            read_scenario_csvs(fleet, usage, rul)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "target, prefix, line",
+        [("usage", "A1,0,1,", 2), ("rul", "A2,1,", 7)],
+        ids=["usage", "rul"],
+    )
+    def test_extra_field_rejected(self, exported, target, prefix, line):
+        fleet, usage, rul = exported
+        path = usage if target == "usage" else rul
+        lines = path.read_text().splitlines()
+        row = next(k for k, text in enumerate(lines) if text.startswith(prefix))
+        lines[row] += ",999"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line {line}: a row must have exactly") as info:
             read_scenario_csvs(fleet, usage, rul)
         assert str(path) in str(info.value)
 
