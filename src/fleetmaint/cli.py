@@ -10,7 +10,6 @@ effect, since every command runs on one thread. Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -18,19 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, parse_config
+from .csvio import read_csv, write_csv
 from .criteria import CostDistribution, cvar_alpha, expected_cost, var_alpha
 from .fleet import AssetSpec, FleetSpec, Schedule, validate_schedule
 from .optimize import EvaluationMatrix, build_matrix, schedule_cost_distribution
 from .policies import PolicyKind, run_policy
-from .report import (
-    EcdfCurve,
-    PolicySummary,
-    _write_csv,
-    ecdf,
-    emit_outputs,
-    staged_outputs,
-    summarize_policy,
-)
+from .report import EcdfCurve, PolicySummary, ecdf, emit_outputs, staged_outputs, summarize_policy
 from .scenario import ScenarioSet, generate_scenarios, write_scenario_csvs
 
 __all__ = ["main", "run_study", "compute_study", "StudyResult", "POLICY_ORDER"]
@@ -121,41 +113,20 @@ def _print_summary_table(summaries: list[PolicySummary]) -> None:
         )
 
 
-def _write_fleet_csv(fleet: FleetSpec, path: Path) -> None:
-    header = [f.name for f in fields(AssetSpec)]
-    rows = [[a.id, *(format(getattr(a, k), ".17g") for k in header[1:])] for a in fleet.assets]
-    _write_csv(path, header, rows)
+def _schedule_date(text: str) -> int | None:
+    text = text.strip()
+    return None if text == "none" else int(text)
 
 
-def _read_schedule_csv(path: Path, fleet: FleetSpec) -> Schedule:
+def _read_schedule_csv(path: Path) -> Schedule:
     dates: dict[str, int | None] = {}
     try:
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames is None or set(reader.fieldnames) != {"asset_id", "date"}:
-                raise ValueError(
-                    f"schedule file {path} must have exactly the columns asset_id,date"
-                )
-            for row in reader:
-                if None in row or None in row.values():
-                    raise ValueError(
-                        f"schedule file {path}, line {reader.line_num}: "
-                        "a row must have exactly two fields, asset_id and date"
-                    )
-                if row["asset_id"] in dates:
-                    raise ValueError(
-                        f"schedule file {path} lists asset {row['asset_id']!r} more than once"
-                    )
-                raw = row["date"].strip()
-                if raw == "none":
-                    dates[row["asset_id"]] = None
-                else:
-                    try:
-                        dates[row["asset_id"]] = int(raw)
-                    except ValueError:
-                        raise ValueError(
-                            f"schedule file {path}: bad date {raw!r} for {row['asset_id']!r}"
-                        ) from None
+        for asset_id, date in read_csv(
+            path, "schedule file", {"asset_id": str, "date": _schedule_date}
+        ):
+            if asset_id in dates:
+                raise ValueError(f"schedule file {path} lists asset {asset_id!r} more than once")
+            dates[asset_id] = date
     except OSError as exc:
         raise ValueError(f"cannot read schedule file {path}: {exc}") from exc
     return Schedule(dates=dates)
@@ -175,8 +146,13 @@ def _out_dir(args, config: RunConfig) -> Path:
 def _cmd_gen_fleet(args) -> int:
     config = _load(args)
     out = _out_dir(args, config)
+    header = [f.name for f in fields(AssetSpec)]
+    rows = [
+        [a.id, *(format(getattr(a, k), ".17g") for k in header[1:])]
+        for a in config.build_fleet().assets
+    ]
     with staged_outputs(out) as stage:
-        _write_fleet_csv(config.build_fleet(), stage / "fleet.csv")
+        write_csv(stage / "fleet.csv", header, rows)
     print(f"wrote {out / 'fleet.csv'}")
     return 0
 
@@ -198,7 +174,7 @@ def _cmd_evaluate(args) -> int:
     config = _load(args)
     out = _out_dir(args, config)
     fleet = config.build_fleet()
-    schedule = _read_schedule_csv(Path(args.schedule), fleet)
+    schedule = _read_schedule_csv(Path(args.schedule))
     violations = validate_schedule(schedule, fleet)
     if violations:
         for v in violations:
@@ -211,7 +187,7 @@ def _cmd_evaluate(args) -> int:
     print(f"var_{config.alpha:g}={var_alpha(dist, config.alpha):.12g}")
     print(f"cvar_{config.alpha:g}={cvar_alpha(dist, config.alpha):.12g}")
     with staged_outputs(out) as stage:
-        _write_csv(
+        write_csv(
             stage / "eval_distribution.csv",
             ("scenario", "cost", "weight"),
             [
@@ -248,7 +224,7 @@ def _cmd_optimize(args) -> int:
         expected_cost(dist) if args.criterion == "expected" else cvar_alpha(dist, config.alpha)
     )
     with staged_outputs(out) as stage:
-        _write_csv(
+        write_csv(
             stage / "schedule.csv",
             ("asset_id", "date"),
             [

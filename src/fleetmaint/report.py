@@ -1,17 +1,18 @@
 """Study outputs: policy summaries, ECDF curves, and deterministic files.
 
-All CSV output uses a fixed column order, 6 significant digits for floats,
-and "\n" line endings, so reruns with the same seed and config are
-byte-identical. The run metadata JSON carries the only nondeterministic
-field (a timestamp). Every command writes its files through
-:func:`staged_outputs`, so a failed run leaves the previous run's files as
-they were.
+Every CSV goes through :func:`fleetmaint.csvio.write_csv` with a fixed
+column order, so reruns with the same seed and config are byte-identical.
+The study files here carry 6 significant digits for floats; ``fleet.csv``,
+``eval_distribution.csv`` and the scenario CSVs carry 17, so their float64
+values round-trip exactly. The run metadata JSON carries the only
+nondeterministic field (a timestamp). Every command writes its files
+through :func:`staged_outputs`, so a failed run leaves the previous run's
+files as they were.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import datetime
 import json
 import os
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .criteria import CostDistribution, cvar_alpha, expected_cost
+from .csvio import write_csv
 from .fleet import FleetSpec, Schedule
 from .optimize import EvaluationMatrix, indices_from_schedule
 
@@ -109,13 +111,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 @contextlib.contextmanager
 def staged_outputs(output_dir) -> Iterator[Path]:
     """A fresh staging directory inside output_dir (created if needed).
@@ -171,10 +166,10 @@ def emit_outputs(
             ]
             for s in summaries
         ]
-        _write_csv(stage / "summary.csv", SUMMARY_COLUMNS, rows)
+        write_csv(stage / "summary.csv", SUMMARY_COLUMNS, rows)
 
         for name, curve in curves.items():
-            _write_csv(
+            write_csv(
                 stage / f"ecdf_{name}.csv",
                 ("cost", "cum_prob"),
                 [[_fmt(c), _fmt(p)] for c, p in zip(curve.costs, curve.cum_probs)],
@@ -185,7 +180,7 @@ def emit_outputs(
             for asset in fleet.assets:
                 date = schedule.date_for(asset.id)
                 rows.append([name, asset.id, "none" if date is None else date])
-        _write_csv(stage / "schedules.csv", ("policy", "asset_id", "date"), rows)
+        write_csv(stage / "schedules.csv", ("policy", "asset_id", "date"), rows)
 
         payload = dict(meta or {})
         payload.setdefault("version", __version__)

@@ -23,13 +23,14 @@ generator before the cell's draws.
 
 from __future__ import annotations
 
-import csv
 import math
+from array import array
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
+from .csvio import read_csv, write_csv
 from .fleet import FleetSpec
 
 __all__ = [
@@ -63,9 +64,18 @@ _MASK32 = 0xFFFFFFFF
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
+
+def _int64(text: str) -> int:
+    """An integer field that fits the reader's int64 buffers."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(text)
+    return value
+
+
 # The exported CSV columns, with the converters the reader applies to them.
-_USAGE_COLUMNS = {"asset_id": str, "scenario": int, "period": int, "usage_increment": float}
-_RUL_COLUMNS = {"asset_id": str, "scenario": int, "latent_rul": float}
+_USAGE_COLUMNS = {"asset_id": str, "scenario": _int64, "period": _int64, "usage_increment": float}
+_RUL_COLUMNS = {"asset_id": str, "scenario": _int64, "latent_rul": float}
 
 
 @dataclass(frozen=True)
@@ -311,9 +321,7 @@ def generate_scenarios(fleet: FleetSpec, n_scenarios: int, seed: int) -> Scenari
     )
 
 
-def write_scenario_csvs(
-    scenarios: ScenarioSet, fleet: FleetSpec, usage_path, rul_path
-) -> None:
+def write_scenario_csvs(scenarios: ScenarioSet, fleet: FleetSpec, usage_path, rul_path) -> None:
     """Export a scenario set to two CSV files.
 
     Usage rows are (asset_id, scenario, period, usage_increment) with
@@ -321,49 +329,60 @@ def write_scenario_csvs(
     are written with 17 significant digits so float64 data round-trips
     exactly.
     """
-    with open(usage_path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(_USAGE_COLUMNS)
-        for i, asset in enumerate(fleet.assets):
-            for w in range(scenarios.n_scenarios):
-                for t in range(scenarios.horizon):
-                    writer.writerow(
-                        [asset.id, w, t + 1, format(scenarios.usage_increments[i, w, t], ".17g")]
-                    )
-    with open(rul_path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(_RUL_COLUMNS)
-        for i, asset in enumerate(fleet.assets):
-            for w in range(scenarios.n_scenarios):
-                writer.writerow([asset.id, w, format(scenarios.latent_rul[i, w], ".17g")])
+    write_csv(usage_path, _USAGE_COLUMNS, (
+        (asset.id, w, k + 1, format(x, ".17g"))
+        for asset, cells in zip(fleet.assets, scenarios.usage_increments)
+        for w, periods in enumerate(cells.tolist())
+        for k, x in enumerate(periods)
+    ))
+    write_csv(rul_path, _RUL_COLUMNS, (
+        (asset.id, w, format(x, ".17g"))
+        for asset, values in zip(fleet.assets, scenarios.latent_rul)
+        for w, x in enumerate(values.tolist())
+    ))
 
 
-def _csv_rows(name: str, path, f, columns: dict):
-    """The (line number, row) pairs of a scenario CSV.
+def _read_columns(name: str, path, columns: dict, index: dict) -> list[np.ndarray]:
+    """A scenario file's columns in file order: fleet indices, int64 keys, float64 values."""
+    buffers = [array("q") for _ in range(len(columns) - 1)] + [array("d")]
+    appends = [buffer.append for buffer in buffers]
+    for row in read_csv(path, name, columns):
+        if row[0] not in index:
+            raise ValueError(f"{name} references unknown asset {row[0]!r}: {path}")
+        row[0] = index[row[0]]
+        for append, value in zip(appends, row):
+            append(value)
+    return [np.frombuffer(buffer, dtype=buffer.typecode) for buffer in buffers]
 
-    Checks the header against ``columns`` and rejects a row with more fields
-    than the header names.
+
+def _cell_values(fleet: FleetSpec, name: str, path, columns: dict, rows, label: str, shape):
+    """A scenario file's values in (asset, scenario[, period]) order, as ``shape``.
+
+    ``rows`` come from :func:`_read_columns`, every index in range. One stable
+    sort by the keys finds repeated cells and, once the count shows the rows
+    cover ``shape``, puts the values in cell order.
     """
-    reader = csv.DictReader(f)
-    if sorted(reader.fieldnames or ()) != sorted(columns):
-        raise ValueError(f"{name} {path} must have exactly the columns {','.join(columns)}")
-    for row in reader:
-        if None in row:
-            raise ValueError(
-                f"{name} {path}, line {reader.line_num}: "
-                f"a row must have exactly {len(columns)} fields, {','.join(columns)}"
-            )
-        yield reader.line_num, row
+    *keys, values = rows
+    key_names = ["asset", *list(columns)[1:-1]]
 
+    def cell(k) -> str:
+        described = [f"{key_name} {key[k]}" for key_name, key in zip(key_names[1:], keys[1:])]
+        return " ".join([f"asset {fleet.assets[keys[0][k]].id!r}", *described])
 
-def _bad_field(name: str, path, line: int, row: dict, columns: dict) -> ValueError:
-    """The error for a row that failed to parse, naming its first bad column."""
-    for column, convert in columns.items():
-        try:
-            convert(row[column])
-        except (TypeError, ValueError):
-            break
-    return ValueError(f"{name} {path}, line {line}: bad {column} {row[column]!r}")
+    order = np.lexsort(keys[::-1])
+    same = np.logical_and.reduce([np.diff(key[order]) == 0 for key in keys])
+    if same.any():
+        raise ValueError(f"{name} repeats {cell(order[1:][same].min())}: {path}")
+    if values.size != math.prod(shape):
+        raise ValueError(f"{name} does not cover every ({', '.join(key_names)}) cell: {path}")
+    values = values[order]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(
+            f"{name} {path}: non-finite {label} {float(values[bad[0]])!r} "
+            f"for {cell(order[bad[0]])}"
+        )
+    return values.reshape(shape)
 
 
 def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
@@ -371,82 +390,37 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
 
     Every (asset, scenario, period) cell must be present exactly once, and
     every RUL row must name a scenario the usage file defines; missing,
-    duplicate, negative or out-of-range entries raise a ValueError, as does
-    a non-finite value (``inf`` or ``nan``), named by the file and the first
-    bad cell in (asset, scenario, period) order. Each file must have exactly
-    the columns :func:`write_scenario_csvs` writes. A row with extra fields is
-    named by the file and the line, and a field that does not parse by the
-    file, the line and the column.
+    duplicate, negative or out-of-range entries raise a ValueError naming
+    the file, as does a non-finite value (``inf`` or ``nan``), named with
+    the first bad cell in (asset, scenario, period) order. The files are
+    read by :func:`fleetmaint.csvio.read_csv` with the columns
+    :func:`write_scenario_csvs` writes. No array is sized by a scenario
+    index before the rows are known to cover every cell.
     """
-    t = fleet.horizon
+    n, t = fleet.n_assets, fleet.horizon
     index = {a.id: i for i, a in enumerate(fleet.assets)}
 
-    usage_rows: dict[tuple[int, int, int], float] = {}
-    n_scen = 0
-    with open(usage_path, newline="") as f:
-        for line, row in _csv_rows("usage file", usage_path, f, _USAGE_COLUMNS):
-            asset_id = row["asset_id"]
-            if asset_id not in index:
-                raise ValueError(f"usage file references unknown asset {asset_id!r}")
-            try:
-                w, period = int(row["scenario"]), int(row["period"])
-                value = float(row["usage_increment"])
-            except (TypeError, ValueError):
-                raise _bad_field("usage file", usage_path, line, row, _USAGE_COLUMNS) from None
-            if w < 0:
-                raise ValueError(f"usage file scenario {w} is negative")
-            if not 1 <= period <= t:
-                raise ValueError(f"usage file period {period} outside 1..{t}")
-            cell = (index[asset_id], w, period - 1)
-            if cell in usage_rows:
-                raise ValueError(
-                    f"usage file repeats asset {asset_id!r} scenario {w} period {period}"
-                )
-            usage_rows[cell] = value
-            n_scen = max(n_scen, w + 1)
-    if n_scen == 0:
-        raise ValueError("usage file contains no scenarios")
-    if len(usage_rows) != fleet.n_assets * n_scen * t:
-        raise ValueError("usage file does not cover every (asset, scenario, period) cell")
+    usage = _read_columns("usage file", usage_path, _USAGE_COLUMNS, index)
+    scen, period = usage[1], usage[2]
+    if np.any(scen < 0):
+        raise ValueError(f"usage file scenario {scen[scen < 0][0]} is negative: {usage_path}")
+    outside = (period < 1) | (period > t)
+    if np.any(outside):
+        raise ValueError(f"usage file period {period[outside][0]} outside 1..{t}: {usage_path}")
+    if scen.size == 0:
+        raise ValueError(f"usage file contains no scenarios: {usage_path}")
+    n_scen = int(scen.max()) + 1
+    inc = _cell_values(
+        fleet, "usage file", usage_path, _USAGE_COLUMNS, usage, "usage increment", (n, n_scen, t)
+    )
 
-    inc = np.empty((fleet.n_assets, n_scen, t))
-    for (i, w, k), value in usage_rows.items():
-        inc[i, w, k] = value
-    bad = np.argwhere(~np.isfinite(inc))
-    if bad.size:
-        i, w, k = bad[0]
+    rows = _read_columns("RUL file", rul_path, _RUL_COLUMNS, index)
+    outside = (rows[1] < 0) | (rows[1] >= n_scen)
+    if np.any(outside):
         raise ValueError(
-            f"usage file {usage_path}: non-finite usage increment {float(inc[i, w, k])!r} for "
-            f"asset {fleet.assets[i].id!r} scenario {w} period {k + 1}"
+            f"RUL file scenario {rows[1][outside][0]} outside 0..{n_scen - 1}: {rul_path}"
         )
-
-    rul = np.empty((fleet.n_assets, n_scen))
-    rul_seen = np.zeros((fleet.n_assets, n_scen), dtype=bool)
-    with open(rul_path, newline="") as f:
-        for line, row in _csv_rows("RUL file", rul_path, f, _RUL_COLUMNS):
-            asset_id = row["asset_id"]
-            if asset_id not in index:
-                raise ValueError(f"RUL file references unknown asset {asset_id!r}")
-            try:
-                w, value = int(row["scenario"]), float(row["latent_rul"])
-            except (TypeError, ValueError):
-                raise _bad_field("RUL file", rul_path, line, row, _RUL_COLUMNS) from None
-            if not 0 <= w < n_scen:
-                raise ValueError(f"RUL file scenario {w} outside 0..{n_scen - 1}")
-            i = index[asset_id]
-            if rul_seen[i, w]:
-                raise ValueError(f"RUL file repeats asset {asset_id!r} scenario {w}")
-            rul_seen[i, w] = True
-            rul[i, w] = value
-    if not rul_seen.all():
-        raise ValueError("RUL file does not cover every (asset, scenario) cell")
-    bad = np.argwhere(~np.isfinite(rul))
-    if bad.size:
-        i, w = bad[0]
-        raise ValueError(
-            f"RUL file {rul_path}: non-finite latent RUL {float(rul[i, w])!r} for "
-            f"asset {fleet.assets[i].id!r} scenario {w}"
-        )
+    rul = _cell_values(fleet, "RUL file", rul_path, _RUL_COLUMNS, rows, "latent RUL", (n, n_scen))
 
     weights = np.full(n_scen, 1.0 / n_scen)
     return ScenarioSet(
@@ -454,5 +428,4 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
         weights=weights,
         usage_increments=inc,
         latent_rul=rul,
-        seed=None,
     )

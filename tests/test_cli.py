@@ -499,6 +499,19 @@ class TestCliCommands:
         assert f"line {line}" in proc.stderr and str(bad) in proc.stderr
         assert not (tmp_path / "eval_bad_row" / "eval_distribution.csv").exists()
 
+    def test_evaluate_rejects_repeated_column(self, config_file, tmp_path):
+        bad = tmp_path / "repeated_column.csv"
+        bad.write_text("asset_id,date,date\nA1,3,4\nA2,1,1\nA3,1,1\n")
+        proc = run_cli(
+            ["evaluate", "--config", str(config_file), "--schedule", str(bad),
+             "--out", "eval_repeated_column"],
+            tmp_path,
+        )
+        assert proc.returncode == 3
+        assert "must have exactly the columns asset_id,date" in proc.stderr
+        assert str(bad) in proc.stderr
+        assert not (tmp_path / "eval_repeated_column" / "eval_distribution.csv").exists()
+
     @pytest.mark.parametrize(
         "document, key",
         [

@@ -191,7 +191,7 @@ class TestEmitOutputs:
     def third_write_fails(self, monkeypatch):
         import fleetmaint.report as report_module
 
-        original = report_module._write_csv
+        original = report_module.write_csv
         calls = {"n": 0}
 
         def flaky(path, header, rows):
@@ -200,7 +200,7 @@ class TestEmitOutputs:
                 raise OSError("disk full")
             original(path, header, rows)
 
-        return lambda: monkeypatch.setattr(report_module, "_write_csv", flaky)
+        return lambda: monkeypatch.setattr(report_module, "write_csv", flaky)
 
     def test_failure_removes_partial_outputs(self, setup, tmp_path, third_write_fails):
         third_write_fails()

@@ -1,6 +1,7 @@
 """Samplers, scenario generation, substream determinism, CSV round-trips."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -342,8 +343,9 @@ class TestCsvRoundTrip:
         write_scenario_csvs(s, fleet, usage, rul)
         lines = usage.read_text().splitlines()
         usage.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             read_scenario_csvs(fleet, usage, rul)
+        assert str(usage) in str(info.value)
 
     @pytest.fixture
     def exported(self, tmp_path):
@@ -359,31 +361,35 @@ class TestCsvRoundTrip:
         lines.remove(next(line for line in lines if line.startswith("A1,2,2,")))
         lines.append("A1,-1,2,999.0")
         usage.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="scenario -1 is negative"):
+        with pytest.raises(ValueError, match="scenario -1 is negative") as info:
             read_scenario_csvs(fleet, usage, rul)
+        assert str(usage) in str(info.value)
 
     def test_duplicate_usage_cell_rejected(self, exported):
         fleet, usage, rul = exported
         lines = usage.read_text().splitlines()
         lines[1] = lines[2].rsplit(",", 1)[0] + ",999.0"
         usage.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="repeats asset 'A1' scenario 0 period 2"):
+        with pytest.raises(ValueError, match="repeats asset 'A1' scenario 0 period 2") as info:
             read_scenario_csvs(fleet, usage, rul)
+        assert str(usage) in str(info.value)
 
     @pytest.mark.parametrize("scenario", [-1, 4])
     def test_rul_scenario_out_of_range_rejected(self, exported, scenario):
         fleet, usage, rul = exported
         with rul.open("a") as f:
             f.write(f"A2,{scenario},7.5\n")
-        with pytest.raises(ValueError, match=f"RUL file scenario {scenario} outside 0..3"):
+        with pytest.raises(ValueError, match=f"RUL file scenario {scenario} outside 0..3") as info:
             read_scenario_csvs(fleet, usage, rul)
+        assert str(rul) in str(info.value)
 
     def test_duplicate_rul_row_rejected(self, exported):
         fleet, usage, rul = exported
         with rul.open("a") as f:
             f.write("A2,1,7.5\n")
-        with pytest.raises(ValueError, match="repeats asset 'A2' scenario 1"):
+        with pytest.raises(ValueError, match="repeats asset 'A2' scenario 1") as info:
             read_scenario_csvs(fleet, usage, rul)
+        assert str(rul) in str(info.value)
 
     @pytest.mark.parametrize(
         "target, prefix, value, message",
@@ -427,16 +433,21 @@ class TestCsvRoundTrip:
         assert str(path) in str(info.value)
 
     @pytest.mark.parametrize(
-        "target, prefix, line",
-        [("usage", "A1,0,1,", 2), ("rul", "A2,1,", 7)],
-        ids=["usage", "rul"],
+        "target, prefix, line, short",
+        [
+            ("usage", "A1,0,1,", 2, False),
+            ("rul", "A2,1,", 7, False),
+            ("usage", "A1,0,1,", 2, True),
+            ("rul", "A1,0,", 2, True),
+        ],
+        ids=["usage", "rul", "usage-short", "rul-short"],
     )
-    def test_extra_field_rejected(self, exported, target, prefix, line):
+    def test_extra_field_rejected(self, exported, target, prefix, line, short):
         fleet, usage, rul = exported
         path = usage if target == "usage" else rul
         lines = path.read_text().splitlines()
         row = next(k for k, text in enumerate(lines) if text.startswith(prefix))
-        lines[row] += ",999"
+        lines[row] = prefix.rstrip(",") if short else lines[row] + ",999"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"line {line}: a row must have exactly") as info:
             read_scenario_csvs(fleet, usage, rul)
@@ -458,3 +469,77 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="must have exactly the columns") as info:
             read_scenario_csvs(fleet, usage, rul)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "target, prefix, row, message",
+        [
+            ("usage", "A1,0,1,", "Z9,0,1,1.0", "usage file references unknown asset 'Z9'"),
+            ("rul", "A2,1,", "Z9,1,7.5", "RUL file references unknown asset 'Z9'"),
+            ("usage", "A1,0,1,", "A1,0,6,1.0", "usage file period 6 outside 1..5"),
+            ("usage", "A", None, "usage file contains no scenarios"),
+            ("rul", "A2,3,", "", "RUL file does not cover every"),
+        ],
+        ids=["usage-unknown-asset", "rul-unknown-asset", "period-out-of-range",
+             "no-scenarios", "rul-missing-cell"],
+    )
+    def test_rejection_names_file(self, exported, target, prefix, row, message):
+        fleet, usage, rul = exported
+        path = usage if target == "usage" else rul
+        lines = path.read_text().splitlines()
+        if row is None:
+            lines = lines[:1]
+        else:
+            lines[next(k for k, text in enumerate(lines) if text.startswith(prefix))] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message) as info:
+            read_scenario_csvs(fleet, usage, rul)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("scenario", [10**12, 2**70], ids=["10**12", "2**70"])
+    @pytest.mark.parametrize(
+        "target, prefix", [("usage", "A1,0,1,"), ("rul", "A1,0,")], ids=["usage", "rul"]
+    )
+    def test_huge_scenario_rejected_without_allocating(self, exported, target, prefix, scenario):
+        fleet, usage, rul = exported
+        path = usage if target == "usage" else rul
+        lines = path.read_text().splitlines()
+        row = next(k for k, text in enumerate(lines) if text.startswith(prefix))
+        lines[row] = lines[row].replace(",0,", f",{scenario},", 1)
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                read_scenario_csvs(fleet, usage, rul)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(path) in str(info.value)
+        assert peak < 2**20
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_assets=st.integers(min_value=1, max_value=3),
+        horizon=st.integers(min_value=1, max_value=4),
+        n_scenarios=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    def test_shuffled_rows_and_columns_reload_bit_equal(
+        self, tmp_path_factory, n_assets, horizon, n_scenarios, seed, data
+    ):
+        fleet = make_fleet(n_assets=n_assets, horizon=horizon)
+        s = generate_scenarios(fleet, n_scenarios, seed)
+        tmp = tmp_path_factory.mktemp("shuffled")
+        usage, rul = tmp / "usage.csv", tmp / "rul.csv"
+        write_scenario_csvs(s, fleet, usage, rul)
+        for path in (usage, rul):
+            header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+            columns = data.draw(st.permutations(range(len(header))))
+            rows = data.draw(st.permutations(rows))
+            path.write_text(
+                "".join(",".join(fields[c] for c in columns) + "\n" for fields in [header, *rows])
+            )
+        back = read_scenario_csvs(fleet, usage, rul)
+        assert back.usage_increments.tobytes() == s.usage_increments.tobytes()
+        assert back.latent_rul.tobytes() == s.latent_rul.tobytes()
+        assert back.weights.tobytes() == s.weights.tobytes()
