@@ -16,9 +16,11 @@ usage increments are drawn first, then the latent RUL.
 :func:`generate_scenarios` keeps that contract without building one
 ``SeedSequence`` and one ``Generator`` per cell. SeedSequence's hash and
 PCG64's seeding step are pure functions of the seed words, so the state of
-every cell of an asset is computed in one pass of uint32 array arithmetic
-(:func:`_cell_seed_words`, :func:`_pcg64_state`) and set on one reused
-generator before the cell's draws.
+every cell of an asset is computed in array passes over all its cells: the
+hash in uint32 arithmetic (:func:`_cell_seed_words`), then PCG64's 128-bit
+seeding step in 32-bit limbs (:func:`_pcg64_states`). Each cell's state is
+set on one reused generator before its draws, and its gamma draws are
+written straight into the output array.
 """
 
 from __future__ import annotations
@@ -60,9 +62,12 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64).
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64), as four
+# little-endian 32-bit limbs for the array arithmetic of _pcg64_states.
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_MULT_LIMBS = [np.uint64((_PCG64_MULT >> (32 * k)) & _MASK32) for k in range(4)]
+_LIMB_BITS = np.uint64(32)
+_LIMB_MASK = np.uint64(_MASK32)
 
 
 def _int64(text: str) -> int:
@@ -142,15 +147,23 @@ def sample_gamma(
     when ``size`` is None, else an array of ``size`` draws (which equal
     ``size`` scalar draws taken in turn from the same stream).
     """
+    params = _gamma_params(mean, cv)
+    if params is None:
+        return float(mean) if size is None else np.full(size, float(mean))
+    shape, scale = params
+    return rng.gamma(shape, scale, size=size)
+
+
+def _gamma_params(mean: float, cv: float) -> tuple[float, float] | None:
+    """The moment-matched (shape, scale) of :func:`sample_gamma`, or None
+    when cv is zero: the point mass at the mean, which takes no draws."""
     if mean <= 0:
         raise ValueError("mean must be > 0")
     if not 0.0 <= cv < 1.0:
         raise ValueError("cv must lie in [0, 1)")
     if cv == 0.0:
-        return float(mean) if size is None else np.full(size, float(mean))
-    shape = 1.0 / (cv * cv)
-    scale = mean * cv * cv
-    return rng.gamma(shape, scale, size=size)
+        return None
+    return 1.0 / (cv * cv), mean * cv * cv
 
 
 def _normal_upper_tail(a: float) -> float:
@@ -265,23 +278,59 @@ def _cell_seed_words(seed: int, asset_index: int, n_scenarios: int) -> np.ndarra
     return state.view("<u8").astype(np.uint64)
 
 
-def _pcg64_state(words) -> dict:
-    """The state ``PCG64`` takes when seeded with four SeedSequence words.
+def _limbs(hi: np.ndarray, lo: np.ndarray) -> list[np.ndarray]:
+    """128-bit values given as uint64 halves, as four little-endian 32-bit limbs."""
+    return [lo & _LIMB_MASK, lo >> _LIMB_BITS, hi & _LIMB_MASK, hi >> _LIMB_BITS]
+
+
+def _add128(a: list, b: list) -> list[np.ndarray]:
+    """a + b mod 2^128, limb by limb."""
+    total, carry = [], 0
+    for x, y in zip(a, b):
+        s = x + y + carry
+        total.append(s & _LIMB_MASK)
+        carry = s >> _LIMB_BITS
+    return total
+
+
+def _mul128_mult(a: list) -> list[np.ndarray]:
+    """a * _PCG64_MULT mod 2^128, schoolbook on limbs.
+
+    Each step adds a limb product and two addends below 2^32, which is at
+    most (2^32 - 1)^2 + 2 (2^32 - 1) = 2^64 - 1, so no uint64 overflows.
+    """
+    product = [np.zeros_like(a[0]) for _ in range(4)]
+    for i, x in enumerate(a):
+        carry = 0
+        for j in range(4 - i):
+            s = x * _MULT_LIMBS[j] + product[i + j] + carry
+            product[i + j] = s & _LIMB_MASK
+            carry = s >> _LIMB_BITS
+    return product
+
+
+def _join128(limbs: list) -> list[int]:
+    """Four limb arrays as Python ints, one per row."""
+    hi = (limbs[3] << _LIMB_BITS) | limbs[2]
+    lo = (limbs[1] << _LIMB_BITS) | limbs[0]
+    return [(high << 64) | low for high, low in zip(hi.tolist(), lo.tolist())]
+
+
+def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
+    """The (state, inc) ``PCG64`` takes when seeded with each row of four
+    SeedSequence words, for an (n, 4) uint64 array.
 
     PCG64 reads words 0-1 as the 128-bit initial state and words 2-3 as
     the stream selector (high word first), then runs pcg_setseq_128_srandom:
-    ``inc = (initseq << 1) | 1``, ``state = (inc + initstate) * MULT + inc``.
+    ``inc = (initseq << 1) | 1``, ``state = (inc + initstate) * MULT + inc``,
+    both mod 2^128. That runs here on all rows at once, in 32-bit limbs
+    held in uint64 arrays.
     """
-    w0, w1, w2, w3 = words
-    initstate = (w0 << 64) | w1
-    inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
-    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    w0, w1, w2, w3 = words.T
+    one = np.uint64(1)
+    inc = _limbs((w2 << one) | (w3 >> np.uint64(63)), (w3 << one) | one)
+    state = _add128(_mul128_mult(_add128(inc, _limbs(w0, w1))), inc)
+    return _join128(state), _join128(inc)
 
 
 def generate_scenarios(fleet: FleetSpec, n_scenarios: int, seed: int) -> ScenarioSet:
@@ -294,9 +343,11 @@ def generate_scenarios(fleet: FleetSpec, n_scenarios: int, seed: int) -> Scenari
     candidate maintenance date downstream.
 
     The substreams are derived in bulk, one asset at a time: the seed words
-    of all its cells in one array pass, then, per cell, the resulting PCG64
-    state set on one reused generator. The draws are bit-identical to
-    building each cell's ``cell_stream``.
+    and the PCG64 states of all its cells in one array pass each, then, per
+    cell, the state set on one reused generator from one reused dict. The
+    cell's standard gammas go straight into its row of the output, which is
+    scaled once per asset (numpy's gamma is ``scale * standard_gamma``).
+    The draws are bit-identical to building each cell's ``cell_stream``.
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be >= 1")
@@ -305,12 +356,21 @@ def generate_scenarios(fleet: FleetSpec, n_scenarios: int, seed: int) -> Scenari
     rul = np.empty((n, n_scenarios))
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
+    # The state setter copies the values out, so one dict serves every cell.
+    cell = {"state": 0, "inc": 0}
+    generator_state = {"bit_generator": "PCG64", "state": cell, "has_uint32": 0, "uinteger": 0}
     for i, asset in enumerate(fleet.assets):
-        words = _cell_seed_words(seed, i, n_scenarios).tolist()
-        for w in range(n_scenarios):
-            bit_generator.state = _pcg64_state(words[w])
-            inc[i, w, :] = sample_gamma(asset.usage_mean_per_period, asset.usage_cv, rng, size=t)
+        gamma = _gamma_params(asset.usage_mean_per_period, asset.usage_cv)
+        states, increments = _pcg64_states(_cell_seed_words(seed, i, n_scenarios))
+        for w, (cell["state"], cell["inc"]) in enumerate(zip(states, increments)):
+            bit_generator.state = generator_state
+            if gamma is not None:
+                rng.standard_gamma(gamma[0], out=inc[i, w])
             rul[i, w] = sample_truncated_normal(asset.rul_mean, asset.rul_std, 0.0, rng)
+        if gamma is None:
+            inc[i] = asset.usage_mean_per_period
+        else:
+            inc[i] *= gamma[1]
     weights = np.full(n_scenarios, 1.0 / n_scenarios)
     return ScenarioSet(
         n_scenarios=n_scenarios,
@@ -355,12 +415,16 @@ def _read_columns(name: str, path, columns: dict, index: dict) -> list[np.ndarra
     return [np.frombuffer(buffer, dtype=buffer.typecode) for buffer in buffers]
 
 
-def _cell_values(fleet: FleetSpec, name: str, path, columns: dict, rows, label: str, shape):
+def _cell_values(
+    fleet: FleetSpec, name: str, path, columns: dict, rows, label: str, bound: tuple, shape
+):
     """A scenario file's values in (asset, scenario[, period]) order, as ``shape``.
 
     ``rows`` come from :func:`_read_columns`, every index in range. One stable
     sort by the keys finds repeated cells and, once the count shows the rows
-    cover ``shape``, puts the values in cell order.
+    cover ``shape``, puts the values in cell order. Every value must be
+    finite and meet ``bound``, a (comparison against 0, its text) pair; the
+    first that does not is named with its cell.
     """
     *keys, values = rows
     key_names = ["asset", *list(columns)[1:-1]]
@@ -376,12 +440,13 @@ def _cell_values(fleet: FleetSpec, name: str, path, columns: dict, rows, label: 
     if values.size != math.prod(shape):
         raise ValueError(f"{name} does not cover every ({', '.join(key_names)}) cell: {path}")
     values = values[order]
-    bad = np.flatnonzero(~np.isfinite(values))
+    compare, bound_text = bound
+    bad = np.flatnonzero(~(np.isfinite(values) & compare(values, 0.0)))
     if bad.size:
-        raise ValueError(
-            f"{name} {path}: non-finite {label} {float(values[bad[0]])!r} "
-            f"for {cell(order[bad[0]])}"
-        )
+        value, where = float(values[bad[0]]), cell(order[bad[0]])
+        if not math.isfinite(value):
+            raise ValueError(f"{name} {path}: non-finite {label} {value!r} for {where}")
+        raise ValueError(f"{name} {path}: {label} {value!r} for {where} must be {bound_text}")
     return values.reshape(shape)
 
 
@@ -391,11 +456,12 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
     Every (asset, scenario, period) cell must be present exactly once, and
     every RUL row must name a scenario the usage file defines; missing,
     duplicate, negative or out-of-range entries raise a ValueError naming
-    the file, as does a non-finite value (``inf`` or ``nan``), named with
-    the first bad cell in (asset, scenario, period) order. The files are
-    read by :func:`fleetmaint.csvio.read_csv` with the columns
-    :func:`write_scenario_csvs` writes. No array is sized by a scenario
-    index before the rows are known to cover every cell.
+    the file, as does a value ``ScenarioSet`` would refuse: a non-finite
+    one (``inf`` or ``nan``), a usage increment <= 0 or a negative latent
+    RUL, named with the first bad cell in (asset, scenario, period) order.
+    The files are read by :func:`fleetmaint.csvio.read_csv` with the
+    columns :func:`write_scenario_csvs` writes. No array is sized by a
+    scenario index before the rows are known to cover every cell.
     """
     n, t = fleet.n_assets, fleet.horizon
     index = {a.id: i for i, a in enumerate(fleet.assets)}
@@ -411,7 +477,8 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
         raise ValueError(f"usage file contains no scenarios: {usage_path}")
     n_scen = int(scen.max()) + 1
     inc = _cell_values(
-        fleet, "usage file", usage_path, _USAGE_COLUMNS, usage, "usage increment", (n, n_scen, t)
+        fleet, "usage file", usage_path, _USAGE_COLUMNS, usage, "usage increment",
+        (np.greater, "> 0"), (n, n_scen, t),
     )
 
     rows = _read_columns("RUL file", rul_path, _RUL_COLUMNS, index)
@@ -420,7 +487,10 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
         raise ValueError(
             f"RUL file scenario {rows[1][outside][0]} outside 0..{n_scen - 1}: {rul_path}"
         )
-    rul = _cell_values(fleet, "RUL file", rul_path, _RUL_COLUMNS, rows, "latent RUL", (n, n_scen))
+    rul = _cell_values(
+        fleet, "RUL file", rul_path, _RUL_COLUMNS, rows, "latent RUL",
+        (np.greater_equal, ">= 0"), (n, n_scen),
+    )
 
     weights = np.full(n_scen, 1.0 / n_scen)
     return ScenarioSet(

@@ -10,11 +10,19 @@ from pathlib import Path
 import pytest
 
 from fleetmaint.cli import main
+from fleetmaint.config import load_config
+from fleetmaint.scenario import generate_scenarios
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 
-from workloads import DIGESTS_FILE, PROFILES, study_digests, write_config  # noqa: E402
+from workloads import (  # noqa: E402
+    DIGESTS_FILE,
+    PROFILES,
+    scenario_digest,
+    study_digests,
+    write_config,
+)
 
 # gen-scenarios with this config writes these bytes (N=2, T=4, S=6).
 SMALL_EXPORT = {
@@ -25,6 +33,11 @@ SMALL_EXPORT_SHA256 = {
     "scenario_usage.csv": "8bc050128b795df732903646377f39f960a06f1924f2079095f0729227f445eb",
     "scenario_rul.csv": "4db98f9c46064189bd2317c8bddfe3982252539a26ede284a7ca663bd129234b",
 }
+
+# generate_scenarios on the study_large fleet (N=40, T=12) at S=500 and
+# scenario seed 2 hashes to this (bench/workloads.scenario_digest). In 23
+# of its 20,000 cells the truncated normal rejects its first draw.
+LARGE_FLEET_S500_SHA256 = "054141a784de03fc6fbd03cdaa53bfc92fab6b9939d4e9da45da3d3b2644a60b"
 
 
 def run_quietly(argv):
@@ -50,3 +63,9 @@ def test_gen_scenarios_export_is_pinned(tmp_path):
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SMALL_EXPORT_SHA256
     }
     assert digests == SMALL_EXPORT_SHA256
+
+
+def test_large_fleet_scenarios_are_pinned(tmp_path):
+    config = write_config(tmp_path / "config.json", PROFILES["full"]["large"], 2)
+    scenarios = generate_scenarios(load_config(config).build_fleet(), 500, 2)
+    assert scenario_digest(scenarios) == LARGE_FLEET_S500_SHA256

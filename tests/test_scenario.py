@@ -14,7 +14,7 @@ from fleetmaint.fleet import FleetSpec
 from fleetmaint.scenario import (
     ScenarioSet,
     _cell_seed_words,
-    _pcg64_state,
+    _pcg64_states,
     cell_stream,
     generate_scenarios,
     read_scenario_csvs,
@@ -269,6 +269,47 @@ class TestGenerateScenarios:
         assert fallbacks_when_generating(fleet, 40, seed=2**70 + 5) > 0
 
 
+MASK64 = 2**64 - 1
+MASK128 = 2**128 - 1
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Seed words at the edges of the limb arithmetic: all zeros, all ones, and
+# the top bit set in each of the four words.
+EDGE_WORDS = [[0, 0, 0, 0], [MASK64] * 4] + [
+    [2**63 if k == j else 0 for k in range(4)] for j in range(4)
+]
+
+
+def pcg64_seeding_oracle(words):
+    """pcg_setseq_128_srandom on Python ints: the (state, inc) four words seed."""
+    w0, w1, w2, w3 = (int(w) for w in words)
+    inc = ((((w2 << 64) | w3) << 1) | 1) & MASK128
+    return ((inc + ((w0 << 64) | w1)) * PCG64_MULT + inc) & MASK128, inc
+
+
+def pcg64_state_dict(state, inc):
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+class FixedWords:
+    """A seed sequence that hands PCG64 four given words."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, np.dtype(dtype)) == (4, np.dtype(np.uint64))
+        return self.words.copy()
+
+
+np.random.bit_generator.ISeedSequence.register(FixedWords)
+
+
 class TestBulkStreamDerivation:
     """The bulk derivation against numpy's own SeedSequence and PCG64.
 
@@ -292,10 +333,17 @@ class TestBulkStreamDerivation:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_pcg64_state_matches_seeded_generator(self, seed):
-        words = _cell_seed_words(seed, 2, 6).tolist()
+        states, incs = _pcg64_states(_cell_seed_words(seed, 2, 6))
         for w in range(6):
             expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, w))).state
-            assert _pcg64_state(words[w]) == expected
+            assert pcg64_state_dict(states[w], incs[w]) == expected
+
+    def test_limb_arithmetic_on_edge_words(self):
+        states, incs = _pcg64_states(np.array(EDGE_WORDS, dtype=np.uint64))
+        for words, state, inc in zip(EDGE_WORDS, states, incs):
+            assert (state, inc) == pcg64_seeding_oracle(words)
+            expected = np.random.PCG64(FixedWords(words)).state
+            assert pcg64_state_dict(state, inc) == expected
 
 
 class TestScenarioSetValidation:
@@ -411,6 +459,38 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="non-finite " + message) as info:
             read_scenario_csvs(fleet, usage, rul)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "target, prefix, value, message",
+        [
+            ("usage", "A2,1,3,", "-1.5", "usage increment -1.5 for asset 'A2' scenario 1 period 3"
+             " must be > 0"),
+            ("usage", "A1,3,5,", "0", "usage increment 0.0 for asset 'A1' scenario 3 period 5"
+             " must be > 0"),
+            ("rul", "A2,2,", "-2", "latent RUL -2.0 for asset 'A2' scenario 2 must be >= 0"),
+        ],
+        ids=["usage-negative", "usage-zero", "rul-negative"],
+    )
+    def test_out_of_range_value_rejected(self, exported, target, prefix, value, message):
+        fleet, usage, rul = exported
+        path = usage if target == "usage" else rul
+        lines = path.read_text().splitlines()
+        row = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+        lines[row] = prefix + value
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message) as info:
+            read_scenario_csvs(fleet, usage, rul)
+        assert str(path) in str(info.value)
+
+    def test_first_bad_value_in_cell_order_is_named(self, exported):
+        fleet, usage, rul = exported
+        lines = usage.read_text().splitlines()
+        for prefix, value in (("A2,0,1,", "nan"), ("A1,3,2,", "-1"), ("A1,3,4,", "inf")):
+            row = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+            lines[row] = prefix + value
+        usage.write_text("\n".join([lines[0], *reversed(lines[1:])]) + "\n")
+        with pytest.raises(ValueError, match="-1.0 for asset 'A1' scenario 3 period 2 must be"):
+            read_scenario_csvs(fleet, usage, rul)
 
     @pytest.mark.parametrize(
         "target, prefix, value, message",
