@@ -2,9 +2,10 @@
 
 Subcommands: gen-fleet, gen-scenarios, evaluate, optimize, study. All of
 them accept --config (JSON), --seed (overrides the config seeds) and --out.
-They also accept --threads for compatibility; it must be >= 1 and has no
-effect, since every command runs on one thread. Exit codes: 0 on success,
-2 for configuration problems, 3 for runtime failures.
+--threads K (>= 1) sets how many worker processes sample the scenario
+set (:func:`fleetmaint.scenario.generate_scenarios`); everything else runs
+on one thread, and no output depends on K. Exit codes: 0 on success, 2 for
+configuration problems, 3 for runtime failures.
 """
 
 from __future__ import annotations
@@ -49,10 +50,11 @@ class StudyResult:
     curves: dict[str, EcdfCurve]
 
 
-def compute_study(config: RunConfig) -> StudyResult:
-    """Run every policy against one shared scenario set."""
+def compute_study(config: RunConfig, workers: int = 1) -> StudyResult:
+    """Run every policy against one shared scenario set, sampled by
+    ``workers`` processes."""
     fleet = config.build_fleet()
-    scenarios = generate_scenarios(fleet, config.n_scenarios, config.scenario_seed)
+    scenarios = generate_scenarios(fleet, config.n_scenarios, config.scenario_seed, workers)
     matrix = build_matrix(fleet, scenarios, config.risk)
     schedules: dict[str, Schedule] = {}
     distributions: dict[str, CostDistribution] = {}
@@ -86,9 +88,11 @@ def compute_study(config: RunConfig) -> StudyResult:
     )
 
 
-def run_study(config: RunConfig, out_dir=None) -> tuple[StudyResult, list[Path]]:
+def run_study(
+    config: RunConfig, out_dir=None, workers: int = 1
+) -> tuple[StudyResult, list[Path]]:
     """Compute a study and emit its output files."""
-    result = compute_study(config)
+    result = compute_study(config, workers)
     meta = {"seed": config.scenario_seed, "config": config.to_json_dict()}
     paths = emit_outputs(
         result.summaries,
@@ -161,7 +165,9 @@ def _cmd_gen_scenarios(args) -> int:
     config = _load(args)
     out = _out_dir(args, config)
     fleet = config.build_fleet()
-    scenarios = generate_scenarios(fleet, config.n_scenarios, config.scenario_seed)
+    scenarios = generate_scenarios(
+        fleet, config.n_scenarios, config.scenario_seed, args.threads
+    )
     names = ("scenario_usage.csv", "scenario_rul.csv")
     with staged_outputs(out) as stage:
         write_scenario_csvs(scenarios, fleet, stage / names[0], stage / names[1])
@@ -180,7 +186,9 @@ def _cmd_evaluate(args) -> int:
         for v in violations:
             print(f"invalid schedule: {v}", file=sys.stderr)
         return 3
-    scenarios = generate_scenarios(fleet, config.n_scenarios, config.scenario_seed)
+    scenarios = generate_scenarios(
+        fleet, config.n_scenarios, config.scenario_seed, args.threads
+    )
     matrix = build_matrix(fleet, scenarios, config.risk)
     dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
     print(f"expected_cost={expected_cost(dist):.12g}")
@@ -203,7 +211,9 @@ def _cmd_optimize(args) -> int:
     config = _load(args)
     out = _out_dir(args, config)
     fleet = config.build_fleet()
-    scenarios = generate_scenarios(fleet, config.n_scenarios, config.scenario_seed)
+    scenarios = generate_scenarios(
+        fleet, config.n_scenarios, config.scenario_seed, args.threads
+    )
     matrix = build_matrix(fleet, scenarios, config.risk)
     kind = (
         PolicyKind.INTEGRATED_EXPECTED
@@ -240,7 +250,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_study(args) -> int:
     config = _load(args)
     out = _out_dir(args, config)
-    result, paths = run_study(config, out_dir=out)
+    result, paths = run_study(config, out_dir=out, workers=args.threads)
     _print_summary_table(result.summaries)
     for p in paths:
         print(f"wrote {p}")
@@ -260,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output directory (default from config)")
         sp.add_argument(
             "--threads", type=int, default=1,
-            help="accepted for compatibility; has no effect",
+            help="worker processes for scenario sampling; outputs do not depend on it",
         )
 
     sp = sub.add_parser("gen-fleet", help="sample a fleet and write fleet.csv")

@@ -21,11 +21,20 @@ hash in uint32 arithmetic (:func:`_cell_seed_words`), then PCG64's 128-bit
 seeding step in 32-bit limbs (:func:`_pcg64_states`). Each cell's state is
 set on one reused generator before its draws, and its gamma draws are
 written straight into the output array.
+
+Since every cell is a pure function of (seed, i, w), :func:`generate_scenarios`
+can also split the cells into contiguous blocks in (asset, scenario) order
+and sample the blocks in forked worker processes at once. The workers write
+into one shared anonymous memory map that backs the returned arrays, so the
+set is the same to the bit whatever the number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import sys
 from array import array
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -237,9 +246,9 @@ def _hash_constants(start: int, mult: int):
         const = following
 
 
-def _cell_seed_words(seed: int, asset_index: int, n_scenarios: int) -> np.ndarray:
+def _cell_seed_words(seed: int, asset_index: int, start: int, stop: int) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(asset_index, w)).generate_state(4, uint64)``
-    for every w in 0..n_scenarios-1, as an (n_scenarios, 4) uint64 array.
+    for every w in start..stop-1, as a (stop - start, 4) uint64 array.
 
     The entropy of cell w is the seed's words, zero-padded to the pool size,
     then the asset index's words, then w (one word: scenario counts stay
@@ -249,8 +258,9 @@ def _cell_seed_words(seed: int, asset_index: int, n_scenarios: int) -> np.ndarra
     """
     run = _uint32_words(seed)
     run += [0] * (_POOL_SIZE - len(run))
-    entropy = [np.full(n_scenarios, word, np.uint32) for word in run + _uint32_words(asset_index)]
-    entropy.append(np.arange(n_scenarios, dtype=np.uint32))
+    n_cells = stop - start
+    entropy = [np.full(n_cells, word, np.uint32) for word in run + _uint32_words(asset_index)]
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
 
     def hashmix(value, consts):
         const, following = next(consts)
@@ -272,7 +282,7 @@ def _cell_seed_words(seed: int, asset_index: int, n_scenarios: int) -> np.ndarra
             pool[dst] = mix(pool[dst], hashmix(word, consts))
 
     consts = _hash_constants(_INIT_B, _MULT_B)
-    state = np.empty((n_scenarios, 8), dtype=np.uint32)
+    state = np.empty((n_cells, 8), dtype=np.uint32)
     for k in range(8):
         state[:, k] = hashmix(pool[k % _POOL_SIZE], consts)
     return state.view("<u8").astype(np.uint64)
@@ -333,44 +343,118 @@ def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
     return _join128(state), _join128(inc)
 
 
-def generate_scenarios(fleet: FleetSpec, n_scenarios: int, seed: int) -> ScenarioSet:
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _sample_cells(
+    fleet: FleetSpec, seed: int, inc: np.ndarray, rul: np.ndarray, start: int, stop: int
+) -> None:
+    """Draw cells start..stop-1, counted in (asset, scenario) order, into
+    ``inc`` (N, S, T) and ``rul`` (N, S).
+
+    Per asset, the seed words and PCG64 states of the block's cells come
+    in one array pass each. Each cell's state is set on one reused
+    generator from one reused dict, and its standard gammas go straight
+    into its row of ``inc``. The block's rows of the asset are then scaled
+    once (numpy's gamma is ``scale * standard_gamma``), the same multiply
+    of each value whatever the block bounds.
+    """
+    n_scenarios = rul.shape[1]
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    # The state setter copies the values out, so one dict serves every cell.
+    cell = {"state": 0, "inc": 0}
+    generator_state = {"bit_generator": "PCG64", "state": cell, "has_uint32": 0, "uinteger": 0}
+    for i in range(start // n_scenarios, -(-stop // n_scenarios)):
+        asset = fleet.assets[i]
+        lo = max(start - i * n_scenarios, 0)
+        hi = min(stop - i * n_scenarios, n_scenarios)
+        gamma = _gamma_params(asset.usage_mean_per_period, asset.usage_cv)
+        states, increments = _pcg64_states(_cell_seed_words(seed, i, lo, hi))
+        for w, (cell["state"], cell["inc"]) in enumerate(zip(states, increments), lo):
+            bit_generator.state = generator_state
+            if gamma is not None:
+                rng.standard_gamma(gamma[0], out=inc[i, w])
+            rul[i, w] = sample_truncated_normal(asset.rul_mean, asset.rul_std, 0.0, rng)
+        if gamma is None:
+            inc[i, lo:hi] = asset.usage_mean_per_period
+        else:
+            inc[i, lo:hi] *= gamma[1]
+
+
+def _fork_block(*args) -> int:
+    """Run ``_sample_cells(*args)`` in a forked child; return its pid.
+
+    The child never returns into the caller's code: it ends in
+    ``os._exit``, with status 0 once the block is drawn, or 1 after
+    printing the traceback to stderr if anything at all was raised.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        _sample_cells(*args)
+        status = 0
+    except BaseException:  # not re-raised: unwinding would run the caller's code twice
+        sys.__excepthook__(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def generate_scenarios(
+    fleet: FleetSpec, n_scenarios: int, seed: int, workers: int = 1
+) -> ScenarioSet:
     """Draw an equally weighted scenario set for a fleet.
 
     Each (asset, scenario) cell draws from its own :func:`cell_stream`
     substream: T usage increments from :func:`sample_gamma` with the
     asset's mean and cv, then one truncated-normal latent RUL bounded below
     by zero. The latent RUL is drawn once per cell and reused by every
-    candidate maintenance date downstream.
+    candidate maintenance date downstream. The substreams are derived in
+    bulk by :func:`_sample_cells`; the draws are bit-identical to building
+    each cell's ``cell_stream``.
 
-    The substreams are derived in bulk, one asset at a time: the seed words
-    and the PCG64 states of all its cells in one array pass each, then, per
-    cell, the state set on one reused generator from one reused dict. The
-    cell's standard gammas go straight into its row of the output, which is
-    scaled once per asset (numpy's gamma is ``scale * standard_gamma``).
-    The draws are bit-identical to building each cell's ``cell_stream``.
+    The N*S cells are split, in (asset, scenario) order, into
+    ``min(workers, usable CPUs, N*S)`` contiguous blocks. The caller samples
+    the first block itself and forks one child process per other block;
+    all of them write into one shared anonymous memory map, which backs the
+    returned arrays. Every child is reaped before this returns or raises,
+    and a child that fails raises a RuntimeError naming its block. With
+    one block, or where ``os.fork`` does not exist, nothing is forked. The
+    result never depends on ``workers``.
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     n, t = fleet.n_assets, fleet.horizon
-    inc = np.empty((n, n_scenarios, t))
-    rul = np.empty((n, n_scenarios))
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    # The state setter copies the values out, so one dict serves every cell.
-    cell = {"state": 0, "inc": 0}
-    generator_state = {"bit_generator": "PCG64", "state": cell, "has_uint32": 0, "uinteger": 0}
-    for i, asset in enumerate(fleet.assets):
-        gamma = _gamma_params(asset.usage_mean_per_period, asset.usage_cv)
-        states, increments = _pcg64_states(_cell_seed_words(seed, i, n_scenarios))
-        for w, (cell["state"], cell["inc"]) in enumerate(zip(states, increments)):
-            bit_generator.state = generator_state
-            if gamma is not None:
-                rng.standard_gamma(gamma[0], out=inc[i, w])
-            rul[i, w] = sample_truncated_normal(asset.rul_mean, asset.rul_std, 0.0, rng)
-        if gamma is None:
-            inc[i] = asset.usage_mean_per_period
-        else:
-            inc[i] *= gamma[1]
+    cells = n * n_scenarios
+    shared = mmap.mmap(-1, cells * (t + 1) * 8)
+    inc = np.frombuffer(shared, np.float64, cells * t).reshape(n, n_scenarios, t)
+    rul = np.frombuffer(shared, np.float64, cells, cells * t * 8).reshape(n, n_scenarios)
+    blocks = min(workers, _usable_cpus(), cells) if hasattr(os, "fork") else 1
+    bounds = [cells * b // blocks for b in range(blocks + 1)]
+    children: dict[int, int] = {}
+    try:
+        for b in range(1, blocks):
+            children[_fork_block(fleet, seed, inc, rul, bounds[b], bounds[b + 1])] = b
+        _sample_cells(fleet, seed, inc, rul, bounds[0], bounds[1])
+    finally:
+        statuses = {b: os.waitpid(pid, 0)[1] for pid, b in children.items()}
+    for b, status in statuses.items():
+        if status:
+            raise RuntimeError(
+                f"scenario sampling worker for block {b} of {blocks} (cells"
+                f" {bounds[b]}..{bounds[b + 1] - 1}) exited with status"
+                f" {os.waitstatus_to_exitcode(status)}"
+            )
     weights = np.full(n_scenarios, 1.0 / n_scenarios)
     return ScenarioSet(
         n_scenarios=n_scenarios,

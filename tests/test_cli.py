@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fleetmaint.cli
+from fleetmaint import scenario
 from fleetmaint.cli import POLICY_ORDER, compute_study, run_study
 from fleetmaint.config import ConfigError, load_config, parse_config
 from fleetmaint.fleet import AssetSpec, FleetGenConfig
@@ -346,6 +347,37 @@ class TestCliCommands:
 
         np.testing.assert_array_equal(loaded.usage_increments, expected.usage_increments)
         np.testing.assert_array_equal(loaded.latent_rul, expected.latent_rul)
+
+    def test_gen_scenarios_exports_do_not_depend_on_threads(self, config_file, tmp_path):
+        for threads in ("1", "2"):
+            proc = run_cli(
+                ["gen-scenarios", "--config", str(config_file), "--out", f"t{threads}",
+                 "--threads", threads],
+                tmp_path,
+            )
+            assert proc.returncode == 0, proc.stderr
+        for name in ("scenario_usage.csv", "scenario_rul.csv"):
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+
+    def test_failed_sampling_worker_exits_3_and_writes_nothing(
+        self, config_file, tmp_path, monkeypatch, capsys
+    ):
+        sample_cells = scenario._sample_cells
+
+        def fail_outside_first_block(fleet, seed, inc, rul, start, stop):
+            if start:
+                raise ValueError("injected worker failure")
+            sample_cells(fleet, seed, inc, rul, start, stop)
+
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(scenario, "_sample_cells", fail_outside_first_block)
+        out = tmp_path / "scen"
+        code = fleetmaint.cli.main(
+            ["gen-scenarios", "--config", str(config_file), "--out", str(out), "--threads", "2"]
+        )
+        assert code == 3
+        assert "error: scenario sampling worker for block 1 of 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_gen_scenarios_rerun_keeps_previous_export(
         self, config_file, tmp_path, monkeypatch

@@ -35,8 +35,9 @@ SMALL_EXPORT_SHA256 = {
 }
 
 # generate_scenarios on the study_large fleet (N=40, T=12) at S=500 and
-# scenario seed 2 hashes to this (bench/workloads.scenario_digest). In 23
-# of its 20,000 cells the truncated normal rejects its first draw.
+# scenario seed 2 hashes to this (bench/workloads.scenario_digest), with
+# one sampling worker or two. In 23 of its 20,000 cells the truncated
+# normal rejects its first draw.
 LARGE_FLEET_S500_SHA256 = "054141a784de03fc6fbd03cdaa53bfc92fab6b9939d4e9da45da3d3b2644a60b"
 
 
@@ -65,7 +66,8 @@ def test_gen_scenarios_export_is_pinned(tmp_path):
     assert digests == SMALL_EXPORT_SHA256
 
 
-def test_large_fleet_scenarios_are_pinned(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_large_fleet_scenarios_are_pinned(workers, tmp_path):
     config = write_config(tmp_path / "config.json", PROFILES["full"]["large"], 2)
-    scenarios = generate_scenarios(load_config(config).build_fleet(), 500, 2)
+    scenarios = generate_scenarios(load_config(config).build_fleet(), 500, 2, workers=workers)
     assert scenario_digest(scenarios) == LARGE_FLEET_S500_SHA256

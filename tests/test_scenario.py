@@ -1,6 +1,7 @@
 """Samplers, scenario generation, substream determinism, CSV round-trips."""
 
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -269,6 +270,100 @@ class TestGenerateScenarios:
         assert fallbacks_when_generating(fleet, 40, seed=2**70 + 5) > 0
 
 
+@pytest.fixture()
+def four_cpus(monkeypatch):
+    """Let up to four sampling workers take effect whatever the host's CPU count."""
+    monkeypatch.setattr(scenario, "_usable_cpus", lambda: 4)
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids of the children forked through ``os.fork`` from this process."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def assert_same_draws(a, b):
+    assert np.array_equal(a.usage_increments, b.usage_increments)
+    assert np.array_equal(a.latent_rul, b.latent_rul)
+
+
+class TestParallelSampling:
+    """Blocks of cells sampled in forked workers give the same set, bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_counts_match_cell_stream_oracle(self, workers, four_cpus, forks):
+        # At three workers each block is one asset, so the wide asset's
+        # inverse-CDF fallbacks run wholly in a forked child, which inherits
+        # the patched _MAX_REJECTS.
+        fleet = mixed_fleet(["zero_cv", "wide", "typical"], horizon=8)
+        with mock.patch.object(scenario, "_MAX_REJECTS", 1):
+            s = generate_scenarios(fleet, 40, 2**130 + 7, workers=workers)
+            inc, rul = oracle_scenarios(fleet, 40, 2**130 + 7)
+        assert np.array_equal(s.usage_increments, inc)
+        assert np.array_equal(s.latent_rul, rul)
+        assert len(forks) == workers - 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_blocks_split_inside_one_asset(self, workers, four_cpus, forks):
+        fleet = mixed_fleet(["typical"], horizon=5)
+        one = generate_scenarios(fleet, 7, seed=11)
+        assert_same_draws(generate_scenarios(fleet, 7, seed=11, workers=workers), one)
+        assert len(forks) == workers - 1
+
+    def test_more_workers_than_cells(self, four_cpus, forks):
+        fleet = mixed_fleet(["wide"], horizon=3)
+        one = generate_scenarios(fleet, 2, seed=4)
+        assert_same_draws(generate_scenarios(fleet, 2, seed=4, workers=3), one)
+        assert len(forks) <= 2 - 1
+
+    def test_failed_worker_raises_once_and_is_reaped(
+        self, four_cpus, monkeypatch, tmp_path, capfd
+    ):
+        sample_cells = scenario._sample_cells
+
+        def fail_outside_first_block(fleet, seed, inc, rul, start, stop):
+            if start:
+                raise ValueError("injected worker failure")
+            sample_cells(fleet, seed, inc, rul, start, stop)
+
+        monkeypatch.setattr(scenario, "_sample_cells", fail_outside_first_block)
+        fleet = mixed_fleet(["typical", "wide"], horizon=3)
+        failure = r"block 1 of 2 \(cells 10\.\.19\) exited with status 1"
+        with pytest.raises(RuntimeError, match=failure):
+            generate_scenarios(fleet, 10, seed=1, workers=2)
+        with open(tmp_path / "after_call", "a") as f:
+            print(os.getpid(), file=f)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert (tmp_path / "after_call").read_text().split() == [str(os.getpid())]
+        assert "ValueError: injected worker failure" in capfd.readouterr().err
+
+    def test_failed_first_block_still_reaps_workers(self, four_cpus, monkeypatch):
+        def fail_first_block(fleet, seed, inc, rul, start, stop):
+            if not start:
+                raise ValueError("injected failure in the first block")
+
+        monkeypatch.setattr(scenario, "_sample_cells", fail_first_block)
+        with pytest.raises(ValueError, match="first block"):
+            generate_scenarios(make_fleet(n_assets=2, horizon=3), 10, seed=1, workers=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_invalid_worker_count(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            generate_scenarios(make_fleet(), 3, seed=1, workers=0)
+
+
 MASK64 = 2**64 - 1
 MASK128 = 2**128 - 1
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -319,13 +414,13 @@ class TestBulkStreamDerivation:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_seed_words_match_seed_sequence(self, seed):
         for asset_index in (0, 1, 39):
-            words = _cell_seed_words(seed, asset_index, 25)
+            words = _cell_seed_words(seed, asset_index, 7, 32)
             expected = np.array(
                 [
                     np.random.SeedSequence(seed, spawn_key=(asset_index, w)).generate_state(
                         4, np.uint64
                     )
-                    for w in range(25)
+                    for w in range(7, 32)
                 ]
             )
             assert words.dtype == np.uint64
@@ -333,7 +428,7 @@ class TestBulkStreamDerivation:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_pcg64_state_matches_seeded_generator(self, seed):
-        states, incs = _pcg64_states(_cell_seed_words(seed, 2, 6))
+        states, incs = _pcg64_states(_cell_seed_words(seed, 2, 0, 6))
         for w in range(6):
             expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, w))).state
             assert pcg64_state_dict(states[w], incs[w]) == expected
