@@ -125,12 +125,15 @@ def _schedule_date(text: str) -> int | None:
 def _read_schedule_csv(path: Path) -> Schedule:
     dates: dict[str, int | None] = {}
     try:
-        for asset_id, date in read_csv(
+        for ids, chunk_dates in read_csv(
             path, "schedule file", {"asset_id": str, "date": _schedule_date}
         ):
-            if asset_id in dates:
-                raise ValueError(f"schedule file {path} lists asset {asset_id!r} more than once")
-            dates[asset_id] = date
+            for asset_id, date in zip(ids, chunk_dates):
+                if asset_id in dates:
+                    raise ValueError(
+                        f"schedule file {path} lists asset {asset_id!r} more than once"
+                    )
+                dates[asset_id] = date
     except OSError as exc:
         raise ValueError(f"cannot read schedule file {path}: {exc}") from exc
     return Schedule(dates=dates)

@@ -317,7 +317,7 @@ def parse_config(data: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     """Read and validate a JSON config file."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             data = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -98,15 +98,22 @@ class EvaluationMatrix:
 
 
 def _asset_tables(
-    asset, latent_rul: np.ndarray, weights: np.ndarray, horizon: int, params: RiskParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """(T+1, S) cost rows and (T+1,) failure row for one asset."""
+    asset,
+    latent_rul: np.ndarray,
+    weights: np.ndarray,
+    horizon: int,
+    params: RiskParams,
+    table: np.ndarray,
+    failure: np.ndarray,
+) -> None:
+    """Write one asset's (T+1, S) cost rows into ``table`` and its (T+1,)
+    failure row into ``failure``."""
     t_grid = np.arange(1, horizon + 1)
     margins = latent_rul[:, None] - t_grid[None, :]
     probs = failure_probability(margins, params)
     # One row sum per window, not a running sum, so each entry rounds like a
     # direct sum over its window (numpy sums rows of over 8 terms pairwise).
-    failure = np.array([weights @ probs[:, :k].sum(axis=1) for k in range(horizon + 1)])
+    failure[:] = [weights @ probs[:, :k].sum(axis=1) for k in range(horizon + 1)]
     hazard = asset.cost_fail * probs
     hazard += performance_penalty(margins, asset.cost_perf, params)
     # accrued[:, k] charges hazard for periods 1..k; column 0 is the empty sum.
@@ -114,23 +121,29 @@ def _asset_tables(
         [np.zeros((latent_rul.size, 1)), np.cumsum(hazard, axis=1)], axis=1
     )
     early = asset.cost_early * np.maximum(0.0, latent_rul[:, None] - t_grid[None, :]) / asset.rul_mean
-    table = np.empty((horizon + 1, latent_rul.size))
     table[:horizon] = (asset.cost_pm + early + accrued[:, :horizon]).T
     table[horizon] = accrued[:, horizon]
-    return table, failure
 
 
 def build_matrix(
     fleet: FleetSpec, scenarios: ScenarioSet, params: RiskParams = RiskParams()
 ) -> EvaluationMatrix:
-    """Precompute every asset's cost and failure rows against a frozen scenario set."""
+    """Precompute every asset's cost and failure rows against a frozen scenario set.
+
+    The matrix is allocated once and each asset's rows are written into it
+    in place, so it is never held twice.
+    """
     if scenarios.n_assets != fleet.n_assets or scenarios.horizon != fleet.horizon:
         raise ValueError("scenario set shape does not match the fleet")
-    costs, failure = zip(*(
-        _asset_tables(asset, scenarios.latent_rul[i], scenarios.weights, fleet.horizon, params)
-        for i, asset in enumerate(fleet.assets)
-    ))
-    return EvaluationMatrix(fleet=fleet, costs=np.stack(costs), failure=np.stack(failure))
+    shape = (fleet.n_assets, fleet.horizon + 1)
+    costs = np.empty((*shape, scenarios.n_scenarios))
+    failure = np.empty(shape)
+    for i, asset in enumerate(fleet.assets):
+        _asset_tables(
+            asset, scenarios.latent_rul[i], scenarios.weights, fleet.horizon, params,
+            costs[i], failure[i],
+        )
+    return EvaluationMatrix(fleet=fleet, costs=costs, failure=failure)
 
 
 def indices_from_schedule(schedule: Schedule, fleet: FleetSpec) -> tuple[int, ...]:

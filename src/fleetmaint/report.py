@@ -193,7 +193,7 @@ def emit_outputs(
             "mean_maintenance_time_none_convention",
             "unscheduled assets counted as horizon + 1",
         )
-        with open(stage / "run_meta.json", "w", newline="") as f:
+        with open(stage / "run_meta.json", "w", newline="", encoding="utf-8") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
     return [Path(output_dir) / name for name in names]

@@ -27,12 +27,22 @@ can also split the cells into contiguous blocks in (asset, scenario) order
 and sample the blocks in forked worker processes at once. The workers write
 into one shared anonymous memory map that backs the returned arrays, so the
 set is the same to the bit whatever the number of workers.
+
+A set leaves and re-enters fleetmaint as two CSV files, and both directions
+work a column at a time. :func:`write_scenario_csvs` renders each asset's
+rows as one string from keys built once per file. :func:`read_scenario_csvs`
+takes converted columns from :func:`fleetmaint.csvio.read_csv` in chunks of
+``csvio.CHUNK_ROWS`` rows and extends typed buffers with them, so reading
+holds the buffers and one small chunk at a time. Its converters are the
+plain ``float`` and ``int`` a row-wise parser would apply, so it accepts
+exactly the files such a parser accepts.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+import operator
 import os
 import sys
 from array import array
@@ -41,7 +51,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .csvio import read_csv, write_csv
+from .csvio import line_number, quote, read_csv, write_lines
 from .fleet import FleetSpec
 
 __all__ = [
@@ -79,17 +89,10 @@ _LIMB_BITS = np.uint64(32)
 _LIMB_MASK = np.uint64(_MASK32)
 
 
-def _int64(text: str) -> int:
-    """An integer field that fits the reader's int64 buffers."""
-    value = int(text)
-    if not -(2**63) <= value < 2**63:
-        raise ValueError(text)
-    return value
-
-
-# The exported CSV columns, with the converters the reader applies to them.
-_USAGE_COLUMNS = {"asset_id": str, "scenario": _int64, "period": _int64, "usage_increment": float}
-_RUL_COLUMNS = {"asset_id": str, "scenario": _int64, "latent_rul": float}
+# The exported CSV columns, with the converters the reader applies to them
+# (csvio keeps int columns within int64).
+_USAGE_COLUMNS = {"asset_id": str, "scenario": int, "period": int, "usage_increment": float}
+_RUL_COLUMNS = {"asset_id": str, "scenario": int, "latent_rul": float}
 
 
 @dataclass(frozen=True)
@@ -472,31 +475,64 @@ def write_scenario_csvs(scenarios: ScenarioSet, fleet: FleetSpec, usage_path, ru
     1-based periods; RUL rows are (asset_id, scenario, latent_rul). Values
     are written with 17 significant digits so float64 data round-trips
     exactly.
+
+    The bytes are those of ``csv.writer`` on the same rows, rendered an
+    asset at a time: the ",scenario,period," keys are built once per file
+    and shared by every asset, each asset id is quoted once by
+    :func:`fleetmaint.csvio.quote`, and an asset's values are formatted by
+    one ``map`` and its rows joined into one string.
     """
-    write_csv(usage_path, _USAGE_COLUMNS, (
-        (asset.id, w, k + 1, format(x, ".17g"))
-        for asset, cells in zip(fleet.assets, scenarios.usage_increments)
-        for w, periods in enumerate(cells.tolist())
-        for k, x in enumerate(periods)
-    ))
-    write_csv(rul_path, _RUL_COLUMNS, (
-        (asset.id, w, format(x, ".17g"))
-        for asset, values in zip(fleet.assets, scenarios.latent_rul)
-        for w, x in enumerate(values.tolist())
-    ))
+    n_scenarios, horizon = scenarios.n_scenarios, scenarios.horizon
+    usage_keys = [f",{w},{k}," for w in range(n_scenarios) for k in range(1, horizon + 1)]
+    rul_keys = [f",{w}," for w in range(n_scenarios)]
+
+    def blocks(values, keys):
+        for asset, block in zip(fleet.assets, values):
+            rows = map(operator.add, keys, map("{:.17g}".format, block.ravel().tolist()))
+            asset_id = quote(asset.id)
+            yield asset_id + ("\n" + asset_id).join(rows) + "\n"
+
+    write_lines(usage_path, _USAGE_COLUMNS, blocks(scenarios.usage_increments, usage_keys))
+    write_lines(rul_path, _RUL_COLUMNS, blocks(scenarios.latent_rul, rul_keys))
 
 
 def _read_columns(name: str, path, columns: dict, index: dict) -> list[np.ndarray]:
-    """A scenario file's columns in file order: fleet indices, int64 keys, float64 values."""
+    """A scenario file's columns in file order: fleet indices, int64 keys, float64 values.
+
+    :func:`fleetmaint.csvio.read_csv` hands over converted columns a chunk
+    at a time; each is mapped or copied into a typed buffer by one
+    ``extend``, so no Python code runs once per row.
+    """
     buffers = [array("q") for _ in range(len(columns) - 1)] + [array("d")]
-    appends = [buffer.append for buffer in buffers]
-    for row in read_csv(path, name, columns):
-        if row[0] not in index:
-            raise ValueError(f"{name} references unknown asset {row[0]!r}: {path}")
-        row[0] = index[row[0]]
-        for append, value in zip(appends, row):
-            append(value)
+    for ids, *values in read_csv(path, name, columns):
+        try:
+            buffers[0].extend(map(index.__getitem__, ids))
+        except KeyError as exc:
+            unknown = exc.args[0]
+            # The value buffer holds one entry per row before this chunk.
+            line = line_number(path, len(buffers[-1]) + ids.index(unknown))
+            raise ValueError(
+                f"{name} references unknown asset {unknown!r}: {path}, line {line}"
+            ) from None
+        for buffer, column in zip(buffers[1:], values):
+            buffer.extend(column)
     return [np.frombuffer(buffer, dtype=buffer.typecode) for buffer in buffers]
+
+
+def _repeated_neighbours(keys: list, order: np.ndarray) -> np.ndarray:
+    """Whether each row in ``order`` agrees with the one before on every key.
+
+    Each key is sorted into one reused buffer, freed on return, so the
+    reader never holds more than one sorted copy of a key column. (With
+    mode="clip", which changes nothing for indices in range, ``take``
+    writes into ``out`` without a buffer of its own.)
+    """
+    ordered = np.empty_like(keys[0])
+    same = np.ones(max(order.size - 1, 0), dtype=bool)
+    for key in keys:
+        np.take(key, order, out=ordered, mode="clip")
+        same &= ordered[1:] == ordered[:-1]
+    return same
 
 
 def _cell_values(
@@ -518,7 +554,7 @@ def _cell_values(
         return " ".join([f"asset {fleet.assets[keys[0][k]].id!r}", *described])
 
     order = np.lexsort(keys[::-1])
-    same = np.logical_and.reduce([np.diff(key[order]) == 0 for key in keys])
+    same = _repeated_neighbours(keys, order)
     if same.any():
         raise ValueError(f"{name} repeats {cell(order[1:][same].min())}: {path}")
     if values.size != math.prod(shape):
@@ -544,8 +580,10 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
     one (``inf`` or ``nan``), a usage increment <= 0 or a negative latent
     RUL, named with the first bad cell in (asset, scenario, period) order.
     The files are read by :func:`fleetmaint.csvio.read_csv` with the
-    columns :func:`write_scenario_csvs` writes. No array is sized by a
-    scenario index before the rows are known to cover every cell.
+    columns :func:`write_scenario_csvs` writes; a row that does not parse,
+    or names an asset outside the fleet, is named with its line. No array
+    is sized by a scenario index before the rows are known to cover every
+    cell.
     """
     n, t = fleet.n_assets, fleet.horizon
     index = {a.id: i for i, a in enumerate(fleet.assets)}

@@ -86,8 +86,8 @@ def _other_value(value):
     return value * 0.5 + 0.25
 
 
-def run_cli(args, cwd):
-    env = dict(os.environ)
+def run_cli(args, cwd, **env_overrides):
+    env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "fleetmaint", *args],
@@ -394,6 +394,37 @@ class TestCliCommands:
         monkeypatch.setattr(fleetmaint.cli, "write_scenario_csvs", fail_after_usage)
         assert fleetmaint.cli.main(argv) == 3
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_non_ascii_ids_do_not_depend_on_the_locale(self, tmp_path):
+        ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0"}
+        probe = subprocess.run(
+            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+            env=dict(os.environ, **ascii_locale), capture_output=True, text=True,
+        )
+        assert "utf" not in probe.stdout.lower().replace("-", "")
+        ids = ["Pumpé", "Lüfter-2"]
+        document = {
+            "fleet": {"horizon": 4, "assets": [{**EXPLICIT_ASSET, "id": i} for i in ids]},
+            "costs": {"per_asset": {ids[0]: {"pm": 30}}},
+            "scenarios": {"n_scenarios": 20, "seed": 3},
+        }
+        # Raw UTF-8 in the config, not \u escapes.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document, ensure_ascii=False), encoding="utf-8")
+        outputs = {}
+        for mode, env in (("ascii", ascii_locale), ("utf8", {"PYTHONUTF8": "1"})):
+            for command in ("gen-scenarios", "study"):
+                out = tmp_path / mode / command
+                proc = run_cli([command, "--config", str(config), "--out", str(out)], tmp_path, **env)
+                assert proc.returncode == 0, proc.stderr
+            outputs[mode] = {
+                p.relative_to(tmp_path / mode): p.read_bytes()
+                for p in sorted((tmp_path / mode).rglob("*.csv"))
+            }
+        assert outputs["ascii"] == outputs["utf8"]
+        for name in ("gen-scenarios/scenario_usage.csv", "study/schedules.csv"):
+            written = outputs["utf8"][Path(name)]
+            assert all(f"{i},".encode("utf-8") in written for i in ids)
 
     def test_optimize_then_evaluate_round_trip(self, config_file, tmp_path):
         proc = run_cli(
