@@ -1,5 +1,7 @@
 """Config parsing, the study driver, and the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -466,6 +468,24 @@ class TestCliCommands:
         ]
         assert len(cvar_line) == 1
         assert float(cvar_line[0].split("=")[1]) == pytest.approx(objective, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "criterion, policy, column",
+        [("expected", "integrated_expected", "expected_cost"), ("cvar", "integrated_cvar", "cvar")],
+    )
+    def test_optimize_objective_is_the_study_summary_row(
+        self, criterion, policy, column, config_file, tmp_path
+    ):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = fleetmaint.cli.main(
+                ["optimize", "--config", str(config_file), "--criterion", criterion,
+                 "--out", str(tmp_path / "opt")]
+            )
+        assert code == 0
+        summaries = compute_study(load_config(config_file)).summaries
+        row = next(s for s in summaries if s.policy == policy)
+        assert f"objective={getattr(row, column):.12g}" in stdout.getvalue().split()
 
     def test_optimize_expected_beats_or_ties_cvar_on_mean(self, config_file, tmp_path):
         values = {}
