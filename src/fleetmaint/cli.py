@@ -1,7 +1,11 @@
 """Command-line interface and study pipeline.
 
 Subcommands: gen-fleet, gen-scenarios, evaluate, optimize, study. All of
-them accept --config (JSON), --seed (overrides the config seeds) and --out.
+them accept --config (JSON), --seed (overrides the config seeds) and --out;
+:func:`main` loads the config and resolves the output directory once for
+all of them. evaluate, optimize and study set up the fleet, the scenario
+set and the evaluation matrix through :func:`_setup`, and optimize and
+study solve and price each policy through :func:`_solve`.
 --threads K (>= 1) sets how many worker processes sample the scenario
 set (:func:`fleetmaint.scenario.generate_scenarios`); everything else runs
 on one thread, and no output depends on K. Exit codes: 0 on success, 2 for
@@ -15,15 +19,22 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, RunConfig, load_config, parse_config
-from .csvio import read_csv, write_csv
+from .csvio import write_csv
 from .criteria import CostDistribution, cvar_alpha, expected_cost, var_alpha
 from .fleet import AssetSpec, FleetSpec, Schedule, validate_schedule
 from .optimize import EvaluationMatrix, build_matrix, schedule_cost_distribution
 from .policies import PolicyKind, run_policy
-from .report import EcdfCurve, PolicySummary, ecdf, emit_outputs, staged_outputs, summarize_policy
+from .report import (
+    EcdfCurve,
+    PolicySummary,
+    _read_schedule_csv,
+    _write_schedule_csv,
+    ecdf,
+    emit_outputs,
+    staged_outputs,
+    summarize_policy,
+)
 from .scenario import ScenarioSet, generate_scenarios, write_scenario_csvs
 
 __all__ = ["main", "run_study", "compute_study", "StudyResult", "POLICY_ORDER"]
@@ -43,46 +54,60 @@ class StudyResult:
 
     fleet: FleetSpec
     scenarios: ScenarioSet
-    matrix: EvaluationMatrix
     schedules: dict[str, Schedule]
-    distributions: dict[str, CostDistribution]
     summaries: list[PolicySummary]
     curves: dict[str, EcdfCurve]
+
+
+def _setup(
+    config: RunConfig, workers: int, fleet: FleetSpec | None = None
+) -> tuple[FleetSpec, ScenarioSet, EvaluationMatrix]:
+    """The fleet (the config's, unless given), its scenario set sampled by
+    ``workers`` processes, and their evaluation matrix."""
+    if fleet is None:
+        fleet = config.build_fleet()
+    scenarios = generate_scenarios(fleet, config.n_scenarios, config.scenario_seed, workers)
+    return fleet, scenarios, build_matrix(fleet, scenarios, config.risk)
+
+
+def _solve(
+    kind: PolicyKind,
+    config: RunConfig,
+    fleet: FleetSpec,
+    scenarios: ScenarioSet,
+    matrix: EvaluationMatrix,
+) -> tuple[Schedule, CostDistribution, PolicySummary]:
+    """One policy's schedule, its cost distribution and its summary row."""
+    schedule = run_policy(
+        kind,
+        fleet,
+        scenarios,
+        config.risk,
+        trigger_prob=config.trigger_prob,
+        alpha=config.alpha,
+        matrix=matrix,
+        budget=config.exhaustive_budget,
+    )
+    dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
+    return schedule, dist, summarize_policy(kind.value, schedule, dist, matrix, config.alpha)
 
 
 def compute_study(config: RunConfig, workers: int = 1) -> StudyResult:
     """Run every policy against one shared scenario set, sampled by
     ``workers`` processes."""
-    fleet = config.build_fleet()
-    scenarios = generate_scenarios(fleet, config.n_scenarios, config.scenario_seed, workers)
-    matrix = build_matrix(fleet, scenarios, config.risk)
+    fleet, scenarios, matrix = _setup(config, workers)
     schedules: dict[str, Schedule] = {}
-    distributions: dict[str, CostDistribution] = {}
     summaries: list[PolicySummary] = []
     curves: dict[str, EcdfCurve] = {}
     for kind in POLICY_ORDER:
-        schedule = run_policy(
-            kind,
-            fleet,
-            scenarios,
-            config.risk,
-            trigger_prob=config.trigger_prob,
-            alpha=config.alpha,
-            matrix=matrix,
-            budget=config.exhaustive_budget,
-        )
-        name = kind.value
-        schedules[name] = schedule
-        dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
-        distributions[name] = dist
-        summaries.append(summarize_policy(name, schedule, dist, matrix, config.alpha))
-        curves[name] = ecdf(dist)
+        schedule, dist, summary = _solve(kind, config, fleet, scenarios, matrix)
+        schedules[kind.value] = schedule
+        summaries.append(summary)
+        curves[kind.value] = ecdf(dist)
     return StudyResult(
         fleet=fleet,
         scenarios=scenarios,
-        matrix=matrix,
         schedules=schedules,
-        distributions=distributions,
         summaries=summaries,
         curves=curves,
     )
@@ -117,42 +142,7 @@ def _print_summary_table(summaries: list[PolicySummary]) -> None:
         )
 
 
-def _schedule_date(text: str) -> int | None:
-    text = text.strip()
-    return None if text == "none" else int(text)
-
-
-def _read_schedule_csv(path: Path) -> Schedule:
-    dates: dict[str, int | None] = {}
-    try:
-        for ids, chunk_dates in read_csv(
-            path, "schedule file", {"asset_id": str, "date": _schedule_date}
-        ):
-            for asset_id, date in zip(ids, chunk_dates):
-                if asset_id in dates:
-                    raise ValueError(
-                        f"schedule file {path} lists asset {asset_id!r} more than once"
-                    )
-                dates[asset_id] = date
-    except OSError as exc:
-        raise ValueError(f"cannot read schedule file {path}: {exc}") from exc
-    return Schedule(dates=dates)
-
-
-def _load(args) -> RunConfig:
-    config = load_config(args.config) if args.config else parse_config({})
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
-    return config
-
-
-def _out_dir(args, config: RunConfig) -> Path:
-    return Path(args.out) if args.out else Path(config.out_dir)
-
-
-def _cmd_gen_fleet(args) -> int:
-    config = _load(args)
-    out = _out_dir(args, config)
+def _cmd_gen_fleet(args, config: RunConfig, out: Path) -> int:
     header = [f.name for f in fields(AssetSpec)]
     rows = [
         [a.id, *(format(getattr(a, k), ".17g") for k in header[1:])]
@@ -164,9 +154,7 @@ def _cmd_gen_fleet(args) -> int:
     return 0
 
 
-def _cmd_gen_scenarios(args) -> int:
-    config = _load(args)
-    out = _out_dir(args, config)
+def _cmd_gen_scenarios(args, config: RunConfig, out: Path) -> int:
     fleet = config.build_fleet()
     scenarios = generate_scenarios(
         fleet, config.n_scenarios, config.scenario_seed, args.threads
@@ -179,9 +167,7 @@ def _cmd_gen_scenarios(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    config = _load(args)
-    out = _out_dir(args, config)
+def _cmd_evaluate(args, config: RunConfig, out: Path) -> int:
     fleet = config.build_fleet()
     schedule = _read_schedule_csv(Path(args.schedule))
     violations = validate_schedule(schedule, fleet)
@@ -189,10 +175,7 @@ def _cmd_evaluate(args) -> int:
         for v in violations:
             print(f"invalid schedule: {v}", file=sys.stderr)
         return 3
-    scenarios = generate_scenarios(
-        fleet, config.n_scenarios, config.scenario_seed, args.threads
-    )
-    matrix = build_matrix(fleet, scenarios, config.risk)
+    _, scenarios, matrix = _setup(config, args.threads, fleet)
     dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
     print(f"expected_cost={expected_cost(dist):.12g}")
     print(f"var_{config.alpha:g}={var_alpha(dist, config.alpha):.12g}")
@@ -210,49 +193,20 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_optimize(args) -> int:
-    config = _load(args)
-    out = _out_dir(args, config)
-    fleet = config.build_fleet()
-    scenarios = generate_scenarios(
-        fleet, config.n_scenarios, config.scenario_seed, args.threads
-    )
-    matrix = build_matrix(fleet, scenarios, config.risk)
-    kind = (
-        PolicyKind.INTEGRATED_EXPECTED
-        if args.criterion == "expected"
-        else PolicyKind.INTEGRATED_CVAR
-    )
-    schedule = run_policy(
-        kind,
-        fleet,
-        scenarios,
-        config.risk,
-        alpha=config.alpha,
-        matrix=matrix,
-        budget=config.exhaustive_budget,
-    )
-    dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
-    objective = (
-        expected_cost(dist) if args.criterion == "expected" else cvar_alpha(dist, config.alpha)
-    )
+def _cmd_optimize(args, config: RunConfig, out: Path) -> int:
+    expected = args.criterion == "expected"
+    kind = PolicyKind.INTEGRATED_EXPECTED if expected else PolicyKind.INTEGRATED_CVAR
+    fleet, scenarios, matrix = _setup(config, args.threads)
+    schedule, _, summary = _solve(kind, config, fleet, scenarios, matrix)
+    objective = summary.expected_cost if expected else summary.cvar
     with staged_outputs(out) as stage:
-        write_csv(
-            stage / "schedule.csv",
-            ("asset_id", "date"),
-            [
-                [a.id, "none" if schedule.date_for(a.id) is None else schedule.date_for(a.id)]
-                for a in fleet.assets
-            ],
-        )
+        _write_schedule_csv(stage / "schedule.csv", schedule, fleet)
     print(f"criterion={args.criterion} alpha={config.alpha:g} objective={objective:.12g}")
     print(f"wrote {out / 'schedule.csv'}")
     return 0
 
 
-def _cmd_study(args) -> int:
-    config = _load(args)
-    out = _out_dir(args, config)
+def _cmd_study(args, config: RunConfig, out: Path) -> int:
     result, paths = run_study(config, out_dir=out, workers=args.threads)
     _print_summary_table(result.summaries)
     for p in paths:
@@ -303,11 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
+    if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        config = load_config(args.config) if args.config else parse_config({})
+        if args.seed is not None:
+            config = config.with_seed(args.seed)
+        return args.func(args, config, Path(args.out or config.out_dir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -97,8 +97,9 @@ def read_csv(path, name: str, columns: dict):
     row wins, and within it the first bad column in the order of
     ``columns``. The rows before it are yielded first, as one shorter
     chunk, so a caller that checks rows in order meets its own errors in
-    the same order. A ``csv.Error`` is raised once the rows read before it
-    have been yielded.
+    the same order. A ``csv.Error`` (a field over ``csv.field_size_limit()``,
+    say) becomes a ValueError on the line the reader had reached, raised
+    once the rows read before it have been yielded.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -112,7 +113,7 @@ def read_csv(path, name: str, columns: dict):
             try:
                 rows.extend(islice(reader, CHUNK_ROWS))
             except csv.Error as exc:  # the rows read before it stay in ``rows``
-                pending = exc
+                pending, pending_line = exc, reader.line_num
             if not rows and pending is None:
                 return
             rows = list(filter(None, rows))
@@ -129,7 +130,7 @@ def read_csv(path, name: str, columns: dict):
                 raise ValueError(f"{name} {path}, line {line}: {message}")
             ordinal += len(rows)
             if pending is not None:
-                raise pending
+                raise ValueError(f"{name} {path}, line {pending_line}: {pending}") from pending
 
 
 def _columns(rows: list, fields: list) -> list[list]:

@@ -85,6 +85,8 @@ class AssetSpec:
 
     def __post_init__(self) -> None:
         _require(bool(self.id), "asset id must be nonempty")
+        # csv.writer leaves a lone "\r" unquoted, so csv.reader would split the row there.
+        _require("\r" not in self.id, f"asset id {self.id!r} must not contain a carriage return")
         _require(self.calendar_limit > 0, f"asset {self.id}: calendar_limit must be > 0")
         _require(self.usage_limit > 0, f"asset {self.id}: usage_limit must be > 0")
         _require(self.rul_mean > 0, f"asset {self.id}: rul_mean must be > 0")

@@ -19,6 +19,7 @@ from .criteria import CUM_TOL
 from .fleet import FleetSpec, Schedule
 from .optimize import (
     DEFAULT_EXHAUSTIVE_BUDGET,
+    BudgetExceededError,
     EvaluationMatrix,
     build_matrix,
     coordinate_descent_cvar,
@@ -159,10 +160,9 @@ def integrated_cvar(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     m = matrix if matrix is not None else build_matrix(fleet, scenarios, params)
-    count = (fleet.horizon + 1) ** fleet.n_assets
-    if count <= budget:
+    try:
         indices, _ = exhaustive_cvar_argmin(m, scenarios.weights, alpha, budget=budget)
-    else:
+    except BudgetExceededError:
         warm = _expected_indices(m, scenarios.weights)
         indices, _ = coordinate_descent_cvar(m, scenarios.weights, alpha, warm)
     return schedule_from_indices(fleet, indices)

@@ -7,7 +7,9 @@ The study files here carry 6 significant digits for floats; ``fleet.csv``,
 values round-trip exactly. The run metadata JSON carries the only
 nondeterministic field (a timestamp). Every command writes its files
 through :func:`staged_outputs`, so a failed run leaves the previous run's
-files as they were.
+files as they were. The schedule file format (``asset_id,date`` rows, the
+date ``none`` when unscheduled) is written and read here, for
+``schedules.csv`` and for the CLI's ``schedule.csv`` and ``--schedule``.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ import os
 import shutil
 import tempfile
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .criteria import CostDistribution, cvar_alpha, expected_cost
-from .csvio import write_csv
+from .csvio import read_csv, write_csv
 from .fleet import FleetSpec, Schedule
 from .optimize import EvaluationMatrix, indices_from_schedule
 
@@ -40,19 +42,10 @@ __all__ = [
     "SUMMARY_COLUMNS",
 ]
 
-SUMMARY_COLUMNS = (
-    "policy",
-    "expected_cost",
-    "cvar",
-    "alpha",
-    "mean_maintenance_time",
-    "mean_failure_proxy",
-)
-
 
 @dataclass(frozen=True)
 class PolicySummary:
-    """One row of the study summary table."""
+    """One row of the study summary table, its fields in column order."""
 
     policy: str
     expected_cost: float
@@ -60,6 +53,9 @@ class PolicySummary:
     alpha: float
     mean_maintenance_time: float
     mean_failure_proxy: float
+
+
+SUMMARY_COLUMNS = tuple(f.name for f in fields(PolicySummary))
 
 
 @dataclass(frozen=True)
@@ -111,6 +107,42 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
+def _schedule_date(text: str) -> int | None:
+    text = text.strip()
+    return None if text == "none" else int(text)
+
+
+# The columns of a schedule file and the reader of each.
+_SCHEDULE_FILE = {"asset_id": str, "date": _schedule_date}
+
+
+def _schedule_rows(schedule: Schedule, fleet: FleetSpec) -> Iterator[list]:
+    """One schedule-file row per asset of the fleet, in fleet order."""
+    for asset in fleet.assets:
+        date = schedule.date_for(asset.id)
+        yield [asset.id, "none" if date is None else date]
+
+
+def _write_schedule_csv(path, schedule: Schedule, fleet: FleetSpec) -> None:
+    write_csv(path, tuple(_SCHEDULE_FILE), _schedule_rows(schedule, fleet))
+
+
+def _read_schedule_csv(path) -> Schedule:
+    """The schedule a file lists; a ValueError names the file on any problem."""
+    dates: dict[str, int | None] = {}
+    try:
+        for ids, chunk_dates in read_csv(path, "schedule file", _SCHEDULE_FILE):
+            for asset_id, date in zip(ids, chunk_dates):
+                if asset_id in dates:
+                    raise ValueError(
+                        f"schedule file {path} lists asset {asset_id!r} more than once"
+                    )
+                dates[asset_id] = date
+    except OSError as exc:
+        raise ValueError(f"cannot read schedule file {path}: {exc}") from exc
+    return Schedule(dates=dates)
+
+
 @contextlib.contextmanager
 def staged_outputs(output_dir) -> Iterator[Path]:
     """A fresh staging directory inside output_dir (created if needed).
@@ -155,17 +187,7 @@ def emit_outputs(
         "run_meta.json",
     ]
     with staged_outputs(output_dir) as stage:
-        rows = [
-            [
-                s.policy,
-                _fmt(s.expected_cost),
-                _fmt(s.cvar),
-                _fmt(s.alpha),
-                _fmt(s.mean_maintenance_time),
-                _fmt(s.mean_failure_proxy),
-            ]
-            for s in summaries
-        ]
+        rows = [[s.policy, *map(_fmt, astuple(s)[1:])] for s in summaries]
         write_csv(stage / "summary.csv", SUMMARY_COLUMNS, rows)
 
         for name, curve in curves.items():
@@ -175,12 +197,12 @@ def emit_outputs(
                 [[_fmt(c), _fmt(p)] for c, p in zip(curve.costs, curve.cum_probs)],
             )
 
-        rows = []
-        for name, schedule in schedules.items():
-            for asset in fleet.assets:
-                date = schedule.date_for(asset.id)
-                rows.append([name, asset.id, "none" if date is None else date])
-        write_csv(stage / "schedules.csv", ("policy", "asset_id", "date"), rows)
+        rows = [
+            [name, *row]
+            for name, schedule in schedules.items()
+            for row in _schedule_rows(schedule, fleet)
+        ]
+        write_csv(stage / "schedules.csv", ("policy", *_SCHEDULE_FILE), rows)
 
         payload = dict(meta or {})
         payload.setdefault("version", __version__)

@@ -207,6 +207,7 @@ class TestParseConfig:
             {"fleet": {"assets": [{**EXPLICIT_ASSET, "calendar_limit": float("inf")}]}},
             {"fleet": {"n_assets": 2}, "costs": {"per_asset": {"A1": {"fail": float("inf")}}}},
             {"fleet": {"rul_mean_range": None}},
+            {"fleet": {"assets": [{**EXPLICIT_ASSET, "id": "a\rb"}]}},
         ],
     )
     def test_bad_values_rejected(self, document):
@@ -527,6 +528,23 @@ class TestCliCommands:
         assert proc.returncode == 3
         assert "invalid schedule" in proc.stderr
 
+    def test_evaluate_checks_the_schedule_before_sampling(
+        self, config_file, tmp_path, monkeypatch, capsys
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the schedule was checked")
+
+        monkeypatch.setattr(fleetmaint.cli, "generate_scenarios", no_sampling)
+        bad = tmp_path / "bad_schedule.csv"
+        bad.write_text("asset_id,date\nA1,99\nZ9,1\n")
+        argv = ["evaluate", "--config", str(config_file), "--schedule", str(bad),
+                "--out", str(tmp_path / "eval_bad")]
+        assert fleetmaint.cli.main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid schedule: asset 'A1': date 99 out of horizon 1..6",
+            "invalid schedule: unknown asset 'Z9'",
+        ]
+
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"fleet": {"n_asset": 3}}))
@@ -539,8 +557,9 @@ class TestCliCommands:
         [
             {"horizon": 0, "assets": [EXPLICIT_ASSET]},
             {"horizon": 6, "assets": [EXPLICIT_ASSET, EXPLICIT_ASSET]},
+            {"horizon": 6, "assets": [EXPLICIT_ASSET, {**EXPLICIT_ASSET, "id": "a\rb"}]},
         ],
-        ids=["zero-horizon", "repeated-id"],
+        ids=["zero-horizon", "repeated-id", "carriage-return-id"],
     )
     def test_bad_explicit_fleet_exits_2(self, fleet, tmp_path):
         bad = tmp_path / "bad.json"
@@ -581,6 +600,18 @@ class TestCliCommands:
         assert proc.returncode == 3
         assert f"line {line}" in proc.stderr and str(bad) in proc.stderr
         assert not (tmp_path / "eval_bad_row" / "eval_distribution.csv").exists()
+
+    def test_evaluate_names_the_schedule_file_on_an_oversized_field(self, config_file, tmp_path):
+        bad = tmp_path / "huge_field.csv"
+        bad.write_text(f"asset_id,date\nA1,3\n{'x' * 200_000},1\nA3,1\n")
+        proc = run_cli(
+            ["evaluate", "--config", str(config_file), "--schedule", str(bad),
+             "--out", "eval_huge"],
+            tmp_path,
+        )
+        assert proc.returncode == 3
+        assert f"error: schedule file {bad}, line 3: field larger than field limit" in proc.stderr
+        assert not (tmp_path / "eval_huge" / "eval_distribution.csv").exists()
 
     def test_evaluate_rejects_repeated_column(self, config_file, tmp_path):
         bad = tmp_path / "repeated_column.csv"

@@ -78,6 +78,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             make_asset(**{field: value})
 
+    def test_carriage_return_in_id_rejected(self):
+        with pytest.raises(ValueError, match=r"asset id 'a\\rb' must not contain a carriage return"):
+            make_asset(id="a\rb")
+
 
 class TestGenerateFleet:
     def test_collapsed_ranges_give_exact_parameters(self):
