@@ -3,9 +3,9 @@
 Subcommands: gen-fleet, gen-scenarios, evaluate, optimize, study. All of
 them accept --config (JSON), --seed (overrides the config seeds) and --out;
 :func:`main` loads the config and resolves the output directory once for
-all of them. evaluate, optimize and study set up the fleet, the scenario
-set and the evaluation matrix through :func:`_setup`, and optimize and
-study solve and price each policy through :func:`_solve`.
+all of them. evaluate, optimize and study sample the scenario set and
+build the evaluation matrix of the config's fleet through :func:`_setup`,
+and optimize and study solve and price each policy through :func:`_solve`.
 --threads K (>= 1) sets how many worker processes sample the scenario
 set (:func:`fleetmaint.scenario.generate_scenarios`); everything else runs
 on one thread, and no output depends on K. Exit codes: 0 on success, 2 for
@@ -28,12 +28,12 @@ from .policies import PolicyKind, run_policy
 from .report import (
     EcdfCurve,
     PolicySummary,
-    _read_schedule_csv,
-    _write_schedule_csv,
     ecdf,
     emit_outputs,
+    read_schedule_csv,
     staged_outputs,
     summarize_policy,
+    write_schedule_csv,
 )
 from .scenario import ScenarioSet, generate_scenarios, write_scenario_csvs
 
@@ -60,14 +60,12 @@ class StudyResult:
 
 
 def _setup(
-    config: RunConfig, workers: int, fleet: FleetSpec | None = None
-) -> tuple[FleetSpec, ScenarioSet, EvaluationMatrix]:
-    """The fleet (the config's, unless given), its scenario set sampled by
-    ``workers`` processes, and their evaluation matrix."""
-    if fleet is None:
-        fleet = config.build_fleet()
+    config: RunConfig, fleet: FleetSpec, workers: int
+) -> tuple[ScenarioSet, EvaluationMatrix]:
+    """The fleet's scenario set, sampled by ``workers`` processes, and
+    their evaluation matrix."""
     scenarios = generate_scenarios(fleet, config.n_scenarios, config.scenario_seed, workers)
-    return fleet, scenarios, build_matrix(fleet, scenarios, config.risk)
+    return scenarios, build_matrix(fleet, scenarios, config.risk)
 
 
 def _solve(
@@ -95,7 +93,8 @@ def _solve(
 def compute_study(config: RunConfig, workers: int = 1) -> StudyResult:
     """Run every policy against one shared scenario set, sampled by
     ``workers`` processes."""
-    fleet, scenarios, matrix = _setup(config, workers)
+    fleet = config.build_fleet()
+    scenarios, matrix = _setup(config, fleet, workers)
     schedules: dict[str, Schedule] = {}
     summaries: list[PolicySummary] = []
     curves: dict[str, EcdfCurve] = {}
@@ -169,13 +168,13 @@ def _cmd_gen_scenarios(args, config: RunConfig, out: Path) -> int:
 
 def _cmd_evaluate(args, config: RunConfig, out: Path) -> int:
     fleet = config.build_fleet()
-    schedule = _read_schedule_csv(Path(args.schedule))
+    schedule = read_schedule_csv(Path(args.schedule))
     violations = validate_schedule(schedule, fleet)
     if violations:
         for v in violations:
             print(f"invalid schedule: {v}", file=sys.stderr)
         return 3
-    _, scenarios, matrix = _setup(config, args.threads, fleet)
+    scenarios, matrix = _setup(config, fleet, args.threads)
     dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
     print(f"expected_cost={expected_cost(dist):.12g}")
     print(f"var_{config.alpha:g}={var_alpha(dist, config.alpha):.12g}")
@@ -196,11 +195,12 @@ def _cmd_evaluate(args, config: RunConfig, out: Path) -> int:
 def _cmd_optimize(args, config: RunConfig, out: Path) -> int:
     expected = args.criterion == "expected"
     kind = PolicyKind.INTEGRATED_EXPECTED if expected else PolicyKind.INTEGRATED_CVAR
-    fleet, scenarios, matrix = _setup(config, args.threads)
+    fleet = config.build_fleet()
+    scenarios, matrix = _setup(config, fleet, args.threads)
     schedule, _, summary = _solve(kind, config, fleet, scenarios, matrix)
     objective = summary.expected_cost if expected else summary.cvar
     with staged_outputs(out) as stage:
-        _write_schedule_csv(stage / "schedule.csv", schedule, fleet)
+        write_schedule_csv(stage / "schedule.csv", schedule, fleet)
     print(f"criterion={args.criterion} alpha={config.alpha:g} objective={objective:.12g}")
     print(f"wrote {out / 'schedule.csv'}")
     return 0

@@ -123,11 +123,11 @@ def _schedule_rows(schedule: Schedule, fleet: FleetSpec) -> Iterator[list]:
         yield [asset.id, "none" if date is None else date]
 
 
-def _write_schedule_csv(path, schedule: Schedule, fleet: FleetSpec) -> None:
+def write_schedule_csv(path, schedule: Schedule, fleet: FleetSpec) -> None:
     write_csv(path, tuple(_SCHEDULE_FILE), _schedule_rows(schedule, fleet))
 
 
-def _read_schedule_csv(path) -> Schedule:
+def read_schedule_csv(path) -> Schedule:
     """The schedule a file lists; a ValueError names the file on any problem."""
     dates: dict[str, int | None] = {}
     try:
