@@ -11,8 +11,7 @@ One kernel computes both: :func:`batch_cvar` prices a batch of cost rows
 that share one weight vector, and the schedule search in
 :mod:`fleetmaint.optimize` calls it directly. :func:`cvar_alpha` is its
 one-row case and :func:`var_alpha` its quantile step, so a schedule found
-by the search reports the same objective when re-evaluated here, up to
-the last-bit rounding that a row's position in a batch can cause.
+by the search reports the same objective when re-evaluated here.
 
 Cumulative-weight comparisons allow 1e-12 of absolute slack; without it,
 accumulated rounding in equal weights (ten 0.1 entries sum to just under
@@ -97,17 +96,17 @@ def batch_cvar(totals: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndar
     """CVaR_alpha of each row of a (M, S) cost array sharing one weight vector.
 
     The VaR of each row is its lower alpha-quantile; the CVaR is the
-    weight-normalized mean over the row's values at or above it. The
-    matrix products may round a row differently with its position and the
-    row count of the batch (last bit only).
+    weight-normalized mean over the row's values at or above it. Each row
+    is summed on its own, so its value does not depend on its position or
+    on the other rows of the batch.
     """
     totals = np.atleast_2d(np.asarray(totals, dtype=float))
     weights = np.asarray(weights, dtype=float)
     var = _batch_var(totals, weights, alpha)
-    tail = totals >= var[:, None]
-    tail_weight = tail @ weights
-    tail_cost = (totals * tail) @ weights
-    return tail_cost / tail_weight
+    tail = (totals >= var[:, None]) * weights
+    tail_weight = tail.sum(axis=1)
+    tail *= totals  # in place, so the batch needs one (M, S) buffer
+    return tail.sum(axis=1) / tail_weight
 
 
 def var_alpha(dist: CostDistribution, alpha: float) -> float:

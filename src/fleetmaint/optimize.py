@@ -192,10 +192,7 @@ def exhaustive_cvar_argmin(
     minimizer nor a tie, and is skipped. The survivors, in enumeration
     order, are priced in blocks with totals summed in asset order, and only
     a strictly lower CVaR replaces the best so far. The result is the exact
-    optimum, earliest in enumeration order among ties. (batch_cvar's
-    matrix products may round a row differently with its position in a
-    batch, so schedules whose CVaRs agree only to the last bit can rank
-    differently under another block layout.)
+    optimum, earliest in enumeration order among ties.
     """
     costs = matrix.costs
     n, k1, s = costs.shape

@@ -18,9 +18,9 @@ usage increments are drawn first, then the latent RUL.
 PCG64's seeding step are pure functions of the seed words, so the state of
 every cell of an asset is computed in array passes over all its cells: the
 hash in uint32 arithmetic (:func:`_cell_seed_words`), then PCG64's 128-bit
-seeding step in 32-bit limbs (:func:`_pcg64_states`). Each cell's state is
-set on one reused generator before its draws, and its gamma draws are
-written straight into the output array.
+seeding step in Python's exact integers (:func:`_pcg64_states`). Each cell's
+state is set on one reused generator before its draws, and its gamma draws
+are written straight into the output array.
 
 Since every cell is a pure function of (seed, i, w), :func:`generate_scenarios`
 can also split the cells into contiguous blocks in (asset, scenario) order
@@ -81,12 +81,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64), as four
-# little-endian 32-bit limbs for the array arithmetic of _pcg64_states.
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64) and its modulus mask.
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_LIMBS = [np.uint64((_PCG64_MULT >> (32 * k)) & _MASK32) for k in range(4)]
-_LIMB_BITS = np.uint64(32)
-_LIMB_MASK = np.uint64(_MASK32)
+_MASK128 = (1 << 128) - 1
 
 
 # The exported CSV columns, with the converters the reader applies to them
@@ -291,44 +288,6 @@ def _cell_seed_words(seed: int, asset_index: int, start: int, stop: int) -> np.n
     return state.view("<u8").astype(np.uint64)
 
 
-def _limbs(hi: np.ndarray, lo: np.ndarray) -> list[np.ndarray]:
-    """128-bit values given as uint64 halves, as four little-endian 32-bit limbs."""
-    return [lo & _LIMB_MASK, lo >> _LIMB_BITS, hi & _LIMB_MASK, hi >> _LIMB_BITS]
-
-
-def _add128(a: list, b: list) -> list[np.ndarray]:
-    """a + b mod 2^128, limb by limb."""
-    total, carry = [], 0
-    for x, y in zip(a, b):
-        s = x + y + carry
-        total.append(s & _LIMB_MASK)
-        carry = s >> _LIMB_BITS
-    return total
-
-
-def _mul128_mult(a: list) -> list[np.ndarray]:
-    """a * _PCG64_MULT mod 2^128, schoolbook on limbs.
-
-    Each step adds a limb product and two addends below 2^32, which is at
-    most (2^32 - 1)^2 + 2 (2^32 - 1) = 2^64 - 1, so no uint64 overflows.
-    """
-    product = [np.zeros_like(a[0]) for _ in range(4)]
-    for i, x in enumerate(a):
-        carry = 0
-        for j in range(4 - i):
-            s = x * _MULT_LIMBS[j] + product[i + j] + carry
-            product[i + j] = s & _LIMB_MASK
-            carry = s >> _LIMB_BITS
-    return product
-
-
-def _join128(limbs: list) -> list[int]:
-    """Four limb arrays as Python ints, one per row."""
-    hi = (limbs[3] << _LIMB_BITS) | limbs[2]
-    lo = (limbs[1] << _LIMB_BITS) | limbs[0]
-    return [(high << 64) | low for high, low in zip(hi.tolist(), lo.tolist())]
-
-
 def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
     """The (state, inc) ``PCG64`` takes when seeded with each row of four
     SeedSequence words, for an (n, 4) uint64 array.
@@ -336,14 +295,17 @@ def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
     PCG64 reads words 0-1 as the 128-bit initial state and words 2-3 as
     the stream selector (high word first), then runs pcg_setseq_128_srandom:
     ``inc = (initseq << 1) | 1``, ``state = (inc + initstate) * MULT + inc``,
-    both mod 2^128. That runs here on all rows at once, in 32-bit limbs
-    held in uint64 arrays.
+    both mod 2^128. The 64-bit shifts run in uint64 arrays; the halves are
+    then joined and the rest runs in Python's exact integers, on object
+    arrays.
     """
     w0, w1, w2, w3 = words.T
     one = np.uint64(1)
-    inc = _limbs((w2 << one) | (w3 >> np.uint64(63)), (w3 << one) | one)
-    state = _add128(_mul128_mult(_add128(inc, _limbs(w0, w1))), inc)
-    return _join128(state), _join128(inc)
+    hi = ((w2 << one) | (w3 >> np.uint64(63))).astype(object)
+    lo = ((w3 << one) | one).astype(object)
+    inc = hi << 64 | lo
+    state = ((w0.astype(object) << 64 | w1.astype(object)) + inc) * _PCG64_MULT + inc & _MASK128
+    return state.tolist(), inc.tolist()
 
 
 def _usable_cpus() -> int:

@@ -110,21 +110,6 @@ class CostBreakdown:
         return self.pm + self.fail + self.perf + self.early
 
 
-@dataclass(frozen=True)
-class CostSample:
-    """Fleet cost of one schedule under one scenario, by asset."""
-
-    scenario: int
-    breakdowns: dict[str, CostBreakdown]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "breakdowns", dict(self.breakdowns))
-
-    @property
-    def total(self) -> float:
-        return sum(b.total for b in self.breakdowns.values())
-
-
 def effective_rul(latent_rul: float, period: int):
     """Remaining life margin at a period; negative once nominal life is spent."""
     if period < 1:
@@ -198,23 +183,24 @@ def total_cost(
     scenarios: ScenarioSet,
     scenario: int,
     params: RiskParams = RiskParams(),
-) -> CostSample:
-    """Fleet cost of a schedule under one scenario; additive over assets."""
+) -> float:
+    """Fleet cost of a schedule under one scenario: the assets' totals
+    summed in fleet order."""
     violations = validate_schedule(schedule, fleet)
     if violations:
         raise ValueError("invalid schedule: " + "; ".join(violations))
     if not 0 <= scenario < scenarios.n_scenarios:
         raise ValueError(f"scenario {scenario} out of range")
-    breakdowns = {}
-    for i, asset in enumerate(fleet.assets):
-        breakdowns[asset.id] = asset_scenario_cost(
+    return sum(
+        asset_scenario_cost(
             asset,
             schedule.date_for(asset.id),
             float(scenarios.latent_rul[i, scenario]),
             fleet.horizon,
             params,
-        )
-    return CostSample(scenario=scenario, breakdowns=breakdowns)
+        ).total
+        for i, asset in enumerate(fleet.assets)
+    )
 
 
 def failure_proxy(

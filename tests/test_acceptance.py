@@ -169,7 +169,7 @@ def test_criterion_6_small_instance_oracle_equivalence():
                 schedule = Schedule(dict(zip(fleet.ids, dates)))
                 totals = np.array(
                     [
-                        total_cost(schedule, fleet, scenarios, w).total
+                        total_cost(schedule, fleet, scenarios, w)
                         for w in range(scenarios.n_scenarios)
                     ]
                 )
@@ -336,7 +336,7 @@ def test_criterion_9_cost_model_unit_suite():
             {k: (None if v is None else int(v)) for k, v in dates.items()}
         )
         w = int(rng.integers(0, 30))
-        sample = total_cost(schedule, fleet, scenarios, w)
+        total = total_cost(schedule, fleet, scenarios, w)
         parts = sum(
             asset_scenario_cost(
                 a,
@@ -346,7 +346,7 @@ def test_criterion_9_cost_model_unit_suite():
             ).total
             for i, a in enumerate(fleet.assets)
         )
-        if abs(sample.total - parts) > IDENTITY_TOL:
+        if abs(total - parts) > IDENTITY_TOL:
             ok, detail = False, "fleet total not additive"
     assert _report(9, "cost model unit suite", ok), detail
 

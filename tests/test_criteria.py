@@ -320,3 +320,18 @@ class TestOneKernel:
             assert var_alpha(dist, alpha) == var_alpha_merged(dist, alpha)
             assert cvar_alpha(dist, alpha) == pytest.approx(expected, rel=1e-12, abs=1e-12)
             assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("m, s", [(2, 7), (33, 800), (500, 1001), (7, 10000), (3, 16385)])
+    @pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
+    def test_every_row_equals_its_single_row_value(self, m, s, equal):
+        # bit for bit, wherever the row sits in the batch and whatever the
+        # alignment of the batch in memory
+        rng = np.random.default_rng(m * s)
+        weights = np.full(s, 1.0 / s) if equal else rng.random(s) + 0.01
+        weights /= weights.sum()
+        rows = rng.gamma(2.0, 100.0, size=(m, s))
+        shifted = np.empty(m * s + 1)[1:].reshape(m, s)
+        shifted[:] = rows
+        singles = [batch_cvar(row, weights, 0.9)[0] for row in rows]
+        assert batch_cvar(rows, weights, 0.9).tolist() == singles
+        assert batch_cvar(shifted, weights, 0.9).tolist() == singles

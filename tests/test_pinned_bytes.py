@@ -82,7 +82,7 @@ def run_quietly(argv):
         return main(argv)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 50, 99])
+@pytest.mark.parametrize("seed", range(100))
 def test_default_study_matches_pinned_digests(seed, tmp_path):
     config = write_config(tmp_path / "config.json", PROFILES["full"]["default"], seed)
     out = tmp_path / "out"

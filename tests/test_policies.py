@@ -157,7 +157,7 @@ def scan_schedules(fleet, scenarios, objective):
         schedule = Schedule(dict(zip(fleet.ids, dates)))
         totals = np.array(
             [
-                total_cost(schedule, fleet, scenarios, w).total
+                total_cost(schedule, fleet, scenarios, w)
                 for w in range(scenarios.n_scenarios)
             ]
         )

@@ -371,8 +371,9 @@ MASK64 = 2**64 - 1
 MASK128 = 2**128 - 1
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# Seed words at the edges of the limb arithmetic: all zeros, all ones, and
-# the top bit set in each of the four words.
+# Seed words at the edges of the 128-bit seeding step: all zeros, all ones
+# (whose sum and product wrap past 2^128), and the top bit set in each of
+# the four words.
 EDGE_WORDS = [[0, 0, 0, 0], [MASK64] * 4] + [
     [2**63 if k == j else 0 for k in range(4)] for j in range(4)
 ]
@@ -436,7 +437,7 @@ class TestBulkStreamDerivation:
             expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, w))).state
             assert pcg64_state_dict(states[w], incs[w]) == expected
 
-    def test_limb_arithmetic_on_edge_words(self):
+    def test_seeding_step_on_edge_words(self):
         states, incs = _pcg64_states(np.array(EDGE_WORDS, dtype=np.uint64))
         for words, state, inc in zip(EDGE_WORDS, states, incs):
             assert (state, inc) == pcg64_seeding_oracle(words)
