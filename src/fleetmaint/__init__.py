@@ -18,7 +18,6 @@ from .fleet import (
     validate_schedule,
 )
 from .optimize import (
-    BudgetExceededError,
     EvaluationMatrix,
     build_matrix,
     schedule_cost_distribution,
@@ -68,7 +67,6 @@ __all__ = [
     "integrated_expected",
     "integrated_cvar",
     "EvaluationMatrix",
-    "BudgetExceededError",
     "build_matrix",
     "schedule_cost_distribution",
     "EcdfCurve",

@@ -80,10 +80,9 @@ def _solve(
         kind,
         fleet,
         scenarios,
-        config.risk,
+        matrix=matrix,
         trigger_prob=config.trigger_prob,
         alpha=config.alpha,
-        matrix=matrix,
         budget=config.exhaustive_budget,
     )
     dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)

@@ -50,8 +50,10 @@ class CostDistribution:
             raise ValueError("values and weights must be 1-D arrays of equal length")
         if v.size == 0:
             raise ValueError("distribution must be nonempty")
-        if np.any(w < 0):
-            raise ValueError("weights must be >= 0")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("values must be finite")
+        if not np.all(w >= 0):  # False for NaN; an infinite weight fails the sum
+            raise ValueError("weights must be finite and >= 0")
         if abs(float(w.sum()) - 1.0) > CUM_TOL:
             raise ValueError("weights must sum to 1 within 1e-12")
         v.setflags(write=False)
@@ -84,7 +86,7 @@ def _batch_var(totals: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndar
         cum = np.cumsum(weights)
         k = int(np.searchsorted(cum, alpha - CUM_TOL, side="left"))
         k = min(k, s - 1)
-        return np.partition(totals, k, axis=1)[:, k]
+        return np.partition(totals, k, axis=1)[:, k].copy()  # frees the (M, S) copy
     order = np.argsort(totals, axis=1)
     sorted_vals = np.take_along_axis(totals, order, axis=1)
     cum = np.cumsum(weights[order], axis=1)

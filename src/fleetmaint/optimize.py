@@ -10,14 +10,17 @@ small fleet sizes.
 
 Exhaustive search is exact but prices only schedules that can still win.
 CVaR is a tail mean, so it is never below the expected cost, and the
-expected cost of a schedule is the sum of its assets' row means. A
-coordinate-descent incumbent therefore rules out every schedule whose mean
-exceeds it (up to a 1e-9 relative slack for rounding); at the default
-profile about 0.1% of the lattice survives. Candidate indices are ordered
-lexicographically by (asset order, date order with "none" last); ties on
-the objective resolve to the earliest schedule in that order. Schedules
-are priced with :func:`fleetmaint.criteria.batch_cvar`, the kernel that
-also reports a schedule's CVaR through :func:`~fleetmaint.criteria.cvar_alpha`.
+expected cost of a schedule is the sum of its assets' row means. The
+caller's incumbent schedule therefore rules out every schedule whose mean
+exceeds its CVaR (up to a 1e-9 relative slack for rounding); from a
+coordinate-descent incumbent about 0.1% of the default lattice survives.
+The caller decides whether (T+1)^N is small enough to enumerate.
+Candidate indices are ordered lexicographically by (asset order, date
+order with "none" last); ties on the objective resolve to the earliest
+schedule in that order. Both searches price schedules with
+:func:`fleetmaint.criteria.batch_cvar` on rows summed in asset order, so
+the value each returns is its schedule's
+:func:`~fleetmaint.criteria.cvar_alpha` bit for bit.
 
 The matrix build is the one place that evaluates the hazard. Next to the
 cost rows it keeps each asset's expected accrued failure probability per
@@ -38,7 +41,6 @@ from .scenario import ScenarioSet
 
 __all__ = [
     "EvaluationMatrix",
-    "BudgetExceededError",
     "DEFAULT_EXHAUSTIVE_BUDGET",
     "build_matrix",
     "schedule_cost_distribution",
@@ -58,10 +60,6 @@ _BLOCK_ROWS = 4096
 # in the mean lattice and in the CVaR sums is many orders smaller, so no
 # schedule that could tie the optimum is pruned.
 _PRUNE_SLACK = 1e-9
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a joint enumeration would exceed the evaluation budget."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ def _asset_tables(
     accrued = np.concatenate(
         [np.zeros((latent_rul.size, 1)), np.cumsum(hazard, axis=1)], axis=1
     )
-    early = asset.cost_early * np.maximum(0.0, latent_rul[:, None] - t_grid[None, :]) / asset.rul_mean
+    early = asset.cost_early * np.maximum(0.0, margins) / asset.rul_mean
     table[:horizon] = (asset.cost_pm + early + accrued[:, :horizon]).T
     table[horizon] = accrued[:, horizon]
 
@@ -170,45 +168,46 @@ def schedule_cost_distribution(
 ) -> CostDistribution:
     """Fleet cost distribution of one schedule via precomputed row sums."""
     indices = indices_from_schedule(schedule, matrix.fleet)
-    totals = np.zeros(matrix.n_scenarios)
-    for i, c in enumerate(indices):
-        totals += matrix.costs[i, c]
+    totals = _schedule_totals(matrix.costs, indices)
     return CostDistribution(values=totals, weights=np.asarray(weights, dtype=float))
+
+
+def _schedule_totals(costs: np.ndarray, indices: Sequence[int]) -> np.ndarray:
+    """Per-scenario fleet cost of one schedule, its rows summed in asset order."""
+    totals = np.zeros(costs.shape[2])
+    for i, c in enumerate(indices):
+        totals += costs[i, c]
+    return totals
 
 
 def exhaustive_cvar_argmin(
     matrix: EvaluationMatrix,
     weights: np.ndarray,
     alpha: float,
-    budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
+    incumbent: Sequence[int],
 ) -> tuple[tuple[int, ...], float]:
     """Global CVaR minimizer over every schedule: bound, then price survivors.
 
     Every schedule's expected cost is read off a lattice built by
-    broadcasting the per-asset row means. The incumbent is the CVaR that
-    coordinate descent reaches from the per-asset expected argmin. A
-    schedule whose mean exceeds the incumbent (plus 1e-9 relative slack)
-    has CVaR >= mean > incumbent >= optimum, so it can be neither the
-    minimizer nor a tie, and is skipped. The survivors, in enumeration
-    order, are priced in blocks with totals summed in asset order, and only
-    a strictly lower CVaR replaces the best so far. The result is the exact
-    optimum, earliest in enumeration order among ties.
+    broadcasting the per-asset row means. The bound is the CVaR of the
+    ``incumbent`` schedule. A schedule whose mean exceeds it (plus 1e-9
+    relative slack) has CVaR >= mean > bound >= optimum, so it can be
+    neither the minimizer nor a tie, and is skipped. The survivors, in
+    enumeration order, are priced in blocks with totals summed in asset
+    order, and only a strictly lower CVaR replaces the best so far. The
+    result is the exact optimum, earliest in enumeration order among ties,
+    whichever incumbent set the bound; a better one only prices fewer.
     """
     costs = matrix.costs
     n, k1, s = costs.shape
-    count = k1 ** n
-    if count > budget:
-        raise BudgetExceededError(
-            f"{count} schedules exceed the enumeration budget of {budget}"
-        )
     weights = np.asarray(weights, dtype=float)
     # CVaR is a weight-normalized tail mean, so bound it by the normalized mean.
     means = costs @ weights / weights.sum()
     lattice = np.zeros(())
     for row in means:
         lattice = np.add.outer(lattice, row)
-    _, incumbent = coordinate_descent_cvar(matrix, weights, alpha, np.argmin(means, axis=1))
-    threshold = incumbent + _PRUNE_SLACK * max(1.0, abs(incumbent))
+    bound = float(batch_cvar(_schedule_totals(costs, incumbent), weights, alpha)[0])
+    threshold = bound + _PRUNE_SLACK * max(1.0, abs(bound))
     survivors = np.flatnonzero(lattice <= threshold)
     shape = (k1,) * n
     best_val, best_flat = np.inf, -1
@@ -237,15 +236,15 @@ def coordinate_descent_cvar(
     of the incumbent schedule, and accepts only strict improvements (ties
     keep the incumbent). Each accepted move lowers the objective on a
     finite lattice, so termination is guaranteed; the result is never
-    worse than the warm start.
+    worse than the warm start. The moves are judged on running totals,
+    but the returned value is the final schedule's CVaR, priced on its
+    rows summed in asset order.
     """
     costs = matrix.costs
     n, k1, _ = costs.shape
     weights = np.asarray(weights, dtype=float)
     current = list(start)
-    totals = np.zeros(matrix.n_scenarios)
-    for i, c in enumerate(current):
-        totals = totals + costs[i, c]
+    totals = _schedule_totals(costs, current)
     current_val = float(batch_cvar(totals, weights, alpha)[0])
 
     improved = True
@@ -260,4 +259,5 @@ def coordinate_descent_cvar(
                 totals = without + costs[i, c_best]
                 current_val = float(cvars[c_best])
                 improved = True
-    return tuple(current), current_val
+    totals = _schedule_totals(costs, current)
+    return tuple(current), float(batch_cvar(totals, weights, alpha)[0])

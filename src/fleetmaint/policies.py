@@ -19,14 +19,11 @@ from .criteria import CUM_TOL
 from .fleet import FleetSpec, Schedule
 from .optimize import (
     DEFAULT_EXHAUSTIVE_BUDGET,
-    BudgetExceededError,
     EvaluationMatrix,
-    build_matrix,
     coordinate_descent_cvar,
     exhaustive_cvar_argmin,
     schedule_from_indices,
 )
-from .riskcost import RiskParams
 from .scenario import ScenarioSet
 
 __all__ = [
@@ -118,11 +115,7 @@ def _expected_indices(matrix: EvaluationMatrix, weights: np.ndarray) -> tuple[in
 
 
 def integrated_expected(
-    fleet: FleetSpec,
-    scenarios: ScenarioSet,
-    params: RiskParams = RiskParams(),
-    *,
-    matrix: EvaluationMatrix | None = None,
+    fleet: FleetSpec, scenarios: ScenarioSet, *, matrix: EvaluationMatrix
 ) -> Schedule:
     """Exact minimizer of expected fleet cost.
 
@@ -131,40 +124,38 @@ def integrated_expected(
     candidates is the global optimum; no joint search is needed. Ties
     resolve to the earliest date, with "none" ranked after date T.
     """
-    m = matrix if matrix is not None else build_matrix(fleet, scenarios, params)
-    return schedule_from_indices(fleet, _expected_indices(m, scenarios.weights))
+    return schedule_from_indices(fleet, _expected_indices(matrix, scenarios.weights))
 
 
 def integrated_cvar(
     fleet: FleetSpec,
     scenarios: ScenarioSet,
-    params: RiskParams = RiskParams(),
     alpha: float = DEFAULT_ALPHA,
     *,
-    matrix: EvaluationMatrix | None = None,
+    matrix: EvaluationMatrix,
     budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
 ) -> Schedule:
     """Minimize the CVaR of fleet cost over joint schedules.
 
     CVaR does not decompose over assets, so this is a genuine joint
-    problem. Within the evaluation budget the result is the exact optimum
-    over the full lattice: since CVaR is never below the expected cost,
-    the search prices only schedules whose expected cost does not exceed
-    a coordinate-descent incumbent (plus 1e-9 relative slack), and every
-    skipped schedule provably cannot win or tie. Beyond the budget,
-    coordinate descent starts from the expected-cost schedule and accepts
-    strict improvements, which keeps the result at least as good (in
-    CVaR) as that warm start. Ties resolve toward the lexicographically
-    earliest schedule, or the incumbent during descent.
+    problem. Coordinate descent always runs first: it starts from the
+    expected-cost schedule and accepts only strict improvements, which
+    keeps its result at least as good (in CVaR) as that warm start, with
+    ties kept at the incumbent. When the (T+1)^N schedules fit the
+    budget, the pruned enumeration then starts from the descent's
+    schedule: since CVaR is never below the expected cost, it prices only
+    schedules whose expected cost does not exceed that schedule's CVaR
+    (plus 1e-9 relative slack), and returns the exact optimum over the
+    full lattice, earliest in enumeration order among ties. Beyond the
+    budget the descent's schedule is the answer.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    m = matrix if matrix is not None else build_matrix(fleet, scenarios, params)
-    try:
-        indices, _ = exhaustive_cvar_argmin(m, scenarios.weights, alpha, budget=budget)
-    except BudgetExceededError:
-        warm = _expected_indices(m, scenarios.weights)
-        indices, _ = coordinate_descent_cvar(m, scenarios.weights, alpha, warm)
+    weights = scenarios.weights
+    warm = _expected_indices(matrix, weights)
+    indices, _ = coordinate_descent_cvar(matrix, weights, alpha, warm)
+    if (fleet.horizon + 1) ** fleet.n_assets <= budget:
+        indices, _ = exhaustive_cvar_argmin(matrix, weights, alpha, indices)
     return schedule_from_indices(fleet, indices)
 
 
@@ -172,11 +163,10 @@ def run_policy(
     kind: PolicyKind,
     fleet: FleetSpec,
     scenarios: ScenarioSet,
-    params: RiskParams = RiskParams(),
     *,
+    matrix: EvaluationMatrix,
     trigger_prob: float = DEFAULT_TRIGGER_PROB,
     alpha: float = DEFAULT_ALPHA,
-    matrix: EvaluationMatrix | None = None,
     budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
 ) -> Schedule:
     """Dispatch a policy by kind with shared defaults."""
@@ -188,5 +178,5 @@ def run_policy(
     if kind is PolicyKind.RUL_THRESHOLD:
         return rul_threshold(fleet, scenarios, trigger_prob)
     if kind is PolicyKind.INTEGRATED_EXPECTED:
-        return integrated_expected(fleet, scenarios, params, matrix=matrix)
-    return integrated_cvar(fleet, scenarios, params, alpha, matrix=matrix, budget=budget)
+        return integrated_expected(fleet, scenarios, matrix=matrix)
+    return integrated_cvar(fleet, scenarios, alpha, matrix=matrix, budget=budget)

@@ -12,7 +12,7 @@ horizon and pays neither the maintenance charge nor the early penalty.
 The hazard at period t depends on the effective remaining life margin
 m = R - t of the scenario's latent RUL R:
 
-* failure probability: p_max for m <= 0, else min(p_max, p_max * exp(-lambda * m)),
+* failure probability: p_max * exp(-lambda * max(m, 0)), so p_max for m <= 0,
 * performance loss: a linear ramp that switches on once m falls below a
   wear-in window W and saturates at m <= 0.
 
@@ -64,8 +64,8 @@ def failure_probability(margin, params: RiskParams = RiskParams()):
     positive margin. Accepts scalars or arrays; scalar in, float out.
     """
     m = np.asarray(margin, dtype=float)
-    decayed = params.p_max * np.exp(-params.decay_rate * np.maximum(m, 0.0))
-    p = np.where(m <= 0.0, params.p_max, np.minimum(params.p_max, decayed))
+    # exp(-0.0) == 1 and p_max * x <= p_max for x <= 1, so no branch or cap is needed
+    p = params.p_max * np.exp(-params.decay_rate * np.maximum(m, 0.0))
     if np.ndim(margin) == 0:
         return float(p)
     return p

@@ -123,14 +123,15 @@ class ScenarioSet:
             raise ValueError(f"usage_increments must have shape (N, {s}, T), got {inc.shape}")
         if rul.shape != (inc.shape[0], s):
             raise ValueError(f"latent_rul must have shape ({inc.shape[0]}, {s}), got {rul.shape}")
-        if np.any(w < 0):
-            raise ValueError("scenario weights must be >= 0")
+        # written so that NaN fails each test: every comparison with NaN is False
+        if not np.all(w >= 0):
+            raise ValueError("scenario weights must be finite and >= 0")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("scenario weights must sum to 1 within 1e-12")
-        if not np.all(inc > 0):
-            raise ValueError("usage increments must be > 0")
-        if np.any(rul < 0):
-            raise ValueError("latent RUL values must be >= 0")
+        if not (np.all(inc > 0) and np.all(inc < np.inf)):
+            raise ValueError("usage increments must be finite and > 0")
+        if not (np.all(rul >= 0) and np.all(rul < np.inf)):
+            raise ValueError("latent RUL values must be finite and >= 0")
         for arr, name in ((w, "weights"), (inc, "usage_increments"), (rul, "latent_rul")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -20,11 +20,7 @@ import numpy as np
 
 from fleetmaint.criteria import CUM_TOL, CostDistribution, _check_alpha
 from fleetmaint.fleet import AssetSpec, FleetSpec, Schedule, validate_schedule
-from fleetmaint.optimize import (
-    DEFAULT_EXHAUSTIVE_BUDGET,
-    BudgetExceededError,
-    schedule_from_indices,
-)
+from fleetmaint.optimize import DEFAULT_EXHAUSTIVE_BUDGET, schedule_from_indices
 from fleetmaint.riskcost import RiskParams, failure_probability, performance_penalty
 from fleetmaint.scenario import ScenarioSet
 
@@ -236,12 +232,12 @@ def enumerate_schedules(fleet: FleetSpec, budget: int = DEFAULT_EXHAUSTIVE_BUDGE
     """All (T+1)^N schedules in lexicographic candidate order.
 
     Dates run 1..T then "none" for each asset, with the first asset as the
-    most significant position. Refuses up front, rather than truncating,
-    when the count would exceed the budget.
+    most significant position. Raises ValueError up front, rather than
+    truncating, when the count would exceed the budget.
     """
     count = (fleet.horizon + 1) ** fleet.n_assets
     if count > budget:
-        raise BudgetExceededError(
+        raise ValueError(
             f"{count} schedules exceed the enumeration budget of {budget}"
         )
 

@@ -1,5 +1,7 @@
 """Risk measures on weighted empirical distributions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,19 @@ class TestConstruction:
     def test_2d_rejected(self):
         with pytest.raises(ValueError):
             CostDistribution(np.ones((2, 2)), np.full((2, 2), 0.25))
+
+    @pytest.mark.parametrize(
+        "values, weights, name",
+        [
+            ([1.0, np.nan], [0.5, 0.5], "values"),
+            ([1.0, np.inf], [0.5, 0.5], "values"),
+            ([1.0, 2.0], [1.0, np.nan], "weights"),
+        ],
+        ids=["nan-value", "inf-value", "nan-weight"],
+    )
+    def test_non_finite_rejected(self, values, weights, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            CostDistribution(np.array(values), np.array(weights))
 
 
 class TestExpectedCost:
@@ -335,3 +350,16 @@ class TestOneKernel:
         singles = [batch_cvar(row, weights, 0.9)[0] for row in rows]
         assert batch_cvar(rows, weights, 0.9).tolist() == singles
         assert batch_cvar(shifted, weights, 0.9).tolist() == singles
+
+    def test_batch_holds_one_partitioned_copy(self):
+        # the VaR column is copied out of the partitioned batch, so that
+        # copy is freed before the tail buffer is allocated
+        rows = np.random.default_rng(0).gamma(2.0, 100.0, size=(400, 800))
+        weights = np.full(800, 1.0 / 800)
+        tracemalloc.start()
+        try:
+            batch_cvar(rows, weights, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6

@@ -7,6 +7,7 @@ import pytest
 
 from fleetmaint.criteria import CostDistribution, cvar_alpha, expected_cost
 from fleetmaint.fleet import Schedule
+from fleetmaint import policies
 from fleetmaint.optimize import build_matrix, schedule_cost_distribution
 from fleetmaint.policies import (
     PolicyKind,
@@ -148,6 +149,10 @@ class TestBaselinesIgnoreCosts:
         )
 
 
+def matrix_for(fleet, scenarios):
+    return build_matrix(fleet, scenarios, RiskParams())
+
+
 def scan_schedules(fleet, scenarios, objective):
     """First-wins strict argmin over the full lattice, via direct
     per-scenario cost evaluation (no shared matrix code)."""
@@ -173,12 +178,13 @@ class TestIntegratedExpected:
             cost_pm=0.0, cost_fail=0.0, cost_perf=0.0, cost_early=0.0, horizon=5
         )
         scenarios = const_scenarios(fleet, [3.0])
-        assert integrated_expected(fleet, scenarios).date_for("A1") == 1
+        schedule = integrated_expected(fleet, scenarios, matrix=matrix_for(fleet, scenarios))
+        assert schedule.date_for("A1") == 1
 
     def test_single_asset_candidate_table(self):
         fleet = make_fleet(horizon=8)
         scenarios = random_scenarios(fleet, n_scenarios=25, seed=9)
-        schedule = integrated_expected(fleet, scenarios)
+        schedule = integrated_expected(fleet, scenarios, matrix=matrix_for(fleet, scenarios))
         asset = fleet.assets[0]
         table = {}
         for date in list(range(1, 9)) + [None]:
@@ -196,9 +202,9 @@ class TestIntegratedExpected:
     def test_matches_joint_enumeration(self, seed):
         fleet = make_fleet(n_assets=2, horizon=3)
         scenarios = random_scenarios(fleet, n_scenarios=50, seed=seed)
-        schedule = integrated_expected(fleet, scenarios)
+        matrix = matrix_for(fleet, scenarios)
+        schedule = integrated_expected(fleet, scenarios, matrix=matrix)
         ref_schedule, ref_value = scan_schedules(fleet, scenarios, expected_cost)
-        matrix = build_matrix(fleet, scenarios, RiskParams())
         value = expected_cost(
             schedule_cost_distribution(matrix, schedule, scenarios.weights)
         )
@@ -217,17 +223,9 @@ class TestIntegratedExpected:
         )
         scenarios = random_scenarios(fleet, n_scenarios=40, seed=21)
         assert (
-            integrated_expected(fleet, scenarios).dates
-            == integrated_expected(scaled, scenarios).dates
+            integrated_expected(fleet, scenarios, matrix=matrix_for(fleet, scenarios)).dates
+            == integrated_expected(scaled, scenarios, matrix=matrix_for(scaled, scenarios)).dates
         )
-
-    def test_accepts_prebuilt_matrix(self):
-        fleet = make_fleet(n_assets=2, horizon=4)
-        scenarios = random_scenarios(fleet, n_scenarios=20, seed=33)
-        matrix = build_matrix(fleet, scenarios, RiskParams())
-        a = integrated_expected(fleet, scenarios)
-        b = integrated_expected(fleet, scenarios, matrix=matrix)
-        assert a.dates == b.dates
 
 
 class TestIntegratedCvar:
@@ -235,11 +233,11 @@ class TestIntegratedCvar:
     def test_matches_joint_enumeration(self, seed):
         fleet = make_fleet(n_assets=2, horizon=3)
         scenarios = random_scenarios(fleet, n_scenarios=50, seed=seed)
-        schedule = integrated_cvar(fleet, scenarios, alpha=0.9)
+        matrix = matrix_for(fleet, scenarios)
+        schedule = integrated_cvar(fleet, scenarios, alpha=0.9, matrix=matrix)
         _, ref_value = scan_schedules(
             fleet, scenarios, lambda d: cvar_alpha(d, 0.9)
         )
-        matrix = build_matrix(fleet, scenarios, RiskParams())
         value = cvar_alpha(
             schedule_cost_distribution(matrix, schedule, scenarios.weights), 0.9
         )
@@ -248,14 +246,15 @@ class TestIntegratedCvar:
     def test_single_scenario_reduces_to_expected(self):
         fleet = make_fleet(n_assets=2, horizon=6)
         scenarios = const_scenarios(fleet, [4.0, 9.0])
-        a = integrated_expected(fleet, scenarios)
-        b = integrated_cvar(fleet, scenarios, alpha=0.9)
+        matrix = matrix_for(fleet, scenarios)
+        a = integrated_expected(fleet, scenarios, matrix=matrix)
+        b = integrated_cvar(fleet, scenarios, alpha=0.9, matrix=matrix)
         assert a.dates == b.dates
 
     def test_descent_fallback_not_worse_than_warm_start(self):
         fleet = make_fleet(n_assets=3, horizon=6)
         scenarios = random_scenarios(fleet, n_scenarios=60, seed=55)
-        matrix = build_matrix(fleet, scenarios, RiskParams())
+        matrix = matrix_for(fleet, scenarios)
         weights = scenarios.weights
         warm = integrated_expected(fleet, scenarios, matrix=matrix)
         warm_val = cvar_alpha(
@@ -274,29 +273,45 @@ class TestIntegratedCvar:
         assert exact_val <= desc_val + 1e-9
         assert desc_val <= warm_val + 1e-9
 
+    @pytest.mark.parametrize(
+        "below, enumerates", [(1, False), (0, True)], ids=["(T+1)^N-1", "(T+1)^N"]
+    )
+    def test_enumerates_only_when_lattice_fits(self, monkeypatch, below, enumerates):
+        fleet = make_fleet(n_assets=2, horizon=3)
+        scenarios = random_scenarios(fleet, n_scenarios=30, seed=13)
+        search, calls = policies.exhaustive_cvar_argmin, []
+        monkeypatch.setattr(
+            policies, "exhaustive_cvar_argmin", lambda *args: calls.append(args) or search(*args)
+        )
+        budget = (fleet.horizon + 1) ** fleet.n_assets - below
+        integrated_cvar(fleet, scenarios, matrix=matrix_for(fleet, scenarios), budget=budget)
+        assert len(calls) == int(enumerates)
+
     def test_invalid_alpha_rejected(self):
         fleet = make_fleet()
         scenarios = const_scenarios(fleet, [5.0])
         with pytest.raises(ValueError):
-            integrated_cvar(fleet, scenarios, alpha=1.0)
+            integrated_cvar(fleet, scenarios, alpha=1.0, matrix=matrix_for(fleet, scenarios))
 
 
 class TestDispatcher:
     def test_every_kind_routes(self):
         fleet = make_fleet(n_assets=2, horizon=4)
         scenarios = random_scenarios(fleet, n_scenarios=20, seed=71)
+        matrix = matrix_for(fleet, scenarios)
         for kind in PolicyKind:
-            schedule = run_policy(kind, fleet, scenarios)
+            schedule = run_policy(kind, fleet, scenarios, matrix=matrix)
             assert set(schedule.dates) == set(fleet.ids)
 
     def test_accepts_plain_strings(self):
         fleet = make_fleet()
         scenarios = const_scenarios(fleet, [5.0])
         direct = calendar_only(fleet)
-        assert run_policy("calendar_only", fleet, scenarios).dates == direct.dates
+        matrix = matrix_for(fleet, scenarios)
+        assert run_policy("calendar_only", fleet, scenarios, matrix=matrix).dates == direct.dates
 
     def test_unknown_kind_rejected(self):
         fleet = make_fleet()
         scenarios = const_scenarios(fleet, [5.0])
         with pytest.raises(ValueError):
-            run_policy("oldest_first", fleet, scenarios)
+            run_policy("oldest_first", fleet, scenarios, matrix=matrix_for(fleet, scenarios))

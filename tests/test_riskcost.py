@@ -88,11 +88,14 @@ class TestFailureProbability:
         assert all(0 < v <= 0.95 for v in values)
 
     def test_vectorized_matches_scalar(self):
-        grid = np.linspace(-4, 12, 33)
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]
+        grid = np.concatenate([np.linspace(-4, 12, 33), edges])
         vec = failure_probability(grid)
         assert vec.shape == grid.shape
         for m, v in zip(grid, vec):
             assert failure_probability(float(m)) == v
+        # saturated at p_max up to the smallest positive margin, then decaying
+        assert vec[-6:].tolist() == [0.95, 0.95, 0.95, 0.95, 0.0, 0.95]
 
     def test_respects_params(self):
         params = RiskParams(p_max=0.5, decay_rate=1.0, perf_window=2.0)

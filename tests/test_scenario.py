@@ -464,6 +464,26 @@ class TestScenarioSetValidation:
                 latent_rul=np.ones((1, 1)),
             )
 
+    @pytest.mark.parametrize(
+        "field, index, value, name",
+        [
+            ("latent_rul", (0, 1), np.nan, "latent RUL values"),
+            ("latent_rul", (0, 0), np.inf, "latent RUL values"),
+            ("usage_increments", (0, 0, 2), np.inf, "usage increments"),
+            ("weights", (1,), np.nan, "scenario weights"),
+        ],
+        ids=["nan-rul", "inf-rul", "inf-increment", "nan-weight"],
+    )
+    def test_non_finite_rejected(self, field, index, value, name):
+        arrays = {
+            "weights": np.full(2, 0.5),
+            "usage_increments": np.ones((1, 2, 3)),
+            "latent_rul": np.ones((1, 2)),
+        }
+        arrays[field][index] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ScenarioSet(n_scenarios=2, **arrays)
+
     def test_arrays_frozen(self):
         fleet = make_fleet()
         s = generate_scenarios(fleet, 5, seed=1)
