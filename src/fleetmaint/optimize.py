@@ -12,9 +12,12 @@ Exhaustive search is exact but prices only schedules that can still win.
 CVaR is a tail mean, so it is never below the expected cost, and the
 expected cost of a schedule is the sum of its assets' row means. The
 caller's incumbent schedule therefore rules out every schedule whose mean
-exceeds its CVaR (up to a 1e-9 relative slack for rounding); from a
-coordinate-descent incumbent about 0.1% of the default lattice survives.
-The caller decides whether (T+1)^N is small enough to enumerate.
+exceeds its CVaR (up to a 1e-9 relative slack for rounding). The search
+grows schedules one asset at a time and drops a prefix as soon as its
+cheapest completion is over that bound, so it never holds all (T+1)^N
+means; from a coordinate-descent incumbent about 400 of the default
+profile's 371,293 schedules survive. The caller decides whether (T+1)^N
+is small enough to enumerate.
 Candidate indices are ordered lexicographically by (asset order, date
 order with "none" last); ties on the objective resolve to the earliest
 schedule in that order. Both searches price schedules with
@@ -52,12 +55,13 @@ __all__ = [
 
 DEFAULT_EXHAUSTIVE_BUDGET = 1_000_000
 
-# Surviving schedules priced per block during joint search; bounds peak
-# memory at roughly block * S * 8 bytes per array.
-_BLOCK_ROWS = 4096
+# Cost cells per block of surviving schedules priced at once: a block has
+# max(1, _BLOCK_ELEMENTS // S) rows, so each (rows, S) float array that
+# pricing it allocates stays near 1 MiB whatever S and the survivor count.
+_BLOCK_ELEMENTS = 1 << 17
 
 # Relative slack on the incumbent when pruning by expected cost. Rounding
-# in the mean lattice and in the CVaR sums is many orders smaller, so no
+# in the summed means and in the CVaR sums is many orders smaller, so no
 # schedule that could tie the optimum is pruned.
 _PRUNE_SLACK = 1e-9
 
@@ -180,6 +184,18 @@ def _schedule_totals(costs: np.ndarray, indices: Sequence[int]) -> np.ndarray:
     return totals
 
 
+def _checked_indices(indices: Sequence[int], shape: tuple[int, int], name: str) -> list[int]:
+    """``indices`` as ints, if it holds one integer in 0..T per asset."""
+    n, k1 = shape
+    out = list(indices)
+    if len(out) != n:
+        raise ValueError(f"{name} must hold one index per asset ({n}), got {len(out)}")
+    for i, c in enumerate(out):
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < k1:
+            raise ValueError(f"{name} index {c} of asset {i} is not an integer in 0..{k1 - 1}")
+    return [int(c) for c in out]
+
+
 def exhaustive_cvar_argmin(
     matrix: EvaluationMatrix,
     weights: np.ndarray,
@@ -188,40 +204,57 @@ def exhaustive_cvar_argmin(
 ) -> tuple[tuple[int, ...], float]:
     """Global CVaR minimizer over every schedule: bound, then price survivors.
 
-    Every schedule's expected cost is read off a lattice built by
-    broadcasting the per-asset row means. The bound is the CVaR of the
-    ``incumbent`` schedule. A schedule whose mean exceeds it (plus 1e-9
-    relative slack) has CVaR >= mean > bound >= optimum, so it can be
-    neither the minimizer nor a tie, and is skipped. The survivors, in
-    enumeration order, are priced in blocks with totals summed in asset
-    order, and only a strictly lower CVaR replaces the best so far. The
-    result is the exact optimum, earliest in enumeration order among ties,
+    The bound is the CVaR of the ``incumbent`` schedule. A schedule whose
+    expected cost exceeds it (plus 1e-9 relative slack) has CVaR >= mean >
+    bound >= optimum, so it can be neither the minimizer nor a tie, and is
+    skipped. Schedules grow one asset at a time: each surviving prefix's
+    mean is extended by every date of the next asset, in the same order
+    of additions as a full (T+1)^N sum would use, and a prefix is dropped
+    once its cheapest completion, its mean plus each later asset's least
+    row mean added one at a time in asset order, is over the bound. Float
+    addition is monotone, so that sum is never above the computed mean of
+    any of the prefix's completions: exactly the schedules with mean at
+    most the bound survive, in enumeration order. They are priced in
+    blocks of about 1 MiB per array, with totals summed in asset order,
+    and only a strictly lower CVaR replaces the best so far. The result
+    is the exact optimum, earliest in enumeration order among ties,
     whichever incumbent set the bound; a better one only prices fewer.
+    Raises ValueError unless ``incumbent`` holds one integer index in
+    0..T per asset.
     """
     costs = matrix.costs
     n, k1, s = costs.shape
+    incumbent = _checked_indices(incumbent, (n, k1), "incumbent")
     weights = np.asarray(weights, dtype=float)
     # CVaR is a weight-normalized tail mean, so bound it by the normalized mean.
     means = costs @ weights / weights.sum()
-    lattice = np.zeros(())
-    for row in means:
-        lattice = np.add.outer(lattice, row)
+    lows = means.min(axis=1)
     bound = float(batch_cvar(_schedule_totals(costs, incumbent), weights, alpha)[0])
     threshold = bound + _PRUNE_SLACK * max(1.0, abs(bound))
-    survivors = np.flatnonzero(lattice <= threshold)
-    shape = (k1,) * n
-    best_val, best_flat = np.inf, -1
-    for start in range(0, survivors.size, _BLOCK_ROWS):
-        flat = survivors[start:start + _BLOCK_ROWS]
-        totals = np.zeros((flat.size, s))
-        for i, part in enumerate(np.unravel_index(flat, shape)):
-            totals += costs[i][part]
+    # One index column per asset, so no flat index into (T+1)^N can overflow.
+    partial = np.zeros(1)
+    chosen = np.zeros((1, 0), dtype=np.intp)
+    for i in range(n):
+        partial = np.add.outer(partial, means[i]).ravel()
+        reach = partial
+        for low in lows[i + 1:]:  # one at a time: lows[i + 1:].sum() rounds otherwise
+            reach = reach + low
+        keep = np.flatnonzero(reach <= threshold)
+        prefix, dates = np.divmod(keep, k1)
+        partial = partial[keep]
+        chosen = np.column_stack([chosen[prefix], dates])
+    block = max(1, _BLOCK_ELEMENTS // s)
+    best_val, best_row = np.inf, -1
+    for start in range(0, len(chosen), block):
+        part = chosen[start:start + block]
+        totals = np.zeros((len(part), s))
+        for i in range(n):
+            totals += costs[i][part[:, i]]
         cvars = batch_cvar(totals, weights, alpha)
         m = int(np.argmin(cvars))
         if cvars[m] < best_val:
-            best_val, best_flat = float(cvars[m]), int(flat[m])
-    indices = tuple(int(x) for x in np.unravel_index(best_flat, shape))
-    return indices, best_val
+            best_val, best_row = float(cvars[m]), start + m
+    return tuple(int(c) for c in chosen[best_row]), best_val
 
 
 def coordinate_descent_cvar(
@@ -238,12 +271,13 @@ def coordinate_descent_cvar(
     finite lattice, so termination is guaranteed; the result is never
     worse than the warm start. The moves are judged on running totals,
     but the returned value is the final schedule's CVaR, priced on its
-    rows summed in asset order.
+    rows summed in asset order. Raises ValueError unless ``start`` holds
+    one integer index in 0..T per asset.
     """
     costs = matrix.costs
     n, k1, _ = costs.shape
     weights = np.asarray(weights, dtype=float)
-    current = list(start)
+    current = _checked_indices(start, (n, k1), "start")
     totals = _schedule_totals(costs, current)
     current_val = float(batch_cvar(totals, weights, alpha)[0])
 

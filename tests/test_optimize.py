@@ -1,13 +1,17 @@
 """Evaluation matrix, schedule enumeration, and CVaR search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleetmaint import optimize
 from fleetmaint.criteria import CostDistribution, batch_cvar, cvar_alpha, expected_cost
 from fleetmaint.optimize import (
-    _BLOCK_ROWS,
+    _BLOCK_ELEMENTS,
+    _PRUNE_SLACK,
     EvaluationMatrix,
     build_matrix,
     coordinate_descent_cvar,
@@ -240,6 +244,47 @@ def full_scan_cvar_argmin(matrix, weights, alpha):
     return rows[best], float(cvars[best])
 
 
+def lattice_survivors(matrix, weights, alpha, incumbent):
+    """How many schedules the incumbent's bound keeps, read off the full mean lattice.
+
+    Every one of the (T+1)^N means is summed in asset order and compared
+    with the incumbent's CVaR plus the search's relative slack.
+    """
+    means = matrix.costs @ weights / weights.sum()
+    lattice = np.zeros(())
+    for row in means:
+        lattice = np.add.outer(lattice, row)
+    totals = np.zeros(matrix.n_scenarios)
+    for i, c in enumerate(incumbent):
+        totals += matrix.costs[i, c]
+    bound = float(batch_cvar(totals, weights, alpha)[0])
+    return int((lattice <= bound + _PRUNE_SLACK * max(1.0, abs(bound))).sum())
+
+
+def priced_rows(matrix, weights, alpha, incumbent):
+    """The search's result and the row count of each batch it prices."""
+    rows = []
+
+    def counting(totals, *args):
+        rows.append(np.atleast_2d(totals).shape[0])
+        return batch_cvar(totals, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "batch_cvar", counting)
+        result = exhaustive_cvar_argmin(matrix, weights, alpha, incumbent)
+    return result, rows
+
+
+def assert_exact_search(matrix, weights, alpha, start):
+    """The search returns the full scan's argmin and value, and prices the
+    incumbent plus exactly the schedules the full mean lattice keeps."""
+    (indices, value), rows = priced_rows(matrix, weights, alpha, start)
+    ref_indices, ref_value = full_scan_cvar_argmin(matrix, weights, alpha)
+    assert indices == tuple(ref_indices)
+    assert value == ref_value
+    assert sum(rows) == 1 + lattice_survivors(matrix, weights, alpha, start)
+
+
 def descended(matrix, weights, alpha):
     """Descent's schedule from the per-asset expected argmin, as integrated_cvar runs it."""
     warm = np.argmin(matrix.costs @ weights, axis=1)
@@ -295,11 +340,7 @@ class TestExhaustiveSearch:
     @given(small_instances(exact=True))
     def test_matches_unpruned_scan_with_exact_ties(self, incumbent, instance):
         matrix, weights, alpha = instance
-        start = incumbent(matrix, weights, alpha)
-        indices, value = exhaustive_cvar_argmin(matrix, weights, alpha, start)
-        ref_indices, ref_value = full_scan_cvar_argmin(matrix, weights, alpha)
-        assert indices == tuple(ref_indices)
-        assert value == ref_value
+        assert_exact_search(matrix, weights, alpha, incumbent(matrix, weights, alpha))
 
     @pytest.mark.parametrize("incumbent", INCUMBENTS.values(), ids=INCUMBENTS.keys())
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -308,22 +349,52 @@ class TestExhaustiveSearch:
         # batch_cvar prices each row on its own, so the pruned walk's blocks
         # and the one-batch scan agree bit for bit on float costs too
         matrix, weights, alpha = instance
-        start = incumbent(matrix, weights, alpha)
-        indices, value = exhaustive_cvar_argmin(matrix, weights, alpha, start)
-        ref_indices, ref_value = full_scan_cvar_argmin(matrix, weights, alpha)
-        assert indices == tuple(ref_indices)
-        assert value == ref_value
+        assert_exact_search(matrix, weights, alpha, incumbent(matrix, weights, alpha))
 
     def test_all_survivors_span_blocks(self):
         # constant costs put every schedule at the bound, so all 9^4 survive
-        # and the walk crosses a block boundary
+        # and the walk crosses block boundaries
         fleet = make_fleet(n_assets=4, horizon=8)
-        matrix = cost_only_matrix(fleet, np.ones((4, 9, 5)))
-        assert 9 ** 4 > _BLOCK_ROWS
-        weights = np.full(5, 0.2)
-        indices, value = exhaustive_cvar_argmin(matrix, weights, 0.9, (8, 8, 8, 8))
+        s = 64
+        matrix = cost_only_matrix(fleet, np.ones((4, 9, s)))
+        assert 9 ** 4 > _BLOCK_ELEMENTS // s
+        weights = np.full(s, 1 / s)
+        (indices, value), rows = priced_rows(matrix, weights, 0.9, (8, 8, 8, 8))
         assert indices == (0, 0, 0, 0)
         assert value == 4.0
+        assert sum(rows) == 1 + 9 ** 4 and len(rows) > 2
+
+    def test_peak_memory_is_capped_by_the_block(self):
+        # neither the (T+1)^N means nor all survivors' cost rows are held at
+        # once: a few block-sized arrays at a time, whatever S
+        fleet = make_fleet(n_assets=5, horizon=12)
+        scenarios = generate_scenarios(fleet, n_scenarios=2000, seed=1)
+        matrix = build_matrix(fleet, scenarios, RiskParams())
+        start = descended(matrix, scenarios.weights, 0.9)
+        tracemalloc.start()
+        try:
+            exhaustive_cvar_argmin(matrix, scenarios.weights, 0.9, start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * _BLOCK_ELEMENTS * 8
+
+    @pytest.mark.parametrize(
+        "search", [exhaustive_cvar_argmin, coordinate_descent_cvar], ids=["exhaustive", "descent"]
+    )
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            pytest.param((0, 0), "one index per asset \\(3\\), got 2", id="short"),
+            pytest.param((0, 0, 0, 0), "one index per asset \\(3\\), got 4", id="long"),
+            pytest.param((0, -1, 0), "index -1 of asset 1 is not an integer in 0..3", id="minus-one"),
+            pytest.param((0, 0, 4), "index 4 of asset 2 is not an integer in 0..3", id="past-none"),
+        ],
+    )
+    def test_bad_indices_rejected_by_name(self, search, indices, message):
+        matrix = cost_only_matrix(make_fleet(n_assets=3, horizon=3), np.ones((3, 4, 2)))
+        with pytest.raises(ValueError, match=message):
+            search(matrix, np.full(2, 0.5), 0.9, indices)
 
     @pytest.mark.parametrize(
         "alpha, n_assets, horizon, n_scenarios, seed",
