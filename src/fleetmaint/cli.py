@@ -5,7 +5,9 @@ them accept --config (JSON), --seed (overrides the config seeds) and --out;
 :func:`main` loads the config and resolves the output directory once for
 all of them. evaluate, optimize and study sample the scenario set and
 build the evaluation matrix of the config's fleet through :func:`_setup`,
-and optimize and study solve and price each policy through :func:`_solve`.
+which returns the matrix alone: it holds the fleet and the scenario set it
+was priced on. optimize and study solve and price each policy on that
+matrix through :func:`_solve`.
 --threads K (>= 1) sets how many worker processes sample the scenario
 set (:func:`fleetmaint.scenario.generate_scenarios`); everything else runs
 on one thread, and no output depends on K. Exit codes: 0 on success, 2 for
@@ -59,52 +61,43 @@ class StudyResult:
     curves: dict[str, EcdfCurve]
 
 
-def _setup(
-    config: RunConfig, fleet: FleetSpec, workers: int
-) -> tuple[ScenarioSet, EvaluationMatrix]:
-    """The fleet's scenario set, sampled by ``workers`` processes, and
-    their evaluation matrix."""
+def _setup(config: RunConfig, fleet: FleetSpec, workers: int) -> EvaluationMatrix:
+    """The evaluation matrix of the fleet on its scenario set, sampled by
+    ``workers`` processes."""
     scenarios = generate_scenarios(fleet, config.n_scenarios, config.scenario_seed, workers)
-    return scenarios, build_matrix(fleet, scenarios, config.risk)
+    return build_matrix(fleet, scenarios, config.risk)
 
 
 def _solve(
-    kind: PolicyKind,
-    config: RunConfig,
-    fleet: FleetSpec,
-    scenarios: ScenarioSet,
-    matrix: EvaluationMatrix,
+    kind: PolicyKind, config: RunConfig, matrix: EvaluationMatrix
 ) -> tuple[Schedule, CostDistribution, PolicySummary]:
     """One policy's schedule, its cost distribution and its summary row."""
     schedule = run_policy(
         kind,
-        fleet,
-        scenarios,
-        matrix=matrix,
+        matrix,
         trigger_prob=config.trigger_prob,
         alpha=config.alpha,
         budget=config.exhaustive_budget,
     )
-    dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
+    dist = schedule_cost_distribution(matrix, schedule)
     return schedule, dist, summarize_policy(kind.value, schedule, dist, matrix, config.alpha)
 
 
 def compute_study(config: RunConfig, workers: int = 1) -> StudyResult:
     """Run every policy against one shared scenario set, sampled by
     ``workers`` processes."""
-    fleet = config.build_fleet()
-    scenarios, matrix = _setup(config, fleet, workers)
+    matrix = _setup(config, config.build_fleet(), workers)
     schedules: dict[str, Schedule] = {}
     summaries: list[PolicySummary] = []
     curves: dict[str, EcdfCurve] = {}
     for kind in POLICY_ORDER:
-        schedule, dist, summary = _solve(kind, config, fleet, scenarios, matrix)
+        schedule, dist, summary = _solve(kind, config, matrix)
         schedules[kind.value] = schedule
         summaries.append(summary)
         curves[kind.value] = ecdf(dist)
     return StudyResult(
-        fleet=fleet,
-        scenarios=scenarios,
+        fleet=matrix.fleet,
+        scenarios=matrix.scenarios,
         schedules=schedules,
         summaries=summaries,
         curves=curves,
@@ -173,8 +166,7 @@ def _cmd_evaluate(args, config: RunConfig, out: Path) -> int:
         for v in violations:
             print(f"invalid schedule: {v}", file=sys.stderr)
         return 3
-    scenarios, matrix = _setup(config, fleet, args.threads)
-    dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
+    dist = schedule_cost_distribution(_setup(config, fleet, args.threads), schedule)
     print(f"expected_cost={expected_cost(dist):.12g}")
     print(f"var_{config.alpha:g}={var_alpha(dist, config.alpha):.12g}")
     print(f"cvar_{config.alpha:g}={cvar_alpha(dist, config.alpha):.12g}")
@@ -194,12 +186,11 @@ def _cmd_evaluate(args, config: RunConfig, out: Path) -> int:
 def _cmd_optimize(args, config: RunConfig, out: Path) -> int:
     expected = args.criterion == "expected"
     kind = PolicyKind.INTEGRATED_EXPECTED if expected else PolicyKind.INTEGRATED_CVAR
-    fleet = config.build_fleet()
-    scenarios, matrix = _setup(config, fleet, args.threads)
-    schedule, _, summary = _solve(kind, config, fleet, scenarios, matrix)
+    matrix = _setup(config, config.build_fleet(), args.threads)
+    schedule, _, summary = _solve(kind, config, matrix)
     objective = summary.expected_cost if expected else summary.cvar
     with staged_outputs(out) as stage:
-        write_schedule_csv(stage / "schedule.csv", schedule, fleet)
+        write_schedule_csv(stage / "schedule.csv", schedule, matrix.fleet)
     print(f"criterion={args.criterion} alpha={config.alpha:g} objective={objective:.12g}")
     print(f"wrote {out / 'schedule.csv'}")
     return 0

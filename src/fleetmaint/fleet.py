@@ -10,7 +10,6 @@ absent from a schedule are treated as unscheduled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np

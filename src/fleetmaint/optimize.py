@@ -28,6 +28,9 @@ the value each returns is its schedule's
 The matrix build is the one place that evaluates the hazard. Next to the
 cost rows it keeps each asset's expected accrued failure probability per
 candidate date, so a schedule's failure proxy is a sum of N lookups.
+The matrix also holds the fleet and the scenario set it was priced on,
+and checks that they agree with its tables, so everything that prices a
+schedule takes the matrix alone and reads the scenario weights from it.
 """
 
 from __future__ import annotations
@@ -74,21 +77,38 @@ class EvaluationMatrix:
     date c+1 for c < T, or never maintained for c == T. ``failure[i, c]``
     is the scenario-weighted sum of asset i's per-period failure
     probabilities over the same candidate's accrual window: periods
-    1..c, which for c == T is the whole horizon.
+    1..c, which for c == T is the whole horizon. ``fleet`` and
+    ``scenarios`` are what the tables were priced on; their shapes must
+    agree with the tables', and every cell must be finite.
     """
 
     fleet: FleetSpec
+    scenarios: ScenarioSet
     costs: np.ndarray
     failure: np.ndarray
 
     def __post_init__(self) -> None:
+        fleet, scenarios = self.fleet, self.scenarios
+        if scenarios.n_assets != fleet.n_assets or scenarios.horizon != fleet.horizon:
+            raise ValueError("scenario set shape does not match the fleet")
         c = np.asarray(self.costs, dtype=float)
         f = np.asarray(self.failure, dtype=float)
-        expected = (self.fleet.n_assets, self.fleet.horizon + 1)
-        if c.ndim != 3 or c.shape[:2] != expected:
-            raise ValueError(f"costs must have shape ({expected[0]}, {expected[1]}, S)")
+        expected = (fleet.n_assets, fleet.horizon + 1)
+        if c.shape != (*expected, scenarios.n_scenarios):
+            raise ValueError(
+                f"costs must have shape ({expected[0]}, {expected[1]}, {scenarios.n_scenarios})"
+            )
         if f.shape != expected:
             raise ValueError(f"failure must have shape {expected}")
+        # one asset at a time, so no boolean temporary of the full table
+        for i, asset_id in enumerate(fleet.ids):
+            finite = np.isfinite(c[i]).all(axis=1) & np.isfinite(f[i])
+            if not finite.all():
+                k = int(np.argmin(finite))
+                date = "none" if k == fleet.horizon else k + 1
+                raise ValueError(
+                    f"asset {asset_id!r} at date {date}: a cost or failure value is not finite"
+                )
         c.setflags(write=False)
         f.setflags(write=False)
         object.__setattr__(self, "costs", c)
@@ -133,19 +153,15 @@ def build_matrix(
     """Precompute every asset's cost and failure rows against a frozen scenario set.
 
     The matrix is allocated once and each asset's rows are written into it
-    in place, so it is never held twice.
+    in place, so it is never held twice. A scenario set whose shape does not
+    match the fleet is rejected by the matrix itself.
     """
-    if scenarios.n_assets != fleet.n_assets or scenarios.horizon != fleet.horizon:
-        raise ValueError("scenario set shape does not match the fleet")
     shape = (fleet.n_assets, fleet.horizon + 1)
     costs = np.empty((*shape, scenarios.n_scenarios))
     failure = np.empty(shape)
-    for i, asset in enumerate(fleet.assets):
-        _asset_tables(
-            asset, scenarios.latent_rul[i], scenarios.weights, fleet.horizon, params,
-            costs[i], failure[i],
-        )
-    return EvaluationMatrix(fleet=fleet, costs=costs, failure=failure)
+    for i, (asset, rul) in enumerate(zip(fleet.assets, scenarios.latent_rul)):
+        _asset_tables(asset, rul, scenarios.weights, fleet.horizon, params, costs[i], failure[i])
+    return EvaluationMatrix(fleet=fleet, scenarios=scenarios, costs=costs, failure=failure)
 
 
 def indices_from_schedule(schedule: Schedule, fleet: FleetSpec) -> tuple[int, ...]:
@@ -167,13 +183,11 @@ def schedule_from_indices(fleet: FleetSpec, indices: Sequence[int]) -> Schedule:
     return Schedule(dates=dates)
 
 
-def schedule_cost_distribution(
-    matrix: EvaluationMatrix, schedule: Schedule, weights: np.ndarray
-) -> CostDistribution:
+def schedule_cost_distribution(matrix: EvaluationMatrix, schedule: Schedule) -> CostDistribution:
     """Fleet cost distribution of one schedule via precomputed row sums."""
     indices = indices_from_schedule(schedule, matrix.fleet)
     totals = _schedule_totals(matrix.costs, indices)
-    return CostDistribution(values=totals, weights=np.asarray(weights, dtype=float))
+    return CostDistribution(values=totals, weights=matrix.scenarios.weights)
 
 
 def _schedule_totals(costs: np.ndarray, indices: Sequence[int]) -> np.ndarray:
@@ -197,10 +211,7 @@ def _checked_indices(indices: Sequence[int], shape: tuple[int, int], name: str) 
 
 
 def exhaustive_cvar_argmin(
-    matrix: EvaluationMatrix,
-    weights: np.ndarray,
-    alpha: float,
-    incumbent: Sequence[int],
+    matrix: EvaluationMatrix, alpha: float, incumbent: Sequence[int]
 ) -> tuple[tuple[int, ...], float]:
     """Global CVaR minimizer over every schedule: bound, then price survivors.
 
@@ -225,7 +236,7 @@ def exhaustive_cvar_argmin(
     costs = matrix.costs
     n, k1, s = costs.shape
     incumbent = _checked_indices(incumbent, (n, k1), "incumbent")
-    weights = np.asarray(weights, dtype=float)
+    weights = matrix.scenarios.weights
     # CVaR is a weight-normalized tail mean, so bound it by the normalized mean.
     means = costs @ weights / weights.sum()
     lows = means.min(axis=1)
@@ -258,10 +269,7 @@ def exhaustive_cvar_argmin(
 
 
 def coordinate_descent_cvar(
-    matrix: EvaluationMatrix,
-    weights: np.ndarray,
-    alpha: float,
-    start: Sequence[int],
+    matrix: EvaluationMatrix, alpha: float, start: Sequence[int]
 ) -> tuple[tuple[int, ...], float]:
     """Asset-at-a-time CVaR descent from a warm start.
 
@@ -276,7 +284,7 @@ def coordinate_descent_cvar(
     """
     costs = matrix.costs
     n, k1, _ = costs.shape
-    weights = np.asarray(weights, dtype=float)
+    weights = matrix.scenarios.weights
     current = _checked_indices(start, (n, k1), "start")
     totals = _schedule_totals(costs, current)
     current_val = float(batch_cvar(totals, weights, alpha)[0])

@@ -3,9 +3,12 @@ optimization-based integrated policies.
 
 The baselines mimic common practice by triggering on a single indicator
 (calendar age, mean usage, or remaining-life quantile) and never consult
-the cost model. The integrated policies minimize the full scenario-based
-cost, by expected value or by CVaR. All five return a complete schedule
-for the fleet and are deterministic given their inputs.
+the cost model, so they take the fleet and, where they need it, the
+scenario set. The integrated policies minimize the full scenario-based
+cost, by expected value or by CVaR, and take only the
+:class:`~fleetmaint.optimize.EvaluationMatrix`, which holds the fleet and
+scenario set it was priced on. All five return a complete schedule for
+the fleet and are deterministic given their inputs.
 """
 
 from __future__ import annotations
@@ -106,36 +109,31 @@ def rul_threshold(
     return Schedule(dates=dates)
 
 
-def _expected_indices(matrix: EvaluationMatrix, weights: np.ndarray) -> tuple[int, ...]:
-    out = []
-    for i in range(matrix.fleet.n_assets):
-        expected = matrix.costs[i] @ weights
-        out.append(int(np.argmin(expected)))  # first minimum: earliest date wins ties
-    return tuple(out)
+def _expected_indices(matrix: EvaluationMatrix) -> tuple[int, ...]:
+    weights = matrix.scenarios.weights
+    # first minimum per asset: earliest date wins ties
+    return tuple(int(np.argmin(row @ weights)) for row in matrix.costs)
 
 
-def integrated_expected(
-    fleet: FleetSpec, scenarios: ScenarioSet, *, matrix: EvaluationMatrix
-) -> Schedule:
-    """Exact minimizer of expected fleet cost.
+def integrated_expected(matrix: EvaluationMatrix) -> Schedule:
+    """Exact minimizer of expected fleet cost on the matrix's scenario set.
 
     Additivity over assets and a latent RUL drawn once per scenario make
     the expected cost separable, so a per-asset argmin over the T+1
     candidates is the global optimum; no joint search is needed. Ties
     resolve to the earliest date, with "none" ranked after date T.
     """
-    return schedule_from_indices(fleet, _expected_indices(matrix, scenarios.weights))
+    return schedule_from_indices(matrix.fleet, _expected_indices(matrix))
 
 
 def integrated_cvar(
-    fleet: FleetSpec,
-    scenarios: ScenarioSet,
+    matrix: EvaluationMatrix,
     alpha: float = DEFAULT_ALPHA,
     *,
-    matrix: EvaluationMatrix,
     budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
 ) -> Schedule:
-    """Minimize the CVaR of fleet cost over joint schedules.
+    """Minimize the CVaR of fleet cost over joint schedules on the matrix's
+    scenario set.
 
     CVaR does not decompose over assets, so this is a genuine joint
     problem. Coordinate descent always runs first: it starts from the
@@ -151,26 +149,25 @@ def integrated_cvar(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    weights = scenarios.weights
-    warm = _expected_indices(matrix, weights)
-    indices, _ = coordinate_descent_cvar(matrix, weights, alpha, warm)
+    fleet = matrix.fleet
+    indices, _ = coordinate_descent_cvar(matrix, alpha, _expected_indices(matrix))
     if (fleet.horizon + 1) ** fleet.n_assets <= budget:
-        indices, _ = exhaustive_cvar_argmin(matrix, weights, alpha, indices)
+        indices, _ = exhaustive_cvar_argmin(matrix, alpha, indices)
     return schedule_from_indices(fleet, indices)
 
 
 def run_policy(
     kind: PolicyKind,
-    fleet: FleetSpec,
-    scenarios: ScenarioSet,
-    *,
     matrix: EvaluationMatrix,
+    *,
     trigger_prob: float = DEFAULT_TRIGGER_PROB,
     alpha: float = DEFAULT_ALPHA,
     budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
 ) -> Schedule:
-    """Dispatch a policy by kind with shared defaults."""
+    """Dispatch a policy by kind with shared defaults; every policy sees
+    the matrix's fleet and scenario set."""
     kind = PolicyKind(kind)
+    fleet, scenarios = matrix.fleet, matrix.scenarios
     if kind is PolicyKind.CALENDAR_ONLY:
         return calendar_only(fleet)
     if kind is PolicyKind.USAGE_ONLY:
@@ -178,5 +175,5 @@ def run_policy(
     if kind is PolicyKind.RUL_THRESHOLD:
         return rul_threshold(fleet, scenarios, trigger_prob)
     if kind is PolicyKind.INTEGRATED_EXPECTED:
-        return integrated_expected(fleet, scenarios, matrix=matrix)
-    return integrated_cvar(fleet, scenarios, alpha, matrix=matrix, budget=budget)
+        return integrated_expected(matrix)
+    return integrated_cvar(matrix, alpha, budget=budget)

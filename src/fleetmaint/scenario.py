@@ -96,19 +96,20 @@ _RUL_COLUMNS = {"asset_id": str, "scenario": int, "latent_rul": float}
 class ScenarioSet:
     """Frozen scenario data for one fleet.
 
+    The set does not record how it was made: the run config, echoed in
+    ``run_meta.json``, holds the seed of a sampled set.
+
     Attributes:
         n_scenarios: number of scenarios S.
         weights: shape (S,), nonnegative, summing to 1.
         usage_increments: shape (N, S, T), strictly positive.
         latent_rul: shape (N, S), nonnegative.
-        seed: seed used for generation, or None for hand-built sets.
     """
 
     n_scenarios: int
     weights: np.ndarray
     usage_increments: np.ndarray
     latent_rul: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -427,7 +428,6 @@ def generate_scenarios(
         weights=weights,
         usage_increments=inc,
         latent_rul=rul,
-        seed=seed,
     )
 
 

@@ -53,11 +53,12 @@ def const_scenarios(
     ruls,
     n_scenarios: int | None = None,
     increment: float = 1.0,
+    weights=None,
 ) -> ScenarioSet:
     """Scenario set with fixed latent RULs and constant usage increments.
 
     ``ruls`` is either one value per asset (broadcast over scenarios) or a
-    full (N, S) array.
+    full (N, S) array. ``weights`` are equal unless given.
     """
     ruls = np.asarray(ruls, dtype=float)
     if ruls.ndim == 1:
@@ -67,7 +68,7 @@ def const_scenarios(
     assert n == fleet.n_assets
     return ScenarioSet(
         n_scenarios=s,
-        weights=np.full(s, 1.0 / s),
+        weights=np.full(s, 1.0 / s) if weights is None else weights,
         usage_increments=np.full((n, s, fleet.horizon), increment),
         latent_rul=ruls,
     )

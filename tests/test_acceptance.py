@@ -180,9 +180,9 @@ def test_criterion_6_small_instance_oracle_equivalence():
                     best_schedule, best_value = schedule, value
             return best_schedule, best_value
 
-        mean_schedule = integrated_expected(fleet, scenarios, matrix=matrix)
+        mean_schedule = integrated_expected(matrix)
         mean_ref, mean_ref_value = scan(expected_cost)
-        tail_schedule = integrated_cvar(fleet, scenarios, alpha=0.9, matrix=matrix)
+        tail_schedule = integrated_cvar(matrix, alpha=0.9)
         tail_ref, tail_ref_value = scan(lambda d: cvar_alpha(d, 0.9))
 
         if mean_schedule.dates != mean_ref.dates:
@@ -192,10 +192,10 @@ def test_criterion_6_small_instance_oracle_equivalence():
             ok = False
             detail = f"seed {seed}: cvar argmin mismatch"
         mean_value = expected_cost(
-            schedule_cost_distribution(matrix, mean_schedule, scenarios.weights)
+            schedule_cost_distribution(matrix, mean_schedule)
         )
         tail_value = cvar_alpha(
-            schedule_cost_distribution(matrix, tail_schedule, scenarios.weights), 0.9
+            schedule_cost_distribution(matrix, tail_schedule), 0.9
         )
         if abs(mean_value - mean_ref_value) > IDENTITY_TOL:
             ok = False

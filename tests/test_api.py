@@ -1,5 +1,6 @@
 """The public API surface: every exported name resolves, on numpy alone."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -27,6 +28,40 @@ def test_every_exported_name_resolves(module_name):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Module-level imports of ``path`` that no name in it reads and
+    ``__all__`` does not export."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: dict[str, int] = {}
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{path.name}:{line} {name}"
+        for name, line in imported.items()
+        if name not in read and name not in exported
+    ]
+
+
+def test_no_unused_module_imports():
+    unused = [
+        entry
+        for path in sorted((SRC / "fleetmaint").glob("*.py"))
+        for entry in _unused_imports(path)
+    ]
+    assert not unused, f"imported but never used: {unused}"
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -9,6 +9,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fleetmaint.cli
@@ -678,6 +679,28 @@ class TestCliCommands:
         proc = run_cli(["study", "--config", str(config), "--out", "nan_out"], tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "risk.decay_rate must be a finite number" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command",
+        [["study"], ["optimize", "--criterion", "expected"], ["optimize", "--criterion", "cvar"]],
+        ids=["study", "optimize-expected", "optimize-cvar"],
+    )
+    def test_overflowing_cost_exits_3_naming_the_asset(self, command, tmp_path, capsys):
+        # every number in range, but hazard sums overflow to inf in the matrix
+        config = tmp_path / "overflow.json"
+        config.write_text(json.dumps({
+            "fleet": {"n_assets": 2, "horizon": 4},
+            "scenarios": {"n_scenarios": 20},
+            "costs": {"fail": 1e308},
+        }))
+        out = tmp_path / "overflow_out"
+        with np.errstate(over="ignore"):
+            code = fleetmaint.cli.main([*command, "--config", str(config), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: asset 'A1' at date 3: a cost or failure value is not finite\n"
+        )
+        assert not out.exists()
 
     def test_zero_threads_exits_2(self, config_file, tmp_path):
         proc = run_cli(

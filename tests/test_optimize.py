@@ -35,10 +35,12 @@ from helpers import (
 )
 
 
-def cost_only_matrix(fleet, costs):
-    """A matrix over hand-made cost rows; the search never reads the failure table."""
+def cost_only_matrix(fleet, costs, weights=None):
+    """A matrix over hand-made cost rows and scenario weights (equal unless
+    given); the search never reads the failure table or the latent RULs."""
     costs = np.asarray(costs, dtype=float)
-    return EvaluationMatrix(fleet, costs, np.zeros(costs.shape[:2]))
+    scenarios = const_scenarios(fleet, np.zeros(fleet.n_assets), costs.shape[2], weights=weights)
+    return EvaluationMatrix(fleet, scenarios, costs, np.zeros(costs.shape[:2]))
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +113,31 @@ class TestMatrixCells:
         with pytest.raises(ValueError):
             build_matrix(other, scenarios, RiskParams())
         with pytest.raises(ValueError):
-            EvaluationMatrix(fleet, np.ones((2, 5, 3)), np.zeros((2, 4)))
+            EvaluationMatrix(fleet, scenarios, np.ones((2, 5, 12)), np.zeros((2, 4)))
+        # a hand-built matrix checks its scenario set's N, T and S as well
+        costs, failure = np.ones((2, 5, 12)), np.zeros((2, 5))
+        for n_assets, horizon, n_scenarios in ((3, 4, 12), (2, 6, 12), (2, 4, 11)):
+            fleet_like = make_fleet(n_assets=n_assets, horizon=horizon)
+            wrong = random_scenarios(fleet_like, n_scenarios=n_scenarios, seed=81)
+            with pytest.raises(ValueError, match="does not match the fleet|costs must have shape"):
+                EvaluationMatrix(fleet, wrong, costs, failure)
+
+    @pytest.mark.parametrize(
+        "table, cell, value, named",
+        [
+            pytest.param("costs", (1, 2, 7), np.nan, "asset 'A2' at date 3", id="nan-cost"),
+            pytest.param("costs", (0, 4, 0), np.inf, "asset 'A1' at date none", id="inf-cost"),
+            pytest.param("failure", (1, 0), np.nan, "asset 'A2' at date 1", id="nan-failure"),
+        ],
+    )
+    def test_non_finite_cell_rejected_by_name(self, small_setup, table, cell, value, named):
+        # past the matrix, a NaN cost makes descent return nan and leaves
+        # the enumeration no survivor to return
+        fleet, scenarios, matrix = small_setup
+        tables = {"costs": matrix.costs.copy(), "failure": matrix.failure.copy()}
+        tables[table][cell] = value
+        with pytest.raises(ValueError, match=f"{named}: a cost or failure value is not finite"):
+            EvaluationMatrix(fleet, scenarios, tables["costs"], tables["failure"])
 
 
 class TestIndexMapping:
@@ -137,7 +163,7 @@ class TestScheduleDistribution:
     def test_matches_total_cost(self, small_setup):
         fleet, scenarios, matrix = small_setup
         schedule = Schedule({"A1": 2, "A2": None})
-        dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
+        dist = schedule_cost_distribution(matrix, schedule)
         for w in range(scenarios.n_scenarios):
             assert dist.values[w] == pytest.approx(
                 total_cost(schedule, fleet, scenarios, w), abs=1e-9
@@ -146,7 +172,7 @@ class TestScheduleDistribution:
     def test_mean_agrees_with_expected_cost(self, small_setup):
         fleet, scenarios, matrix = small_setup
         schedule = Schedule({"A1": 1, "A2": 3})
-        dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
+        dist = schedule_cost_distribution(matrix, schedule)
         manual = sum(
             float(scenarios.weights[w]) * total_cost(schedule, fleet, scenarios, w)
             for w in range(scenarios.n_scenarios)
@@ -221,10 +247,10 @@ class TestBatchCvar:
         assert np.allclose(batch, cvar_alpha_merged(dist, 0.8))
 
 
-def brute_force_cvar_argmin(matrix, fleet, weights, alpha):
+def brute_force_cvar_argmin(matrix, fleet, alpha):
     best = None
     for schedule in enumerate_schedules(fleet):
-        dist = schedule_cost_distribution(matrix, schedule, weights)
+        dist = schedule_cost_distribution(matrix, schedule)
         value = cvar_alpha(dist, alpha)
         if best is None or value < best[1] - 0.0:
             if best is None or value < best[1]:
@@ -261,7 +287,7 @@ def lattice_survivors(matrix, weights, alpha, incumbent):
     return int((lattice <= bound + _PRUNE_SLACK * max(1.0, abs(bound))).sum())
 
 
-def priced_rows(matrix, weights, alpha, incumbent):
+def priced_rows(matrix, alpha, incumbent):
     """The search's result and the row count of each batch it prices."""
     rows = []
 
@@ -271,14 +297,14 @@ def priced_rows(matrix, weights, alpha, incumbent):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "batch_cvar", counting)
-        result = exhaustive_cvar_argmin(matrix, weights, alpha, incumbent)
+        result = exhaustive_cvar_argmin(matrix, alpha, incumbent)
     return result, rows
 
 
 def assert_exact_search(matrix, weights, alpha, start):
     """The search returns the full scan's argmin and value, and prices the
     incumbent plus exactly the schedules the full mean lattice keeps."""
-    (indices, value), rows = priced_rows(matrix, weights, alpha, start)
+    (indices, value), rows = priced_rows(matrix, alpha, start)
     ref_indices, ref_value = full_scan_cvar_argmin(matrix, weights, alpha)
     assert indices == tuple(ref_indices)
     assert value == ref_value
@@ -288,7 +314,7 @@ def assert_exact_search(matrix, weights, alpha, start):
 def descended(matrix, weights, alpha):
     """Descent's schedule from the per-asset expected argmin, as integrated_cvar runs it."""
     warm = np.argmin(matrix.costs @ weights, axis=1)
-    return coordinate_descent_cvar(matrix, weights, alpha, warm)[0]
+    return coordinate_descent_cvar(matrix, alpha, warm)[0]
 
 
 # Incumbents that set the enumeration's bound; none may change its result.
@@ -331,7 +357,7 @@ def small_instances(draw, exact: bool):
     weights = np.array(raw, dtype=float) / sum(raw)
     alpha = draw(st.sampled_from([0.1, 0.5, 0.75, 0.9, 0.99]))
     fleet = make_fleet(n_assets=n, horizon=horizon)
-    return cost_only_matrix(fleet, costs), weights, alpha
+    return cost_only_matrix(fleet, costs, weights), weights, alpha
 
 
 class TestExhaustiveSearch:
@@ -358,8 +384,7 @@ class TestExhaustiveSearch:
         s = 64
         matrix = cost_only_matrix(fleet, np.ones((4, 9, s)))
         assert 9 ** 4 > _BLOCK_ELEMENTS // s
-        weights = np.full(s, 1 / s)
-        (indices, value), rows = priced_rows(matrix, weights, 0.9, (8, 8, 8, 8))
+        (indices, value), rows = priced_rows(matrix, 0.9, (8, 8, 8, 8))
         assert indices == (0, 0, 0, 0)
         assert value == 4.0
         assert sum(rows) == 1 + 9 ** 4 and len(rows) > 2
@@ -373,7 +398,7 @@ class TestExhaustiveSearch:
         start = descended(matrix, scenarios.weights, 0.9)
         tracemalloc.start()
         try:
-            exhaustive_cvar_argmin(matrix, scenarios.weights, 0.9, start)
+            exhaustive_cvar_argmin(matrix, 0.9, start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -394,7 +419,7 @@ class TestExhaustiveSearch:
     def test_bad_indices_rejected_by_name(self, search, indices, message):
         matrix = cost_only_matrix(make_fleet(n_assets=3, horizon=3), np.ones((3, 4, 2)))
         with pytest.raises(ValueError, match=message):
-            search(matrix, np.full(2, 0.5), 0.9, indices)
+            search(matrix, 0.9, indices)
 
     @pytest.mark.parametrize(
         "alpha, n_assets, horizon, n_scenarios, seed",
@@ -409,22 +434,19 @@ class TestExhaustiveSearch:
         scenarios = random_scenarios(fleet, n_scenarios=n_scenarios, seed=seed)
         matrix = build_matrix(fleet, scenarios, RiskParams())
         start = descended(matrix, scenarios.weights, alpha)
-        indices, value = exhaustive_cvar_argmin(matrix, scenarios.weights, alpha, start)
-        _, ref_value = brute_force_cvar_argmin(matrix, fleet, scenarios.weights, alpha)
+        indices, value = exhaustive_cvar_argmin(matrix, alpha, start)
+        _, ref_value = brute_force_cvar_argmin(matrix, fleet, alpha)
         assert value == pytest.approx(ref_value, abs=1e-9)
-        dist = schedule_cost_distribution(
-            matrix, schedule_from_indices(fleet, indices), scenarios.weights
-        )
+        dist = schedule_cost_distribution(matrix, schedule_from_indices(fleet, indices))
         assert cvar_alpha(dist, alpha) == value
 
     def test_deterministic_tie_break_is_enumeration_order(self):
         # constant costs make every schedule optimal; the reported argmin
         # must be the first schedule in enumeration order
         fleet = make_fleet(n_assets=2, horizon=3)
-        scenarios = const_scenarios(fleet, [5.0, 5.0], n_scenarios=4)
         costs = np.ones((2, 4, 4))
         matrix = cost_only_matrix(fleet, costs)
-        indices, value = exhaustive_cvar_argmin(matrix, scenarios.weights, 0.9, (3, 3))
+        indices, value = exhaustive_cvar_argmin(matrix, 0.9, (3, 3))
         assert list(indices) == [0, 0]
         assert value == pytest.approx(2.0)
 
@@ -435,39 +457,29 @@ class TestCoordinateDescent:
         scenarios = random_scenarios(fleet, n_scenarios=60, seed=29)
         matrix = build_matrix(fleet, scenarios, RiskParams())
         start = np.array([0, 0, 0])
-        start_dist = schedule_cost_distribution(
-            matrix, schedule_from_indices(fleet, start), scenarios.weights
-        )
+        start_dist = schedule_cost_distribution(matrix, schedule_from_indices(fleet, start))
         start_value = cvar_alpha(start_dist, 0.9)
-        indices, value = coordinate_descent_cvar(
-            matrix, scenarios.weights, 0.9, start
-        )
+        indices, value = coordinate_descent_cvar(matrix, 0.9, start)
         assert value <= start_value + 1e-12
 
     def test_bounded_below_by_exhaustive(self):
         fleet = make_fleet(n_assets=2, horizon=4)
         scenarios = random_scenarios(fleet, n_scenarios=40, seed=41)
         matrix = build_matrix(fleet, scenarios, RiskParams())
-        exact_indices, exact = exhaustive_cvar_argmin(matrix, scenarios.weights, 0.9, (4, 4))
-        _, descended = coordinate_descent_cvar(
-            matrix, scenarios.weights, 0.9, np.array([0, 0])
-        )
+        exact_indices, exact = exhaustive_cvar_argmin(matrix, 0.9, (4, 4))
+        _, descended = coordinate_descent_cvar(matrix, 0.9, np.array([0, 0]))
         assert descended >= exact - 1e-9
 
     def test_result_is_coordinate_wise_optimal(self):
         fleet = make_fleet(n_assets=3, horizon=5)
         scenarios = random_scenarios(fleet, n_scenarios=50, seed=43)
         matrix = build_matrix(fleet, scenarios, RiskParams())
-        indices, value = coordinate_descent_cvar(
-            matrix, scenarios.weights, 0.9, np.array([2, 2, 2])
-        )
+        indices, value = coordinate_descent_cvar(matrix, 0.9, np.array([2, 2, 2]))
         for i in range(3):
             for row in range(6):
                 trial = list(indices)
                 trial[i] = row
-                dist = schedule_cost_distribution(
-                    matrix, schedule_from_indices(fleet, trial), scenarios.weights
-                )
+                dist = schedule_cost_distribution(matrix, schedule_from_indices(fleet, trial))
                 assert cvar_alpha(dist, 0.9) >= value - 1e-9
 
     def test_deterministic(self):
@@ -475,7 +487,7 @@ class TestCoordinateDescent:
         scenarios = random_scenarios(fleet, n_scenarios=60, seed=47)
         matrix = build_matrix(fleet, scenarios, RiskParams())
         runs = [
-            coordinate_descent_cvar(matrix, scenarios.weights, 0.9, np.array([1, 3, 5]))
+            coordinate_descent_cvar(matrix, 0.9, np.array([1, 3, 5]))
             for _ in range(2)
         ]
         assert list(runs[0][0]) == list(runs[1][0])
@@ -492,7 +504,7 @@ class TestReturnedValues:
         n, k1, _ = matrix.costs.shape
         start = data.draw(st.tuples(*[st.integers(0, k1 - 1)] * n))
         for search in (coordinate_descent_cvar, exhaustive_cvar_argmin):
-            indices, value = search(matrix, weights, alpha, start)
+            indices, value = search(matrix, alpha, start)
             schedule = schedule_from_indices(matrix.fleet, indices)
-            dist = schedule_cost_distribution(matrix, schedule, weights)
+            dist = schedule_cost_distribution(matrix, schedule)
             assert value == cvar_alpha(dist, alpha)

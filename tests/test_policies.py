@@ -178,13 +178,13 @@ class TestIntegratedExpected:
             cost_pm=0.0, cost_fail=0.0, cost_perf=0.0, cost_early=0.0, horizon=5
         )
         scenarios = const_scenarios(fleet, [3.0])
-        schedule = integrated_expected(fleet, scenarios, matrix=matrix_for(fleet, scenarios))
+        schedule = integrated_expected(matrix_for(fleet, scenarios))
         assert schedule.date_for("A1") == 1
 
     def test_single_asset_candidate_table(self):
         fleet = make_fleet(horizon=8)
         scenarios = random_scenarios(fleet, n_scenarios=25, seed=9)
-        schedule = integrated_expected(fleet, scenarios, matrix=matrix_for(fleet, scenarios))
+        schedule = integrated_expected(matrix_for(fleet, scenarios))
         asset = fleet.assets[0]
         table = {}
         for date in list(range(1, 9)) + [None]:
@@ -203,10 +203,10 @@ class TestIntegratedExpected:
         fleet = make_fleet(n_assets=2, horizon=3)
         scenarios = random_scenarios(fleet, n_scenarios=50, seed=seed)
         matrix = matrix_for(fleet, scenarios)
-        schedule = integrated_expected(fleet, scenarios, matrix=matrix)
+        schedule = integrated_expected(matrix)
         ref_schedule, ref_value = scan_schedules(fleet, scenarios, expected_cost)
         value = expected_cost(
-            schedule_cost_distribution(matrix, schedule, scenarios.weights)
+            schedule_cost_distribution(matrix, schedule)
         )
         assert value == pytest.approx(ref_value, abs=1e-9)
         assert schedule.dates == ref_schedule.dates
@@ -223,8 +223,8 @@ class TestIntegratedExpected:
         )
         scenarios = random_scenarios(fleet, n_scenarios=40, seed=21)
         assert (
-            integrated_expected(fleet, scenarios, matrix=matrix_for(fleet, scenarios)).dates
-            == integrated_expected(scaled, scenarios, matrix=matrix_for(scaled, scenarios)).dates
+            integrated_expected(matrix_for(fleet, scenarios)).dates
+            == integrated_expected(matrix_for(scaled, scenarios)).dates
         )
 
 
@@ -234,12 +234,12 @@ class TestIntegratedCvar:
         fleet = make_fleet(n_assets=2, horizon=3)
         scenarios = random_scenarios(fleet, n_scenarios=50, seed=seed)
         matrix = matrix_for(fleet, scenarios)
-        schedule = integrated_cvar(fleet, scenarios, alpha=0.9, matrix=matrix)
+        schedule = integrated_cvar(matrix, alpha=0.9)
         _, ref_value = scan_schedules(
             fleet, scenarios, lambda d: cvar_alpha(d, 0.9)
         )
         value = cvar_alpha(
-            schedule_cost_distribution(matrix, schedule, scenarios.weights), 0.9
+            schedule_cost_distribution(matrix, schedule), 0.9
         )
         assert value == pytest.approx(ref_value, abs=1e-9)
 
@@ -247,28 +247,25 @@ class TestIntegratedCvar:
         fleet = make_fleet(n_assets=2, horizon=6)
         scenarios = const_scenarios(fleet, [4.0, 9.0])
         matrix = matrix_for(fleet, scenarios)
-        a = integrated_expected(fleet, scenarios, matrix=matrix)
-        b = integrated_cvar(fleet, scenarios, alpha=0.9, matrix=matrix)
+        a = integrated_expected(matrix)
+        b = integrated_cvar(matrix, alpha=0.9)
         assert a.dates == b.dates
 
     def test_descent_fallback_not_worse_than_warm_start(self):
         fleet = make_fleet(n_assets=3, horizon=6)
         scenarios = random_scenarios(fleet, n_scenarios=60, seed=55)
         matrix = matrix_for(fleet, scenarios)
-        weights = scenarios.weights
-        warm = integrated_expected(fleet, scenarios, matrix=matrix)
+        warm = integrated_expected(matrix)
         warm_val = cvar_alpha(
-            schedule_cost_distribution(matrix, warm, weights), 0.9
+            schedule_cost_distribution(matrix, warm), 0.9
         )
-        descended = integrated_cvar(
-            fleet, scenarios, alpha=0.9, matrix=matrix, budget=1
-        )
+        descended = integrated_cvar(matrix, alpha=0.9, budget=1)
         desc_val = cvar_alpha(
-            schedule_cost_distribution(matrix, descended, weights), 0.9
+            schedule_cost_distribution(matrix, descended), 0.9
         )
-        exact = integrated_cvar(fleet, scenarios, alpha=0.9, matrix=matrix)
+        exact = integrated_cvar(matrix, alpha=0.9)
         exact_val = cvar_alpha(
-            schedule_cost_distribution(matrix, exact, weights), 0.9
+            schedule_cost_distribution(matrix, exact), 0.9
         )
         assert exact_val <= desc_val + 1e-9
         assert desc_val <= warm_val + 1e-9
@@ -284,14 +281,14 @@ class TestIntegratedCvar:
             policies, "exhaustive_cvar_argmin", lambda *args: calls.append(args) or search(*args)
         )
         budget = (fleet.horizon + 1) ** fleet.n_assets - below
-        integrated_cvar(fleet, scenarios, matrix=matrix_for(fleet, scenarios), budget=budget)
+        integrated_cvar(matrix_for(fleet, scenarios), budget=budget)
         assert len(calls) == int(enumerates)
 
     def test_invalid_alpha_rejected(self):
         fleet = make_fleet()
         scenarios = const_scenarios(fleet, [5.0])
         with pytest.raises(ValueError):
-            integrated_cvar(fleet, scenarios, alpha=1.0, matrix=matrix_for(fleet, scenarios))
+            integrated_cvar(matrix_for(fleet, scenarios), alpha=1.0)
 
 
 class TestDispatcher:
@@ -300,7 +297,7 @@ class TestDispatcher:
         scenarios = random_scenarios(fleet, n_scenarios=20, seed=71)
         matrix = matrix_for(fleet, scenarios)
         for kind in PolicyKind:
-            schedule = run_policy(kind, fleet, scenarios, matrix=matrix)
+            schedule = run_policy(kind, matrix)
             assert set(schedule.dates) == set(fleet.ids)
 
     def test_accepts_plain_strings(self):
@@ -308,10 +305,10 @@ class TestDispatcher:
         scenarios = const_scenarios(fleet, [5.0])
         direct = calendar_only(fleet)
         matrix = matrix_for(fleet, scenarios)
-        assert run_policy("calendar_only", fleet, scenarios, matrix=matrix).dates == direct.dates
+        assert run_policy("calendar_only", matrix).dates == direct.dates
 
     def test_unknown_kind_rejected(self):
         fleet = make_fleet()
         scenarios = const_scenarios(fleet, [5.0])
         with pytest.raises(ValueError):
-            run_policy("oldest_first", fleet, scenarios, matrix=matrix_for(fleet, scenarios))
+            run_policy("oldest_first", matrix_for(fleet, scenarios))

@@ -29,7 +29,7 @@ def setup():
 
 def summarize(setup, schedule, name="demo"):
     _, scenarios, matrix = setup
-    dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
+    dist = schedule_cost_distribution(matrix, schedule)
     return summarize_policy(name, schedule, dist, matrix, 0.9)
 
 
@@ -37,7 +37,7 @@ class TestSummarize:
     def test_values_match_direct_computation(self, setup):
         fleet, scenarios, matrix = setup
         schedule = Schedule({"A1": 2, "A2": 5, "A3": None})
-        dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
+        dist = schedule_cost_distribution(matrix, schedule)
         summary = summarize_policy("demo", schedule, dist, matrix, 0.9)
         assert summary.policy == "demo"
         assert summary.expected_cost == pytest.approx(expected_cost(dist))
@@ -104,7 +104,7 @@ def run_emit(setup, out):
     for name, schedule in schedules.items():
         summaries.append(summarize(setup, schedule, name))
         curves[name] = ecdf(
-            schedule_cost_distribution(matrix, schedule, scenarios.weights)
+            schedule_cost_distribution(matrix, schedule)
         )
     return emit_outputs(
         summaries, curves, schedules, out, fleet, meta={"seed": 14}
@@ -147,11 +147,7 @@ class TestEmitOutputs:
         fleet, scenarios, matrix = setup
         run_emit(setup, tmp_path)
         lines = (tmp_path / "ecdf_calendar_only.csv").read_text().splitlines()
-        curve = ecdf(
-            schedule_cost_distribution(
-                matrix, Schedule({"A1": 2, "A2": 2, "A3": 2}), scenarios.weights
-            )
-        )
+        curve = ecdf(schedule_cost_distribution(matrix, Schedule({"A1": 2, "A2": 2, "A3": 2})))
         assert lines[0] == "cost,cum_prob"
         assert len(lines) == 1 + curve.costs.size
         last_cost, last_prob = lines[-1].split(",")

@@ -56,7 +56,7 @@ def brute_force_cost(asset, date, latent_rul, horizon, params=RiskParams()):
 def matrix_proxy(schedule, fleet, scenarios, params=RiskParams()):
     """The failure proxy as a study reports it: N lookups in the matrix."""
     matrix = build_matrix(fleet, scenarios, params)
-    dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
+    dist = schedule_cost_distribution(matrix, schedule)
     return summarize_policy("p", schedule, dist, matrix, 0.9).mean_failure_proxy
 
 
@@ -322,7 +322,7 @@ class TestFailureProxy:
         params = RiskParams(p_max=0.8, decay_rate=0.5, perf_window=3.0)
         matrix = build_matrix(fleet, scenarios, params)
         for schedule in enumerate_schedules(fleet):
-            dist = schedule_cost_distribution(matrix, schedule, scenarios.weights)
+            dist = schedule_cost_distribution(matrix, schedule)
             proxy = summarize_policy("p", schedule, dist, matrix, 0.9).mean_failure_proxy
             assert proxy == pytest.approx(
                 failure_proxy(schedule, fleet, scenarios, params), rel=1e-12, abs=0.0
