@@ -8,7 +8,8 @@ section either lists explicit assets or gives sampling ranges for a
 generated fleet. The keys, types and defaults of ``fleet``,
 ``fleet.assets[]`` and ``risk`` are the fields of FleetGenConfig,
 AssetSpec and RiskParams; the ``costs`` keys are AssetSpec's ``cost_*``
-fields without the prefix.
+fields without the prefix, and ``costs`` is the one place that sets the
+costs of a generated fleet.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ DEFAULT_OUT_DIR = "out"
 _ASSET_FIELDS = fields(AssetSpec)
 _ASSET_DEFAULTS = {f.name: f.default for f in _ASSET_FIELDS if f.default is not MISSING}
 _COST_NAMES = [f.name[5:] for f in _ASSET_FIELDS if f.name.startswith("cost_")]
-# The generator's cost fields come from the costs section, not from "fleet".
-_FLEET_GEN_FIELDS = [f for f in fields(FleetGenConfig) if not f.name.startswith("cost_")]
+_FLEET_GEN_FIELDS = fields(FleetGenConfig)
 # Both config seeds default to DEFAULT_SEED, not to the generator's own 0.
 _FLEET_GEN_DEFAULTS = asdict(FleetGenConfig()) | {"seed": DEFAULT_SEED}
 
@@ -78,6 +78,13 @@ def _get_int(section: str, data: dict, key: str, default: int) -> int:
     return int(value)
 
 
+def _get_cost(section: str, data: dict, key: str, default: float | None) -> float:
+    value = _get_number(section, data, key, default)
+    if value < 0:
+        raise ConfigError(f"{section}.{key} must be >= 0")
+    return value
+
+
 def _get_seed(section: str, data: dict) -> int:
     seed = _get_int(section, data, "seed", DEFAULT_SEED)
     if seed < 0:
@@ -114,18 +121,24 @@ def _cost_fields(costs: dict[str, float]) -> dict[str, float]:
     return {f"cost_{k}": v for k, v in costs.items()}
 
 
-def _with_overrides(assets, overrides: dict[str, dict[str, float]]) -> tuple[AssetSpec, ...]:
-    """Apply the ``costs.per_asset`` overrides to the assets they name."""
-    return tuple(replace(a, **_cost_fields(overrides.get(a.id, {}))) for a in assets)
+def _with_costs(
+    assets, defaults: dict[str, float], overrides: dict[str, dict[str, float]]
+) -> tuple[AssetSpec, ...]:
+    """Set each asset's costs to ``defaults`` updated by its ``costs.per_asset`` entry."""
+    return tuple(replace(a, **_cost_fields(defaults | overrides.get(a.id, {}))) for a in assets)
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved study configuration."""
+    """Fully resolved study configuration.
+
+    Exactly one of ``fleet_gen`` and ``explicit_fleet`` is set. An explicit
+    fleet already carries its resolved costs; a generated one takes
+    ``cost_defaults`` and ``cost_overrides`` in :meth:`build_fleet`.
+    """
 
     fleet_gen: FleetGenConfig | None
-    explicit_assets: tuple[AssetSpec, ...] | None
-    horizon: int
+    explicit_fleet: FleetSpec | None
     n_scenarios: int
     scenario_seed: int
     risk: RiskParams
@@ -147,17 +160,18 @@ class RunConfig:
         return replace(self, fleet_gen=gen, scenario_seed=seed)
 
     def build_fleet(self) -> FleetSpec:
-        if self.explicit_assets is not None:
-            return FleetSpec(assets=self.explicit_assets, horizon=self.horizon)
+        if self.explicit_fleet is not None:
+            return self.explicit_fleet
         fleet = generate_fleet(self.fleet_gen)
-        return replace(fleet, assets=_with_overrides(fleet.assets, self.cost_overrides))
+        assets = _with_costs(fleet.assets, self.cost_defaults, self.cost_overrides)
+        return replace(fleet, assets=assets)
 
     def to_json_dict(self) -> dict:
         """The effective config as a loadable JSON document."""
-        if self.explicit_assets is not None:
+        if self.explicit_fleet is not None:
             fleet: dict = {
-                "horizon": self.horizon,
-                "assets": [asdict(a) for a in self.explicit_assets],
+                "horizon": self.explicit_fleet.horizon,
+                "assets": [asdict(a) for a in self.explicit_fleet.assets],
             }
         else:
             gen = asdict(self.fleet_gen)
@@ -207,7 +221,7 @@ def parse_config(data: dict) -> RunConfig:
     costs_raw = data.get("costs", {})
     _check_keys("costs", costs_raw, {*_COST_NAMES, "per_asset"})
     cost_defaults = {
-        k: _get_number("costs", costs_raw, k, _ASSET_DEFAULTS[f"cost_{k}"]) for k in _COST_NAMES
+        k: _get_cost("costs", costs_raw, k, _ASSET_DEFAULTS[f"cost_{k}"]) for k in _COST_NAMES
     }
     overrides_raw = costs_raw.get("per_asset", {})
     if not isinstance(overrides_raw, dict):
@@ -216,15 +230,12 @@ def parse_config(data: dict) -> RunConfig:
     for asset_id, entry in overrides_raw.items():
         section = f"costs.per_asset.{asset_id}"
         _check_keys(section, entry, set(_COST_NAMES))
-        cost_overrides[asset_id] = {k: _get_number(section, entry, k, None) for k in entry}
-        for k, v in cost_overrides[asset_id].items():
-            if v < 0:
-                raise ConfigError(f"{section}.{k} must be >= 0")
+        cost_overrides[asset_id] = {k: _get_cost(section, entry, k, None) for k in entry}
 
     fleet_raw = data.get("fleet", {})
     if not isinstance(fleet_raw, dict):
         raise ConfigError("section 'fleet' must be a JSON object")
-    explicit_assets = None
+    explicit_fleet = None
     fleet_gen = None
     if "assets" in fleet_raw:
         _check_keys("fleet", fleet_raw, _FLEET_EXPLICIT_KEYS)
@@ -233,10 +244,10 @@ def parse_config(data: dict) -> RunConfig:
         horizon = _get_int("fleet", fleet_raw, "horizon", _FLEET_GEN_DEFAULTS["horizon"])
         assets = [_parse_asset(a, cost_defaults, i) for i, a in enumerate(fleet_raw["assets"])]
         try:
-            explicit_assets = FleetSpec(_with_overrides(assets, cost_overrides), horizon).assets
+            explicit_fleet = FleetSpec(_with_costs(assets, {}, cost_overrides), horizon)
         except ValueError as exc:
             raise ConfigError(f"fleet: {exc}") from exc
-        known_ids = {a.id for a in explicit_assets}
+        known_ids = set(explicit_fleet.ids)
     else:
         _check_keys("fleet", fleet_raw, {f.name for f in _FLEET_GEN_FIELDS})
         # Horizon first, as in the explicit branch, so its error is named first.
@@ -245,10 +256,9 @@ def parse_config(data: dict) -> RunConfig:
         if gen["seed"] < 0:
             raise ConfigError("fleet.seed must be >= 0")
         try:
-            fleet_gen = FleetGenConfig(**gen, **_cost_fields(cost_defaults))
+            fleet_gen = FleetGenConfig(**gen)
         except ValueError as exc:
             raise ConfigError(f"fleet: {exc}") from exc
-        horizon = fleet_gen.horizon
         known_ids = {f"A{j + 1}" for j in range(fleet_gen.n_assets)}
 
     unknown_overrides = set(cost_overrides) - known_ids
@@ -299,8 +309,7 @@ def parse_config(data: dict) -> RunConfig:
 
     return RunConfig(
         fleet_gen=fleet_gen,
-        explicit_assets=explicit_assets,
-        horizon=horizon,
+        explicit_fleet=explicit_fleet,
         n_scenarios=n_scenarios,
         scenario_seed=scenario_seed,
         risk=risk,

@@ -44,11 +44,6 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _cost_names(record) -> list[str]:
-    """The cost coefficient fields (``cost_*``) of a dataclass record."""
-    return [f.name for f in fields(record) if f.name.startswith("cost_")]
-
-
 @dataclass(frozen=True)
 class AssetSpec:
     """Static parameters of one maintainable asset.
@@ -100,8 +95,9 @@ class AssetSpec:
         )
         _require(self.initial_age >= 0, f"asset {self.id}: initial_age must be >= 0")
         _require(self.initial_usage >= 0, f"asset {self.id}: initial_usage must be >= 0")
-        for name in _cost_names(self):
-            _require(getattr(self, name) >= 0, f"asset {self.id}: {name} must be >= 0")
+        for f in fields(self):
+            if f.name.startswith("cost_"):
+                _require(getattr(self, f.name) >= 0, f"asset {self.id}: {f.name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -183,7 +179,9 @@ class FleetGenConfig:
 
     Every per-asset parameter is drawn uniformly from its [lo, hi] range;
     initial age and usage are independent random fractions of the sampled
-    limits. Defaults reproduce the standard small-fleet study profile.
+    limits. It sets no costs: each asset gets AssetSpec's default cost
+    coefficients, which a caller may replace. Defaults reproduce the
+    standard small-fleet study profile.
     """
 
     n_assets: int = 5
@@ -195,10 +193,6 @@ class FleetGenConfig:
     usage_mean_range: tuple[float, float] = (10.0, 22.0)
     usage_cv_range: tuple[float, float] = (0.15, 0.35)
     initial_fraction_range: tuple[float, float] = (0.3, 0.8)
-    cost_pm: float = DEFAULT_COST_PM
-    cost_fail: float = DEFAULT_COST_FAIL
-    cost_perf: float = DEFAULT_COST_PERF
-    cost_early: float = DEFAULT_COST_EARLY
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -210,8 +204,6 @@ class FleetGenConfig:
             if f.name.endswith("_range"):
                 object.__setattr__(self, f.name, _as_range(getattr(self, f.name), f.name))
         _require(self.usage_cv_range[1] < 1.0, "usage_cv_range must stay below 1")
-        for name in _cost_names(self):
-            _require(getattr(self, name) >= 0, f"{name} must be >= 0")
 
 
 def generate_fleet(config: FleetGenConfig) -> FleetSpec:
@@ -245,7 +237,6 @@ def generate_fleet(config: FleetGenConfig) -> FleetSpec:
                 usage_cv=usage_cv,
                 initial_age=age_frac * calendar,
                 initial_usage=usage_frac * usage_limit,
-                **{name: getattr(config, name) for name in _cost_names(config)},
             )
         )
     return FleetSpec(assets=tuple(assets), horizon=config.horizon)

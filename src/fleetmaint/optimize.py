@@ -114,10 +114,6 @@ class EvaluationMatrix:
         object.__setattr__(self, "costs", c)
         object.__setattr__(self, "failure", f)
 
-    @property
-    def n_scenarios(self) -> int:
-        return self.costs.shape[2]
-
 
 def _asset_tables(
     asset,
@@ -154,13 +150,16 @@ def build_matrix(
 
     The matrix is allocated once and each asset's rows are written into it
     in place, so it is never held twice. A scenario set whose shape does not
-    match the fleet is rejected by the matrix itself.
+    match the fleet is rejected by the matrix itself, as is a cell that
+    overflows to infinity: the build lets it overflow without a warning.
     """
     shape = (fleet.n_assets, fleet.horizon + 1)
     costs = np.empty((*shape, scenarios.n_scenarios))
     failure = np.empty(shape)
-    for i, (asset, rul) in enumerate(zip(fleet.assets, scenarios.latent_rul)):
-        _asset_tables(asset, rul, scenarios.weights, fleet.horizon, params, costs[i], failure[i])
+    weights = scenarios.weights
+    with np.errstate(over="ignore"):
+        for i, (asset, rul) in enumerate(zip(fleet.assets, scenarios.latent_rul)):
+            _asset_tables(asset, rul, weights, fleet.horizon, params, costs[i], failure[i])
     return EvaluationMatrix(fleet=fleet, scenarios=scenarios, costs=costs, failure=failure)
 
 

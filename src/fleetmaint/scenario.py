@@ -1,10 +1,10 @@
 """Monte Carlo scenario generation for usage and latent remaining life.
 
 A scenario set holds, for every (asset, scenario) pair, T positive usage
-increments and one latent remaining-useful-life value, plus one weight per
-scenario. Uncertainty is sampled once up front; every downstream policy is
-evaluated against the same frozen set, so policy comparisons share common
-random numbers.
+increments and one latent remaining-useful-life value; its S scenarios are
+equally likely. Uncertainty is sampled once up front; every downstream
+policy is evaluated against the same frozen set, so policy comparisons
+share common random numbers.
 
 Determinism contract: the random stream for cell (asset i, scenario w) is
 derived only from (seed, i, w), via
@@ -94,49 +94,48 @@ _RUL_COLUMNS = {"asset_id": str, "scenario": int, "latent_rul": float}
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """Frozen scenario data for one fleet.
+    """Frozen scenario data for one fleet, every scenario equally likely.
 
     The set does not record how it was made: the run config, echoed in
-    ``run_meta.json``, holds the seed of a sampled set.
+    ``run_meta.json``, holds the seed of a sampled set. The scenario count
+    S and the weights follow from the arrays.
 
     Attributes:
-        n_scenarios: number of scenarios S.
-        weights: shape (S,), nonnegative, summing to 1.
-        usage_increments: shape (N, S, T), strictly positive.
+        usage_increments: shape (N, S, T) with S >= 1, strictly positive.
         latent_rul: shape (N, S), nonnegative.
     """
 
-    n_scenarios: int
-    weights: np.ndarray
     usage_increments: np.ndarray
     latent_rul: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
         inc = np.asarray(self.usage_increments, dtype=float)
         rul = np.asarray(self.latent_rul, dtype=float)
-        s = int(self.n_scenarios)
-        if s < 1:
+        if inc.ndim != 3:
+            raise ValueError(f"usage_increments must have shape (N, S, T), got {inc.shape}")
+        if inc.shape[1] < 1:
             raise ValueError("n_scenarios must be >= 1")
-        if w.shape != (s,):
-            raise ValueError(f"weights must have shape ({s},), got {w.shape}")
-        if inc.ndim != 3 or inc.shape[1] != s:
-            raise ValueError(f"usage_increments must have shape (N, {s}, T), got {inc.shape}")
-        if rul.shape != (inc.shape[0], s):
-            raise ValueError(f"latent_rul must have shape ({inc.shape[0]}, {s}), got {rul.shape}")
+        if rul.shape != inc.shape[:2]:
+            raise ValueError(f"latent_rul must have shape {inc.shape[:2]}, got {rul.shape}")
         # written so that NaN fails each test: every comparison with NaN is False
-        if not np.all(w >= 0):
-            raise ValueError("scenario weights must be finite and >= 0")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError("scenario weights must sum to 1 within 1e-12")
         if not (np.all(inc > 0) and np.all(inc < np.inf)):
             raise ValueError("usage increments must be finite and > 0")
         if not (np.all(rul >= 0) and np.all(rul < np.inf)):
             raise ValueError("latent RUL values must be finite and >= 0")
-        for arr, name in ((w, "weights"), (inc, "usage_increments"), (rul, "latent_rul")):
+        for arr, name in ((inc, "usage_increments"), (rul, "latent_rul")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "n_scenarios", s)
+
+    @property
+    def n_scenarios(self) -> int:
+        return self.latent_rul.shape[1]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The read-only weight 1/S of each scenario, shape (S,)."""
+        w = np.full(self.n_scenarios, 1.0 / self.n_scenarios)
+        w.setflags(write=False)
+        return w
 
     @property
     def n_assets(self) -> int:
@@ -422,13 +421,7 @@ def generate_scenarios(
                 f" {bounds[b]}..{bounds[b + 1] - 1}) exited with status"
                 f" {os.waitstatus_to_exitcode(status)}"
             )
-    weights = np.full(n_scenarios, 1.0 / n_scenarios)
-    return ScenarioSet(
-        n_scenarios=n_scenarios,
-        weights=weights,
-        usage_increments=inc,
-        latent_rul=rul,
-    )
+    return ScenarioSet(usage_increments=inc, latent_rul=rul)
 
 
 def write_scenario_csvs(scenarios: ScenarioSet, fleet: FleetSpec, usage_path, rul_path) -> None:
@@ -577,10 +570,4 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
         (np.greater_equal, ">= 0"), (n, n_scen),
     )
 
-    weights = np.full(n_scen, 1.0 / n_scen)
-    return ScenarioSet(
-        n_scenarios=n_scen,
-        weights=weights,
-        usage_increments=inc,
-        latent_rul=rul,
-    )
+    return ScenarioSet(usage_increments=inc, latent_rul=rul)

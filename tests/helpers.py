@@ -53,12 +53,11 @@ def const_scenarios(
     ruls,
     n_scenarios: int | None = None,
     increment: float = 1.0,
-    weights=None,
 ) -> ScenarioSet:
     """Scenario set with fixed latent RULs and constant usage increments.
 
     ``ruls`` is either one value per asset (broadcast over scenarios) or a
-    full (N, S) array. ``weights`` are equal unless given.
+    full (N, S) array.
     """
     ruls = np.asarray(ruls, dtype=float)
     if ruls.ndim == 1:
@@ -67,8 +66,6 @@ def const_scenarios(
     n, s = ruls.shape
     assert n == fleet.n_assets
     return ScenarioSet(
-        n_scenarios=s,
-        weights=np.full(s, 1.0 / s) if weights is None else weights,
         usage_increments=np.full((n, s, fleet.horizon), increment),
         latent_rul=ruls,
     )
@@ -80,12 +77,7 @@ def random_scenarios(fleet: FleetSpec, n_scenarios: int, seed: int) -> ScenarioS
     n, t = fleet.n_assets, fleet.horizon
     inc = rng.uniform(5.0, 25.0, size=(n, n_scenarios, t))
     rul = rng.uniform(0.0, t + 3.0, size=(n, n_scenarios))
-    return ScenarioSet(
-        n_scenarios=n_scenarios,
-        weights=np.full(n_scenarios, 1.0 / n_scenarios),
-        usage_increments=inc,
-        latent_rul=rul,
-    )
+    return ScenarioSet(usage_increments=inc, latent_rul=rul)
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,8 @@ def config_file(tmp_path):
 class TestParseConfig:
     def test_empty_document_gets_full_defaults(self):
         config = parse_config({})
-        assert config.horizon == 12
+        assert config.explicit_fleet is None
+        assert config.fleet_gen.horizon == 12
         assert config.n_scenarios == 800
         assert config.scenario_seed == 1
         assert config.alpha == 0.9
@@ -229,12 +230,7 @@ class TestParseConfig:
         ids=["asset", "fleet-generation", "risk"],
     )
     def test_every_field_is_a_config_key(self, record, document, section):
-        # A generated fleet takes its cost_* fields from the costs section.
-        names = [
-            f.name
-            for f in fields(record)
-            if record is not FleetGenConfig or not f.name.startswith("cost_")
-        ]
+        names = [f.name for f in fields(record)]
         base = section(parse_config(document()).to_json_dict())
         assert set(base) == set(names)
         for name in names:
@@ -641,8 +637,14 @@ class TestCliCommands:
                 },
                 "costs.per_asset.pump-1.fail",
             ),
+            ({"fleet": {"n_assets": 2}, "costs": {"pm": -5}}, "costs.pm must be >= 0"),
+            (
+                # the asset sets every cost itself, so no asset carries the -5
+                {"fleet": {"assets": [EXPLICIT_CONFIG["fleet"]["assets"][1]]}, "costs": {"pm": -5}},
+                "costs.pm must be >= 0",
+            ),
         ],
-        ids=["generated-fleet", "explicit-fleet"],
+        ids=["generated-fleet", "explicit-fleet", "generated-fleet-level", "explicit-fleet-level"],
     )
     def test_negative_cost_override_exits_2(self, document, key, tmp_path):
         bad = tmp_path / "bad.json"
@@ -694,8 +696,7 @@ class TestCliCommands:
             "costs": {"fail": 1e308},
         }))
         out = tmp_path / "overflow_out"
-        with np.errstate(over="ignore"):
-            code = fleetmaint.cli.main([*command, "--config", str(config), "--out", str(out)])
+        code = fleetmaint.cli.main([*command, "--config", str(config), "--out", str(out)])
         assert code == 3
         assert capsys.readouterr().err == (
             "error: asset 'A1' at date 3: a cost or failure value is not finite\n"

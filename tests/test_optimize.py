@@ -35,11 +35,11 @@ from helpers import (
 )
 
 
-def cost_only_matrix(fleet, costs, weights=None):
-    """A matrix over hand-made cost rows and scenario weights (equal unless
-    given); the search never reads the failure table or the latent RULs."""
+def cost_only_matrix(fleet, costs):
+    """A matrix over hand-made cost rows on equally likely scenarios; the
+    search never reads the failure table or the latent RULs."""
     costs = np.asarray(costs, dtype=float)
-    scenarios = const_scenarios(fleet, np.zeros(fleet.n_assets), costs.shape[2], weights=weights)
+    scenarios = const_scenarios(fleet, np.zeros(fleet.n_assets), costs.shape[2])
     return EvaluationMatrix(fleet, scenarios, costs, np.zeros(costs.shape[:2]))
 
 
@@ -56,7 +56,7 @@ class TestMatrixCells:
         fleet, scenarios, matrix = small_setup
         assert matrix.costs.shape == (2, 5, 12)
         assert matrix.failure.shape == (2, 5)
-        assert matrix.n_scenarios == 12
+        assert matrix.scenarios.n_scenarios == 12
 
     @pytest.mark.parametrize("n_assets, horizon, seed", [(2, 4, 81), (3, 12, 5), (1, 9, 2)])
     def test_costs_equal_reference_table_bit_for_bit(self, n_assets, horizon, seed):
@@ -261,7 +261,7 @@ def brute_force_cvar_argmin(matrix, fleet, alpha):
 def full_scan_cvar_argmin(matrix, weights, alpha):
     """Unpruned oracle: price every schedule in one batch, first minimum wins."""
     rows = [indices_from_schedule(s, matrix.fleet) for s in enumerate_schedules(matrix.fleet)]
-    totals = np.zeros((len(rows), matrix.n_scenarios))
+    totals = np.zeros((len(rows), matrix.scenarios.n_scenarios))
     for r, indices in enumerate(rows):
         for i, c in enumerate(indices):
             totals[r] += matrix.costs[i, c]
@@ -280,7 +280,7 @@ def lattice_survivors(matrix, weights, alpha, incumbent):
     lattice = np.zeros(())
     for row in means:
         lattice = np.add.outer(lattice, row)
-    totals = np.zeros(matrix.n_scenarios)
+    totals = np.zeros(matrix.scenarios.n_scenarios)
     for i, c in enumerate(incumbent):
         totals += matrix.costs[i, c]
     bound = float(batch_cvar(totals, weights, alpha)[0])
@@ -329,14 +329,14 @@ INCUMBENTS = {
 def small_instances(draw, exact: bool):
     """Random (matrix, weights, alpha) with N <= 3, T <= 4 and copied cost rows.
 
-    With ``exact``, costs are small integers and weights are dyadic
-    fractions, so every sum and product is exact: ties between schedules
-    sharing a copied row are then true ties whatever the summation order,
-    and the earliest one must win.
+    With ``exact``, costs are small integers and S is a power of two, so
+    the equal weights 1/S are dyadic and every sum and product is exact:
+    ties between schedules sharing a copied row are then true ties whatever
+    the summation order, and the earliest one must win.
     """
     n = draw(st.integers(1, 3))
     horizon = draw(st.integers(1, 4))
-    s = draw(st.integers(1, 8))
+    s = draw(st.sampled_from([1, 2, 4, 8]) if exact else st.integers(1, 8))
     size = n * (horizon + 1) * s
     if exact:
         cells = st.integers(0, 30).map(float)
@@ -349,15 +349,9 @@ def small_instances(draw, exact: bool):
         src = (draw(st.integers(0, n - 1)), draw(st.integers(0, horizon)))
         dst = (draw(st.integers(0, n - 1)), draw(st.integers(0, horizon)))
         costs[dst] = costs[src]
-    raw = draw(st.lists(st.integers(0, 4), min_size=s, max_size=s).filter(any))
-    if exact:
-        total = sum(raw)
-        power = 1 << (total - 1).bit_length()
-        raw[-1] += power - total  # pad the total to a power of two
-    weights = np.array(raw, dtype=float) / sum(raw)
     alpha = draw(st.sampled_from([0.1, 0.5, 0.75, 0.9, 0.99]))
-    fleet = make_fleet(n_assets=n, horizon=horizon)
-    return cost_only_matrix(fleet, costs, weights), weights, alpha
+    matrix = cost_only_matrix(make_fleet(n_assets=n, horizon=horizon), costs)
+    return matrix, matrix.scenarios.weights, alpha
 
 
 class TestExhaustiveSearch:

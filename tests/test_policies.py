@@ -70,12 +70,7 @@ class TestUsageOnly:
         inc[0, 0] = 10.0
         inc[0, 1] = 20.0
         scenarios = const_scenarios(fleet, np.array([[8.0, 8.0]]))
-        scenarios = type(scenarios)(
-            n_scenarios=2,
-            weights=np.array([0.5, 0.5]),
-            usage_increments=inc,
-            latent_rul=scenarios.latent_rul,
-        )
+        scenarios = type(scenarios)(usage_increments=inc, latent_rul=scenarios.latent_rul)
         assert usage_only(fleet, scenarios).date_for("A1") == 2
 
     def test_never_crossing_gives_no_date(self):

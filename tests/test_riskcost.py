@@ -6,7 +6,6 @@ test_optimize.py. The failure proxy is checked on the library's path,
 the evaluation matrix as summarize_policy reads it.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -316,9 +315,6 @@ class TestFailureProxy:
     def test_matches_scalar_oracle_on_every_schedule(self, n_assets, horizon, seed):
         fleet = make_fleet(n_assets=n_assets, horizon=horizon)
         scenarios = random_scenarios(fleet, n_scenarios=9, seed=seed)
-        raw = np.random.default_rng(seed).uniform(0.0, 1.0, 9)
-        raw[0] = 0.0  # a zero-weight scenario
-        scenarios = dataclasses.replace(scenarios, weights=raw / raw.sum())
         params = RiskParams(p_max=0.8, decay_rate=0.5, perf_window=3.0)
         matrix = build_matrix(fleet, scenarios, params)
         for schedule in enumerate_schedules(fleet):

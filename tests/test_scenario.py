@@ -187,6 +187,10 @@ class TestGenerateScenarios:
         assert s.weights.shape == (50,)
         assert np.all(s.weights == 1.0 / 50)
         assert abs(s.weights.sum() - 1.0) <= 1e-12
+        with pytest.raises(ValueError):
+            s.weights[0] = 0.5
+        with pytest.raises(AttributeError):
+            s.weights = np.full(50, 0.02)
         assert np.all(s.usage_increments > 0)
         assert np.all(s.latent_rul >= 0)
 
@@ -446,23 +450,13 @@ class TestBulkStreamDerivation:
 
 
 class TestScenarioSetValidation:
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioSet(
-                n_scenarios=2,
-                weights=np.array([0.6, 0.6]),
-                usage_increments=np.ones((1, 2, 3)),
-                latent_rul=np.ones((1, 2)),
-            )
+    def test_no_scenarios_rejected(self):
+        with pytest.raises(ValueError, match="n_scenarios must be >= 1"):
+            ScenarioSet(usage_increments=np.ones((1, 0, 3)), latent_rul=np.ones((1, 0)))
 
     def test_nonpositive_increment_rejected(self):
         with pytest.raises(ValueError):
-            ScenarioSet(
-                n_scenarios=1,
-                weights=np.array([1.0]),
-                usage_increments=np.zeros((1, 1, 3)),
-                latent_rul=np.ones((1, 1)),
-            )
+            ScenarioSet(usage_increments=np.zeros((1, 1, 3)), latent_rul=np.ones((1, 1)))
 
     @pytest.mark.parametrize(
         "field, index, value, name",
@@ -470,19 +464,14 @@ class TestScenarioSetValidation:
             ("latent_rul", (0, 1), np.nan, "latent RUL values"),
             ("latent_rul", (0, 0), np.inf, "latent RUL values"),
             ("usage_increments", (0, 0, 2), np.inf, "usage increments"),
-            ("weights", (1,), np.nan, "scenario weights"),
         ],
-        ids=["nan-rul", "inf-rul", "inf-increment", "nan-weight"],
+        ids=["nan-rul", "inf-rul", "inf-increment"],
     )
     def test_non_finite_rejected(self, field, index, value, name):
-        arrays = {
-            "weights": np.full(2, 0.5),
-            "usage_increments": np.ones((1, 2, 3)),
-            "latent_rul": np.ones((1, 2)),
-        }
+        arrays = {"usage_increments": np.ones((1, 2, 3)), "latent_rul": np.ones((1, 2))}
         arrays[field][index] = value
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            ScenarioSet(n_scenarios=2, **arrays)
+            ScenarioSet(**arrays)
 
     def test_arrays_frozen(self):
         fleet = make_fleet()
