@@ -30,19 +30,23 @@ set is the same to the bit whatever the number of workers.
 
 A set leaves and re-enters fleetmaint as two CSV files, and both directions
 work a column at a time. :func:`write_scenario_csvs` renders each asset's
-rows as one string from keys built once per file. :func:`read_scenario_csvs`
-takes converted columns from :func:`fleetmaint.csvio.read_csv` in chunks of
-``csvio.CHUNK_ROWS`` rows and extends typed buffers with them, so reading
-holds the buffers and one small chunk at a time. Its converters are the
-plain ``float`` and ``int`` a row-wise parser would apply, so it accepts
-exactly the files such a parser accepts.
+rows with one ``%`` of its values into row templates built once per file.
+:func:`read_scenario_csvs` takes typed columns from
+:func:`fleetmaint.csvio.read_csv` in chunks of ``csvio.CHUNK_ROWS`` rows and
+extends one buffer per column with them, the asset index in a narrow type.
+Once the keys are in range and there are as many rows as cells, each value
+is placed at its flat cell index, and a cell left unset shows a repeat;
+only a file that fails this is sorted, to name its first repeated row.
+At its peak, reading holds the values as read, the narrowed keys, one int64
+flat index and the placed values. Its converters are the plain ``float`` and ``int`` a
+row-wise parser would apply, so it accepts exactly the files such a parser
+accepts.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-import operator
 import os
 import sys
 from array import array
@@ -430,36 +434,41 @@ def write_scenario_csvs(scenarios: ScenarioSet, fleet: FleetSpec, usage_path, ru
     Usage rows are (asset_id, scenario, period, usage_increment) with
     1-based periods; RUL rows are (asset_id, scenario, latent_rul). Values
     are written with 17 significant digits so float64 data round-trips
-    exactly.
+    exactly. The set must have the fleet's asset count and horizon.
 
     The bytes are those of ``csv.writer`` on the same rows, rendered an
-    asset at a time: the ",scenario,period," keys are built once per file
-    and shared by every asset, each asset id is quoted once by
-    :func:`fleetmaint.csvio.quote`, and an asset's values are formatted by
-    one ``map`` and its rows joined into one string.
+    asset at a time: the ",scenario,period,%.17g" row templates are built
+    once per file, each asset's id, quoted by
+    :func:`fleetmaint.csvio.quote` with ``%`` escaped, is spliced in front
+    of every row, and the asset's values fill the result with one ``%``.
+    For finite floats ``"%.17g" % x`` is ``format(x, ".17g")``.
     """
+    if scenarios.n_assets != fleet.n_assets or scenarios.horizon != fleet.horizon:
+        raise ValueError("scenario set shape does not match the fleet")
     n_scenarios, horizon = scenarios.n_scenarios, scenarios.horizon
-    usage_keys = [f",{w},{k}," for w in range(n_scenarios) for k in range(1, horizon + 1)]
-    rul_keys = [f",{w}," for w in range(n_scenarios)]
+    usage_rows = [f",{w},{k},%.17g\n" for w in range(n_scenarios) for k in range(1, horizon + 1)]
+    rul_rows = [f",{w},%.17g\n" for w in range(n_scenarios)]
 
-    def blocks(values, keys):
+    def blocks(values, rows):
         for asset, block in zip(fleet.assets, values):
-            rows = map(operator.add, keys, map("{:.17g}".format, block.ravel().tolist()))
-            asset_id = quote(asset.id)
-            yield asset_id + ("\n" + asset_id).join(rows) + "\n"
+            asset_id = quote(asset.id).replace("%", "%%")
+            yield (asset_id + asset_id.join(rows)) % tuple(block.ravel().tolist())
 
-    write_lines(usage_path, _USAGE_COLUMNS, blocks(scenarios.usage_increments, usage_keys))
-    write_lines(rul_path, _RUL_COLUMNS, blocks(scenarios.latent_rul, rul_keys))
+    write_lines(usage_path, _USAGE_COLUMNS, blocks(scenarios.usage_increments, usage_rows))
+    write_lines(rul_path, _RUL_COLUMNS, blocks(scenarios.latent_rul, rul_rows))
 
 
 def _read_columns(name: str, path, columns: dict, index: dict) -> list[np.ndarray]:
     """A scenario file's columns in file order: fleet indices, int64 keys, float64 values.
 
-    :func:`fleetmaint.csvio.read_csv` hands over converted columns a chunk
-    at a time; each is mapped or copied into a typed buffer by one
-    ``extend``, so no Python code runs once per row.
+    :func:`fleetmaint.csvio.read_csv` hands over each chunk's columns as
+    typed arrays, each appended to the file's buffer of that column by one
+    ``extend``; the asset ids are mapped to fleet indices, held in the
+    narrowest unsigned type that fits the fleet. No Python code runs once
+    per row.
     """
-    buffers = [array("q") for _ in range(len(columns) - 1)] + [array("d")]
+    buffers = [array(np.min_scalar_type(len(index) - 1).char)]
+    buffers += [array("q") for _ in range(len(columns) - 2)] + [array("d")]
     for ids, *values in read_csv(path, name, columns):
         try:
             buffers[0].extend(map(index.__getitem__, ids))
@@ -475,55 +484,64 @@ def _read_columns(name: str, path, columns: dict, index: dict) -> list[np.ndarra
     return [np.frombuffer(buffer, dtype=buffer.typecode) for buffer in buffers]
 
 
-def _repeated_neighbours(keys: list, order: np.ndarray) -> np.ndarray:
-    """Whether each row in ``order`` agrees with the one before on every key.
+def _narrow(key: np.ndarray, size: int) -> np.ndarray:
+    """``key``, every value in 0..size-1, in the narrowest unsigned type that holds them."""
+    return key.astype(np.min_scalar_type(size - 1))
 
-    Each key is sorted into one reused buffer, freed on return, so the
-    reader never holds more than one sorted copy of a key column. (With
-    mode="clip", which changes nothing for indices in range, ``take``
-    writes into ``out`` without a buffer of its own.)
+
+def _place(keys: list, values: np.ndarray, shape: tuple) -> np.ndarray | None:
+    """``values``, one per cell of ``shape``, each put at the cell its keys
+    name; None if a cell is left unset, which happens exactly when one repeats.
     """
-    ordered = np.empty_like(keys[0])
-    same = np.ones(max(order.size - 1, 0), dtype=bool)
-    for key in keys:
-        np.take(key, order, out=ordered, mode="clip")
-        same &= ordered[1:] == ordered[:-1]
-    return same
+    flat = keys[0].astype(np.int64)
+    for key, size in zip(keys[1:], shape[1:]):
+        flat *= size
+        flat += key
+    placed = np.empty(shape)
+    placed.reshape(-1)[flat] = values
+    seen = np.zeros(values.size, dtype=bool)
+    seen[flat] = True
+    return placed if seen.all() else None
 
 
-def _cell_values(
-    fleet: FleetSpec, name: str, path, columns: dict, rows, label: str, bound: tuple, shape
-):
+def _cell_values(fleet: FleetSpec, name: str, path, keys: list, values, label: str, bound, shape):
     """A scenario file's values in (asset, scenario[, period]) order, as ``shape``.
 
-    ``rows`` come from :func:`_read_columns`, every index in range. One stable
-    sort by the keys finds repeated cells and, once the count shows the rows
-    cover ``shape``, puts the values in cell order. Every value must be
-    finite and meet ``bound``, a (comparison against 0, its text) pair; the
-    first that does not is named with its cell.
+    ``keys`` are the file's asset, scenario [and period] columns, each
+    counted from 0 and within its axis of ``shape``. When there are as many
+    rows as cells, :func:`_place` puts each value at its cell. Only when the
+    count differs or a cell is left unset does one stable sort by the keys
+    name the first row in file order that repeats a cell, or else report
+    missing cells. Every value must be finite and meet ``bound``, a
+    (comparison against 0, its text) pair; the first that does not, in cell
+    order, is named with its cell.
     """
-    *keys, values = rows
-    key_names = ["asset", *list(columns)[1:-1]]
+    key_names = ("asset", "scenario", "period")[: len(keys)]
 
-    def cell(k) -> str:
-        described = [f"{key_name} {key[k]}" for key_name, key in zip(key_names[1:], keys[1:])]
-        return " ".join([f"asset {fleet.assets[keys[0][k]].id!r}", *described])
+    def cell(index) -> str:
+        asset, scenario, *period = map(int, index)
+        text = f"asset {fleet.assets[asset].id!r} scenario {scenario}"
+        return text + "".join(f" period {k + 1}" for k in period)
 
-    order = np.lexsort(keys[::-1])
-    same = _repeated_neighbours(keys, order)
-    if same.any():
-        raise ValueError(f"{name} repeats {cell(order[1:][same].min())}: {path}")
-    if values.size != math.prod(shape):
+    placed = _place(keys, values, shape) if values.size == math.prod(shape) else None
+    if placed is None:
+        order = np.lexsort(keys[::-1])
+        same = np.ones(max(order.size - 1, 0), dtype=bool)
+        for key in keys:
+            ordered = key[order]
+            same &= ordered[1:] == ordered[:-1]
+        if same.any():
+            row = order[1:][same].min()
+            raise ValueError(f"{name} repeats {cell(key[row] for key in keys)}: {path}")
         raise ValueError(f"{name} does not cover every ({', '.join(key_names)}) cell: {path}")
-    values = values[order]
     compare, bound_text = bound
-    bad = np.flatnonzero(~(np.isfinite(values) & compare(values, 0.0)))
+    bad = np.flatnonzero(~(np.isfinite(placed) & compare(placed, 0.0)))
     if bad.size:
-        value, where = float(values[bad[0]]), cell(order[bad[0]])
+        value, where = float(placed.flat[bad[0]]), cell(np.unravel_index(bad[0], shape))
         if not math.isfinite(value):
             raise ValueError(f"{name} {path}: non-finite {label} {value!r} for {where}")
         raise ValueError(f"{name} {path}: {label} {value!r} for {where} must be {bound_text}")
-    return values.reshape(shape)
+    return placed
 
 
 def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
@@ -539,13 +557,12 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
     columns :func:`write_scenario_csvs` writes; a row that does not parse,
     or names an asset outside the fleet, is named with its line. No array
     is sized by a scenario index before the rows are known to cover every
-    cell.
+    cell: the placed values wait until there are as many rows as cells.
     """
     n, t = fleet.n_assets, fleet.horizon
     index = {a.id: i for i, a in enumerate(fleet.assets)}
 
-    usage = _read_columns("usage file", usage_path, _USAGE_COLUMNS, index)
-    scen, period = usage[1], usage[2]
+    asset, scen, period, values = _read_columns("usage file", usage_path, _USAGE_COLUMNS, index)
     if np.any(scen < 0):
         raise ValueError(f"usage file scenario {scen[scen < 0][0]} is negative: {usage_path}")
     outside = (period < 1) | (period > t)
@@ -554,19 +571,22 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
     if scen.size == 0:
         raise ValueError(f"usage file contains no scenarios: {usage_path}")
     n_scen = int(scen.max()) + 1
+    period -= 1  # every key counts from 0 from here on
+    # Rebinding frees the int64 keys before the values are placed.
+    scen, period = _narrow(scen, n_scen), _narrow(period, t)
     inc = _cell_values(
-        fleet, "usage file", usage_path, _USAGE_COLUMNS, usage, "usage increment",
+        fleet, "usage file", usage_path, [asset, scen, period], values, "usage increment",
         (np.greater, "> 0"), (n, n_scen, t),
     )
 
-    rows = _read_columns("RUL file", rul_path, _RUL_COLUMNS, index)
-    outside = (rows[1] < 0) | (rows[1] >= n_scen)
+    asset, scen, values = _read_columns("RUL file", rul_path, _RUL_COLUMNS, index)
+    outside = (scen < 0) | (scen >= n_scen)
     if np.any(outside):
         raise ValueError(
-            f"RUL file scenario {rows[1][outside][0]} outside 0..{n_scen - 1}: {rul_path}"
+            f"RUL file scenario {scen[outside][0]} outside 0..{n_scen - 1}: {rul_path}"
         )
     rul = _cell_values(
-        fleet, "RUL file", rul_path, _RUL_COLUMNS, rows, "latent RUL",
+        fleet, "RUL file", rul_path, [asset, _narrow(scen, n_scen)], values, "latent RUL",
         (np.greater_equal, ">= 0"), (n, n_scen),
     )
 

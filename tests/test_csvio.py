@@ -2,6 +2,7 @@
 
 import csv
 import io
+from array import array
 
 import pytest
 
@@ -39,9 +40,10 @@ def test_chunks_are_converted_columns_in_column_order(tmp_path, monkeypatch):
     monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
     path = write_text(tmp_path / "f.csv", "value,name,count\n1.5,a,1\n\n2.5,b,2\n3.5,c,3\n")
     # The blank line is a reader row, so the first chunk holds one data row.
+    # int and float columns come as int64 and float64 arrays.
     assert list(read_csv(path, "test file", COLUMNS)) == [
-        [["a"], [1], [1.5]],
-        [["b", "c"], [2, 3], [2.5, 3.5]],
+        [["a"], array("q", [1]), array("d", [1.5])],
+        [["b", "c"], array("q", [2, 3]), array("d", [2.5, 3.5])],
     ]
 
 
@@ -55,7 +57,7 @@ def test_int_columns_must_fit_int64(tmp_path, count):
 def test_rows_before_a_bad_row_are_yielded_first(tmp_path):
     path = write_text(tmp_path / "f.csv", "name,count,value\na,1,1\nb,2,x\nc,3,3\n")
     chunks = read_csv(path, "test file", COLUMNS)
-    assert next(chunks) == [["a"], [1], [1.0]]
+    assert next(chunks) == [["a"], array("q", [1]), array("d", [1.0])]
     with pytest.raises(ValueError, match="line 3: bad value 'x'$"):
         next(chunks)
 
@@ -67,7 +69,7 @@ def test_csv_error_comes_after_the_rows_before_it(tmp_path):
         list(read_csv(path, "test file", COLUMNS))
     path = write_text(tmp_path / "g.csv", f"name,count,value\na,1,1\n{huge},3,3\n")
     chunks = read_csv(path, "test file", COLUMNS)
-    assert next(chunks) == [["a"], [1], [1.0]]
+    assert next(chunks) == [["a"], array("q", [1]), array("d", [1.0])]
     message = r"^test file .*g\.csv, line 3: field larger than field limit"
     with pytest.raises(ValueError, match=message):
         next(chunks)
