@@ -72,15 +72,10 @@ def _solve(
     kind: PolicyKind, config: RunConfig, matrix: EvaluationMatrix
 ) -> tuple[Schedule, CostDistribution, PolicySummary]:
     """One policy's schedule, its cost distribution and its summary row."""
-    schedule = run_policy(
-        kind,
-        matrix,
-        trigger_prob=config.trigger_prob,
-        alpha=config.alpha,
-        budget=config.exhaustive_budget,
-    )
+    params = config.policies
+    schedule = run_policy(kind, matrix, params)
     dist = schedule_cost_distribution(matrix, schedule)
-    return schedule, dist, summarize_policy(kind.value, schedule, dist, matrix, config.alpha)
+    return schedule, dist, summarize_policy(kind.value, schedule, dist, matrix, params.alpha)
 
 
 def compute_study(config: RunConfig, workers: int = 1) -> StudyResult:
@@ -168,8 +163,9 @@ def _cmd_evaluate(args, config: RunConfig, out: Path) -> int:
         return 3
     dist = schedule_cost_distribution(_setup(config, fleet, args.threads), schedule)
     print(f"expected_cost={expected_cost(dist):.12g}")
-    print(f"var_{config.alpha:g}={var_alpha(dist, config.alpha):.12g}")
-    print(f"cvar_{config.alpha:g}={cvar_alpha(dist, config.alpha):.12g}")
+    alpha = config.policies.alpha
+    print(f"var_{alpha:g}={var_alpha(dist, alpha):.12g}")
+    print(f"cvar_{alpha:g}={cvar_alpha(dist, alpha):.12g}")
     with staged_outputs(out) as stage:
         write_csv(
             stage / "eval_distribution.csv",
@@ -191,7 +187,7 @@ def _cmd_optimize(args, config: RunConfig, out: Path) -> int:
     objective = summary.expected_cost if expected else summary.cvar
     with staged_outputs(out) as stage:
         write_schedule_csv(stage / "schedule.csv", schedule, matrix.fleet)
-    print(f"criterion={args.criterion} alpha={config.alpha:g} objective={objective:.12g}")
+    print(f"criterion={args.criterion} alpha={config.policies.alpha:g} objective={objective:.12g}")
     print(f"wrote {out / 'schedule.csv'}")
     return 0
 

@@ -6,10 +6,11 @@ small-fleet study profile; unknown keys and non-finite numbers are
 rejected by name rather than ignored, so typos fail loudly. The fleet
 section either lists explicit assets or gives sampling ranges for a
 generated fleet. The keys, types and defaults of ``fleet``,
-``fleet.assets[]`` and ``risk`` are the fields of FleetGenConfig,
-AssetSpec and RiskParams; the ``costs`` keys are AssetSpec's ``cost_*``
+``fleet.assets[]``, ``risk`` and ``policies`` are the fields of
+FleetGenConfig, AssetSpec, RiskParams and PolicyParams, each read by
+:func:`_read_section`; the ``costs`` keys are AssetSpec's ``cost_*``
 fields without the prefix, and ``costs`` is the one place that sets the
-costs of a generated fleet.
+costs of a generated fleet. ``output.formats`` must be ``["csv"]``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from .fleet import AssetSpec, FleetGenConfig, FleetSpec, generate_fleet
-from .policies import DEFAULT_ALPHA, DEFAULT_TRIGGER_PROB
-from .optimize import DEFAULT_EXHAUSTIVE_BUDGET
+from .policies import PolicyParams
 from .riskcost import RiskParams
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "DEFAULT_SEED"]
@@ -33,13 +33,15 @@ _ASSET_FIELDS = fields(AssetSpec)
 _ASSET_DEFAULTS = {f.name: f.default for f in _ASSET_FIELDS if f.default is not MISSING}
 _COST_NAMES = [f.name[5:] for f in _ASSET_FIELDS if f.name.startswith("cost_")]
 _FLEET_GEN_FIELDS = fields(FleetGenConfig)
+# Horizon first, as in the explicit branch, so its error is named first; _get_seed reads the seed.
+_FLEET_GEN_READ = [f for f in _FLEET_GEN_FIELDS if f.name != "seed"]
+_FLEET_GEN_READ.sort(key=lambda f: f.name != "horizon")
 # Both config seeds default to DEFAULT_SEED, not to the generator's own 0.
 _FLEET_GEN_DEFAULTS = asdict(FleetGenConfig()) | {"seed": DEFAULT_SEED}
 
 _TOP_KEYS = {"fleet", "scenarios", "risk", "costs", "policies", "output"}
 _FLEET_EXPLICIT_KEYS = {"assets", "horizon"}
 _SCENARIO_KEYS = {"n_scenarios", "seed"}
-_POLICY_KEYS = {"trigger_prob", "alpha", "exhaustive_budget"}
 _OUTPUT_KEYS = {"directory", "formats"}
 
 
@@ -112,9 +114,19 @@ _READERS = {"str": _get_str, "int": _get_int, "float": _get_number,
             "tuple[float, float]": _get_range}
 
 
-def _read_fields(section: str, data: dict, schema, defaults: dict) -> dict:
-    """Read dataclass fields from ``data`` in order, each as its annotation says."""
-    return {f.name: _READERS[f.type](section, data, f.name, defaults.get(f.name)) for f in schema}
+def _read_section(section: str, data, record, schema, defaults: dict):
+    """Build ``record`` from a section whose keys are its fields. Each field of
+    ``schema`` is read in order, as its annotation says, and is required if
+    ``defaults`` lacks it; the other fields take their ``defaults``."""
+    _check_keys(section, data, {f.name for f in fields(record)})
+    missing = {f.name for f in schema} - defaults.keys() - data.keys()
+    if missing:
+        raise ConfigError(f"{section} missing required keys: {sorted(missing)}")
+    values = {f.name: _READERS[f.type](section, data, f.name, defaults.get(f.name)) for f in schema}
+    try:
+        return record(**defaults | values)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _cost_fields(costs: dict[str, float]) -> dict[str, float]:
@@ -135,6 +147,7 @@ class RunConfig:
     Exactly one of ``fleet_gen`` and ``explicit_fleet`` is set. An explicit
     fleet already carries its resolved costs; a generated one takes
     ``cost_defaults`` and ``cost_overrides`` in :meth:`build_fleet`.
+    CSV is the one output format, so no field holds ``output.formats``.
     """
 
     fleet_gen: FleetGenConfig | None
@@ -144,11 +157,8 @@ class RunConfig:
     risk: RiskParams
     cost_defaults: dict[str, float]
     cost_overrides: dict[str, dict[str, float]]
-    trigger_prob: float
-    alpha: float
-    exhaustive_budget: int
+    policies: PolicyParams
     out_dir: str
-    formats: tuple[str, ...]
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Copy with both the fleet and scenario seeds forced to one value."""
@@ -160,9 +170,14 @@ class RunConfig:
         return replace(self, fleet_gen=gen, scenario_seed=seed)
 
     def build_fleet(self) -> FleetSpec:
+        """The fleet to study; a generated asset that its draws make invalid
+        is a config error."""
         if self.explicit_fleet is not None:
             return self.explicit_fleet
-        fleet = generate_fleet(self.fleet_gen)
+        try:
+            fleet = generate_fleet(self.fleet_gen)
+        except ValueError as exc:
+            raise ConfigError(f"fleet: {exc}") from exc
         assets = _with_costs(fleet.assets, self.cost_defaults, self.cost_overrides)
         return replace(fleet, assets=assets)
 
@@ -187,29 +202,16 @@ class RunConfig:
             "scenarios": {"n_scenarios": self.n_scenarios, "seed": self.scenario_seed},
             "risk": asdict(self.risk),
             "costs": costs,
-            "policies": {
-                "trigger_prob": self.trigger_prob,
-                "alpha": self.alpha,
-                "exhaustive_budget": self.exhaustive_budget,
-            },
-            "output": {"directory": self.out_dir, "formats": list(self.formats)},
+            "policies": asdict(self.policies),
+            "output": {"directory": self.out_dir, "formats": ["csv"]},
         }
 
 
 def _parse_asset(entry, cost_defaults: dict[str, float], index: int) -> AssetSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"fleet.assets[{index}] must be a JSON object")
-    section = f"fleet.assets[{index}]"
-    names = {f.name for f in _ASSET_FIELDS}
-    _check_keys(section, entry, names)
-    missing = names - _ASSET_DEFAULTS.keys() - entry.keys()
-    if missing:
-        raise ConfigError(f"{section} missing required keys: {sorted(missing)}")
     defaults = _ASSET_DEFAULTS | _cost_fields(cost_defaults)
-    try:
-        return AssetSpec(**_read_fields(section, entry, _ASSET_FIELDS, defaults))
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+    return _read_section(f"fleet.assets[{index}]", entry, AssetSpec, _ASSET_FIELDS, defaults)
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -249,16 +251,8 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError(f"fleet: {exc}") from exc
         known_ids = set(explicit_fleet.ids)
     else:
-        _check_keys("fleet", fleet_raw, {f.name for f in _FLEET_GEN_FIELDS})
-        # Horizon first, as in the explicit branch, so its error is named first.
-        order = sorted(_FLEET_GEN_FIELDS, key=lambda f: f.name != "horizon")
-        gen = _read_fields("fleet", fleet_raw, order, _FLEET_GEN_DEFAULTS)
-        if gen["seed"] < 0:
-            raise ConfigError("fleet.seed must be >= 0")
-        try:
-            fleet_gen = FleetGenConfig(**gen)
-        except ValueError as exc:
-            raise ConfigError(f"fleet: {exc}") from exc
+        defaults = _FLEET_GEN_DEFAULTS | {"seed": _get_seed("fleet", fleet_raw)}
+        fleet_gen = _read_section("fleet", fleet_raw, FleetGenConfig, _FLEET_GEN_READ, defaults)
         known_ids = {f"A{j + 1}" for j in range(fleet_gen.n_assets)}
 
     unknown_overrides = set(cost_overrides) - known_ids
@@ -274,26 +268,11 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("scenarios.n_scenarios must be >= 1")
     scenario_seed = _get_seed("scenarios", scen_raw)
 
-    risk_raw = data.get("risk", {})
-    risk_fields = fields(RiskParams)
-    _check_keys("risk", risk_raw, {f.name for f in risk_fields})
-    defaults = asdict(RiskParams())
-    try:
-        risk = RiskParams(**_read_fields("risk", risk_raw, risk_fields, defaults))
-    except ValueError as exc:
-        raise ConfigError(f"risk: {exc}") from exc
-
-    pol_raw = data.get("policies", {})
-    _check_keys("policies", pol_raw, _POLICY_KEYS)
-    trigger_prob = _get_number("policies", pol_raw, "trigger_prob", DEFAULT_TRIGGER_PROB)
-    if not 0.0 < trigger_prob < 1.0:
-        raise ConfigError("policies.trigger_prob must lie strictly between 0 and 1")
-    alpha = _get_number("policies", pol_raw, "alpha", DEFAULT_ALPHA)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("policies.alpha must lie strictly between 0 and 1")
-    budget = _get_int("policies", pol_raw, "exhaustive_budget", DEFAULT_EXHAUSTIVE_BUDGET)
-    if budget < 1:
-        raise ConfigError("policies.exhaustive_budget must be >= 1")
+    risk_raw, pol_raw = data.get("risk", {}), data.get("policies", {})
+    risk = _read_section("risk", risk_raw, RiskParams, fields(RiskParams), asdict(RiskParams()))
+    policies = _read_section(
+        "policies", pol_raw, PolicyParams, fields(PolicyParams), asdict(PolicyParams())
+    )
 
     out_raw = data.get("output", {})
     _check_keys("output", out_raw, _OUTPUT_KEYS)
@@ -315,11 +294,8 @@ def parse_config(data: dict) -> RunConfig:
         risk=risk,
         cost_defaults=cost_defaults,
         cost_overrides=cost_overrides,
-        trigger_prob=trigger_prob,
-        alpha=alpha,
-        exhaustive_budget=budget,
+        policies=policies,
         out_dir=out_dir,
-        formats=tuple(formats_raw),
     )
 
 

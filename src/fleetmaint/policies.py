@@ -8,12 +8,14 @@ scenario set. The integrated policies minimize the full scenario-based
 cost, by expected value or by CVaR, and take only the
 :class:`~fleetmaint.optimize.EvaluationMatrix`, which holds the fleet and
 scenario set it was priced on. All five return a complete schedule for
-the fleet and are deterministic given their inputs.
+the fleet and are deterministic given their inputs. :func:`run_policy`
+runs any of them by kind with the settings of one :class:`PolicyParams`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,6 +33,7 @@ from .scenario import ScenarioSet
 
 __all__ = [
     "PolicyKind",
+    "PolicyParams",
     "DEFAULT_TRIGGER_PROB",
     "DEFAULT_ALPHA",
     "calendar_only",
@@ -55,6 +58,24 @@ class PolicyKind(str, Enum):
     RUL_THRESHOLD = "rul_threshold"
     INTEGRATED_EXPECTED = "integrated_expected"
     INTEGRATED_CVAR = "integrated_cvar"
+
+
+@dataclass(frozen=True)
+class PolicyParams:
+    """Settings every policy run shares: the RUL rule's trigger level, the
+    CVaR level alpha, and the largest (T+1)^N the CVaR policy enumerates."""
+
+    trigger_prob: float = DEFAULT_TRIGGER_PROB
+    alpha: float = DEFAULT_ALPHA
+    exhaustive_budget: int = DEFAULT_EXHAUSTIVE_BUDGET
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.trigger_prob < 1.0:
+            raise ValueError("trigger_prob must lie strictly between 0 and 1")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie strictly between 0 and 1")
+        if self.exhaustive_budget < 1:
+            raise ValueError("exhaustive_budget must be >= 1")
 
 
 def calendar_only(fleet: FleetSpec) -> Schedule:
@@ -157,15 +178,10 @@ def integrated_cvar(
 
 
 def run_policy(
-    kind: PolicyKind,
-    matrix: EvaluationMatrix,
-    *,
-    trigger_prob: float = DEFAULT_TRIGGER_PROB,
-    alpha: float = DEFAULT_ALPHA,
-    budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
+    kind: PolicyKind, matrix: EvaluationMatrix, params: PolicyParams = PolicyParams()
 ) -> Schedule:
-    """Dispatch a policy by kind with shared defaults; every policy sees
-    the matrix's fleet and scenario set."""
+    """Dispatch a policy by kind; every policy sees the matrix's fleet and
+    scenario set, and takes from ``params`` the settings it uses."""
     kind = PolicyKind(kind)
     fleet, scenarios = matrix.fleet, matrix.scenarios
     if kind is PolicyKind.CALENDAR_ONLY:
@@ -173,7 +189,7 @@ def run_policy(
     if kind is PolicyKind.USAGE_ONLY:
         return usage_only(fleet, scenarios)
     if kind is PolicyKind.RUL_THRESHOLD:
-        return rul_threshold(fleet, scenarios, trigger_prob)
+        return rul_threshold(fleet, scenarios, params.trigger_prob)
     if kind is PolicyKind.INTEGRATED_EXPECTED:
         return integrated_expected(matrix)
-    return integrated_cvar(matrix, alpha, budget=budget)
+    return integrated_cvar(matrix, params.alpha, budget=params.exhaustive_budget)

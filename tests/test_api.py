@@ -64,6 +64,52 @@ def test_no_unused_module_imports():
     assert not unused, f"imported but never used: {unused}"
 
 
+def _defined_private_names(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions, classes and assigned names with a leading
+    underscore, dunders excepted."""
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                defined[name] = node.lineno
+    return defined
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name ``tree`` reads: plain names, attributes and imported names."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_no_unread_private_module_names():
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted((SRC / "fleetmaint").glob("*.py"))
+    }
+    read = set().union(*map(_read_names, trees.values()))
+    unread = [
+        f"{name}:{line} {private}"
+        for name, tree in trees.items()
+        for private, line in _defined_private_names(tree).items()
+        if private not in read
+    ]
+    assert not unread, f"private module-level names no module reads: {unread}"
+
+
 def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -17,10 +18,12 @@ from fleetmaint import scenario
 from fleetmaint.cli import POLICY_ORDER, compute_study, run_study
 from fleetmaint.config import ConfigError, load_config, parse_config
 from fleetmaint.fleet import AssetSpec, FleetGenConfig
+from fleetmaint.policies import PolicyParams
 from fleetmaint.riskcost import RiskParams
 from fleetmaint.scenario import generate_scenarios, read_scenario_csvs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 SMALL_CONFIG = {
     "fleet": {"n_assets": 3, "horizon": 6, "seed": 5},
@@ -115,12 +118,12 @@ class TestParseConfig:
         assert config.fleet_gen.horizon == 12
         assert config.n_scenarios == 800
         assert config.scenario_seed == 1
-        assert config.alpha == 0.9
-        assert config.trigger_prob == 0.6
+        assert config.policies.alpha == 0.9
+        assert config.policies.trigger_prob == 0.6
+        assert config.policies.exhaustive_budget == 1_000_000
         assert config.out_dir == "out"
         assert config.fleet_gen is not None
         assert config.fleet_gen.n_assets == 5
-        assert config.formats == ("csv",)
 
     def test_unknown_top_level_key_named_in_error(self):
         with pytest.raises(ConfigError, match="fleets"):
@@ -210,6 +213,8 @@ class TestParseConfig:
             {"fleet": {"n_assets": 2}, "costs": {"per_asset": {"A1": {"fail": float("inf")}}}},
             {"fleet": {"rul_mean_range": None}},
             {"fleet": {"assets": [{**EXPLICIT_ASSET, "id": "a\rb"}]}},
+            {"policies": {"exhaustive_budget": 0}},
+            {"output": {"formats": "csv"}},
         ],
     )
     def test_bad_values_rejected(self, document):
@@ -226,8 +231,9 @@ class TestParseConfig:
             ),
             (FleetGenConfig, lambda **keys: {"fleet": keys}, lambda echo: echo["fleet"]),
             (RiskParams, lambda **keys: {"risk": keys}, lambda echo: echo["risk"]),
+            (PolicyParams, lambda **keys: {"policies": keys}, lambda echo: echo["policies"]),
         ],
-        ids=["asset", "fleet-generation", "risk"],
+        ids=["asset", "fleet-generation", "risk", "policies"],
     )
     def test_every_field_is_a_config_key(self, record, document, section):
         names = [f.name for f in fields(record)]
@@ -242,6 +248,26 @@ class TestParseConfig:
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):
             parse_config([1, 2, 3])
+
+
+def _readme_config_examples() -> list[dict]:
+    """The JSON blocks of README's "## Configuration" section, in order."""
+    section = README.read_text(encoding="utf-8").split("\n## Configuration\n")[1]
+    section = section.split("\n## ")[0]
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+
+
+class TestReadmeConfig:
+    def test_defaults_example_is_the_default_config(self):
+        document = _readme_config_examples()[0]
+        # the one value in the example that is not a default
+        del document["costs"]["per_asset"]
+        assert parse_config(document).to_json_dict() == parse_config({}).to_json_dict()
+
+    def test_explicit_fleet_example_loads(self):
+        fleet = parse_config(_readme_config_examples()[1]).build_fleet()
+        assert fleet.ids == ("pump-1",)
+        assert fleet.horizon == 8
 
 
 class TestLoadConfig:
@@ -701,6 +727,25 @@ class TestCliCommands:
         assert capsys.readouterr().err == (
             "error: asset 'A1' at date 3: a cost or failure value is not finite\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-fleet", "study"])
+    @pytest.mark.parametrize(
+        "key, bounds, message",
+        [
+            ("rul_std_range", [0, 0], "rul_std must be > 0"),
+            ("calendar_limit_range", [0, 0.4], "calendar_limit must be > 0"),
+            ("usage_mean_range", [0, 0], "usage_mean_per_period must be > 0"),
+        ],
+        ids=["rul-std", "calendar-limit", "usage-mean"],
+    )
+    def test_invalid_generated_asset_exits_2(self, key, bounds, message, command, tmp_path, capsys):
+        # each range is valid on its own; every asset drawn from it is not
+        config = tmp_path / "draws.json"
+        config.write_text(json.dumps({"fleet": {"n_assets": 2, key: bounds}}))
+        out = tmp_path / "draws_out"
+        assert fleetmaint.cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: fleet: asset A1: {message}\n"
         assert not out.exists()
 
     def test_zero_threads_exits_2(self, config_file, tmp_path):

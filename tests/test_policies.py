@@ -11,6 +11,7 @@ from fleetmaint import policies
 from fleetmaint.optimize import build_matrix, schedule_cost_distribution
 from fleetmaint.policies import (
     PolicyKind,
+    PolicyParams,
     calendar_only,
     integrated_cvar,
     integrated_expected,
@@ -294,6 +295,31 @@ class TestDispatcher:
         for kind in PolicyKind:
             schedule = run_policy(kind, matrix)
             assert set(schedule.dates) == set(fleet.ids)
+
+    def test_forwards_every_param(self, monkeypatch):
+        fleet = make_fleet(n_assets=3, horizon=6)
+        scenarios = random_scenarios(fleet, n_scenarios=60, seed=71)
+        matrix = matrix_for(fleet, scenarios)
+        params = PolicyParams(trigger_prob=0.2, alpha=0.7, exhaustive_budget=1)
+
+        rul = run_policy(PolicyKind.RUL_THRESHOLD, matrix, params)
+        assert rul.dates == rul_threshold(fleet, scenarios, trigger_prob=0.2).dates
+        assert rul.dates != rul_threshold(fleet, scenarios).dates
+
+        expected = integrated_cvar(matrix, alpha=0.7, budget=1)
+        calls = []
+        descent, search = policies.coordinate_descent_cvar, policies.exhaustive_cvar_argmin
+        monkeypatch.setattr(
+            policies, "coordinate_descent_cvar",
+            lambda *args: calls.append(args[1]) or descent(*args),
+        )
+        monkeypatch.setattr(
+            policies, "exhaustive_cvar_argmin", lambda *args: calls.append(args) or search(*args)
+        )
+        cvar = run_policy(PolicyKind.INTEGRATED_CVAR, matrix, params)
+        assert cvar.dates == expected.dates
+        # descent at alpha 0.7, and a budget of 1 leaves nothing to enumerate
+        assert calls == [0.7]
 
     def test_accepts_plain_strings(self):
         fleet = make_fleet()
