@@ -33,10 +33,12 @@ from .policies import (
 from .report import EcdfCurve, PolicySummary, ecdf, emit_outputs, summarize_policy
 from .riskcost import RiskParams, failure_probability, performance_penalty
 from .scenario import (
+    PricingInputs,
     ScenarioSet,
     cell_stream,
     generate_scenarios,
     sample_gamma,
+    sample_pricing_inputs,
     sample_truncated_normal,
 )
 
@@ -49,8 +51,10 @@ __all__ = [
     "generate_fleet",
     "validate_schedule",
     "ScenarioSet",
+    "PricingInputs",
     "cell_stream",
     "generate_scenarios",
+    "sample_pricing_inputs",
     "sample_gamma",
     "sample_truncated_normal",
     "RiskParams",

@@ -3,15 +3,17 @@
 Subcommands: gen-fleet, gen-scenarios, evaluate, optimize, study. All of
 them accept --config (JSON), --seed (overrides the config seeds) and --out;
 :func:`main` loads the config and resolves the output directory once for
-all of them. evaluate, optimize and study sample the scenario set and
-build the evaluation matrix of the config's fleet through :func:`_setup`,
-which returns the matrix alone: it holds the fleet and the scenario set it
-was priced on. optimize and study solve and price each policy on that
-matrix through :func:`_solve`.
---threads K (>= 1) sets how many worker processes sample the scenario
-set (:func:`fleetmaint.scenario.generate_scenarios`); everything else runs
-on one thread, and no output depends on K. Exit codes: 0 on success, 2 for
-configuration problems, 3 for runtime failures.
+all of them. evaluate, optimize and study build the evaluation matrix of
+the config's fleet through :func:`_setup`, which samples only what pricing
+reads of the scenario set, its latent RULs and usage mean
+(:func:`fleetmaint.scenario.sample_pricing_inputs`), never the (N, S, T)
+usage increments, and returns the matrix alone: it holds the fleet and
+those pricing inputs. optimize and study solve and price each policy on
+that matrix through :func:`_solve`. gen-scenarios samples and exports the
+full set (:func:`fleetmaint.scenario.generate_scenarios`).
+--threads K (>= 1) sets how many worker processes sample; everything else
+runs on one thread, and no output depends on K. Exit codes: 0 on success,
+2 for configuration problems, 3 for runtime failures.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, load_config, parse_config
@@ -37,7 +40,12 @@ from .report import (
     summarize_policy,
     write_schedule_csv,
 )
-from .scenario import ScenarioSet, generate_scenarios, write_scenario_csvs
+from .scenario import (
+    ScenarioSet,
+    generate_scenarios,
+    sample_pricing_inputs,
+    write_scenario_csvs,
+)
 
 __all__ = ["main", "run_study", "compute_study", "StudyResult", "POLICY_ORDER"]
 
@@ -52,20 +60,32 @@ POLICY_ORDER = (
 
 @dataclass
 class StudyResult:
-    """Everything a full study computes, before any files are written."""
+    """Everything a full study computes, before any files are written.
+
+    The policies were priced on the latent RULs and the usage mean alone.
+    ``scenarios`` is the full set of ``n_scenarios`` scenarios they come
+    from, drawn from ``scenario_seed`` on first access and then kept:
+    every cell is a pure function of (seed, asset, scenario), so it is
+    the set the study sampled, to the bit.
+    """
 
     fleet: FleetSpec
-    scenarios: ScenarioSet
+    n_scenarios: int
+    scenario_seed: int
     schedules: dict[str, Schedule]
     summaries: list[PolicySummary]
     curves: dict[str, EcdfCurve]
 
+    @cached_property
+    def scenarios(self) -> ScenarioSet:
+        return generate_scenarios(self.fleet, self.n_scenarios, self.scenario_seed)
+
 
 def _setup(config: RunConfig, fleet: FleetSpec, workers: int) -> EvaluationMatrix:
-    """The evaluation matrix of the fleet on its scenario set, sampled by
-    ``workers`` processes."""
-    scenarios = generate_scenarios(fleet, config.n_scenarios, config.scenario_seed, workers)
-    return build_matrix(fleet, scenarios, config.risk)
+    """The evaluation matrix of the fleet on the latent RULs and usage mean
+    of its scenario set, sampled by ``workers`` processes."""
+    inputs = sample_pricing_inputs(fleet, config.n_scenarios, config.scenario_seed, workers)
+    return build_matrix(fleet, inputs, config.risk)
 
 
 def _solve(
@@ -92,7 +112,8 @@ def compute_study(config: RunConfig, workers: int = 1) -> StudyResult:
         curves[kind.value] = ecdf(dist)
     return StudyResult(
         fleet=matrix.fleet,
-        scenarios=matrix.scenarios,
+        n_scenarios=config.n_scenarios,
+        scenario_seed=config.scenario_seed,
         schedules=schedules,
         summaries=summaries,
         curves=curves,

@@ -28,13 +28,16 @@ the value each returns is its schedule's
 The matrix build is the one place that evaluates the hazard. Next to the
 cost rows it keeps each asset's expected accrued failure probability per
 candidate date, so a schedule's failure proxy is a sum of N lookups.
-The matrix also holds the fleet and the scenario set it was priced on,
-and checks that they agree with its tables, so everything that prices a
-schedule takes the matrix alone and reads the scenario weights from it.
+The matrix also holds the fleet and what it was priced on of the scenario
+set, a :class:`~fleetmaint.scenario.PricingInputs` (the latent RUL sample
+and the usage mean, never the (N, S, T) usage increments), and checks
+that they agree with its tables, so everything that prices a schedule
+takes the matrix alone and reads the scenario weights from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,7 +46,7 @@ import numpy as np
 from .criteria import CostDistribution, batch_cvar
 from .fleet import FleetSpec, Schedule, validate_schedule
 from .riskcost import RiskParams, failure_probability, performance_penalty
-from .scenario import ScenarioSet
+from .scenario import PricingInputs, ScenarioSet, _size_error
 
 __all__ = [
     "EvaluationMatrix",
@@ -63,6 +66,11 @@ DEFAULT_EXHAUSTIVE_BUDGET = 1_000_000
 # pricing it allocates stays near 1 MiB whatever S and the survivor count.
 _BLOCK_ELEMENTS = 1 << 17
 
+# Scenarios per block of the matrix build. Its (block, T) temporaries then
+# stay below 128 KiB, under which the C allocator reuses freed memory
+# rather than mapping, and faulting in, fresh pages for each array.
+_TABLE_BLOCK = 1024
+
 # Relative slack on the incumbent when pruning by expected cost. Rounding
 # in the summed means and in the CVaR sums is many orders smaller, so no
 # schedule that could tie the optimum is pruned.
@@ -79,16 +87,22 @@ class EvaluationMatrix:
     probabilities over the same candidate's accrual window: periods
     1..c, which for c == T is the whole horizon. ``fleet`` and
     ``scenarios`` are what the tables were priced on; their shapes must
-    agree with the tables', and every cell must be finite.
+    agree with the tables', and every cell must be finite. A
+    :class:`~fleetmaint.scenario.ScenarioSet` given as ``scenarios`` is
+    kept as its :class:`~fleetmaint.scenario.PricingInputs`, so the
+    matrix never holds the (N, S, T) usage increments.
     """
 
     fleet: FleetSpec
-    scenarios: ScenarioSet
+    scenarios: PricingInputs
     costs: np.ndarray
     failure: np.ndarray
 
     def __post_init__(self) -> None:
         fleet, scenarios = self.fleet, self.scenarios
+        if isinstance(scenarios, ScenarioSet):
+            scenarios = PricingInputs(scenarios.latent_rul, scenarios.usage_mean)
+            object.__setattr__(self, "scenarios", scenarios)
         if scenarios.n_assets != fleet.n_assets or scenarios.horizon != fleet.horizon:
             raise ValueError("scenario set shape does not match the fleet")
         c = np.asarray(self.costs, dtype=float)
@@ -125,36 +139,60 @@ def _asset_tables(
     failure: np.ndarray,
 ) -> None:
     """Write one asset's (T+1, S) cost rows into ``table`` and its (T+1,)
-    failure row into ``failure``."""
+    failure row into ``failure``.
+
+    Every cost cell depends on its own scenario alone, so the rows are
+    built in blocks of ``_TABLE_BLOCK`` scenarios, whose temporaries the
+    allocator serves again from its heap instead of mapping fresh pages
+    for each. The failure row is a weighted sum over all S scenarios of
+    each one's accrued probability, kept per window in one (T+1, S) array.
+    """
     t_grid = np.arange(1, horizon + 1)
-    margins = latent_rul[:, None] - t_grid[None, :]
-    probs = failure_probability(margins, params)
-    # One row sum per window, not a running sum, so each entry rounds like a
-    # direct sum over its window (numpy sums rows of over 8 terms pairwise).
-    failure[:] = [weights @ probs[:, :k].sum(axis=1) for k in range(horizon + 1)]
-    hazard = asset.cost_fail * probs
-    hazard += performance_penalty(margins, asset.cost_perf, params)
-    # accrued[:, k] charges hazard for periods 1..k; column 0 is the empty sum.
-    accrued = np.concatenate(
-        [np.zeros((latent_rul.size, 1)), np.cumsum(hazard, axis=1)], axis=1
-    )
-    early = asset.cost_early * np.maximum(0.0, margins) / asset.rul_mean
-    table[:horizon] = (asset.cost_pm + early + accrued[:, :horizon]).T
-    table[horizon] = accrued[:, horizon]
+    n_scenarios = latent_rul.size
+    window = np.empty((horizon + 1, n_scenarios))
+    for lo in range(0, n_scenarios, _TABLE_BLOCK):
+        hi = min(lo + _TABLE_BLOCK, n_scenarios)
+        margins = latent_rul[lo:hi, None] - t_grid[None, :]
+        probs = failure_probability(margins, params)
+        # One row sum per window, not a running sum, so each entry rounds like a
+        # direct sum over its window (numpy sums rows of over 8 terms pairwise).
+        for k in range(horizon + 1):
+            window[k, lo:hi] = probs[:, :k].sum(axis=1)
+        hazard = asset.cost_fail * probs
+        hazard += performance_penalty(margins, asset.cost_perf, params)
+        # accrued[:, k] charges hazard for periods 1..k; column 0 is the empty sum.
+        accrued = np.concatenate([np.zeros((hi - lo, 1)), np.cumsum(hazard, axis=1)], axis=1)
+        early = asset.cost_early * np.maximum(0.0, margins) / asset.rul_mean
+        table[:horizon, lo:hi] = (asset.cost_pm + early + accrued[:, :horizon]).T
+        table[horizon, lo:hi] = accrued[:, horizon]
+    failure[:] = [weights @ row for row in window]
 
 
 def build_matrix(
-    fleet: FleetSpec, scenarios: ScenarioSet, params: RiskParams = RiskParams()
+    fleet: FleetSpec,
+    scenarios: PricingInputs | ScenarioSet,
+    params: RiskParams = RiskParams(),
 ) -> EvaluationMatrix:
     """Precompute every asset's cost and failure rows against a frozen scenario set.
 
-    The matrix is allocated once and each asset's rows are written into it
-    in place, so it is never held twice. A scenario set whose shape does not
+    Pricing reads only the latent RUL sample of ``scenarios``, a
+    :class:`~fleetmaint.scenario.PricingInputs` or a full
+    :class:`~fleetmaint.scenario.ScenarioSet`. The matrix is allocated
+    once and each asset's rows are written into it in place, so it is
+    never held twice. A scenario set whose shape does not
     match the fleet is rejected by the matrix itself, as is a cell that
     overflows to infinity: the build lets it overflow without a warning.
+    A table that cannot be allocated raises a MemoryError naming N, S
+    and T.
     """
     shape = (fleet.n_assets, fleet.horizon + 1)
-    costs = np.empty((*shape, scenarios.n_scenarios))
+    try:
+        costs = np.empty((*shape, scenarios.n_scenarios))
+    except (MemoryError, ValueError):  # numpy says ValueError past the address space
+        nbytes = math.prod(shape) * scenarios.n_scenarios * 8
+        raise _size_error(
+            "cost table", nbytes, fleet.n_assets, scenarios.n_scenarios, fleet.horizon
+        ) from None
     failure = np.empty(shape)
     weights = scenarios.weights
     with np.errstate(over="ignore"):
@@ -288,12 +326,15 @@ def coordinate_descent_cvar(
     totals = _schedule_totals(costs, current)
     current_val = float(batch_cvar(totals, weights, alpha)[0])
 
+    # one buffer for every move's candidate rows, not a fresh (T+1, S) array each
+    candidates = np.empty((k1, costs.shape[2]))
     improved = True
     while improved:
         improved = False
         for i in range(n):
             without = totals - costs[i, current[i]]
-            cvars = batch_cvar(without[None, :] + costs[i], weights, alpha)
+            np.add(without, costs[i], out=candidates)
+            cvars = batch_cvar(candidates, weights, alpha)
             c_best = int(np.argmin(cvars))
             if float(cvars[c_best]) < current_val:
                 current[i] = c_best

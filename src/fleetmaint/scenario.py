@@ -13,20 +13,33 @@ generator (:func:`cell_stream`). Cells can therefore be generated in any
 order, or in parallel, without changing a single draw. Within a cell the T
 usage increments are drawn first, then the latent RUL.
 
-:func:`generate_scenarios` keeps that contract without building one
-``SeedSequence`` and one ``Generator`` per cell. SeedSequence's hash and
-PCG64's seeding step are pure functions of the seed words, so the state of
-every cell of an asset is computed in array passes over all its cells: the
-hash in uint32 arithmetic (:func:`_cell_seed_words`), then PCG64's 128-bit
-seeding step in Python's exact integers (:func:`_pcg64_states`). Each cell's
-state is set on one reused generator before its draws, and its gamma draws
-are written straight into the output array.
+The sampler keeps that contract without building one ``SeedSequence`` and
+one ``Generator`` per cell. SeedSequence's hash and PCG64's seeding step
+are pure functions of the seed words, so the state of every cell of an
+asset is computed in array passes over all its cells: the hash in uint32
+arithmetic (:func:`_cell_seed_words`), then PCG64's 128-bit seeding step in
+Python's exact integers (:func:`_pcg64_states`). Each cell's state is set
+on one reused generator before its draws, and its gamma draws are written
+straight into their destination row.
 
-Since every cell is a pure function of (seed, i, w), :func:`generate_scenarios`
-can also split the cells into contiguous blocks in (asset, scenario) order
-and sample the blocks in forked worker processes at once. The workers write
-into one shared anonymous memory map that backs the returned arrays, so the
-set is the same to the bit whatever the number of workers.
+Since every cell is a pure function of (seed, i, w), the cells can also be
+split into contiguous blocks in (asset, scenario) order and sampled in
+forked worker processes at once. The workers write into one shared
+anonymous memory map that backs the returned arrays, so the draws are the
+same to the bit whatever the number of workers.
+
+Pricing reads only the latent RUL and the scenario mean of the usage
+increments, so :func:`sample_pricing_inputs` keeps only those, as a
+:class:`PricingInputs`, while :func:`generate_scenarios` keeps every
+increment in a :class:`ScenarioSet`. Both run one sampler,
+:func:`_sample_cells`; only where the usage draws go differs. The sampler
+takes an asset's scenarios in chunks of ``_CHUNK`` rows, drawn into a view
+of the (N, S, T) array or into one reused (``_CHUNK``, T) buffer. It
+scales and checks each chunk and stores the chunk's term of the usage
+mean (:func:`_mean_term`). Worker blocks start and end on chunk bounds,
+and the terms are added in scenario order (:func:`_usage_mean`), so the
+mean is the same bits for every number of workers and equals
+:attr:`ScenarioSet.usage_mean` of the full set.
 
 A set leaves and re-enters fleetmaint as two CSV files, and both directions
 work a column at a time. :func:`write_scenario_csvs` renders each asset's
@@ -60,10 +73,12 @@ from .fleet import FleetSpec
 
 __all__ = [
     "ScenarioSet",
+    "PricingInputs",
     "sample_gamma",
     "sample_truncated_normal",
     "cell_stream",
     "generate_scenarios",
+    "sample_pricing_inputs",
     "write_scenario_csvs",
     "read_scenario_csvs",
 ]
@@ -90,14 +105,55 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
+# Scenarios per chunk of an asset's usage rows: the sampler draws, scales
+# and checks the rows a chunk at a time, and the usage mean adds one term
+# per chunk. A (256, T) float64 buffer is 24 KiB at T = 12.
+_CHUNK = 256
+
 # The exported CSV columns, with the converters the reader applies to them
 # (csvio keeps int columns within int64).
 _USAGE_COLUMNS = {"asset_id": str, "scenario": int, "period": int, "usage_increment": float}
 _RUL_COLUMNS = {"asset_id": str, "scenario": int, "latent_rul": float}
 
 
+def _check_rul_values(rul: np.ndarray) -> None:
+    """Raise unless every latent RUL value is finite and >= 0."""
+    # written so that NaN fails each test: every comparison with NaN is False
+    if not (np.all(rul >= 0) and np.all(rul < np.inf)):
+        raise ValueError("latent RUL values must be finite and >= 0")
+
+
+def _freeze(record, **arrays: np.ndarray) -> None:
+    """Set each array read-only and store it on the frozen ``record``."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+
+
+class _EqualWeights:
+    """The scenario count S, the weights 1/S and the asset count N that
+    follow from a record's ``latent_rul`` (N, S)."""
+
+    latent_rul: np.ndarray
+
+    @property
+    def n_scenarios(self) -> int:
+        return self.latent_rul.shape[1]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The read-only weight 1/S of each scenario, shape (S,)."""
+        w = np.full(self.n_scenarios, 1.0 / self.n_scenarios)
+        w.setflags(write=False)
+        return w
+
+    @property
+    def n_assets(self) -> int:
+        return self.latent_rul.shape[0]
+
+
 @dataclass(frozen=True)
-class ScenarioSet:
+class ScenarioSet(_EqualWeights):
     """Frozen scenario data for one fleet, every scenario equally likely.
 
     The set does not record how it was made: the run config, echoed in
@@ -121,33 +177,96 @@ class ScenarioSet:
             raise ValueError("n_scenarios must be >= 1")
         if rul.shape != inc.shape[:2]:
             raise ValueError(f"latent_rul must have shape {inc.shape[:2]}, got {rul.shape}")
-        # written so that NaN fails each test: every comparison with NaN is False
         if not (np.all(inc > 0) and np.all(inc < np.inf)):
             raise ValueError("usage increments must be finite and > 0")
-        if not (np.all(rul >= 0) and np.all(rul < np.inf)):
-            raise ValueError("latent RUL values must be finite and >= 0")
-        for arr, name in ((inc, "usage_increments"), (rul, "latent_rul")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.latent_rul.shape[1]
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The read-only weight 1/S of each scenario, shape (S,)."""
-        w = np.full(self.n_scenarios, 1.0 / self.n_scenarios)
-        w.setflags(write=False)
-        return w
-
-    @property
-    def n_assets(self) -> int:
-        return self.usage_increments.shape[0]
+        _check_rul_values(rul)
+        _freeze(self, usage_increments=inc, latent_rul=rul)
 
     @property
     def horizon(self) -> int:
         return self.usage_increments.shape[2]
+
+    @property
+    def usage_mean(self) -> np.ndarray:
+        """The (N, T) scenario mean of the usage increments.
+
+        It is computed chunk by chunk by the rule the sampler applies
+        (:func:`_mean_term`, :func:`_usage_mean`), so a sampled set's mean
+        is the same bits as :func:`sample_pricing_inputs` gives.
+        """
+        inc = self.usage_increments
+        n, s, t = inc.shape
+        terms = np.empty((n, -(-s // _CHUNK), t))
+        for i in range(n):
+            for k in range(terms.shape[1]):
+                _mean_term(inc[i, k * _CHUNK:(k + 1) * _CHUNK], s, terms[i, k])
+        return _usage_mean(terms)
+
+
+@dataclass(frozen=True)
+class PricingInputs(_EqualWeights):
+    """What pricing and the policies read of a scenario set: the latent
+    RUL sample and the usage mean, every scenario equally likely.
+
+    :func:`sample_pricing_inputs` draws it without holding the (N, S, T)
+    usage increments; for a :class:`ScenarioSet` it is
+    ``PricingInputs(scenarios.latent_rul, scenarios.usage_mean)``.
+
+    Attributes:
+        latent_rul: shape (N, S) with S >= 1, nonnegative.
+        usage_mean: shape (N, T), the scenario mean of the usage
+            increments, finite and nonnegative.
+    """
+
+    latent_rul: np.ndarray
+    usage_mean: np.ndarray
+
+    def __post_init__(self) -> None:
+        rul = np.asarray(self.latent_rul, dtype=float)
+        mean = np.asarray(self.usage_mean, dtype=float)
+        if rul.ndim != 2:
+            raise ValueError(f"latent_rul must have shape (N, S), got {rul.shape}")
+        if rul.shape[1] < 1:
+            raise ValueError("n_scenarios must be >= 1")
+        if mean.ndim != 2 or mean.shape[0] != rul.shape[0]:
+            raise ValueError(f"usage_mean must have shape ({rul.shape[0]}, T), got {mean.shape}")
+        _check_rul_values(rul)
+        if not (np.all(mean >= 0) and np.all(mean < np.inf)):
+            raise ValueError("the usage mean must be finite and >= 0")
+        _freeze(self, latent_rul=rul, usage_mean=mean)
+
+    @property
+    def horizon(self) -> int:
+        return self.usage_mean.shape[1]
+
+
+def _mean_term(rows: np.ndarray, n_scenarios: int, out: np.ndarray) -> None:
+    """Write one chunk's term of the usage mean into ``out`` (T,).
+
+    ``rows`` are (c, T) usage rows of one asset. Each value is weighted by
+    1/S before any sum, as ``weights @ rows`` weights it, so no partial sum
+    overflows where the mean itself does not. Each period's c weighted
+    values are then laid out contiguously and added by numpy's pairwise
+    summation, whose order depends only on c.
+    """
+    np.add.reduce(np.multiply(rows.T, 1.0 / n_scenarios, order="C"), axis=1, out=out)
+
+
+def _usage_mean(terms: np.ndarray) -> np.ndarray:
+    """The (N, T) usage mean from the (N, K, T) terms of each asset's K
+    chunks, each period's K terms added, in scenario order, by numpy's
+    pairwise summation over a contiguous copy."""
+    return np.ascontiguousarray(terms.transpose(0, 2, 1)).sum(axis=2)
+
+
+def _size_error(what: str, nbytes: int, n: int, s: int, t: int) -> MemoryError:
+    """The error for an allocation of ``nbytes`` for ``what`` that failed,
+    naming N, S and T and the config keys that set them."""
+    return MemoryError(
+        f"cannot allocate {nbytes:,} bytes for the {what} of N={n} assets,"
+        f" S={s} scenarios and T={t} periods (config keys fleet.n_assets,"
+        f" scenarios.n_scenarios and fleet.horizon)"
+    )
 
 
 def sample_gamma(
@@ -321,20 +440,38 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sample_cells(
-    fleet: FleetSpec, seed: int, inc: np.ndarray, rul: np.ndarray, start: int, stop: int
-) -> None:
+@dataclass(frozen=True)
+class _Draws:
+    """Where the sampler puts its draws, every array a view of one shared map.
+
+    ``rul`` (N, S) takes the latent RULs, ``terms`` (N, K, T) each of the K
+    chunks' term of the usage mean, and ``valid`` (N, K) a 1 for each chunk
+    whose increments are all finite and > 0. ``usage`` (N, S, T), when
+    present, takes every increment; without it each chunk's rows are
+    drawn into one reused buffer.
+    """
+
+    rul: np.ndarray
+    terms: np.ndarray
+    valid: np.ndarray
+    usage: np.ndarray | None
+
+
+def _sample_cells(fleet: FleetSpec, seed: int, draws: _Draws, start: int, stop: int) -> None:
     """Draw cells start..stop-1, counted in (asset, scenario) order, into
-    ``inc`` (N, S, T) and ``rul`` (N, S).
+    ``draws``; both bounds lie on chunk bounds within their asset.
 
     Per asset, the seed words and PCG64 states of the block's cells come
     in one array pass each. Each cell's state is set on one reused
     generator from one reused dict, and its standard gammas go straight
-    into its row of ``inc``. The block's rows of the asset are then scaled
-    once (numpy's gamma is ``scale * standard_gamma``), the same multiply
-    of each value whatever the block bounds.
+    into its row of the chunk: a view of ``draws.usage``, or one reused
+    buffer without it. Each chunk is then scaled (numpy's gamma is
+    ``scale * standard_gamma``, the same multiply of each value whatever
+    the chunk), an overflow to infinity left to the validity flag, and its
+    term of the usage mean stored.
     """
-    n_scenarios = rul.shape[1]
+    n_scenarios = draws.rul.shape[1]
+    buffer = np.empty((_CHUNK, draws.terms.shape[2])) if draws.usage is None else None
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     # The state setter copies the values out, so one dict serves every cell.
@@ -346,15 +483,24 @@ def _sample_cells(
         hi = min(stop - i * n_scenarios, n_scenarios)
         gamma = _gamma_params(asset.usage_mean_per_period, asset.usage_cv)
         states, increments = _pcg64_states(_cell_seed_words(seed, i, lo, hi))
-        for w, (cell["state"], cell["inc"]) in enumerate(zip(states, increments), lo):
-            bit_generator.state = generator_state
-            if gamma is not None:
-                rng.standard_gamma(gamma[0], out=inc[i, w])
-            rul[i, w] = sample_truncated_normal(asset.rul_mean, asset.rul_std, 0.0, rng)
-        if gamma is None:
-            inc[i, lo:hi] = asset.usage_mean_per_period
-        else:
-            inc[i, lo:hi] *= gamma[1]
+        for first in range(lo, hi, _CHUNK):
+            last = min(first + _CHUNK, hi)
+            rows = buffer[:last - first] if draws.usage is None else draws.usage[i, first:last]
+            for w in range(first, last):
+                cell["state"], cell["inc"] = states[w - lo], increments[w - lo]
+                bit_generator.state = generator_state
+                if gamma is not None:
+                    rng.standard_gamma(gamma[0], out=rows[w - first])
+                draws.rul[i, w] = sample_truncated_normal(asset.rul_mean, asset.rul_std, 0.0, rng)
+            if gamma is None:
+                rows[:] = asset.usage_mean_per_period
+            else:
+                with np.errstate(over="ignore"):
+                    rows *= gamma[1]
+            k = first // _CHUNK
+            # written so that NaN fails each test: every comparison with NaN is False
+            draws.valid[i, k] = np.all(rows > 0) and np.all(rows < np.inf)
+            _mean_term(rows, n_scenarios, draws.terms[i, k])
 
 
 def _fork_block(*args) -> int:
@@ -378,6 +524,72 @@ def _fork_block(*args) -> int:
         os._exit(status)
 
 
+def _draw(fleet: FleetSpec, n_scenarios: int, seed: int, workers: int, usage: bool) -> _Draws:
+    """Sample every cell of the fleet, keeping every usage increment only
+    if ``usage`` is true.
+
+    The arrays of :class:`_Draws` are views of one shared anonymous memory
+    map. Its N*K (asset, chunk) pairs are split, in order, into
+    ``min(workers, usable CPUs, N*K)`` contiguous blocks. The caller
+    samples the first block itself and forks one child process per other
+    block. Every child is reaped before this returns or raises, and a
+    child that fails raises a RuntimeError naming its block. With one
+    block, or where ``os.fork`` does not exist, nothing is forked. The
+    draws never depend on ``workers``. Once every block is drawn, the
+    first asset with an increment that is not finite and > 0 is named in
+    a ValueError. A map that cannot be allocated raises a MemoryError
+    naming N, S and T.
+    """
+    if n_scenarios < 1:
+        raise ValueError("n_scenarios must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    n, t = fleet.n_assets, fleet.horizon
+    chunks = -(-n_scenarios // _CHUNK)
+    shapes = [(n, n_scenarios), (n, chunks, t)] + ([(n, n_scenarios, t)] if usage else [])
+    offsets = [0]
+    for shape in shapes:
+        offsets.append(offsets[-1] + math.prod(shape) * 8)
+    nbytes = offsets[-1] + n * chunks
+    try:
+        shared = mmap.mmap(-1, nbytes)
+    except (OSError, OverflowError):
+        raise _size_error("scenario draws", nbytes, n, n_scenarios, t) from None
+    arrays = [
+        np.frombuffer(shared, np.float64, math.prod(shape), offset).reshape(shape)
+        for shape, offset in zip(shapes, offsets)
+    ]
+    valid = np.frombuffer(shared, np.uint8, n * chunks, offsets[-1]).reshape(n, chunks)
+    draws = _Draws(arrays[0], arrays[1], valid, arrays[2] if usage else None)
+    units = n * chunks
+    blocks = min(workers, _usable_cpus(), units) if hasattr(os, "fork") else 1
+    # the first cell of each block's first (asset, chunk) pair
+    bounds = []
+    for b in range(blocks + 1):
+        i, k = divmod(units * b // blocks, chunks)
+        bounds.append(i * n_scenarios + k * _CHUNK)
+    children: dict[int, int] = {}
+    try:
+        for b in range(1, blocks):
+            children[_fork_block(fleet, seed, draws, bounds[b], bounds[b + 1])] = b
+        _sample_cells(fleet, seed, draws, bounds[0], bounds[1])
+    finally:
+        statuses = {b: os.waitpid(pid, 0)[1] for pid, b in children.items()}
+    for b, status in statuses.items():
+        if status:
+            raise RuntimeError(
+                f"scenario sampling worker for block {b} of {blocks} (cells"
+                f" {bounds[b]}..{bounds[b + 1] - 1}) exited with status"
+                f" {os.waitstatus_to_exitcode(status)}"
+            )
+    bad = np.flatnonzero(~valid.all(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"asset {fleet.assets[bad[0]].id!r}: usage increments must be finite and > 0"
+        )
+    return draws
+
+
 def generate_scenarios(
     fleet: FleetSpec, n_scenarios: int, seed: int, workers: int = 1
 ) -> ScenarioSet:
@@ -391,41 +603,27 @@ def generate_scenarios(
     bulk by :func:`_sample_cells`; the draws are bit-identical to building
     each cell's ``cell_stream``.
 
-    The N*S cells are split, in (asset, scenario) order, into
-    ``min(workers, usable CPUs, N*S)`` contiguous blocks. The caller samples
-    the first block itself and forks one child process per other block;
-    all of them write into one shared anonymous memory map, which backs the
-    returned arrays. Every child is reaped before this returns or raises,
-    and a child that fails raises a RuntimeError naming its block. With
-    one block, or where ``os.fork`` does not exist, nothing is forked. The
-    result never depends on ``workers``.
+    ``workers`` processes sample the cells (:func:`_draw`); the result
+    never depends on it. The shared memory map backs the returned arrays.
     """
-    if n_scenarios < 1:
-        raise ValueError("n_scenarios must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    n, t = fleet.n_assets, fleet.horizon
-    cells = n * n_scenarios
-    shared = mmap.mmap(-1, cells * (t + 1) * 8)
-    inc = np.frombuffer(shared, np.float64, cells * t).reshape(n, n_scenarios, t)
-    rul = np.frombuffer(shared, np.float64, cells, cells * t * 8).reshape(n, n_scenarios)
-    blocks = min(workers, _usable_cpus(), cells) if hasattr(os, "fork") else 1
-    bounds = [cells * b // blocks for b in range(blocks + 1)]
-    children: dict[int, int] = {}
-    try:
-        for b in range(1, blocks):
-            children[_fork_block(fleet, seed, inc, rul, bounds[b], bounds[b + 1])] = b
-        _sample_cells(fleet, seed, inc, rul, bounds[0], bounds[1])
-    finally:
-        statuses = {b: os.waitpid(pid, 0)[1] for pid, b in children.items()}
-    for b, status in statuses.items():
-        if status:
-            raise RuntimeError(
-                f"scenario sampling worker for block {b} of {blocks} (cells"
-                f" {bounds[b]}..{bounds[b + 1] - 1}) exited with status"
-                f" {os.waitstatus_to_exitcode(status)}"
-            )
-    return ScenarioSet(usage_increments=inc, latent_rul=rul)
+    draws = _draw(fleet, n_scenarios, seed, workers, usage=True)
+    return ScenarioSet(usage_increments=draws.usage, latent_rul=draws.rul)
+
+
+def sample_pricing_inputs(
+    fleet: FleetSpec, n_scenarios: int, seed: int, workers: int = 1
+) -> PricingInputs:
+    """The latent RULs and the usage mean of ``generate_scenarios(fleet,
+    n_scenarios, seed)``, sampled without holding its (N, S, T) usage
+    increments.
+
+    Every gamma is still drawn, since each cell's RUL draw follows them
+    in its stream, but only into one reused chunk buffer. Both arrays are
+    the same bits as the full set's ``latent_rul`` and ``usage_mean`` for
+    every ``workers``.
+    """
+    draws = _draw(fleet, n_scenarios, seed, workers, usage=False)
+    return PricingInputs(latent_rul=draws.rul, usage_mean=_usage_mean(draws.terms))
 
 
 def write_scenario_csvs(scenarios: ScenarioSet, fleet: FleetSpec, usage_path, rul_path) -> None:

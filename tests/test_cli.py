@@ -20,7 +20,7 @@ from fleetmaint.config import ConfigError, load_config, parse_config
 from fleetmaint.fleet import AssetSpec, FleetGenConfig
 from fleetmaint.policies import PolicyParams
 from fleetmaint.riskcost import RiskParams
-from fleetmaint.scenario import generate_scenarios, read_scenario_csvs
+from fleetmaint.scenario import PricingInputs, generate_scenarios, read_scenario_csvs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"
@@ -302,6 +302,43 @@ class TestStudyDriver:
         assert {p.name for p in paths} >= {"summary.csv", "schedules.csv"}
 
 
+    def test_study_prices_without_the_usage_array(self):
+        config = parse_config(SMALL_CONFIG)
+        fleet = config.build_fleet()
+        inputs = fleetmaint.cli._setup(config, fleet, 1).scenarios
+        values = fleet.n_assets * config.n_scenarios * fleet.horizon
+        assert isinstance(inputs, PricingInputs)
+        arrays = [v for v in vars(inputs).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.size < values for a in arrays)
+        # the RULs live in the sampler's shared map, smaller than N*S*T values
+        shared = inputs.latent_rul
+        while isinstance(shared, np.ndarray):
+            shared = shared.base
+        assert 0 < len(shared) < values * 8
+        full = generate_scenarios(fleet, config.n_scenarios, config.scenario_seed)
+        assert inputs.latent_rul.tobytes() == full.latent_rul.tobytes()
+        assert inputs.usage_mean.tobytes() == full.usage_mean.tobytes()
+
+    def test_study_scenarios_drawn_on_first_access_are_the_sampled_set(self, monkeypatch):
+        calls = []
+        generate = fleetmaint.cli.generate_scenarios
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(fleetmaint.cli, "generate_scenarios", counting)
+        config = parse_config(SMALL_CONFIG)
+        result = compute_study(config, workers=2)
+        assert calls == []
+        expected = generate_scenarios(config.build_fleet(), 100, 5)
+        scenarios = result.scenarios
+        assert scenarios.usage_increments.tobytes() == expected.usage_increments.tobytes()
+        assert scenarios.latent_rul.tobytes() == expected.latent_rul.tobytes()
+        assert result.scenarios is scenarios
+        assert len(calls) == 1
+
+
 class TestCliCommands:
     def test_study_end_to_end(self, config_file, tmp_path):
         proc = run_cli(
@@ -390,10 +427,10 @@ class TestCliCommands:
     ):
         sample_cells = scenario._sample_cells
 
-        def fail_outside_first_block(fleet, seed, inc, rul, start, stop):
+        def fail_outside_first_block(fleet, seed, draws, start, stop):
             if start:
                 raise ValueError("injected worker failure")
-            sample_cells(fleet, seed, inc, rul, start, stop)
+            sample_cells(fleet, seed, draws, start, stop)
 
         monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(scenario, "_sample_cells", fail_outside_first_block)
@@ -558,6 +595,7 @@ class TestCliCommands:
             raise AssertionError("sampled before the schedule was checked")
 
         monkeypatch.setattr(fleetmaint.cli, "generate_scenarios", no_sampling)
+        monkeypatch.setattr(fleetmaint.cli, "sample_pricing_inputs", no_sampling)
         bad = tmp_path / "bad_schedule.csv"
         bad.write_text("asset_id,date\nA1,99\nZ9,1\n")
         argv = ["evaluate", "--config", str(config_file), "--schedule", str(bad),
@@ -726,6 +764,87 @@ class TestCliCommands:
         assert code == 3
         assert capsys.readouterr().err == (
             "error: asset 'A1' at date 3: a cost or failure value is not finite\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", ["study", "gen-scenarios"])
+    def test_overflowing_increment_exits_3_naming_the_asset(
+        self, command, threads, tmp_path, monkeypatch, capfd
+    ):
+        # fan-2's increments overflow to inf; at two threads a forked worker
+        # draws them, and the parent names the asset from the worker's flags
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
+        config = tmp_path / "overflow.json"
+        overflowing = {**EXPLICIT_ASSET, "id": "fan-2", "usage_mean_per_period": 1.7e308}
+        config.write_text(json.dumps({
+            "fleet": {"horizon": 4, "assets": [EXPLICIT_ASSET, overflowing]},
+            "scenarios": {"n_scenarios": 20},
+        }))
+        out = tmp_path / "overflow_out"
+        argv = [command, "--config", str(config), "--out", str(out), "--threads", threads]
+        assert fleetmaint.cli.main(argv) == 3
+        assert capfd.readouterr().err == (
+            "error: asset 'fan-2': usage increments must be finite and > 0\n"
+        )
+        assert not out.exists()
+
+    def test_huge_increments_keep_a_finite_usage_mean(self, tmp_path, capfd):
+        # 800 increments near 1e306: a plain sum of 256 of them overflows,
+        # their 1/S-weighted sum does not, and every usage_only date is 1
+        config = tmp_path / "huge_usage.json"
+        config.write_text(json.dumps({
+            "fleet": {"n_assets": 3, "usage_mean_range": [1e306, 1e306]},
+            "scenarios": {"n_scenarios": 800},
+        }))
+        out = tmp_path / "huge_out"
+        assert fleetmaint.cli.main(["study", "--config", str(config), "--out", str(out)]) == 0
+        assert capfd.readouterr().err == ""
+        rows = (out / "schedules.csv").read_text().splitlines()
+        assert [r for r in rows if r.startswith("usage_only,")] == [
+            "usage_only,A1,1", "usage_only,A2,1", "usage_only,A3,1"
+        ]
+
+    @pytest.mark.parametrize("command", ["study", "gen-scenarios"])
+    def test_unallocatable_draws_exit_3_naming_the_sizes(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        def no_memory(*args, **kwargs):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(scenario.mmap, "mmap", no_memory)
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({"scenarios": {"n_scenarios": 100_000_000_000}}))
+        out = tmp_path / "huge_out"
+        assert fleetmaint.cli.main([command, "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: cannot allocate [\d,]+ bytes for the scenario draws of N=5 assets,"
+            r" S=100000000000 scenarios and T=12 periods \(config keys fleet\.n_assets,"
+            r" scenarios\.n_scenarios and fleet\.horizon\)\n",
+            err,
+        ), err
+        assert not out.exists()
+
+    def test_unallocatable_cost_table_exits_3_naming_the_sizes(
+        self, config_file, tmp_path, monkeypatch, capsys
+    ):
+        empty = np.empty
+
+        def no_table(shape, *args, **kwargs):
+            # the (N, T+1, S) cost table of SMALL_CONFIG
+            if shape == (3, 7, 100):
+                raise MemoryError("Unable to allocate")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", no_table)
+        out = tmp_path / "table_out"
+        argv = ["study", "--config", str(config_file), "--out", str(out)]
+        assert fleetmaint.cli.main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: cannot allocate 16,800 bytes for the cost table of N=3 assets,"
+            " S=100 scenarios and T=6 periods (config keys fleet.n_assets,"
+            " scenarios.n_scenarios and fleet.horizon)\n"
         )
         assert not out.exists()
 

@@ -70,6 +70,18 @@ class TestMatrixCells:
         ])
         assert np.array_equal(matrix.costs, reference)
 
+    @pytest.mark.parametrize("block", [1, 7, 49])
+    def test_blocked_build_is_bit_identical(self, block, monkeypatch):
+        # 50 scenarios fit one default block; smaller blocks split them,
+        # the last block a partial one
+        fleet = make_fleet(n_assets=3, horizon=12)
+        scenarios = generate_scenarios(fleet, n_scenarios=50, seed=5)
+        whole = build_matrix(fleet, scenarios)
+        monkeypatch.setattr(optimize, "_TABLE_BLOCK", block)
+        blocked = build_matrix(fleet, scenarios)
+        assert blocked.costs.tobytes() == whole.costs.tobytes()
+        assert blocked.failure.tobytes() == whole.failure.tobytes()
+
     def test_every_cell_matches_direct_evaluation(self, small_setup):
         fleet, scenarios, matrix = small_setup
         params = RiskParams()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from fleetmaint import csvio, scenario
 from fleetmaint.fleet import FleetSpec
 from fleetmaint.scenario import (
+    PricingInputs,
     ScenarioSet,
     _cell_seed_words,
     _pcg64_states,
@@ -23,6 +24,7 @@ from fleetmaint.scenario import (
     generate_scenarios,
     read_scenario_csvs,
     sample_gamma,
+    sample_pricing_inputs,
     sample_truncated_normal,
     write_scenario_csvs,
 )
@@ -322,9 +324,12 @@ class TestParallelSampling:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_blocks_split_inside_one_asset(self, workers, four_cpus, forks):
+        # blocks are cut on chunk bounds: three chunks, the last a partial one
         fleet = mixed_fleet(["typical"], horizon=5)
-        one = generate_scenarios(fleet, 7, seed=11)
-        assert_same_draws(generate_scenarios(fleet, 7, seed=11, workers=workers), one)
+        n_scenarios = 2 * scenario._CHUNK + 7
+        one = generate_scenarios(fleet, n_scenarios, seed=11)
+        split = generate_scenarios(fleet, n_scenarios, seed=11, workers=workers)
+        assert_same_draws(split, one)
         assert len(forks) == workers - 1
 
     def test_more_workers_than_cells(self, four_cpus, forks):
@@ -338,10 +343,10 @@ class TestParallelSampling:
     ):
         sample_cells = scenario._sample_cells
 
-        def fail_outside_first_block(fleet, seed, inc, rul, start, stop):
+        def fail_outside_first_block(fleet, seed, draws, start, stop):
             if start:
                 raise ValueError("injected worker failure")
-            sample_cells(fleet, seed, inc, rul, start, stop)
+            sample_cells(fleet, seed, draws, start, stop)
 
         monkeypatch.setattr(scenario, "_sample_cells", fail_outside_first_block)
         fleet = mixed_fleet(["typical", "wide"], horizon=3)
@@ -356,7 +361,7 @@ class TestParallelSampling:
         assert "ValueError: injected worker failure" in capfd.readouterr().err
 
     def test_failed_first_block_still_reaps_workers(self, four_cpus, monkeypatch):
-        def fail_first_block(fleet, seed, inc, rul, start, stop):
+        def fail_first_block(fleet, seed, draws, start, stop):
             if not start:
                 raise ValueError("injected failure in the first block")
 
@@ -369,6 +374,100 @@ class TestParallelSampling:
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             generate_scenarios(make_fleet(), 3, seed=1, workers=0)
+
+
+CHUNK = scenario._CHUNK
+
+
+def usage_mean_reference(inc):
+    """The scenario mean of an (N, S, T) array, each 1/S-weighted value
+    summed exactly (math.fsum) and rounded once."""
+    weighted = inc * (1.0 / inc.shape[1])
+    return np.array([[math.fsum(weighted[i, :, t]) for t in range(inc.shape[2])]
+                     for i in range(inc.shape[0])])
+
+
+class TestPricingInputs:
+    """The lean sampler keeps the full set's RULs and usage mean, bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_scenarios", [1, CHUNK - 1, CHUNK, CHUNK + 1, 800])
+    def test_lean_draws_equal_the_full_set(self, n_scenarios, workers, four_cpus):
+        # an explicit fleet whose first asset has usage_cv 0, the point mass
+        fleet = mixed_fleet(["zero_cv", "wide", "typical"], horizon=4)
+        full = generate_scenarios(fleet, n_scenarios, seed=2**70 + 5)
+        lean = sample_pricing_inputs(fleet, n_scenarios, seed=2**70 + 5, workers=workers)
+        assert isinstance(lean, PricingInputs)
+        assert lean.latent_rul.tobytes() == full.latent_rul.tobytes()
+        assert lean.usage_mean.tobytes() == full.usage_mean.tobytes()
+        assert lean.usage_mean.shape == (3, 4)
+        point_mass = fleet.assets[0].usage_mean_per_period
+        np.testing.assert_allclose(lean.usage_mean[0], point_mass, rtol=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("n_scenarios", [1, 7, CHUNK + 1, 800])
+    def test_usage_mean_rounds_near_the_exact_mean(self, n_scenarios):
+        # pairwise sums of weighted values: a few ulp from the exact sum
+        fleet = make_fleet(n_assets=2, horizon=5)
+        s = generate_scenarios(fleet, n_scenarios, seed=8)
+        reference = usage_mean_reference(s.usage_increments)
+        np.testing.assert_allclose(s.usage_mean, reference, rtol=4 * np.finfo(float).eps, atol=0)
+
+    def test_usage_mean_of_any_layout(self):
+        # the same values in a Fortran-ordered array give the same bits
+        s = generate_scenarios(make_fleet(n_assets=2, horizon=3), CHUNK + 9, seed=5)
+        fortran = ScenarioSet(np.asfortranarray(s.usage_increments), s.latent_rul)
+        assert fortran.usage_mean.tobytes() == s.usage_mean.tobytes()
+
+    def test_mean_of_huge_increments_does_not_overflow(self):
+        # 800 values near 1e306: their plain sum overflows, their mean does not
+        inc = np.full((1, 800, 2), 1e306)
+        inc[0, ::2] = 1.5e306
+        mean = ScenarioSet(inc, np.ones((1, 800))).usage_mean
+        np.testing.assert_allclose(mean, 1.25e306, rtol=1e-15)
+
+    @pytest.mark.parametrize("usage", [True, False], ids=["full", "lean"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_increment_named_by_asset(self, usage, workers, four_cpus, capfd):
+        # the second asset's increments overflow to inf; at two workers it
+        # is sampled in the forked child, and the parent names it
+        assets = (make_asset(id="A1"), make_asset(id="B2", usage_mean_per_period=1.7e308))
+        fleet = FleetSpec(assets=assets, horizon=3)
+        sample = generate_scenarios if usage else sample_pricing_inputs
+        with pytest.raises(ValueError, match=r"^asset 'B2': usage increments must be finite and > 0$"):
+            sample(fleet, 20, seed=1, workers=workers)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("usage", [True, False], ids=["full", "lean"])
+    def test_unallocatable_map_named(self, usage, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(scenario.mmap, "mmap", no_memory)
+        sample = generate_scenarios if usage else sample_pricing_inputs
+        nbytes = 2 * 10**11 * 8 + 2 * 390_625_000 * 4 * 8 + 2 * 390_625_000
+        nbytes += 2 * 10**11 * 4 * 8 if usage else 0
+        message = (
+            f"cannot allocate {nbytes:,} bytes for the scenario draws of N=2 assets,"
+            " S=100000000000 scenarios and T=4 periods (config keys fleet.n_assets,"
+            " scenarios.n_scenarios and fleet.horizon)"
+        )
+        with pytest.raises(MemoryError, match=f"^{re.escape(message)}$"):
+            sample(make_fleet(n_assets=2, horizon=4), 10**11, seed=1)
+
+    def test_rul_and_mean_checked(self):
+        with pytest.raises(ValueError, match="latent RUL values must be finite"):
+            PricingInputs(np.array([[1.0, np.nan]]), np.ones((1, 3)))
+        with pytest.raises(ValueError, match="usage mean must be finite"):
+            PricingInputs(np.ones((1, 2)), np.array([[1.0, np.inf, 1.0]]))
+        with pytest.raises(ValueError, match=r"usage_mean must have shape \(1, T\)"):
+            PricingInputs(np.ones((1, 2)), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="n_scenarios must be >= 1"):
+            PricingInputs(np.ones((1, 0)), np.ones((1, 3)))
+        inputs = PricingInputs(np.ones((2, 4)), np.ones((2, 3)))
+        assert (inputs.n_assets, inputs.n_scenarios, inputs.horizon) == (2, 4, 3)
+        assert inputs.weights.tolist() == [0.25] * 4
+        with pytest.raises(ValueError):
+            inputs.usage_mean[0, 0] = 2.0
 
 
 MASK64 = 2**64 - 1
