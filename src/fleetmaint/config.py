@@ -22,6 +22,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 from .fleet import AssetSpec, FleetGenConfig, FleetSpec, generate_fleet
 from .policies import PolicyParams
 from .riskcost import RiskParams
+from .scenario import SCENARIO_LIMIT
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "DEFAULT_SEED"]
 
@@ -266,6 +267,8 @@ def parse_config(data: dict) -> RunConfig:
     n_scenarios = _get_int("scenarios", scen_raw, "n_scenarios", DEFAULT_N_SCENARIOS)
     if n_scenarios < 1:
         raise ConfigError("scenarios.n_scenarios must be >= 1")
+    if n_scenarios >= SCENARIO_LIMIT:
+        raise ConfigError(f"scenarios.n_scenarios must be below {SCENARIO_LIMIT} (2**32)")
     scenario_seed = _get_seed("scenarios", scen_raw)
 
     risk_raw, pol_raw = data.get("risk", {}), data.get("policies", {})

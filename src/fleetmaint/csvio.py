@@ -10,7 +10,10 @@ the caller has already rendered, with every text field passed through
 ``csv.reader`` rows in chunks of :data:`CHUNK_ROWS`, transposes each chunk
 and converts each column with one ``map`` of the column's converter,
 straight into a typed ``array`` for ``int`` and ``float`` columns, so no
-list of Python numbers is built. The converters are the same ``float``,
+list of Python numbers is built. An :class:`IntKey` column goes straight
+into a narrower unsigned ``array`` of the caller's choice; a field that is
+an int64 but does not fit it is kept aside for the caller to name once the
+whole file is read. The converters are the same ``float``,
 ``int`` or custom callables a row-wise reader would apply to each field,
 so a file is accepted exactly when every field converts on its own;
 numpy's text parsers accept a different set of inputs and are not used.
@@ -25,14 +28,61 @@ import io
 from array import array
 from itertools import islice
 
-__all__ = ["CHUNK_ROWS", "write_csv", "write_lines", "quote", "read_csv", "line_number"]
+__all__ = [
+    "CHUNK_ROWS", "IntKey", "write_csv", "write_lines", "quote", "read_csv", "line_number"
+]
 
 # Rows per chunk of read_csv. Larger chunks save little time and hold more
 # parsed rows at once.
 CHUNK_ROWS = 256
 
-# The typed buffers of columns converted by int (int64) and by float.
-_TYPECODES = {int: "q", float: "d"}
+_INT64 = range(-(2**63), 2**63)
+
+
+class IntKey:
+    """The converter of an int column held in the unsigned ``array`` type
+    ``typecode`` (``"B"``, ``"H"``, ``"I"``, ...), for keys whose range the
+    caller checks once the whole file is read.
+
+    A field that ``int`` rejects, or that is outside int64, is a bad field
+    as in an ``int`` column. An int64 that does not fit the type is not an
+    error of the file: its row holds 0, and the first such field below the
+    type's range and the first above it are kept in :attr:`below` and
+    :attr:`above` as (data row, value), data rows counted from 0 as
+    :func:`line_number` counts them. They are complete once a read has
+    ended without an error, so each read takes new ``IntKey`` objects.
+    """
+
+    def __init__(self, typecode: str):
+        self.typecode = typecode
+        self.below: tuple[int, int] | None = None
+        self.above: tuple[int, int] | None = None
+
+    def column(self, texts, start: int | None = None) -> array:
+        """``texts`` converted; with ``start``, the data row of ``texts[0]``,
+        the fields that do not fit are kept."""
+        values = array(self.typecode)
+        fields = map(int, texts)
+        while True:
+            try:
+                values.extend(fields)
+                return values
+            except OverflowError:
+                # The field that does not fit is consumed and not appended;
+                # the next extend goes on after it.
+                row = len(values)
+                value = int(texts[row])
+                if value not in _INT64:
+                    raise ValueError("outside int64") from None
+                values.append(0)
+                if start is not None:
+                    self._keep(start + row, value)
+
+    def _keep(self, row: int, value: int) -> None:
+        if value < 0:
+            self.below = self.below or (row, value)
+        else:
+            self.above = self.above or (row, value)
 
 
 def write_csv(path, header, rows) -> None:
@@ -62,21 +112,23 @@ def quote(field: str) -> str:
     return out.getvalue()[:-2]
 
 
-def _convert(convert, texts):
+def _convert(convert, texts, start: int | None = None):
     """The converted column; a ValueError if any field fails on its own.
 
-    A column converted by ``int`` or ``float`` goes straight into an int64
-    or float64 ``array``, whose overflow is the int64 range check; any
-    other converter gives a list.
+    A column converted by ``float`` goes straight into a float64
+    ``array``. One converted by ``int`` is an int64 :class:`IntKey`, which
+    every int64 fits. An ``IntKey`` column goes into its own type
+    (``start`` as for :meth:`IntKey.column`). Any other converter gives a
+    list.
     """
-    typecode = _TYPECODES.get(convert)
-    if typecode is None:
+    if convert is int:
+        convert = IntKey("q")
+    if isinstance(convert, IntKey):
+        return convert.column(texts, start)
+    if convert is not float:
         return list(map(convert, texts))
-    values = array(typecode)
-    try:
-        values.extend(map(convert, texts))
-    except OverflowError:
-        raise ValueError("outside int64") from None
+    values = array("d")
+    values.extend(map(float, texts))
     return values
 
 
@@ -97,11 +149,12 @@ def line_number(path, ordinal: int) -> int:
 def read_csv(path, name: str, columns: dict):
     """The converted columns of a CSV file, streamed in chunks; blank lines are skipped.
 
-    ``columns`` maps each expected column to a converter of one field.
-    Each chunk is a list with one column of values per column of
-    ``columns``, in its order, covering the next (at most)
+    ``columns`` maps each expected column to a converter of one field or
+    to an :class:`IntKey`. Each chunk is a list with one column of values
+    per column of ``columns``, in its order, covering the next (at most)
     :data:`CHUNK_ROWS` rows: an int64 or float64 ``array`` for a column
-    converted by ``int`` or ``float``, else a list. The
+    converted by ``int`` or ``float``, an ``array`` of its type for an
+    ``IntKey``, else a list. The
     header must hold exactly these columns, in any order, and every row
     exactly that many fields. A converter rejects a field with a
     ValueError; a column converted by ``int`` must also fit in int64.
@@ -133,10 +186,10 @@ def read_csv(path, name: str, columns: dict):
             rows = list(filter(None, rows))
             bad = len(rows)
             try:
-                chunk = _columns(rows, fields) if rows else None
+                chunk = _columns(rows, fields, ordinal) if rows else None
             except ValueError:
                 bad, message = _first_error(rows, fields, columns)
-                chunk = _columns(rows[:bad], fields) if bad else None
+                chunk = _columns(rows[:bad], fields, ordinal) if bad else None
             if chunk:
                 yield chunk
             if bad < len(rows):
@@ -147,12 +200,13 @@ def read_csv(path, name: str, columns: dict):
                 raise ValueError(f"{name} {path}, line {pending_line}: {pending}") from pending
 
 
-def _columns(rows: list, fields: list) -> list[list]:
-    """A nonempty chunk of rows as converted columns, in the order of ``fields``."""
+def _columns(rows: list, fields: list, start: int) -> list[list]:
+    """A nonempty chunk of rows, the first of them data row ``start``, as
+    converted columns, in the order of ``fields``."""
     if set(map(len, rows)) != {len(fields)}:
         raise ValueError("a row of the wrong length")
     by_file = list(zip(*rows))
-    return [_convert(convert, by_file[k]) for _, k, convert in fields]
+    return [_convert(convert, by_file[k], start) for _, k, convert in fields]
 
 
 def _first_error(rows, fields, columns) -> tuple[int, str]:

@@ -42,18 +42,24 @@ mean is the same bits for every number of workers and equals
 :attr:`ScenarioSet.usage_mean` of the full set.
 
 A set leaves and re-enters fleetmaint as two CSV files, and both directions
-work a column at a time. :func:`write_scenario_csvs` renders each asset's
-rows with one ``%`` of its values into row templates built once per file.
+work a column at a time in bounded memory. :func:`write_scenario_csvs`
+renders each asset a block of ``_CHUNK`` scenarios at a time, with one
+``%`` of the block's values into the block's row template, built once per
+file; it holds no more than the templates and one block beyond the set.
 :func:`read_scenario_csvs` takes typed columns from
 :func:`fleetmaint.csvio.read_csv` in chunks of ``csvio.CHUNK_ROWS`` rows and
-extends one buffer per column with them, the asset index in a narrow type.
-Once the keys are in range and there are as many rows as cells, each value
-is placed at its flat cell index, and a cell left unset shows a repeat;
-only a file that fails this is sorted, to name its first repeated row.
-At its peak, reading holds the values as read, the narrowed keys, one int64
-flat index and the placed values. Its converters are the plain ``float`` and ``int`` a
-row-wise parser would apply, so it accepts exactly the files such a parser
-accepts.
+extends one buffer per column with them, each key in the narrowest type
+its bound allows: the asset index by N, the period by T, the scenario as
+uint32 (:data:`SCENARIO_LIMIT`). A key that does not fit its type is kept
+aside and named after the whole file is parsed, in the order of the range
+checks. Once the keys are in range and there are as many rows as cells,
+a file in export order, checked a block of rows at a time, is returned in
+its value buffer itself; a file in any other order has each value placed
+at its flat cell index, and a cell left unset shows a repeat; only a file
+that fails this is sorted, to name its first repeated row. At its peak,
+reading an export holds the values as read and the narrow keys.
+Its converters are the plain ``float`` and ``int`` a row-wise parser would
+apply, so it accepts exactly the files such a parser accepts.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .csvio import line_number, quote, read_csv, write_lines
+from .csvio import IntKey, line_number, quote, read_csv, write_lines
 from .fleet import FleetSpec
 
 __all__ = [
@@ -81,7 +87,13 @@ __all__ = [
     "sample_pricing_inputs",
     "write_scenario_csvs",
     "read_scenario_csvs",
+    "SCENARIO_LIMIT",
 ]
+
+# A scenario set has fewer scenarios than this: the sampler hashes a
+# scenario index as one uint32 word (:func:`_cell_seed_words`), and the
+# reader keeps scenario keys as uint32.
+SCENARIO_LIMIT = 2**32
 
 # Rejection attempts before switching to inverse-CDF sampling. The study
 # profile keeps truncation mass tiny, so the fallback almost never fires,
@@ -110,10 +122,13 @@ _MASK128 = (1 << 128) - 1
 # per chunk. A (256, T) float64 buffer is 24 KiB at T = 12.
 _CHUNK = 256
 
-# The exported CSV columns, with the converters the reader applies to them
-# (csvio keeps int columns within int64).
-_USAGE_COLUMNS = {"asset_id": str, "scenario": int, "period": int, "usage_increment": float}
-_RUL_COLUMNS = {"asset_id": str, "scenario": int, "latent_rul": float}
+# The exported CSV columns.
+_USAGE_COLUMNS = ("asset_id", "scenario", "period", "usage_increment")
+_RUL_COLUMNS = ("asset_id", "scenario", "latent_rul")
+# The array type of the reader's scenario keys: uint32.
+_SCENARIO_KEY = np.min_scalar_type(SCENARIO_LIMIT - 1).char
+# Rows per block of the reader's export-order check and value check.
+_CHECK_BLOCK = 8192
 
 
 def _check_rul_values(rul: np.ndarray) -> None:
@@ -376,9 +391,10 @@ def _cell_seed_words(seed: int, asset_index: int, start: int, stop: int) -> np.n
 
     The entropy of cell w is the seed's words, zero-padded to the pool size,
     then the asset index's words, then w (one word: scenario counts stay
-    below 2^32). Every cell runs the same hash steps with the same
-    constants, so the steps run once on columns of uint32 arrays, whose
-    products wrap modulo 2^32 as the reference's do.
+    below :data:`SCENARIO_LIMIT`, 2**32, which the config checks). Every
+    cell runs the same hash steps with the same constants, so the steps run
+    once on columns of uint32 arrays, whose products wrap modulo 2^32 as
+    the reference's do.
     """
     run = _uint32_words(seed)
     run += [0] * (_POOL_SIZE - len(run))
@@ -634,30 +650,39 @@ def write_scenario_csvs(scenarios: ScenarioSet, fleet: FleetSpec, usage_path, ru
     are written with 17 significant digits so float64 data round-trips
     exactly. The set must have the fleet's asset count and horizon.
 
-    The bytes are those of ``csv.writer`` on the same rows, rendered an
-    asset at a time: the ",scenario,period,%.17g" row templates are built
-    once per file, each asset's id, quoted by
+    The bytes are those of ``csv.writer`` on the same rows, rendered a
+    block of ``_CHUNK`` scenarios of one asset at a time. Each block's
+    rows have one template, ",scenario,period,%.17g" rows joined by
+    "\\n", built once per file. The asset's id, quoted by
     :func:`fleetmaint.csvio.quote` with ``%`` escaped, is spliced in front
-    of every row, and the asset's values fill the result with one ``%``.
-    For finite floats ``"%.17g" % x`` is ``format(x, ".17g")``.
+    of every row of it by one ``replace``, and the block's values fill the
+    result with one ``%``. So beyond the set, the writer holds the
+    templates (about 14 bytes per scenario and period) and one block. For
+    finite floats ``"%.17g" % x`` is ``format(x, ".17g")``.
     """
     if scenarios.n_assets != fleet.n_assets or scenarios.horizon != fleet.horizon:
         raise ValueError("scenario set shape does not match the fleet")
-    n_scenarios, horizon = scenarios.n_scenarios, scenarios.horizon
-    usage_rows = [f",{w},{k},%.17g\n" for w in range(n_scenarios) for k in range(1, horizon + 1)]
-    rul_rows = [f",{w},%.17g\n" for w in range(n_scenarios)]
+    n_scenarios, periods = scenarios.n_scenarios, range(1, scenarios.horizon + 1)
+    firsts = range(0, n_scenarios, _CHUNK)
 
-    def blocks(values, rows):
-        for asset, block in zip(fleet.assets, values):
+    def blocks(values, row):
+        templates = ["\n".join(map(row, range(w, min(w + _CHUNK, n_scenarios)))) for w in firsts]
+        for asset, cells in zip(fleet.assets, values):
             asset_id = quote(asset.id).replace("%", "%%")
-            yield (asset_id + asset_id.join(rows)) % tuple(block.ravel().tolist())
+            for w, template in zip(firsts, templates):
+                rows = asset_id + template.replace("\n", "\n" + asset_id) + "\n"
+                yield rows % tuple(cells[w:w + _CHUNK].ravel().tolist())
 
-    write_lines(usage_path, _USAGE_COLUMNS, blocks(scenarios.usage_increments, usage_rows))
-    write_lines(rul_path, _RUL_COLUMNS, blocks(scenarios.latent_rul, rul_rows))
+    def usage_row(w):
+        return "\n".join(f",{w},{k},%.17g" for k in periods)
+
+    write_lines(usage_path, _USAGE_COLUMNS, blocks(scenarios.usage_increments, usage_row))
+    write_lines(rul_path, _RUL_COLUMNS, blocks(scenarios.latent_rul, ",{},%.17g".format))
 
 
 def _read_columns(name: str, path, columns: dict, index: dict) -> list[np.ndarray]:
-    """A scenario file's columns in file order: fleet indices, int64 keys, float64 values.
+    """A scenario file's columns in file order: fleet indices, the keys in
+    the types of their :class:`fleetmaint.csvio.IntKey`, float64 values.
 
     :func:`fleetmaint.csvio.read_csv` hands over each chunk's columns as
     typed arrays, each appended to the file's buffer of that column by one
@@ -665,8 +690,9 @@ def _read_columns(name: str, path, columns: dict, index: dict) -> list[np.ndarra
     narrowest unsigned type that fits the fleet. No Python code runs once
     per row.
     """
-    buffers = [array(np.min_scalar_type(len(index) - 1).char)]
-    buffers += [array("q") for _ in range(len(columns) - 2)] + [array("d")]
+    keys = list(columns.values())[1:-1]
+    typecodes = [np.min_scalar_type(len(index) - 1).char, *(k.typecode for k in keys), "d"]
+    buffers = [array(typecode) for typecode in typecodes]
     for ids, *values in read_csv(path, name, columns):
         try:
             buffers[0].extend(map(index.__getitem__, ids))
@@ -682,9 +708,38 @@ def _read_columns(name: str, path, columns: dict, index: dict) -> list[np.ndarra
     return [np.frombuffer(buffer, dtype=buffer.typecode) for buffer in buffers]
 
 
-def _narrow(key: np.ndarray, size: int) -> np.ndarray:
-    """``key``, every value in 0..size-1, in the narrowest unsigned type that holds them."""
-    return key.astype(np.min_scalar_type(size - 1))
+def _first_outside(spec: IntKey, key: np.ndarray, low: int, high: int) -> int | None:
+    """The first key of a file, in file order, outside low..high, as the
+    file gives it; None if every key is inside.
+
+    A field that did not fit the key's type, kept by ``spec``, is outside;
+    ``key`` holds 0 in its row.
+    """
+    found = [kept for kept in (spec.below, spec.above) if kept]
+    if key.size and not low <= int(key.min()) <= int(key.max()) <= high:
+        row = int(np.flatnonzero((key < low) | (key > high))[0])
+        found.append((row, int(key[row])))
+    # min keeps the first of equal rows: a kept field over the 0 in its row.
+    return min(found, key=lambda kept: kept[0])[1] if found else None
+
+
+def _in_export_order(keys: list, shape: tuple) -> bool:
+    """Whether row r of a file with one row per cell of ``shape`` names
+    cell r, the order :func:`write_scenario_csvs` writes.
+
+    The flat cell index is formed and compared a block of rows at a time,
+    so no index of the whole file is held.
+    """
+    n_rows = keys[0].size
+    for lo in range(0, n_rows, _CHECK_BLOCK):
+        hi = min(lo + _CHECK_BLOCK, n_rows)
+        flat = keys[0][lo:hi].astype(np.int64)
+        for key, size in zip(keys[1:], shape[1:]):
+            flat *= size
+            flat += key[lo:hi]
+        if not np.array_equal(flat, np.arange(lo, hi)):
+            return False
+    return True
 
 
 def _place(keys: list, values: np.ndarray, shape: tuple) -> np.ndarray | None:
@@ -707,12 +762,14 @@ def _cell_values(fleet: FleetSpec, name: str, path, keys: list, values, label: s
 
     ``keys`` are the file's asset, scenario [and period] columns, each
     counted from 0 and within its axis of ``shape``. When there are as many
-    rows as cells, :func:`_place` puts each value at its cell. Only when the
-    count differs or a cell is left unset does one stable sort by the keys
-    name the first row in file order that repeats a cell, or else report
-    missing cells. Every value must be finite and meet ``bound``, a
-    (comparison against 0, its text) pair; the first that does not, in cell
-    order, is named with its cell.
+    rows as cells and they are in export order (:func:`_in_export_order`),
+    ``values`` itself is the result; in any other order, :func:`_place`
+    puts each value at its cell. Only when the count differs or a cell is
+    left unset does one stable sort by the keys name the first row in file
+    order that repeats a cell, or else report missing cells. Every value
+    must be finite and meet ``bound``, a (comparison against 0, its text)
+    pair; the first that does not, in cell order, is named with its cell.
+    The values are checked a block at a time.
     """
     key_names = ("asset", "scenario", "period")[: len(keys)]
 
@@ -721,7 +778,10 @@ def _cell_values(fleet: FleetSpec, name: str, path, keys: list, values, label: s
         text = f"asset {fleet.assets[asset].id!r} scenario {scenario}"
         return text + "".join(f" period {k + 1}" for k in period)
 
-    placed = _place(keys, values, shape) if values.size == math.prod(shape) else None
+    placed = None
+    if values.size == math.prod(shape):
+        in_order = _in_export_order(keys, shape)
+        placed = values.reshape(shape) if in_order else _place(keys, values, shape)
     if placed is None:
         order = np.lexsort(keys[::-1])
         same = np.ones(max(order.size - 1, 0), dtype=bool)
@@ -733,13 +793,55 @@ def _cell_values(fleet: FleetSpec, name: str, path, keys: list, values, label: s
             raise ValueError(f"{name} repeats {cell(key[row] for key in keys)}: {path}")
         raise ValueError(f"{name} does not cover every ({', '.join(key_names)}) cell: {path}")
     compare, bound_text = bound
-    bad = np.flatnonzero(~(np.isfinite(placed) & compare(placed, 0.0)))
-    if bad.size:
-        value, where = float(placed.flat[bad[0]]), cell(np.unravel_index(bad[0], shape))
-        if not math.isfinite(value):
-            raise ValueError(f"{name} {path}: non-finite {label} {value!r} for {where}")
-        raise ValueError(f"{name} {path}: {label} {value!r} for {where} must be {bound_text}")
+    flat = placed.reshape(-1)
+    for lo in range(0, flat.size, _CHECK_BLOCK):
+        block = flat[lo:lo + _CHECK_BLOCK]
+        bad = np.flatnonzero(~(np.isfinite(block) & compare(block, 0.0)))
+        if bad.size:
+            value, where = float(block[bad[0]]), cell(np.unravel_index(lo + bad[0], shape))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} {path}: non-finite {label} {value!r} for {where}")
+            raise ValueError(f"{name} {path}: {label} {value!r} for {where} must be {bound_text}")
     return placed
+
+
+def _read_usage(fleet: FleetSpec, index: dict, path) -> np.ndarray:
+    """The (N, S, T) usage increments of a usage file."""
+    n, t = fleet.n_assets, fleet.horizon
+    scenario, period = IntKey(_SCENARIO_KEY), IntKey(np.min_scalar_type(t).char)
+    columns = dict(zip(_USAGE_COLUMNS, (str, scenario, period, float)))
+    *keys, values = _read_columns("usage file", path, columns, index)
+    if scenario.below:
+        raise ValueError(f"usage file scenario {scenario.below[1]} is negative: {path}")
+    outside = _first_outside(period, keys[2], 1, t)
+    if outside is not None:
+        raise ValueError(f"usage file period {outside} outside 1..{t}: {path}")
+    if scenario.above:
+        raise ValueError(
+            f"usage file scenario {scenario.above[1]} is not below {SCENARIO_LIMIT},"
+            f" the limit on scenarios (2**32): {path}"
+        )
+    if values.size == 0:
+        raise ValueError(f"usage file contains no scenarios: {path}")
+    keys[2] -= 1  # every key counts from 0 from here on
+    return _cell_values(
+        fleet, "usage file", path, keys, values, "usage increment", (np.greater, "> 0"),
+        (n, int(keys[1].max()) + 1, t),
+    )
+
+
+def _read_rul(fleet: FleetSpec, index: dict, path, n_scenarios: int) -> np.ndarray:
+    """The (N, S) latent RULs of a RUL file, S given by the usage file."""
+    scenario = IntKey(_SCENARIO_KEY)
+    columns = dict(zip(_RUL_COLUMNS, (str, scenario, float)))
+    *keys, values = _read_columns("RUL file", path, columns, index)
+    outside = _first_outside(scenario, keys[1], 0, n_scenarios - 1)
+    if outside is not None:
+        raise ValueError(f"RUL file scenario {outside} outside 0..{n_scenarios - 1}: {path}")
+    return _cell_values(
+        fleet, "RUL file", path, keys, values, "latent RUL", (np.greater_equal, ">= 0"),
+        (fleet.n_assets, n_scenarios),
+    )
 
 
 def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
@@ -751,41 +853,20 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
     the file, as does a value ``ScenarioSet`` would refuse: a non-finite
     one (``inf`` or ``nan``), a usage increment <= 0 or a negative latent
     RUL, named with the first bad cell in (asset, scenario, period) order.
-    The files are read by :func:`fleetmaint.csvio.read_csv` with the
+    A scenario of :data:`SCENARIO_LIMIT` (2**32) or more is named with the
+    limit. The files are read by :func:`fleetmaint.csvio.read_csv` with the
     columns :func:`write_scenario_csvs` writes; a row that does not parse,
-    or names an asset outside the fleet, is named with its line. No array
-    is sized by a scenario index before the rows are known to cover every
-    cell: the placed values wait until there are as many rows as cells.
+    or names an asset outside the fleet, is named with its line. The whole
+    file is parsed before any key is range-checked.
+
+    Memory: each key is held as it streams in, in the narrowest unsigned
+    type its bound allows (the asset index by N, the period by T, the
+    scenario as uint32), and the values as float64. A file in export order
+    is returned in that value buffer itself; any other order pays for one
+    int64 cell index and a placed copy. No array is sized by a scenario
+    index before the rows are known to cover every cell.
     """
-    n, t = fleet.n_assets, fleet.horizon
     index = {a.id: i for i, a in enumerate(fleet.assets)}
-
-    asset, scen, period, values = _read_columns("usage file", usage_path, _USAGE_COLUMNS, index)
-    if np.any(scen < 0):
-        raise ValueError(f"usage file scenario {scen[scen < 0][0]} is negative: {usage_path}")
-    outside = (period < 1) | (period > t)
-    if np.any(outside):
-        raise ValueError(f"usage file period {period[outside][0]} outside 1..{t}: {usage_path}")
-    if scen.size == 0:
-        raise ValueError(f"usage file contains no scenarios: {usage_path}")
-    n_scen = int(scen.max()) + 1
-    period -= 1  # every key counts from 0 from here on
-    # Rebinding frees the int64 keys before the values are placed.
-    scen, period = _narrow(scen, n_scen), _narrow(period, t)
-    inc = _cell_values(
-        fleet, "usage file", usage_path, [asset, scen, period], values, "usage increment",
-        (np.greater, "> 0"), (n, n_scen, t),
-    )
-
-    asset, scen, values = _read_columns("RUL file", rul_path, _RUL_COLUMNS, index)
-    outside = (scen < 0) | (scen >= n_scen)
-    if np.any(outside):
-        raise ValueError(
-            f"RUL file scenario {scen[outside][0]} outside 0..{n_scen - 1}: {rul_path}"
-        )
-    rul = _cell_values(
-        fleet, "RUL file", rul_path, [asset, _narrow(scen, n_scen)], values, "latent RUL",
-        (np.greater_equal, ">= 0"), (n, n_scen),
-    )
-
+    inc = _read_usage(fleet, index, usage_path)
+    rul = _read_rul(fleet, index, rul_path, inc.shape[1])
     return ScenarioSet(usage_increments=inc, latent_rul=rul)

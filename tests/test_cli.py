@@ -125,6 +125,14 @@ class TestParseConfig:
         assert config.fleet_gen is not None
         assert config.fleet_gen.n_assets == 5
 
+    def test_scenario_count_below_the_limit(self):
+        # Parsed only: a set this large is never sampled here.
+        assert parse_config({"scenarios": {"n_scenarios": 2**32 - 1}}).n_scenarios == 2**32 - 1
+        message = r"^scenarios\.n_scenarios must be below 4294967296 \(2\*\*32\)$"
+        for n_scenarios in (2**32, 2**40):
+            with pytest.raises(ConfigError, match=message):
+                parse_config({"scenarios": {"n_scenarios": n_scenarios}})
+
     def test_unknown_top_level_key_named_in_error(self):
         with pytest.raises(ConfigError, match="fleets"):
             parse_config({"fleets": {}})
@@ -814,13 +822,15 @@ class TestCliCommands:
 
         monkeypatch.setattr(scenario.mmap, "mmap", no_memory)
         config = tmp_path / "huge.json"
-        config.write_text(json.dumps({"scenarios": {"n_scenarios": 100_000_000_000}}))
+        # The largest S a config accepts is 2**32 - 1; the draws at S=4e9 would
+        # take about 2 TB.
+        config.write_text(json.dumps({"scenarios": {"n_scenarios": 4_000_000_000}}))
         out = tmp_path / "huge_out"
         assert fleetmaint.cli.main([command, "--config", str(config), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert re.fullmatch(
             r"error: cannot allocate [\d,]+ bytes for the scenario draws of N=5 assets,"
-            r" S=100000000000 scenarios and T=12 periods \(config keys fleet\.n_assets,"
+            r" S=4000000000 scenarios and T=12 periods \(config keys fleet\.n_assets,"
             r" scenarios\.n_scenarios and fleet\.horizon\)\n",
             err,
         ), err

@@ -7,7 +7,7 @@ from array import array
 import pytest
 
 from fleetmaint import csvio
-from fleetmaint.csvio import quote, read_csv, write_csv, write_lines
+from fleetmaint.csvio import IntKey, quote, read_csv, write_csv, write_lines
 
 COLUMNS = {"name": str, "count": int, "value": float}
 
@@ -52,6 +52,33 @@ def test_int_columns_must_fit_int64(tmp_path, count):
     path = write_text(tmp_path / "f.csv", f"name,count,value\na,{2**63 - 1},1\nb,{count},2\n")
     with pytest.raises(ValueError, match=f"test file {path}, line 3: bad count '{count}'$"):
         list(read_csv(path, "test file", COLUMNS))
+
+
+def test_int_key_columns_keep_the_first_fields_that_do_not_fit(tmp_path, monkeypatch):
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
+    path = write_text(
+        tmp_path / "f.csv", "name,count,value\na,1,1\nb,300,2\n\nc,-1,3\nd,256,4\ne,-2,5\n"
+    )
+    count = IntKey("B")
+    # A field that does not fit uint8 holds 0; the first below and the
+    # first above its range are kept with their data rows.
+    assert list(read_csv(path, "test file", {"name": str, "count": count, "value": float})) == [
+        [["a", "b"], array("B", [1, 0]), array("d", [1.0, 2.0])],
+        [["c"], array("B", [0]), array("d", [3.0])],
+        [["d", "e"], array("B", [0, 0]), array("d", [4.0, 5.0])],
+    ]
+    assert (count.below, count.above) == ((2, -1), (1, 300))
+
+
+@pytest.mark.parametrize("count", [str(2**63), str(-(2**63) - 1), "1.5"])
+def test_int_key_fields_must_be_int64(tmp_path, count):
+    path = write_text(tmp_path / "f.csv", f"name,count,value\na,{2**63 - 1},1\nb,{count},2\n")
+    columns = {"name": str, "count": IntKey("I"), "value": float}
+    chunks = read_csv(path, "test file", columns)
+    assert next(chunks) == [["a"], array("I", [0]), array("d", [1.0])]
+    with pytest.raises(ValueError, match=f"test file {path}, line 3: bad count '{count}'$"):
+        next(chunks)
+    assert columns["count"].above == (0, 2**63 - 1)
 
 
 def test_rows_before_a_bad_row_are_yielded_first(tmp_path):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from fleetmaint import csvio, scenario
 from fleetmaint.fleet import FleetSpec
 from fleetmaint.scenario import (
+    SCENARIO_LIMIT,
     PricingInputs,
     ScenarioSet,
     _cell_seed_words,
@@ -779,11 +780,16 @@ class TestCsvRoundTrip:
             ("usage", "A1,0,1,", "Z9,0,1,1.0", "usage file references unknown asset 'Z9'"),
             ("rul", "A2,1,", "Z9,1,7.5", "RUL file references unknown asset 'Z9'"),
             ("usage", "A1,0,1,", "A1,0,6,1.0", "usage file period 6 outside 1..5"),
+            # T=5 keeps periods as uint8, which 300 does not fit.
+            ("usage", "A1,0,1,", "A1,0,300,1.0", "usage file period 300 outside 1..5"),
+            ("usage", "A1,0,1,", f"A1,{2**32},1,1.0",
+             f"usage file scenario {2**32} is not below {2**32}, the limit on scenarios"),
             ("usage", "A", None, "usage file contains no scenarios"),
             ("rul", "A2,3,", "", "RUL file does not cover every"),
         ],
         ids=["usage-unknown-asset", "rul-unknown-asset", "period-out-of-range",
-             "no-scenarios", "rul-missing-cell"],
+             "period-beyond-key-type", "scenario-at-the-limit", "no-scenarios",
+             "rul-missing-cell"],
     )
     def test_rejection_names_file(self, exported, target, prefix, row, message):
         fleet, usage, rul = exported
@@ -847,6 +853,76 @@ class TestCsvRoundTrip:
         assert back.latent_rul.tobytes() == s.latent_rul.tobytes()
         assert back.weights.tobytes() == s.weights.tobytes()
 
+    def test_unparsable_field_beats_an_earlier_negative_scenario(self, exported):
+        # The whole file is parsed before any key is range-checked.
+        fleet, usage, rul = exported
+        lines = usage.read_text().splitlines()
+        lines[1] = lines[1].replace("A1,0,", "A1,-1,", 1)
+        lines[30] = lines[30].rsplit(",", 1)[0] + ",abc"
+        usage.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 31: bad usage_increment 'abc'$"):
+            read_scenario_csvs(fleet, usage, rul)
+
+    def test_first_period_outside_in_file_order_named(self, exported):
+        # 0 fits the period's key type and 300 does not; the first in the
+        # file is named, whichever it is.
+        fleet, usage, rul = exported
+        lines = usage.read_text().splitlines()
+        lines[7], lines[9] = "A1,1,300,1.0", "A1,1,0,1.0"
+        usage.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="usage file period 300 outside 1..5"):
+            read_scenario_csvs(fleet, usage, rul)
+        lines[5], lines[7] = "A1,1,-7,1.0", "A1,1,6,1.0"
+        usage.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="usage file period -7 outside 1..5"):
+            read_scenario_csvs(fleet, usage, rul)
+
+    def test_long_horizon_round_trip(self, tmp_path):
+        # T=300 keeps periods as uint16.
+        fleet = make_fleet(n_assets=2, horizon=300)
+        s = generate_scenarios(fleet, 3, seed=5)
+        usage, rul = tmp_path / "usage.csv", tmp_path / "rul.csv"
+        write_scenario_csvs(s, fleet, usage, rul)
+        back = read_scenario_csvs(fleet, usage, rul)
+        assert back.usage_increments.tobytes() == s.usage_increments.tobytes()
+        assert back.latent_rul.tobytes() == s.latent_rul.tobytes()
+
+    def test_negative_scenario_beats_an_earlier_one_at_the_limit(self, exported):
+        # The range checks run in their order after the whole file is read:
+        # negative scenarios first, whatever comes earlier in the file.
+        fleet, usage, rul = exported
+        lines = usage.read_text().splitlines()
+        lines[2] = lines[2].replace("A1,0,", f"A1,{SCENARIO_LIMIT},", 1)
+        usage.write_text("\n".join([*lines, "A2,-1,1,1.0"]) + "\n")
+        with pytest.raises(ValueError, match="usage file scenario -1 is negative") as info:
+            read_scenario_csvs(fleet, usage, rul)
+        assert str(usage) in str(info.value)
+
+    def test_rul_scenario_at_the_limit_rejected(self, exported):
+        fleet, usage, rul = exported
+        # Of four scenarios outside 0..3, the first in the file is named.
+        with rul.open("a") as f:
+            for scenario in (SCENARIO_LIMIT, -3, 2**33, 9):
+                f.write(f"A2,{scenario},7.5\n")
+        with pytest.raises(ValueError, match=f"RUL file scenario {2**32} outside 0..3"):
+            read_scenario_csvs(fleet, usage, rul)
+
+    @pytest.mark.parametrize("target", ["usage", "rul"])
+    def test_last_two_rows_swapped_reload_bit_equal(self, tmp_path, target):
+        # 36,000 usage and 9,000 RUL rows: each file's order is checked in
+        # more than one block.
+        fleet = make_fleet(n_assets=3, horizon=4)
+        s = generate_scenarios(fleet, 3000, seed=9)
+        usage, rul = tmp_path / "usage.csv", tmp_path / "rul.csv"
+        write_scenario_csvs(s, fleet, usage, rul)
+        path = usage if target == "usage" else rul
+        lines = path.read_text().splitlines()
+        lines[-2], lines[-1] = lines[-1], lines[-2]
+        path.write_text("\n".join(lines) + "\n")
+        back = read_scenario_csvs(fleet, usage, rul)
+        assert back.usage_increments.tobytes() == s.usage_increments.tobytes()
+        assert back.latent_rul.tobytes() == s.latent_rul.tobytes()
+
     @pytest.mark.parametrize(
         "n_assets, horizon", [(2, 5), (3, 4)], ids=["fewer-assets", "other-horizon"]
     )
@@ -857,10 +933,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="scenario set shape does not match the fleet"):
             write_scenario_csvs(s, fleet, usage, rul)
 
-    def test_quoted_ids_write_csv_writer_bytes(self, tmp_path):
+    # One block of 256 scenarios and less, exactly one, one and a bit, and
+    # two and a bit.
+    @pytest.mark.parametrize("n_scenarios", [1, 255, 256, 257, 519])
+    def test_quoted_ids_write_csv_writer_bytes(self, tmp_path, n_scenarios):
         ids = ["a,b", 'say "hi"', "two\nlines", " lead", "Pumpé", "100%", "%s", "%%d"]
         fleet = FleetSpec(assets=tuple(make_asset(id=i) for i in ids), horizon=3)
-        s = generate_scenarios(fleet, 5, seed=8)
+        s = generate_scenarios(fleet, n_scenarios, seed=8)
         usage, rul = tmp_path / "usage.csv", tmp_path / "rul.csv"
         write_scenario_csvs(s, fleet, usage, rul)
         usage_rows = [
@@ -887,29 +966,60 @@ class TestCsvRoundTrip:
         assert back.usage_increments.tobytes() == s.usage_increments.tobytes()
         assert back.latent_rul.tobytes() == s.latent_rul.tobytes()
 
+    def test_export_memory_stays_bounded(self, tmp_path):
+        fleet = make_fleet(n_assets=2)
+        s = generate_scenarios(fleet, 4000, seed=7)
+        usage, rul = tmp_path / "usage.csv", tmp_path / "rul.csv"
+        tracemalloc.start()
+        try:
+            write_scenario_csvs(s, fleet, usage, rul)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The writer holds its block templates, about 14 characters per
+        # (scenario, period), and one block of 256 scenarios: about 19
+        # bytes per (scenario, period) in all at this size, so 32 leaves a
+        # margin of two thirds. A list of one template string per
+        # (scenario, period) would take about 68 bytes each on its own.
+        assert peak < 32 * s.n_scenarios * s.horizon
+
     def test_reload_memory_stays_bounded(self, tmp_path):
         fleet = make_fleet(n_assets=2)
         s = generate_scenarios(fleet, 4000, seed=7)
         usage, rul = tmp_path / "usage.csv", tmp_path / "rul.csv"
         write_scenario_csvs(s, fleet, usage, rul)
+        header, *rows = usage.read_text().splitlines(keepends=True)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(header + "".join(rows[1::2] + rows[::2]))
+        peaks = []
         tracemalloc.start()
         try:
-            back = read_scenario_csvs(fleet, usage, rul)
-            reload_peak = tracemalloc.get_traced_memory()[1]
+            for path in (usage, shuffled):
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                back = read_scenario_csvs(fleet, path, rul)
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+                del back
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            for _ in csvio.read_csv(usage, "usage file", scenario._USAGE_COLUMNS):
+            columns = {"asset_id": str, "scenario": int, "period": int, "usage_increment": float}
+            for _ in csvio.read_csv(usage, "usage file", columns):
                 pass
             stream_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        returned = back.usage_increments.nbytes + back.latent_rul.nbytes + back.weights.nbytes
-        # Placing the usage values by cell index needs about 3.35 times the
-        # returned bytes: the values as read, the placed array and the int64
-        # cell index, with the narrow keys; 4 leaves a margin of a fifth.
-        # Streaming the 96,000 usage rows alone, with chunks of 256 rows,
-        # needs a fifth of them.
-        assert reload_peak < 4 * returned
+        returned = s.usage_increments.nbytes + s.latent_rul.nbytes + s.weights.nbytes
+        # In export order the usage values are returned in the buffer they
+        # were read into; the peak, about 1.74 times the returned bytes, is
+        # that buffer with its growth room and the keys (uint8 asset and
+        # period, uint32 scenario). 2 leaves a margin of a seventh.
+        assert peaks[0] < 2 * returned
+        # Placing the values of a reordered file by cell index needs about
+        # 3.46 times the returned bytes: the values as read, the placed
+        # array and the int64 cell index, with the keys; 4 leaves a margin
+        # of a seventh. Streaming the 96,000 usage rows alone, with chunks
+        # of 256 rows, needs a fifth of them.
+        assert peaks[1] < 4 * returned
         assert stream_peak < returned
 
 
