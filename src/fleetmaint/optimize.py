@@ -29,8 +29,9 @@ The matrix build is the one place that evaluates the hazard. Next to the
 cost rows it keeps each asset's expected accrued failure probability per
 candidate date, so a schedule's failure proxy is a sum of N lookups.
 The matrix also holds the fleet and what it was priced on of the scenario
-set, a :class:`~fleetmaint.scenario.PricingInputs` (the latent RUL sample
-and the usage mean, never the (N, S, T) usage increments), and checks
+set, a plain :class:`~fleetmaint.scenario.PricingInputs` (the latent RUL
+sample and the usage mean, never the (N, S, T) usage increments that a
+:class:`~fleetmaint.scenario.ScenarioSet` adds to them), and checks
 that they agree with its tables, so everything that prices a schedule
 takes the matrix alone and reads the scenario weights from it.
 """
@@ -170,14 +171,14 @@ def _asset_tables(
 
 def build_matrix(
     fleet: FleetSpec,
-    scenarios: PricingInputs | ScenarioSet,
+    scenarios: PricingInputs,
     params: RiskParams = RiskParams(),
 ) -> EvaluationMatrix:
     """Precompute every asset's cost and failure rows against a frozen scenario set.
 
     Pricing reads only the latent RUL sample of ``scenarios``, a
-    :class:`~fleetmaint.scenario.PricingInputs` or a full
-    :class:`~fleetmaint.scenario.ScenarioSet`. The matrix is allocated
+    :class:`~fleetmaint.scenario.PricingInputs`, of which a full
+    :class:`~fleetmaint.scenario.ScenarioSet` is one. The matrix is allocated
     once and each asset's rows are written into it in place, so it is
     never held twice. A scenario set whose shape does not
     match the fleet is rejected by the matrix itself, as is a cell that

@@ -4,10 +4,10 @@ optimization-based integrated policies.
 The baselines mimic common practice by triggering on a single indicator
 (calendar age, mean usage, or remaining-life quantile) and never consult
 the cost model, so they take the fleet and, where they need it, the
-scenario set: a :class:`~fleetmaint.scenario.ScenarioSet` or the
-:class:`~fleetmaint.scenario.PricingInputs` the matrix keeps of one, of
-which the usage rule reads only the usage mean and the RUL rule only the
-latent RUL sample. The integrated policies minimize the full scenario-based
+scenario set's :class:`~fleetmaint.scenario.PricingInputs` (a
+:class:`~fleetmaint.scenario.ScenarioSet` is one), of which the usage
+rule reads only the usage mean and the RUL rule only the latent RUL
+sample. The integrated policies minimize the full scenario-based
 cost, by expected value or by CVaR, and take only the
 :class:`~fleetmaint.optimize.EvaluationMatrix`, which holds the fleet and
 the pricing inputs it was priced on. All five return a complete schedule for
@@ -32,7 +32,7 @@ from .optimize import (
     exhaustive_cvar_argmin,
     schedule_from_indices,
 )
-from .scenario import PricingInputs, ScenarioSet
+from .scenario import PricingInputs
 
 __all__ = [
     "PolicyKind",
@@ -95,7 +95,7 @@ def calendar_only(fleet: FleetSpec) -> Schedule:
     return Schedule(dates=dates)
 
 
-def usage_only(fleet: FleetSpec, scenarios: PricingInputs | ScenarioSet) -> Schedule:
+def usage_only(fleet: FleetSpec, scenarios: PricingInputs) -> Schedule:
     """Maintain when the scenario-mean cumulative usage crosses the limit.
 
     The trigger uses the ensemble mean of the usage path
@@ -104,9 +104,8 @@ def usage_only(fleet: FleetSpec, scenarios: PricingInputs | ScenarioSet) -> Sche
     never crosses stay unscheduled.
     """
     dates: dict[str, int | None] = {}
-    usage_mean = scenarios.usage_mean  # a ScenarioSet computes it on each read
     for i, asset in enumerate(fleet.assets):
-        path = asset.initial_usage + np.cumsum(usage_mean[i])
+        path = asset.initial_usage + np.cumsum(scenarios.usage_mean[i])
         crossed = np.nonzero(path >= asset.usage_limit - _CROSS_TOL)[0]
         dates[asset.id] = None if crossed.size == 0 else int(crossed[0]) + 1
     return Schedule(dates=dates)
@@ -114,7 +113,7 @@ def usage_only(fleet: FleetSpec, scenarios: PricingInputs | ScenarioSet) -> Sche
 
 def rul_threshold(
     fleet: FleetSpec,
-    scenarios: PricingInputs | ScenarioSet,
+    scenarios: PricingInputs,
     trigger_prob: float = DEFAULT_TRIGGER_PROB,
 ) -> Schedule:
     """Maintain once the scenario probability of life running out by t

@@ -30,8 +30,8 @@ same to the bit whatever the number of workers.
 
 Pricing reads only the latent RUL and the scenario mean of the usage
 increments, so :func:`sample_pricing_inputs` keeps only those, as a
-:class:`PricingInputs`, while :func:`generate_scenarios` keeps every
-increment in a :class:`ScenarioSet`. Both run one sampler,
+:class:`PricingInputs`, while :func:`generate_scenarios` adds every
+increment to them in a :class:`ScenarioSet`. Both run one sampler,
 :func:`_sample_cells`; only where the usage draws go differs. The sampler
 takes an asset's scenarios in chunks of ``_CHUNK`` rows, drawn into a view
 of the (N, S, T) array or into one reused (``_CHUNK``, T) buffer. It
@@ -54,10 +54,10 @@ uint32 (:data:`SCENARIO_LIMIT`). A key that does not fit its type is kept
 aside and named after the whole file is parsed, in the order of the range
 checks. Once the keys are in range and there are as many rows as cells,
 a file in export order, checked a block of rows at a time, is returned in
-its value buffer itself; a file in any other order has each value placed
-at its flat cell index, and a cell left unset shows a repeat; only a file
-that fails this is sorted, to name its first repeated row. At its peak,
-reading an export holds the values as read and the narrow keys.
+its value buffer itself. A file in any other order takes one stable sort
+by its keys, which names its first repeated row or, with none, gives the
+order its values are taken in. At its peak, reading an export holds the
+values as read and the narrow keys.
 Its converters are the plain ``float`` and ``int`` a row-wise parser would
 apply, so it accepts exactly the files such a parser accepts.
 """
@@ -131,13 +131,6 @@ _SCENARIO_KEY = np.min_scalar_type(SCENARIO_LIMIT - 1).char
 _CHECK_BLOCK = 8192
 
 
-def _check_rul_values(rul: np.ndarray) -> None:
-    """Raise unless every latent RUL value is finite and >= 0."""
-    # written so that NaN fails each test: every comparison with NaN is False
-    if not (np.all(rul >= 0) and np.all(rul < np.inf)):
-        raise ValueError("latent RUL values must be finite and >= 0")
-
-
 def _freeze(record, **arrays: np.ndarray) -> None:
     """Set each array read-only and store it on the frozen ``record``."""
     for name, arr in arrays.items():
@@ -145,87 +138,14 @@ def _freeze(record, **arrays: np.ndarray) -> None:
         object.__setattr__(record, name, arr)
 
 
-class _EqualWeights:
-    """The scenario count S, the weights 1/S and the asset count N that
-    follow from a record's ``latent_rul`` (N, S)."""
-
-    latent_rul: np.ndarray
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.latent_rul.shape[1]
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The read-only weight 1/S of each scenario, shape (S,)."""
-        w = np.full(self.n_scenarios, 1.0 / self.n_scenarios)
-        w.setflags(write=False)
-        return w
-
-    @property
-    def n_assets(self) -> int:
-        return self.latent_rul.shape[0]
-
-
 @dataclass(frozen=True)
-class ScenarioSet(_EqualWeights):
-    """Frozen scenario data for one fleet, every scenario equally likely.
-
-    The set does not record how it was made: the run config, echoed in
-    ``run_meta.json``, holds the seed of a sampled set. The scenario count
-    S and the weights follow from the arrays.
-
-    Attributes:
-        usage_increments: shape (N, S, T) with S >= 1, strictly positive.
-        latent_rul: shape (N, S), nonnegative.
-    """
-
-    usage_increments: np.ndarray
-    latent_rul: np.ndarray
-
-    def __post_init__(self) -> None:
-        inc = np.asarray(self.usage_increments, dtype=float)
-        rul = np.asarray(self.latent_rul, dtype=float)
-        if inc.ndim != 3:
-            raise ValueError(f"usage_increments must have shape (N, S, T), got {inc.shape}")
-        if inc.shape[1] < 1:
-            raise ValueError("n_scenarios must be >= 1")
-        if rul.shape != inc.shape[:2]:
-            raise ValueError(f"latent_rul must have shape {inc.shape[:2]}, got {rul.shape}")
-        if not (np.all(inc > 0) and np.all(inc < np.inf)):
-            raise ValueError("usage increments must be finite and > 0")
-        _check_rul_values(rul)
-        _freeze(self, usage_increments=inc, latent_rul=rul)
-
-    @property
-    def horizon(self) -> int:
-        return self.usage_increments.shape[2]
-
-    @property
-    def usage_mean(self) -> np.ndarray:
-        """The (N, T) scenario mean of the usage increments.
-
-        It is computed chunk by chunk by the rule the sampler applies
-        (:func:`_mean_term`, :func:`_usage_mean`), so a sampled set's mean
-        is the same bits as :func:`sample_pricing_inputs` gives.
-        """
-        inc = self.usage_increments
-        n, s, t = inc.shape
-        terms = np.empty((n, -(-s // _CHUNK), t))
-        for i in range(n):
-            for k in range(terms.shape[1]):
-                _mean_term(inc[i, k * _CHUNK:(k + 1) * _CHUNK], s, terms[i, k])
-        return _usage_mean(terms)
-
-
-@dataclass(frozen=True)
-class PricingInputs(_EqualWeights):
+class PricingInputs:
     """What pricing and the policies read of a scenario set: the latent
     RUL sample and the usage mean, every scenario equally likely.
 
     :func:`sample_pricing_inputs` draws it without holding the (N, S, T)
-    usage increments; for a :class:`ScenarioSet` it is
-    ``PricingInputs(scenarios.latent_rul, scenarios.usage_mean)``.
+    usage increments; a :class:`ScenarioSet` is one that holds them too.
+    The scenario count S and the weights follow from the arrays.
 
     Attributes:
         latent_rul: shape (N, S) with S >= 1, nonnegative.
@@ -245,14 +165,67 @@ class PricingInputs(_EqualWeights):
             raise ValueError("n_scenarios must be >= 1")
         if mean.ndim != 2 or mean.shape[0] != rul.shape[0]:
             raise ValueError(f"usage_mean must have shape ({rul.shape[0]}, T), got {mean.shape}")
-        _check_rul_values(rul)
+        # written so that NaN fails each test: every comparison with NaN is False
+        if not (np.all(rul >= 0) and np.all(rul < np.inf)):
+            raise ValueError("latent RUL values must be finite and >= 0")
         if not (np.all(mean >= 0) and np.all(mean < np.inf)):
             raise ValueError("the usage mean must be finite and >= 0")
         _freeze(self, latent_rul=rul, usage_mean=mean)
 
     @property
+    def n_scenarios(self) -> int:
+        return self.latent_rul.shape[1]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The read-only weight 1/S of each scenario, shape (S,)."""
+        w = np.full(self.n_scenarios, 1.0 / self.n_scenarios)
+        w.setflags(write=False)
+        return w
+
+    @property
+    def n_assets(self) -> int:
+        return self.latent_rul.shape[0]
+
+    @property
     def horizon(self) -> int:
         return self.usage_mean.shape[1]
+
+
+@dataclass(frozen=True, init=False)
+class ScenarioSet(PricingInputs):
+    """Frozen scenario data for one fleet: its pricing inputs and every
+    usage increment they were taken from.
+
+    The set does not record how it was made: the run config, echoed in
+    ``run_meta.json``, holds the seed of a sampled set. The usage mean is
+    computed once, chunk by chunk by the rule the sampler applies
+    (:func:`_mean_term`, :func:`_usage_mean`), so a sampled set's mean is
+    the same bits as :func:`sample_pricing_inputs` gives.
+
+    Attributes:
+        usage_increments: shape (N, S, T) with S >= 1, strictly positive.
+    """
+
+    usage_increments: np.ndarray
+
+    def __init__(self, usage_increments: np.ndarray, latent_rul: np.ndarray) -> None:
+        inc = np.asarray(usage_increments, dtype=float)
+        rul = np.asarray(latent_rul, dtype=float)
+        if inc.ndim != 3:
+            raise ValueError(f"usage_increments must have shape (N, S, T), got {inc.shape}")
+        if inc.shape[1] < 1:
+            raise ValueError("n_scenarios must be >= 1")
+        if rul.shape != inc.shape[:2]:
+            raise ValueError(f"latent_rul must have shape {inc.shape[:2]}, got {rul.shape}")
+        if not (np.all(inc > 0) and np.all(inc < np.inf)):
+            raise ValueError("usage increments must be finite and > 0")
+        n, s, t = inc.shape
+        terms = np.empty((n, -(-s // _CHUNK), t))
+        for i, k in np.ndindex(terms.shape[:2]):
+            _mean_term(inc[i, k * _CHUNK:(k + 1) * _CHUNK], s, terms[i, k])
+        super().__init__(rul, _usage_mean(terms))
+        _freeze(self, usage_increments=inc)
 
 
 def _mean_term(rows: np.ndarray, n_scenarios: int, out: np.ndarray) -> None:
@@ -391,7 +364,7 @@ def _cell_seed_words(seed: int, asset_index: int, start: int, stop: int) -> np.n
 
     The entropy of cell w is the seed's words, zero-padded to the pool size,
     then the asset index's words, then w (one word: scenario counts stay
-    below :data:`SCENARIO_LIMIT`, 2**32, which the config checks). Every
+    below :data:`SCENARIO_LIMIT`, 2**32, which :func:`_draw` checks). Every
     cell runs the same hash steps with the same constants, so the steps run
     once on columns of uint32 arrays, whose products wrap modulo 2^32 as
     the reference's do.
@@ -553,11 +526,14 @@ def _draw(fleet: FleetSpec, n_scenarios: int, seed: int, workers: int, usage: bo
     block, or where ``os.fork`` does not exist, nothing is forked. The
     draws never depend on ``workers``. Once every block is drawn, the
     first asset with an increment that is not finite and > 0 is named in
-    a ValueError. A map that cannot be allocated raises a MemoryError
-    naming N, S and T.
+    a ValueError. A scenario count of :data:`SCENARIO_LIMIT` or more is
+    named with the limit before anything is mapped; a map that cannot be
+    allocated raises a MemoryError naming N, S and T.
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be >= 1")
+    if n_scenarios >= SCENARIO_LIMIT:
+        raise ValueError(f"n_scenarios must be below {SCENARIO_LIMIT} (2**32)")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     n, t = fleet.n_assets, fleet.horizon
@@ -742,31 +718,16 @@ def _in_export_order(keys: list, shape: tuple) -> bool:
     return True
 
 
-def _place(keys: list, values: np.ndarray, shape: tuple) -> np.ndarray | None:
-    """``values``, one per cell of ``shape``, each put at the cell its keys
-    name; None if a cell is left unset, which happens exactly when one repeats.
-    """
-    flat = keys[0].astype(np.int64)
-    for key, size in zip(keys[1:], shape[1:]):
-        flat *= size
-        flat += key
-    placed = np.empty(shape)
-    placed.reshape(-1)[flat] = values
-    seen = np.zeros(values.size, dtype=bool)
-    seen[flat] = True
-    return placed if seen.all() else None
-
-
 def _cell_values(fleet: FleetSpec, name: str, path, keys: list, values, label: str, bound, shape):
     """A scenario file's values in (asset, scenario[, period]) order, as ``shape``.
 
     ``keys`` are the file's asset, scenario [and period] columns, each
     counted from 0 and within its axis of ``shape``. When there are as many
     rows as cells and they are in export order (:func:`_in_export_order`),
-    ``values`` itself is the result; in any other order, :func:`_place`
-    puts each value at its cell. Only when the count differs or a cell is
-    left unset does one stable sort by the keys name the first row in file
-    order that repeats a cell, or else report missing cells. Every value
+    ``values`` itself is the result. Any other file takes one stable sort
+    by the keys, which names the first row in file order that repeats a
+    cell; with no repeat, a file with as many rows as cells is its values
+    taken in sorted order, and any other reports missing cells. Every value
     must be finite and meet ``bound``, a (comparison against 0, its text)
     pair; the first that does not, in cell order, is named with its cell.
     The values are checked a block at a time.
@@ -778,11 +739,9 @@ def _cell_values(fleet: FleetSpec, name: str, path, keys: list, values, label: s
         text = f"asset {fleet.assets[asset].id!r} scenario {scenario}"
         return text + "".join(f" period {k + 1}" for k in period)
 
-    placed = None
-    if values.size == math.prod(shape):
-        in_order = _in_export_order(keys, shape)
-        placed = values.reshape(shape) if in_order else _place(keys, values, shape)
-    if placed is None:
+    if values.size == math.prod(shape) and _in_export_order(keys, shape):
+        placed = values.reshape(shape)
+    else:
         order = np.lexsort(keys[::-1])
         same = np.ones(max(order.size - 1, 0), dtype=bool)
         for key in keys:
@@ -791,7 +750,9 @@ def _cell_values(fleet: FleetSpec, name: str, path, keys: list, values, label: s
         if same.any():
             row = order[1:][same].min()
             raise ValueError(f"{name} repeats {cell(key[row] for key in keys)}: {path}")
-        raise ValueError(f"{name} does not cover every ({', '.join(key_names)}) cell: {path}")
+        if order.size != math.prod(shape):
+            raise ValueError(f"{name} does not cover every ({', '.join(key_names)}) cell: {path}")
+        placed = values[order].reshape(shape)
     compare, bound_text = bound
     flat = placed.reshape(-1)
     for lo in range(0, flat.size, _CHECK_BLOCK):
@@ -862,9 +823,9 @@ def read_scenario_csvs(fleet: FleetSpec, usage_path, rul_path) -> ScenarioSet:
     Memory: each key is held as it streams in, in the narrowest unsigned
     type its bound allows (the asset index by N, the period by T, the
     scenario as uint32), and the values as float64. A file in export order
-    is returned in that value buffer itself; any other order pays for one
-    int64 cell index and a placed copy. No array is sized by a scenario
-    index before the rows are known to cover every cell.
+    is returned in that value buffer itself; any other order pays for the
+    sort's int64 row order and a sorted copy. No array is sized by a
+    scenario index before the rows are known to cover every cell.
     """
     index = {a.id: i for i, a in enumerate(fleet.assets)}
     inc = _read_usage(fleet, index, usage_path)

@@ -1,9 +1,11 @@
 """The public API surface: every exported name resolves, on numpy alone."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +110,54 @@ def test_no_unread_private_module_names():
         if private not in read
     ]
     assert not unread, f"private module-level names no module reads: {unread}"
+
+
+# A cross-reference of a docstring or comment: its role and its target.
+_REFERENCE = re.compile(r":(func|class|data|attr|meth):`~?([\w.]+)`")
+
+
+def _has(owner, name: str) -> bool:
+    """Whether ``name`` is an attribute, property or dataclass field of ``owner``."""
+    if hasattr(owner, name):
+        return True
+    fields = dataclasses.fields(owner) if dataclasses.is_dataclass(owner) else ()
+    return name in {f.name for f in fields}
+
+
+def _resolves(module, target: str) -> bool:
+    """Whether ``target`` names something from ``module``: a module-level
+    name, a ``fleetmaint.*`` path, or an attribute of either."""
+    parts = target.split(".")
+    owner = module
+    if parts[0] == "fleetmaint":
+        # the longest importable prefix is the module; the rest are attributes
+        for cut in range(len(parts), 0, -1):
+            try:
+                owner = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            parts = parts[cut:]
+            break
+    for part in parts:
+        if not _has(owner, part):
+            return False
+        owner = getattr(owner, part, None)  # a field without a default has no class attribute
+    return True
+
+
+def test_docstring_references_resolve():
+    # An undotted :attr: or :meth: names a member of the class it is
+    # written in, often an instance attribute, and is not checked.
+    dangling = []
+    for name in ["fleetmaint", *SUBMODULES]:
+        module = importlib.import_module(name)
+        text = Path(module.__file__).read_text()
+        for ref in _REFERENCE.finditer(text):
+            role, target = ref.groups()
+            if (role in ("attr", "meth") and "." not in target) or _resolves(module, target):
+                continue
+            dangling.append(f"{name}:{text.count(chr(10), 0, ref.start()) + 1} {ref.group(0)}")
+    assert not dangling, f"references to names that do not exist: {dangling}"
 
 
 def test_cli_import_leaves_scipy_unloaded():

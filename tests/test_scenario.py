@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from fleetmaint import csvio, scenario
 from fleetmaint.fleet import FleetSpec
+from fleetmaint.optimize import build_matrix
+from fleetmaint.policies import rul_threshold, usage_only
 from fleetmaint.scenario import (
     SCENARIO_LIMIT,
     PricingInputs,
@@ -445,15 +447,40 @@ class TestPricingInputs:
 
         monkeypatch.setattr(scenario.mmap, "mmap", no_memory)
         sample = generate_scenarios if usage else sample_pricing_inputs
-        nbytes = 2 * 10**11 * 8 + 2 * 390_625_000 * 4 * 8 + 2 * 390_625_000
-        nbytes += 2 * 10**11 * 4 * 8 if usage else 0
+        nbytes = 2 * 4 * 10**9 * 8 + 2 * 15_625_000 * 4 * 8 + 2 * 15_625_000
+        nbytes += 2 * 4 * 10**9 * 4 * 8 if usage else 0
         message = (
             f"cannot allocate {nbytes:,} bytes for the scenario draws of N=2 assets,"
-            " S=100000000000 scenarios and T=4 periods (config keys fleet.n_assets,"
+            " S=4000000000 scenarios and T=4 periods (config keys fleet.n_assets,"
             " scenarios.n_scenarios and fleet.horizon)"
         )
         with pytest.raises(MemoryError, match=f"^{re.escape(message)}$"):
-            sample(make_fleet(n_assets=2, horizon=4), 10**11, seed=1)
+            sample(make_fleet(n_assets=2, horizon=4), 4 * 10**9, seed=1)
+
+    @pytest.mark.parametrize("usage", [True, False], ids=["full", "lean"])
+    def test_scenario_limit_named_before_mapping(self, usage, monkeypatch):
+        def mapped(*args, **kwargs):
+            pytest.fail("the sampler mapped memory for a count past the limit")
+
+        monkeypatch.setattr(scenario.mmap, "mmap", mapped)
+        sample = generate_scenarios if usage else sample_pricing_inputs
+        message = "n_scenarios must be below 4294967296 (2**32)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample(make_fleet(n_assets=2, horizon=4), SCENARIO_LIMIT, seed=1)
+
+    def test_scenario_set_is_its_pricing_inputs(self):
+        # the matrix keeps a plain PricingInputs, the lean twin's bits
+        fleet = make_fleet(n_assets=3, horizon=6)
+        full = generate_scenarios(fleet, CHUNK + 3, seed=4)
+        lean = sample_pricing_inputs(fleet, CHUNK + 3, seed=4)
+        assert isinstance(full, PricingInputs)
+        kept = build_matrix(fleet, full).scenarios
+        assert type(kept) is PricingInputs
+        assert not hasattr(kept, "usage_increments")
+        assert kept.latent_rul.tobytes() == lean.latent_rul.tobytes()
+        assert kept.usage_mean.tobytes() == lean.usage_mean.tobytes()
+        assert usage_only(fleet, full) == usage_only(fleet, lean)
+        assert rul_threshold(fleet, full) == rul_threshold(fleet, lean)
 
     def test_rul_and_mean_checked(self):
         with pytest.raises(ValueError, match="latent RUL values must be finite"):
@@ -1014,11 +1041,11 @@ class TestCsvRoundTrip:
         # that buffer with its growth room and the keys (uint8 asset and
         # period, uint32 scenario). 2 leaves a margin of a seventh.
         assert peaks[0] < 2 * returned
-        # Placing the values of a reordered file by cell index needs about
-        # 3.46 times the returned bytes: the values as read, the placed
-        # array and the int64 cell index, with the keys; 4 leaves a margin
-        # of a seventh. Streaming the 96,000 usage rows alone, with chunks
-        # of 256 rows, needs a fifth of them.
+        # A reordered file takes the reader's stable sort by its keys and
+        # needs about 3.60 times the returned bytes: the values as read,
+        # the sort's int64 row order and the values taken in that order,
+        # with the keys; 4 leaves a margin of a tenth. Streaming the 96,000
+        # usage rows alone, with chunks of 256 rows, needs a fifth of them.
         assert peaks[1] < 4 * returned
         assert stream_peak < returned
 
