@@ -287,7 +287,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("output.formats must be a nonempty list")
     for fmt in formats_raw:
         if fmt != "csv":
-            raise ConfigError(f"unsupported output format {fmt!r}")
+            raise ConfigError(f"output.formats: unsupported output format {fmt!r}")
 
     return RunConfig(
         fleet_gen=fleet_gen,
@@ -303,10 +303,20 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Read and validate a JSON config file."""
+    """Read and validate a JSON config file. A key repeated in one object is
+    rejected by name, where ``json`` would keep the last value silently."""
+
+    def unique_keys(pairs: list) -> dict:
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ConfigError(f"config {path} repeats key {key!r} in one object")
+            seen.add(key)
+        return dict(pairs)
+
     try:
         with open(path, encoding="utf-8") as f:
-            data = json.load(f)
+            data = json.load(f, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

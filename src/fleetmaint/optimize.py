@@ -20,10 +20,11 @@ profile's 371,293 schedules survive. The caller decides whether (T+1)^N
 is small enough to enumerate.
 Candidate indices are ordered lexicographically by (asset order, date
 order with "none" last); ties on the objective resolve to the earliest
-schedule in that order. Both searches price schedules with
-:func:`fleetmaint.criteria.batch_cvar` on rows summed in asset order, so
-the value each returns is its schedule's
-:func:`~fleetmaint.criteria.cvar_alpha` bit for bit.
+schedule in that order. One helper sums a schedule's cost rows, in
+asset order, for every schedule priced here, one or a block at a time,
+and both searches price those totals with
+:func:`fleetmaint.criteria.batch_cvar`, so the value each returns is its
+schedule's :func:`~fleetmaint.criteria.cvar_alpha` bit for bit.
 
 The matrix build is the one place that evaluates the hazard. Next to the
 cost rows it keeps each asset's expected accrued failure probability per
@@ -145,20 +146,17 @@ def _asset_tables(
     Every cost cell depends on its own scenario alone, so the rows are
     built in blocks of ``_TABLE_BLOCK`` scenarios, whose temporaries the
     allocator serves again from its heap instead of mapping fresh pages
-    for each. The failure row is a weighted sum over all S scenarios of
-    each one's accrued probability, kept per window in one (T+1, S) array.
+    for each. The failure row, like the cost rows, accrues period by
+    period: a running sum of each period's scenario-weighted probability.
     """
     t_grid = np.arange(1, horizon + 1)
     n_scenarios = latent_rul.size
-    window = np.empty((horizon + 1, n_scenarios))
+    per_period = np.empty((horizon, n_scenarios))
     for lo in range(0, n_scenarios, _TABLE_BLOCK):
         hi = min(lo + _TABLE_BLOCK, n_scenarios)
         margins = latent_rul[lo:hi, None] - t_grid[None, :]
         probs = failure_probability(margins, params)
-        # One row sum per window, not a running sum, so each entry rounds like a
-        # direct sum over its window (numpy sums rows of over 8 terms pairwise).
-        for k in range(horizon + 1):
-            window[k, lo:hi] = probs[:, :k].sum(axis=1)
+        per_period[:, lo:hi] = probs.T
         hazard = asset.cost_fail * probs
         hazard += performance_penalty(margins, asset.cost_perf, params)
         # accrued[:, k] charges hazard for periods 1..k; column 0 is the empty sum.
@@ -166,7 +164,9 @@ def _asset_tables(
         early = asset.cost_early * np.maximum(0.0, margins) / asset.rul_mean
         table[:horizon, lo:hi] = (asset.cost_pm + early + accrued[:, :horizon]).T
         table[horizon, lo:hi] = accrued[:, horizon]
-    failure[:] = [weights @ row for row in window]
+    # weighted over all S scenarios at once, so the row does not depend on the blocks
+    failure[0] = 0.0
+    np.cumsum(per_period @ weights, out=failure[1:])
 
 
 def build_matrix(
@@ -224,15 +224,17 @@ def schedule_from_indices(fleet: FleetSpec, indices: Sequence[int]) -> Schedule:
 def schedule_cost_distribution(matrix: EvaluationMatrix, schedule: Schedule) -> CostDistribution:
     """Fleet cost distribution of one schedule via precomputed row sums."""
     indices = indices_from_schedule(schedule, matrix.fleet)
-    totals = _schedule_totals(matrix.costs, indices)
+    totals = _schedule_totals(matrix.costs, [indices])[0]
     return CostDistribution(values=totals, weights=matrix.scenarios.weights)
 
 
-def _schedule_totals(costs: np.ndarray, indices: Sequence[int]) -> np.ndarray:
-    """Per-scenario fleet cost of one schedule, its rows summed in asset order."""
-    totals = np.zeros(costs.shape[2])
-    for i, c in enumerate(indices):
-        totals += costs[i, c]
+def _schedule_totals(costs: np.ndarray, indices: Sequence[Sequence[int]]) -> np.ndarray:
+    """(M, S) per-scenario fleet costs of the M schedules in the (M, N)
+    candidate ``indices``, each row its assets' cost rows summed in asset order."""
+    indices = np.asarray(indices)
+    totals = np.zeros((len(indices), costs.shape[2]))
+    for i in range(costs.shape[0]):
+        totals += costs[i][indices[:, i]]
     return totals
 
 
@@ -278,7 +280,7 @@ def exhaustive_cvar_argmin(
     # CVaR is a weight-normalized tail mean, so bound it by the normalized mean.
     means = costs @ weights / weights.sum()
     lows = means.min(axis=1)
-    bound = float(batch_cvar(_schedule_totals(costs, incumbent), weights, alpha)[0])
+    bound = float(batch_cvar(_schedule_totals(costs, [incumbent]), weights, alpha)[0])
     threshold = bound + _PRUNE_SLACK * max(1.0, abs(bound))
     # One index column per asset, so no flat index into (T+1)^N can overflow.
     partial = np.zeros(1)
@@ -295,11 +297,7 @@ def exhaustive_cvar_argmin(
     block = max(1, _BLOCK_ELEMENTS // s)
     best_val, best_row = np.inf, -1
     for start in range(0, len(chosen), block):
-        part = chosen[start:start + block]
-        totals = np.zeros((len(part), s))
-        for i in range(n):
-            totals += costs[i][part[:, i]]
-        cvars = batch_cvar(totals, weights, alpha)
+        cvars = batch_cvar(_schedule_totals(costs, chosen[start:start + block]), weights, alpha)
         m = int(np.argmin(cvars))
         if cvars[m] < best_val:
             best_val, best_row = float(cvars[m]), start + m
@@ -324,7 +322,7 @@ def coordinate_descent_cvar(
     n, k1, _ = costs.shape
     weights = matrix.scenarios.weights
     current = _checked_indices(start, (n, k1), "start")
-    totals = _schedule_totals(costs, current)
+    totals = _schedule_totals(costs, [current])[0]
     current_val = float(batch_cvar(totals, weights, alpha)[0])
 
     # one buffer for every move's candidate rows, not a fresh (T+1, S) array each
@@ -342,5 +340,4 @@ def coordinate_descent_cvar(
                 totals = without + costs[i, c_best]
                 current_val = float(cvars[c_best])
                 improved = True
-    totals = _schedule_totals(costs, current)
-    return tuple(current), float(batch_cvar(totals, weights, alpha)[0])
+    return tuple(current), float(batch_cvar(_schedule_totals(costs, [current]), weights, alpha)[0])

@@ -111,6 +111,64 @@ def config_file(tmp_path):
     return path
 
 
+# Each rejected document with the part of the message that names its key.
+# The ids stay document<k> in list order, so append new cases at the end.
+_BAD_VALUES = [
+    ({"scenarios": {"n_scenarios": 0}}, "scenarios.n_scenarios must be >= 1"),
+    ({"fleet": {"horizon": 0}}, "fleet: horizon must be a positive integer"),
+    ({"policies": {"alpha": 1.5}}, "policies: alpha must lie strictly between 0 and 1"),
+    ({"policies": {"trigger_prob": 0}}, "policies: trigger_prob must lie strictly"),
+    ({"risk": {"p_max": 2.0}}, "risk: p_max must lie in (0, 0.95]"),
+    ({"output": {"formats": ["xml"]}}, "output.formats: unsupported output format 'xml'"),
+    (
+        {"fleet": {"n_assets": 3, "usage_cv_range": [0.5, 1.2]}},
+        "fleet: usage_cv_range must stay below 1",
+    ),
+    ({"risk": {"decay_rate": float("nan")}}, "risk.decay_rate must be a finite number"),
+    ({"costs": {"pm": float("inf")}}, "costs.pm must be a finite number"),
+    (
+        {"fleet": {"n_assets": 3, "usage_limit_range": [160, float("inf")]}},
+        "fleet.usage_limit_range must be a finite number pair",
+    ),
+    (
+        {"fleet": {"assets": [{**EXPLICIT_ASSET, "calendar_limit": float("inf")}]}},
+        "fleet.assets[0].calendar_limit must be a finite number",
+    ),
+    (
+        {"fleet": {"n_assets": 2}, "costs": {"per_asset": {"A1": {"fail": float("inf")}}}},
+        "costs.per_asset.A1.fail must be a finite number",
+    ),
+    ({"fleet": {"rul_mean_range": None}}, "fleet.rul_mean_range must be a [lo, hi]"),
+    (
+        {"fleet": {"assets": [{**EXPLICIT_ASSET, "id": "a\rb"}]}},
+        "fleet.assets[0]: asset id 'a\\rb' must not contain a carriage return",
+    ),
+    ({"policies": {"exhaustive_budget": 0}}, "policies: exhaustive_budget must be >= 1"),
+    ({"output": {"formats": "csv"}}, "output.formats must be a nonempty list"),
+    ({"risk": {"p_max": "0.5"}}, "risk.p_max must be a number"),
+    ({"scenarios": {"n_scenarios": 10.0}}, "scenarios.n_scenarios must be an integer"),
+    ({"risk": [0.5]}, "section 'risk' must be a JSON object"),
+    ({"fleet": {"assets": []}}, "fleet.assets must be a nonempty list"),
+    ({"fleet": {"assets": [1]}}, "fleet.assets[0] must be a JSON object"),
+    (
+        {"fleet": {"assets": [{**EXPLICIT_ASSET, "rul_mean": None}]}},
+        "fleet.assets[0].rul_mean must be a number",
+    ),
+    (
+        {"fleet": {"assets": [
+            {k: v for k, v in EXPLICIT_ASSET.items() if k != "rul_mean"}
+        ]}},
+        "fleet.assets[0] missing required keys: ['rul_mean']",
+    ),
+    (
+        {"fleet": {"assets": [{**EXPLICIT_ASSET, "id": 7}]}},
+        "fleet.assets[0].id must be a string",
+    ),
+    ({"costs": {"per_asset": ["A1"]}}, "costs.per_asset must be a JSON object"),
+    ({"output": {"directory": ""}}, "output.directory must be a nonempty string"),
+]
+
+
 class TestParseConfig:
     def test_empty_document_gets_full_defaults(self):
         config = parse_config({})
@@ -205,28 +263,10 @@ class TestParseConfig:
         assert echoed.build_fleet() == config.build_fleet()
 
     @pytest.mark.parametrize(
-        "document",
-        [
-            {"scenarios": {"n_scenarios": 0}},
-            {"fleet": {"horizon": 0}},
-            {"policies": {"alpha": 1.5}},
-            {"policies": {"trigger_prob": 0}},
-            {"risk": {"p_max": 2.0}},
-            {"output": {"formats": ["xml"]}},
-            {"fleet": {"n_assets": 3, "usage_cv_range": [0.5, 1.2]}},
-            {"risk": {"decay_rate": float("nan")}},
-            {"costs": {"pm": float("inf")}},
-            {"fleet": {"n_assets": 3, "usage_limit_range": [160, float("inf")]}},
-            {"fleet": {"assets": [{**EXPLICIT_ASSET, "calendar_limit": float("inf")}]}},
-            {"fleet": {"n_assets": 2}, "costs": {"per_asset": {"A1": {"fail": float("inf")}}}},
-            {"fleet": {"rul_mean_range": None}},
-            {"fleet": {"assets": [{**EXPLICIT_ASSET, "id": "a\rb"}]}},
-            {"policies": {"exhaustive_budget": 0}},
-            {"output": {"formats": "csv"}},
-        ],
+        "document, named", _BAD_VALUES, ids=[f"document{k}" for k in range(len(_BAD_VALUES))]
     )
-    def test_bad_values_rejected(self, document):
-        with pytest.raises(ConfigError):
+    def test_bad_values_rejected(self, document, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
             parse_config(document)
 
     @pytest.mark.parametrize(
@@ -292,6 +332,39 @@ class TestLoadConfig:
     def test_valid_file(self, config_file):
         config = load_config(config_file)
         assert config.n_scenarios == 100
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"scenarios": {"n_scenarios": 10}, "scenarios": {"seed": 2}}', "scenarios"),
+            ('{"scenarios": {"n_scenarios": 10, "n_scenarios": 20}}', "n_scenarios"),
+            (
+                '{"fleet": {"horizon": 6, "assets": [{"id": "p", "calendar_limit": 9,'
+                ' "usage_limit": 150, "rul_mean": 6, "rul_std": 1.2, "rul_mean": 7,'
+                ' "usage_mean_per_period": 12, "usage_cv": 0.2}]}}',
+                "rul_mean",
+            ),
+            (
+                '{"fleet": {"n_assets": 2},'
+                ' "costs": {"per_asset": {"A1": {"fail": 500}, "A1": {"pm": 20}}}}',
+                "A1",
+            ),
+        ],
+        ids=["top-level-section", "scenarios", "fleet-asset", "per-asset-costs"],
+    )
+    def test_repeated_key_named_with_file(self, tmp_path, text, key):
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"config {path} repeats key {key!r}")):
+            load_config(path)
+
+    def test_repeated_key_exits_2(self, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text('{"scenarios": {"n_scenarios": 10, "n_scenarios": 20}}')
+        proc = run_cli(["study", "--config", str(path), "--out", "out"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert f"config {path} repeats key 'n_scenarios'" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestStudyDriver:
