@@ -254,6 +254,9 @@ def parse_config(data: dict) -> RunConfig:
     else:
         defaults = _FLEET_GEN_DEFAULTS | {"seed": _get_seed("fleet", fleet_raw)}
         fleet_gen = _read_section("fleet", fleet_raw, FleetGenConfig, _FLEET_GEN_READ, defaults)
+        # The sampler hashes an asset index as one uint32 word, as it does a scenario index.
+        if fleet_gen.n_assets >= SCENARIO_LIMIT:
+            raise ConfigError(f"fleet.n_assets must be below {SCENARIO_LIMIT} (2**32)")
         known_ids = {f"A{j + 1}" for j in range(fleet_gen.n_assets)}
 
     unknown_overrides = set(cost_overrides) - known_ids
@@ -304,7 +307,8 @@ def parse_config(data: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Read and validate a JSON config file. A key repeated in one object is
-    rejected by name, where ``json`` would keep the last value silently."""
+    rejected by name, where ``json`` would keep the last value silently.
+    Every failure to read or decode the file is a ConfigError naming it."""
 
     def unique_keys(pairs: list) -> dict:
         seen = set()
@@ -319,6 +323,8 @@ def load_config(path) -> RunConfig:
             data = json.load(f, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError: a JSONDecodeError, text that is not UTF-8, or an integer
+    # past int()'s digit limit; RecursionError: nesting past the stack.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(data)

@@ -65,8 +65,11 @@ DEFAULT_EXHAUSTIVE_BUDGET = 1_000_000
 
 # Cost cells per block of surviving schedules priced at once: a block has
 # max(1, _BLOCK_ELEMENTS // S) rows, so each (rows, S) float array that
-# pricing it allocates stays near 1 MiB whatever S and the survivor count.
-_BLOCK_ELEMENTS = 1 << 17
+# pricing it allocates stays near 128 KiB whatever S and the survivor
+# count, under which the C allocator reuses freed memory (as for
+# _TABLE_BLOCK). batch_cvar prices each row on its own, so the result
+# does not depend on the block size.
+_BLOCK_ELEMENTS = 1 << 14
 
 # Scenarios per block of the matrix build. Its (block, T) temporaries then
 # stay below 128 KiB, under which the C allocator reuses freed memory
@@ -266,7 +269,7 @@ def exhaustive_cvar_argmin(
     addition is monotone, so that sum is never above the computed mean of
     any of the prefix's completions: exactly the schedules with mean at
     most the bound survive, in enumeration order. They are priced in
-    blocks of about 1 MiB per array, with totals summed in asset order,
+    blocks of about 128 KiB per array, with totals summed in asset order,
     and only a strictly lower CVaR replaces the best so far. The result
     is the exact optimum, earliest in enumeration order among ties,
     whichever incumbent set the bound; a better one only prices fewer.

@@ -1,7 +1,9 @@
 """Study outputs: policy summaries, ECDF curves, and deterministic files.
 
-Every CSV goes through :func:`fleetmaint.csvio.write_csv` with a fixed
-column order, so reruns with the same seed and config are byte-identical.
+Every CSV goes through :func:`fleetmaint.csvio.write_csv`, or for the
+ECDF rows, rendered a block at a time, :func:`fleetmaint.csvio.write_lines`,
+with a fixed column order, so reruns with the same seed and config are
+byte-identical.
 The study files here carry 6 significant digits for floats; ``fleet.csv``,
 ``eval_distribution.csv`` and the scenario CSVs carry 17, so their float64
 values round-trip exactly. The run metadata JSON carries the only
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .criteria import CostDistribution, cvar_alpha, expected_cost
-from .csvio import read_csv, write_csv
+from .csvio import read_csv, write_csv, write_lines
 from .fleet import FleetSpec, Schedule
 from .optimize import EvaluationMatrix, indices_from_schedule
 
@@ -41,6 +43,10 @@ __all__ = [
     "staged_outputs",
     "SUMMARY_COLUMNS",
 ]
+
+# ECDF rows rendered per block of text: a block's values and text stay
+# near 100 KiB whatever the number of scenarios.
+_ECDF_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,17 @@ def ecdf(dist: CostDistribution) -> EcdfCurve:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".6g")
+
+
+def _ecdf_blocks(curve: EcdfCurve) -> Iterator[str]:
+    """An ECDF file's rows, ``_ECDF_BLOCK`` at a time, each block rendered
+    by one ``%`` of its values into one "%.6g,%.6g" row template. For a
+    float, ``"%.6g" % x`` is :func:`_fmt`'s ``format(x, ".6g")``, which no
+    CSV field quotes."""
+    for lo in range(0, curve.costs.size, _ECDF_BLOCK):
+        block = slice(lo, lo + _ECDF_BLOCK)
+        pairs = np.column_stack((curve.costs[block], curve.cum_probs[block]))
+        yield "%.6g,%.6g\n" * len(pairs) % tuple(pairs.ravel().tolist())
 
 
 def _schedule_date(text: str) -> int | None:
@@ -191,11 +208,7 @@ def emit_outputs(
         write_csv(stage / "summary.csv", SUMMARY_COLUMNS, rows)
 
         for name, curve in curves.items():
-            write_csv(
-                stage / f"ecdf_{name}.csv",
-                ("cost", "cum_prob"),
-                [[_fmt(c), _fmt(p)] for c, p in zip(curve.costs, curve.cum_probs)],
-            )
+            write_lines(stage / f"ecdf_{name}.csv", ("cost", "cum_prob"), _ecdf_blocks(curve))
 
         rows = [
             [name, *row]

@@ -15,12 +15,13 @@ usage increments are drawn first, then the latent RUL.
 
 The sampler keeps that contract without building one ``SeedSequence`` and
 one ``Generator`` per cell. SeedSequence's hash and PCG64's seeding step
-are pure functions of the seed words, so the state of every cell of an
-asset is computed in array passes over all its cells: the hash in uint32
-arithmetic (:func:`_cell_seed_words`), then PCG64's 128-bit seeding step in
-Python's exact integers (:func:`_pcg64_states`). Each cell's state is set
-on one reused generator before its draws, and its gamma draws are written
-straight into their destination row.
+are pure functions of the seed words, so the states of a group of cells,
+``_GROUP`` or a few more and possibly of several assets, are computed in
+array passes: the hash in uint32 arithmetic (:func:`_cell_seed_words`),
+then PCG64's 128-bit seeding step in Python's exact integers
+(:func:`_pcg64_states`). Each cell's state is set on one reused generator
+before its draws, and its gamma draws are written straight into their
+destination row. No working array grows with N or S.
 
 Since every cell is a pure function of (seed, i, w), the cells can also be
 split into contiguous blocks in (asset, scenario) order and sampled in
@@ -34,7 +35,7 @@ increments, so :func:`sample_pricing_inputs` keeps only those, as a
 increment to them in a :class:`ScenarioSet`. Both run one sampler,
 :func:`_sample_cells`; only where the usage draws go differs. The sampler
 takes an asset's scenarios in chunks of ``_CHUNK`` rows, drawn into a view
-of the (N, S, T) array or into one reused (``_CHUNK``, T) buffer. It
+of the (N, S, T) array or into one reused (min(``_CHUNK``, S), T) buffer. It
 scales and checks each chunk and stores the chunk's term of the usage
 mean (:func:`_mean_term`). Worker blocks start and end on chunk bounds,
 and the terms are added in scenario order (:func:`_usage_mean`), so the
@@ -110,7 +111,7 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = np.uint32(16)
+_XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64) and its modulus mask.
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -119,8 +120,13 @@ _MASK128 = (1 << 128) - 1
 
 # Scenarios per chunk of an asset's usage rows: the sampler draws, scales
 # and checks the rows a chunk at a time, and the usage mean adds one term
-# per chunk. A (256, T) float64 buffer is 24 KiB at T = 12.
+# per chunk. The lean sampler's (min(256, S), T) float64 buffer is 24 KiB
+# at T = 12.
 _CHUNK = 256
+# Cells per group of the sampler's stream derivation, at least: a group's
+# seed words and PCG64 states, about 300 bytes per cell at their peak, are
+# derived at once, so the sampler's memory does not grow with N or S.
+_GROUP = 512
 
 # The exported CSV columns.
 _USAGE_COLUMNS = ("asset_id", "scenario", "period", "usage_increment")
@@ -354,51 +360,57 @@ def _hash_constants(start: int, mult: int):
     const = start
     while True:
         following = (const * mult) & _MASK32
-        yield np.uint32(const), np.uint32(following)
+        yield const, following
         const = following
 
 
-def _cell_seed_words(seed: int, asset_index: int, start: int, stop: int) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(asset_index, w)).generate_state(4, uint64)``
-    for every w in start..stop-1, as a (stop - start, 4) uint64 array.
+def _cell_seed_words(seed: int, n_scenarios: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i, w)).generate_state(4, uint64)``
+    for every cell start..stop-1, cell c being (i, w) = divmod(c,
+    n_scenarios), as a (stop - start, 4) uint64 array.
 
-    The entropy of cell w is the seed's words, zero-padded to the pool size,
-    then the asset index's words, then w (one word: scenario counts stay
-    below :data:`SCENARIO_LIMIT`, 2**32, which :func:`_draw` checks). Every
-    cell runs the same hash steps with the same constants, so the steps run
-    once on columns of uint32 arrays, whose products wrap modulo 2^32 as
-    the reference's do.
+    The entropy of a cell is the seed's words, zero-padded to the pool size,
+    then i and w, one word each: both stay below :data:`SCENARIO_LIMIT`,
+    2**32, which the config and :func:`_draw` check for S and this checks
+    for i (a ValueError). The seed's hash steps are the same for every cell,
+    so they run once on Python ints. Each of i and w is then mixed into
+    the four pool words by one pass over a (4, cells) uint32 array, whose
+    products wrap modulo 2^32 as the reference's do.
     """
-    run = _uint32_words(seed)
-    run += [0] * (_POOL_SIZE - len(run))
-    n_cells = stop - start
-    entropy = [np.full(n_cells, word, np.uint32) for word in run + _uint32_words(asset_index)]
-    entropy.append(np.arange(start, stop, dtype=np.uint32))
+    if (stop - 1) // n_scenarios >= SCENARIO_LIMIT:
+        raise ValueError(f"asset index {(stop - 1) // n_scenarios} is not below 2**32")
+    words = _uint32_words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
 
     def hashmix(value, consts):
-        const, following = next(consts)
-        value = (value ^ const) * following
-        return value ^ (value >> _XSHIFT)
+        # an int takes the next constant pair; an array one pair per pool word, in rows
+        if isinstance(value, int):
+            const, following = next(consts)
+        else:
+            pairs = [next(consts) for _ in range(_POOL_SIZE)]
+            const, following = np.array(pairs, np.uint32).T[:, :, None]
+        value = (value ^ const) * following & _MASK32
+        return value ^ value >> _XSHIFT
 
     def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> _XSHIFT)
+        result = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+        return result ^ result >> _XSHIFT
 
     consts = _hash_constants(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[k], consts) for k in range(_POOL_SIZE)]
+    pool = [hashmix(word, consts) for word in words[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src], consts))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word, consts))
+    for word in words[_POOL_SIZE:]:
+        pool = [mix(pool[dst], hashmix(word, consts)) for dst in range(_POOL_SIZE)]
+    pool = np.array(pool, np.uint32)[:, None]
+    for key in np.divmod(np.arange(start, stop, dtype=np.uint64), n_scenarios):
+        pool = mix(pool, hashmix(key.astype(np.uint32), consts))
 
     consts = _hash_constants(_INIT_B, _MULT_B)
-    state = np.empty((n_cells, 8), dtype=np.uint32)
-    for k in range(8):
-        state[:, k] = hashmix(pool[k % _POOL_SIZE], consts)
-    return state.view("<u8").astype(np.uint64)
+    state = np.concatenate([hashmix(pool, consts), hashmix(pool, consts)]).T
+    return np.ascontiguousarray(state).view("<u8").astype(np.uint64)
 
 
 def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
@@ -431,52 +443,60 @@ def _usable_cpus() -> int:
 
 @dataclass(frozen=True)
 class _Draws:
-    """Where the sampler puts its draws, every array a view of one shared map.
+    """Where the sampler puts its draws.
 
     ``rul`` (N, S) takes the latent RULs, ``terms`` (N, K, T) each of the K
-    chunks' term of the usage mean, and ``valid`` (N, K) a 1 for each chunk
-    whose increments are all finite and > 0. ``usage`` (N, S, T), when
-    present, takes every increment; without it each chunk's rows are
-    drawn into one reused buffer.
+    chunks' term of the usage mean, and ``valid`` (N, K) for each chunk 1
+    if its increments are all finite and > 0, plus 2 if its latent RULs
+    are all finite. ``usage`` (N, S, T), when present, takes every
+    increment; without it each chunk's rows are drawn into ``buffer``, a
+    (min(``_CHUNK``, S), T) array. All but ``buffer`` are views of one
+    shared map; each forked worker writes its own copy of ``buffer``.
     """
 
     rul: np.ndarray
     terms: np.ndarray
     valid: np.ndarray
     usage: np.ndarray | None
+    buffer: np.ndarray | None
 
 
 def _sample_cells(fleet: FleetSpec, seed: int, draws: _Draws, start: int, stop: int) -> None:
     """Draw cells start..stop-1, counted in (asset, scenario) order, into
     ``draws``; both bounds lie on chunk bounds within their asset.
 
-    Per asset, the seed words and PCG64 states of the block's cells come
-    in one array pass each. Each cell's state is set on one reused
-    generator from one reused dict, and its standard gammas go straight
-    into its row of the chunk: a view of ``draws.usage``, or one reused
-    buffer without it. Each chunk is then scaled (numpy's gamma is
-    ``scale * standard_gamma``, the same multiply of each value whatever
-    the chunk), an overflow to infinity left to the validity flag, and its
-    term of the usage mean stored.
+    The cells are taken in groups of whole chunks, at least ``_GROUP``
+    cells or up to ``stop``, which may span several assets; the seed
+    words and PCG64 states of a group's cells come in one array pass
+    each. Each cell's state is set on one reused generator from one
+    reused dict, and its standard gammas go straight into its row of the
+    chunk: a view of ``draws.usage``, or ``draws.buffer`` without it.
+    Each chunk is then scaled (numpy's gamma is ``scale * standard_gamma``,
+    the same multiply of each value whatever the chunk), an overflow to
+    infinity left to the validity flags, and its term of the usage mean
+    stored.
     """
     n_scenarios = draws.rul.shape[1]
-    buffer = np.empty((_CHUNK, draws.terms.shape[2])) if draws.usage is None else None
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     # The state setter copies the values out, so one dict serves every cell.
     cell = {"state": 0, "inc": 0}
     generator_state = {"bit_generator": "PCG64", "state": cell, "has_uint32": 0, "uinteger": 0}
-    for i in range(start // n_scenarios, -(-stop // n_scenarios)):
-        asset = fleet.assets[i]
-        lo = max(start - i * n_scenarios, 0)
-        hi = min(stop - i * n_scenarios, n_scenarios)
-        gamma = _gamma_params(asset.usage_mean_per_period, asset.usage_cv)
-        states, increments = _pcg64_states(_cell_seed_words(seed, i, lo, hi))
-        for first in range(lo, hi, _CHUNK):
-            last = min(first + _CHUNK, hi)
-            rows = buffer[:last - first] if draws.usage is None else draws.usage[i, first:last]
+    end = start
+    while end < stop:
+        begin, chunks = end, []
+        while end < stop and end - begin < _GROUP:
+            i, first = divmod(end, n_scenarios)
+            last = min(first + _CHUNK, n_scenarios)
+            chunks.append((i, first, last))
+            end += last - first
+        states = zip(*_pcg64_states(_cell_seed_words(seed, n_scenarios, begin, end)))
+        for i, first, last in chunks:
+            asset = fleet.assets[i]
+            gamma = _gamma_params(asset.usage_mean_per_period, asset.usage_cv)
+            rows = draws.buffer[:last - first] if draws.usage is None else draws.usage[i, first:last]
             for w in range(first, last):
-                cell["state"], cell["inc"] = states[w - lo], increments[w - lo]
+                cell["state"], cell["inc"] = next(states)
                 bit_generator.state = generator_state
                 if gamma is not None:
                     rng.standard_gamma(gamma[0], out=rows[w - first])
@@ -486,9 +506,11 @@ def _sample_cells(fleet: FleetSpec, seed: int, draws: _Draws, start: int, stop: 
             else:
                 with np.errstate(over="ignore"):
                     rows *= gamma[1]
-            k = first // _CHUNK
+            k, rul = first // _CHUNK, draws.rul[i, first:last]
             # written so that NaN fails each test: every comparison with NaN is False
-            draws.valid[i, k] = np.all(rows > 0) and np.all(rows < np.inf)
+            usage_ok = np.all(rows > 0) and np.all(rows < np.inf)
+            rul_ok = np.all(rul >= 0) and np.all(rul < np.inf)
+            draws.valid[i, k] = int(usage_ok) | int(rul_ok) << 1
             _mean_term(rows, n_scenarios, draws.terms[i, k])
 
 
@@ -517,18 +539,19 @@ def _draw(fleet: FleetSpec, n_scenarios: int, seed: int, workers: int, usage: bo
     """Sample every cell of the fleet, keeping every usage increment only
     if ``usage`` is true.
 
-    The arrays of :class:`_Draws` are views of one shared anonymous memory
-    map. Its N*K (asset, chunk) pairs are split, in order, into
-    ``min(workers, usable CPUs, N*K)`` contiguous blocks. The caller
-    samples the first block itself and forks one child process per other
-    block. Every child is reaped before this returns or raises, and a
-    child that fails raises a RuntimeError naming its block. With one
-    block, or where ``os.fork`` does not exist, nothing is forked. The
-    draws never depend on ``workers``. Once every block is drawn, the
+    The arrays of :class:`_Draws`, but for its chunk buffer, are views of
+    one shared anonymous memory map. Its N*K (asset, chunk) pairs are
+    split, in order, into ``min(workers, usable CPUs, N*K)`` contiguous
+    blocks. The caller samples the first block itself and forks one child
+    process per other block. Every child is reaped before this returns or
+    raises, and a child that fails raises a RuntimeError naming its block.
+    With one block, or where ``os.fork`` does not exist, nothing is
+    forked. The draws never depend on ``workers``. Once every block is drawn, the
     first asset with an increment that is not finite and > 0 is named in
-    a ValueError. A scenario count of :data:`SCENARIO_LIMIT` or more is
-    named with the limit before anything is mapped; a map that cannot be
-    allocated raises a MemoryError naming N, S and T.
+    a ValueError, and then the first with a latent RUL that is not
+    finite. A scenario count of :data:`SCENARIO_LIMIT` or more is named
+    with the limit before anything is mapped; a map or chunk buffer that
+    cannot be allocated raises a MemoryError naming N, S and T.
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be >= 1")
@@ -552,7 +575,12 @@ def _draw(fleet: FleetSpec, n_scenarios: int, seed: int, workers: int, usage: bo
         for shape, offset in zip(shapes, offsets)
     ]
     valid = np.frombuffer(shared, np.uint8, n * chunks, offsets[-1]).reshape(n, chunks)
-    draws = _Draws(arrays[0], arrays[1], valid, arrays[2] if usage else None)
+    rows = min(_CHUNK, n_scenarios)
+    try:
+        buffer = None if usage else np.empty((rows, t))
+    except MemoryError:
+        raise _size_error("usage chunk buffer", rows * t * 8, n, n_scenarios, t) from None
+    draws = _Draws(arrays[0], arrays[1], valid, arrays[2] if usage else None, buffer)
     units = n * chunks
     blocks = min(workers, _usable_cpus(), units) if hasattr(os, "fork") else 1
     # the first cell of each block's first (asset, chunk) pair
@@ -574,11 +602,11 @@ def _draw(fleet: FleetSpec, n_scenarios: int, seed: int, workers: int, usage: bo
                 f" {bounds[b]}..{bounds[b + 1] - 1}) exited with status"
                 f" {os.waitstatus_to_exitcode(status)}"
             )
-    bad = np.flatnonzero(~valid.all(axis=1))
-    if bad.size:
-        raise ValueError(
-            f"asset {fleet.assets[bad[0]].id!r}: usage increments must be finite and > 0"
-        )
+    for flag, message in ((1, "usage increments must be finite and > 0"),
+                          (2, "latent RUL values must be finite and >= 0")):
+        bad = np.flatnonzero(~(valid & flag).all(axis=1))
+        if bad.size:
+            raise ValueError(f"asset {fleet.assets[bad[0]].id!r}: {message}")
     return draws
 
 

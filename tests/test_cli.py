@@ -191,6 +191,13 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=message):
                 parse_config({"scenarios": {"n_scenarios": n_scenarios}})
 
+    def test_asset_count_below_the_limit(self):
+        # the sampler hashes an asset index as one uint32 word
+        message = r"^fleet\.n_assets must be below 4294967296 \(2\*\*32\)$"
+        for n_assets in (2**32, 2**40):
+            with pytest.raises(ConfigError, match=message):
+                parse_config({"fleet": {"n_assets": n_assets}})
+
     def test_unknown_top_level_key_named_in_error(self):
         with pytest.raises(ConfigError, match="fleets"):
             parse_config({"fleets": {}})
@@ -357,6 +364,22 @@ class TestLoadConfig:
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(f"config {path} repeats key {key!r}")):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+            ('{"a": ' * 100_000 + "1" + "}" * 100_000, "maximum recursion depth exceeded"),
+            ('{"scenarios": {"n_scenarios": ' + "9" * 5000 + "}}", "Exceeds the limit"),
+        ],
+        ids=["deep-array", "deep-object", "long-integer"],
+    )
+    def test_undecodable_file_exits_2_naming_it(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "odd.json"
+        path.write_text(text)
+        assert fleetmaint.cli.main(["study", "--config", str(path), "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {path} is not valid JSON: {reason}"), err
 
     def test_repeated_key_exits_2(self, tmp_path):
         path = tmp_path / "twice.json"
@@ -907,6 +930,38 @@ class TestCliCommands:
             r" scenarios\.n_scenarios and fleet\.horizon\)\n",
             err,
         ), err
+        assert not out.exists()
+
+    def test_unallocatable_chunk_buffer_exits_3_naming_the_horizon(
+        self, config_file, tmp_path, monkeypatch, capsys
+    ):
+        empty = np.empty
+
+        def no_buffer(shape, *args, **kwargs):
+            # the lean sampler's (min(256, S), T) buffer at SMALL_CONFIG's S=100, T=6
+            if shape == (100, 6):
+                raise MemoryError("Unable to allocate")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", no_buffer)
+        out = tmp_path / "buffer_out"
+        argv = ["study", "--config", str(config_file), "--out", str(out)]
+        assert fleetmaint.cli.main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: cannot allocate 4,800 bytes for the usage chunk buffer of N=3 assets,"
+            " S=100 scenarios and T=6 periods (config keys fleet.n_assets,"
+            " scenarios.n_scenarios and fleet.horizon)\n"
+        )
+        assert not out.exists()
+
+    def test_rul_overflow_exits_3_naming_the_asset(self, tmp_path, capsys):
+        config = tmp_path / "huge_rul.json"
+        fleet = {"n_assets": 3, "rul_mean_range": [1e308, 1e308], "rul_std_range": [1e308, 1e308]}
+        config.write_text(json.dumps({"fleet": fleet, "scenarios": {"n_scenarios": 50}}))
+        out = tmp_path / "rul_out"
+        assert fleetmaint.cli.main(["study", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: asset 'A1': latent RUL values must be finite and >= 0\n"
         assert not out.exists()
 
     def test_unallocatable_cost_table_exits_3_naming_the_sizes(

@@ -1,5 +1,7 @@
 """Summary rows, ECDF curves, and the on-disk output set."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -154,6 +156,21 @@ class TestEmitOutputs:
         assert float(last_cost) == pytest.approx(curve.costs[-1], rel=1e-5)
         assert float(last_prob) == pytest.approx(1.0)
 
+    def test_ecdf_blocks_write_csv_writer_bytes(self, setup, tmp_path):
+        # 2,500 rows, three blocks with a partial last one, and floats whose
+        # %.6g text takes each form: exponents both ways, integers, -0
+        fleet, _, _ = setup
+        rng = np.random.default_rng(3)
+        costs = np.sort(rng.lognormal(0.0, 12.0, 2500) * rng.choice([-1.0, 1.0], 2500))
+        costs[:3] = [-1e300, -0.0, 5.0]
+        curve = EcdfCurve(costs=costs, cum_probs=np.linspace(1 / 2500, 1.0, 2500))
+        emit_outputs([], {"wide": curve}, {}, tmp_path, fleet)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("cost", "cum_prob"))
+        writer.writerows([format(c, ".6g"), format(p, ".6g")] for c, p in zip(costs, curve.cum_probs))
+        assert (tmp_path / "ecdf_wide.csv").read_bytes() == expected.getvalue().encode()
+
     def test_run_meta_content(self, setup, tmp_path):
         run_emit(setup, tmp_path)
         meta = json.loads((tmp_path / "run_meta.json").read_text())
@@ -185,18 +202,25 @@ class TestEmitOutputs:
 
     @pytest.fixture
     def third_write_fails(self, monkeypatch):
+        # counts the files written by either CSV writer (ECDFs go through write_lines)
         import fleetmaint.report as report_module
 
-        original = report_module.write_csv
         calls = {"n": 0}
 
-        def flaky(path, header, rows):
-            calls["n"] += 1
-            if calls["n"] == 3:
-                raise OSError("disk full")
-            original(path, header, rows)
+        def flaky(original):
+            def write(path, header, rows):
+                calls["n"] += 1
+                if calls["n"] == 3:
+                    raise OSError("disk full")
+                original(path, header, rows)
 
-        return lambda: monkeypatch.setattr(report_module, "write_csv", flaky)
+            return write
+
+        def patch():
+            for name in ("write_csv", "write_lines"):
+                monkeypatch.setattr(report_module, name, flaky(getattr(report_module, name)))
+
+        return patch
 
     def test_failure_removes_partial_outputs(self, setup, tmp_path, third_write_fails):
         third_write_fails()

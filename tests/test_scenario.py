@@ -378,6 +378,47 @@ class TestParallelSampling:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             generate_scenarios(make_fleet(), 3, seed=1, workers=0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "n_assets, n_scenarios, first_groups",
+        # S=1: a group is 512 assets; S=300: the first group's third chunk is
+        # asset 1's first, so the second group starts inside asset 1
+        [(2 * 512 + 3, 1, [(0, 512), (512, 1024)]), (3, 300, [(0, 556), (556, 900)])],
+        ids=["groups-of-assets", "group-inside-an-asset"],
+    )
+    def test_groups_match_cell_stream_oracle(
+        self, n_assets, n_scenarios, first_groups, workers, four_cpus, monkeypatch
+    ):
+        groups = []
+        seed_words = scenario._cell_seed_words
+
+        def spy(seed, s, start, stop):
+            groups.append((start, stop))
+            return seed_words(seed, s, start, stop)
+
+        monkeypatch.setattr(scenario, "_cell_seed_words", spy)
+        fleet = mixed_fleet([list(ASSET_KINDS)[j % 3] for j in range(n_assets)], horizon=3)
+        s = generate_scenarios(fleet, n_scenarios, 2**70 + 5, workers=workers)
+        inc, rul = oracle_scenarios(fleet, n_scenarios, 2**70 + 5)
+        assert np.array_equal(s.usage_increments, inc)
+        assert np.array_equal(s.latent_rul, rul)
+        assert (scenario._GROUP, scenario._CHUNK) == (512, 256)
+        if workers == 1:  # a forked worker's groups are not seen here
+            assert groups[:2] == first_groups
+
+    def test_seed_passes_at_one_scenario(self, monkeypatch):
+        # a wide, shallow fleet derives its streams a group of assets at a time
+        passes = []
+        seed_words = scenario._cell_seed_words
+
+        def spy(*args):
+            passes.append(args)
+            return seed_words(*args)
+
+        monkeypatch.setattr(scenario, "_cell_seed_words", spy)
+        sample_pricing_inputs(make_fleet(n_assets=1000, horizon=2), 1, seed=3)
+        assert len(passes) <= math.ceil(1000 / scenario._GROUP)
+
 
 CHUNK = scenario._CHUNK
 
@@ -439,6 +480,55 @@ class TestPricingInputs:
         with pytest.raises(ValueError, match=r"^asset 'B2': usage increments must be finite and > 0$"):
             sample(fleet, 20, seed=1, workers=workers)
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("usage", [True, False], ids=["full", "lean"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_rul_named_by_asset(self, usage, workers, four_cpus, capfd):
+        # RULs near 1e308 overflow to inf in about a fifth of the second asset's cells
+        assets = (make_asset(id="A1"), make_asset(id="B2", rul_mean=1e308, rul_std=1e308))
+        fleet = FleetSpec(assets=assets, horizon=3)
+        sample = generate_scenarios if usage else sample_pricing_inputs
+        with pytest.raises(ValueError, match=r"^asset 'B2': latent RUL values must be finite and >= 0$"):
+            sample(fleet, 20, seed=1, workers=workers)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unallocatable_chunk_buffer_named(self, workers, four_cpus, forks, monkeypatch):
+        # the lean sampler's buffer is (min(256, S), T), allocated before any fork
+        empty = np.empty
+
+        def no_buffer(shape, *args, **kwargs):
+            if shape == (3, 10**6):
+                raise MemoryError("Unable to allocate")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", no_buffer)
+        message = (
+            "cannot allocate 24,000,000 bytes for the usage chunk buffer of N=2 assets,"
+            " S=3 scenarios and T=1000000 periods (config keys fleet.n_assets,"
+            " scenarios.n_scenarios and fleet.horizon)"
+        )
+        with pytest.raises(MemoryError, match=f"^{re.escape(message)}$"):
+            sample_pricing_inputs(make_fleet(n_assets=2, horizon=10**6), 3, seed=1, workers=workers)
+        assert forks == []
+
+    def test_sampling_memory_does_not_grow_with_scenarios(self):
+        # the streams are derived a group of cells at a time, so beyond what
+        # it returns the sampler's peak is bounded whatever S: about 0.25 MB
+        # here, where deriving an asset's streams at once peaked at about
+        # 325 bytes per scenario (3.3 and 12.9 MB)
+        fleet = make_fleet(n_assets=1, horizon=12)
+        peaks = []
+        for n_scenarios in (10**4, 4 * 10**4):
+            tracemalloc.start()
+            try:
+                inputs = sample_pricing_inputs(fleet, n_scenarios, seed=1)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert inputs.n_scenarios == n_scenarios
+            peaks.append(peak - held)
+        assert max(peaks) < 2**20, peaks
 
     @pytest.mark.parametrize("usage", [True, False], ids=["full", "lean"])
     def test_unallocatable_map_named(self, usage, monkeypatch):
@@ -549,7 +639,7 @@ class TestBulkStreamDerivation:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_seed_words_match_seed_sequence(self, seed):
         for asset_index in (0, 1, 39):
-            words = _cell_seed_words(seed, asset_index, 7, 32)
+            words = _cell_seed_words(seed, 40, asset_index * 40 + 7, asset_index * 40 + 32)
             expected = np.array(
                 [
                     np.random.SeedSequence(seed, spawn_key=(asset_index, w)).generate_state(
@@ -563,10 +653,18 @@ class TestBulkStreamDerivation:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_pcg64_state_matches_seeded_generator(self, seed):
-        states, incs = _pcg64_states(_cell_seed_words(seed, 2, 0, 6))
+        states, incs = _pcg64_states(_cell_seed_words(seed, 6, 12, 18))
         for w in range(6):
             expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, w))).state
             assert pcg64_state_dict(states[w], incs[w]) == expected
+
+    def test_asset_index_past_the_limit_raises(self):
+        # the last asset index that fits one uint32 word, then the first that does not
+        words = _cell_seed_words(5, 2, 2 * (2**32 - 1) + 1, 2 * 2**32)
+        expected = np.random.SeedSequence(5, spawn_key=(2**32 - 1, 1)).generate_state(4, np.uint64)
+        assert np.array_equal(words[0], expected)
+        with pytest.raises(ValueError, match=r"^asset index 4294967296 is not below 2\*\*32$"):
+            _cell_seed_words(5, 2, 2 * (2**32 - 1), 2 * 2**32 + 1)
 
     def test_seeding_step_on_edge_words(self):
         states, incs = _pcg64_states(np.array(EDGE_WORDS, dtype=np.uint64))
