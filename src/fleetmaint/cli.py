@@ -8,8 +8,9 @@ the config's fleet through :func:`_setup`, which samples only what pricing
 reads of the scenario set, its latent RULs and usage mean
 (:func:`fleetmaint.scenario.sample_pricing_inputs`), never the (N, S, T)
 usage increments, and returns the matrix alone: it holds the fleet and
-those pricing inputs. optimize and study solve and price each policy on
-that matrix through :func:`_solve`. gen-scenarios samples and exports the
+those pricing inputs. optimize and study solve each policy on that matrix
+through :func:`_solve`, which prices all their schedules in one pass over
+the assets' cost rows. gen-scenarios samples and exports the
 full set (:func:`fleetmaint.scenario.generate_scenarios`).
 --threads K (>= 1) sets how many worker processes sample; everything else
 runs on one thread, and no output depends on K. Exit codes: 0 on success,
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -28,7 +30,12 @@ from .config import ConfigError, RunConfig, load_config, parse_config
 from .csvio import write_csv
 from .criteria import CostDistribution, cvar_alpha, expected_cost, var_alpha
 from .fleet import AssetSpec, FleetSpec, Schedule, validate_schedule
-from .optimize import EvaluationMatrix, build_matrix, schedule_cost_distribution
+from .optimize import (
+    EvaluationMatrix,
+    build_matrix,
+    schedule_cost_distribution,
+    schedule_cost_distributions,
+)
 from .policies import PolicyKind, run_policy
 from .report import (
     EcdfCurve,
@@ -89,34 +96,31 @@ def _setup(config: RunConfig, fleet: FleetSpec, workers: int) -> EvaluationMatri
 
 
 def _solve(
-    kind: PolicyKind, config: RunConfig, matrix: EvaluationMatrix
-) -> tuple[Schedule, CostDistribution, PolicySummary]:
-    """One policy's schedule, its cost distribution and its summary row."""
+    kinds: Sequence[PolicyKind], config: RunConfig, matrix: EvaluationMatrix
+) -> list[tuple[Schedule, CostDistribution, PolicySummary]]:
+    """Each policy's schedule, its cost distribution and its summary row.
+    The schedules are priced together, in one pass over the assets' rows."""
     params = config.policies
-    schedule = run_policy(kind, matrix, params)
-    dist = schedule_cost_distribution(matrix, schedule)
-    return schedule, dist, summarize_policy(kind.value, schedule, dist, matrix, params.alpha)
+    schedules = [run_policy(kind, matrix, params) for kind in kinds]
+    dists = schedule_cost_distributions(matrix, schedules)
+    return [
+        (schedule, dist, summarize_policy(kind.value, schedule, dist, matrix, params.alpha))
+        for kind, schedule, dist in zip(kinds, schedules, dists)
+    ]
 
 
 def compute_study(config: RunConfig, workers: int = 1) -> StudyResult:
     """Run every policy against one shared scenario set, sampled by
     ``workers`` processes."""
     matrix = _setup(config, config.build_fleet(), workers)
-    schedules: dict[str, Schedule] = {}
-    summaries: list[PolicySummary] = []
-    curves: dict[str, EcdfCurve] = {}
-    for kind in POLICY_ORDER:
-        schedule, dist, summary = _solve(kind, config, matrix)
-        schedules[kind.value] = schedule
-        summaries.append(summary)
-        curves[kind.value] = ecdf(dist)
+    solved = _solve(POLICY_ORDER, config, matrix)
     return StudyResult(
         fleet=matrix.fleet,
         n_scenarios=config.n_scenarios,
         scenario_seed=config.scenario_seed,
-        schedules=schedules,
-        summaries=summaries,
-        curves=curves,
+        schedules={kind.value: schedule for kind, (schedule, _, _) in zip(POLICY_ORDER, solved)},
+        summaries=[summary for _, _, summary in solved],
+        curves={kind.value: ecdf(dist) for kind, (_, dist, _) in zip(POLICY_ORDER, solved)},
     )
 
 
@@ -204,7 +208,7 @@ def _cmd_optimize(args, config: RunConfig, out: Path) -> int:
     expected = args.criterion == "expected"
     kind = PolicyKind.INTEGRATED_EXPECTED if expected else PolicyKind.INTEGRATED_CVAR
     matrix = _setup(config, config.build_fleet(), args.threads)
-    schedule, _, summary = _solve(kind, config, matrix)
+    [(schedule, _, summary)] = _solve([kind], config, matrix)
     objective = summary.expected_cost if expected else summary.cvar
     with staged_outputs(out) as stage:
         write_schedule_csv(stage / "schedule.csv", schedule, matrix.fleet)

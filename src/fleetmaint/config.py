@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from .fleet import AssetSpec, FleetGenConfig, FleetSpec, generate_fleet
@@ -250,20 +251,28 @@ def parse_config(data: dict) -> RunConfig:
             explicit_fleet = FleetSpec(_with_costs(assets, {}, cost_overrides), horizon)
         except ValueError as exc:
             raise ConfigError(f"fleet: {exc}") from exc
-        known_ids = set(explicit_fleet.ids)
+        known = set(explicit_fleet.ids).__contains__
     else:
         defaults = _FLEET_GEN_DEFAULTS | {"seed": _get_seed("fleet", fleet_raw)}
         fleet_gen = _read_section("fleet", fleet_raw, FleetGenConfig, _FLEET_GEN_READ, defaults)
         # The sampler hashes an asset index as one uint32 word, as it does a scenario index.
         if fleet_gen.n_assets >= SCENARIO_LIMIT:
             raise ConfigError(f"fleet.n_assets must be below {SCENARIO_LIMIT} (2**32)")
-        known_ids = {f"A{j + 1}" for j in range(fleet_gen.n_assets)}
+        n_assets = fleet_gen.n_assets
 
-    unknown_overrides = set(cost_overrides) - known_ids
+        def known(asset_id: str) -> bool:
+            # generate_fleet names its assets A1..A<n_assets>; the digits are
+            # checked for their count before int() reads them
+            digits = asset_id[1:]
+            return (
+                re.fullmatch(r"A[1-9][0-9]*", asset_id) is not None
+                and len(digits) <= len(str(n_assets))
+                and int(digits) <= n_assets
+            )
+
+    unknown_overrides = sorted(k for k in cost_overrides if not known(k))
     if unknown_overrides:
-        raise ConfigError(
-            f"costs.per_asset references unknown assets: {sorted(unknown_overrides)}"
-        )
+        raise ConfigError(f"costs.per_asset references unknown assets: {unknown_overrides}")
 
     scen_raw = data.get("scenarios", {})
     _check_keys("scenarios", scen_raw, _SCENARIO_KEYS)

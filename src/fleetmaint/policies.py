@@ -134,9 +134,8 @@ def rul_threshold(
 
 
 def _expected_indices(matrix: EvaluationMatrix) -> tuple[int, ...]:
-    weights = matrix.scenarios.weights
     # first minimum per asset: earliest date wins ties
-    return tuple(int(np.argmin(row @ weights)) for row in matrix.costs)
+    return tuple(int(np.argmin(row)) for row in matrix.means)
 
 
 def integrated_expected(matrix: EvaluationMatrix) -> Schedule:

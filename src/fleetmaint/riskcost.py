@@ -20,10 +20,11 @@ Usage affects maintenance timing only through the usage-threshold policy;
 it does not enter the hazard, which is driven by the latent RUL alone.
 
 This module holds the hazard functions and their constants. The cost
-terms are assembled once, for every asset, candidate date and scenario,
-by :func:`fleetmaint.optimize.build_matrix`, which also keeps the
-scenario-weighted accrued failure probability that summary.csv reports
-as the failure proxy.
+terms are assembled one asset at a time, for its candidate dates and
+scenarios, by :func:`fleetmaint.optimize.build_matrix`, which also keeps
+the scenario-weighted accrued failure probability that summary.csv
+reports as the failure proxy, and again, with the same bits, wherever
+the matrix's cost rows are read.
 """
 
 from __future__ import annotations
@@ -63,9 +64,12 @@ def failure_probability(margin, params: RiskParams = RiskParams()):
     Saturates at p_max for exhausted margins and decays exponentially with
     positive margin. Accepts scalars or arrays; scalar in, float out.
     """
-    m = np.asarray(margin, dtype=float)
-    # exp(-0.0) == 1 and p_max * x <= p_max for x <= 1, so no branch or cap is needed
-    p = params.p_max * np.exp(-params.decay_rate * np.maximum(m, 0.0))
+    # exp(-0.0) == 1 and p_max * x <= p_max for x <= 1, so no branch or cap is needed;
+    # every step after the first works in place on its result
+    p = np.maximum(margin, 0.0, out=np.empty(np.shape(margin)))
+    p *= -params.decay_rate
+    np.exp(p, out=p)
+    p *= params.p_max
     if np.ndim(margin) == 0:
         return float(p)
     return p
@@ -79,10 +83,11 @@ def performance_penalty(margin, cost_perf: float, params: RiskParams = RiskParam
     """
     if cost_perf < 0:
         raise ValueError("cost_perf must be >= 0")
-    m = np.asarray(margin, dtype=float)
     w = params.perf_window
-    ramp = np.clip((w - m) / w, 0.0, 1.0)
-    out = cost_perf * ramp
+    out = np.subtract(w, margin, out=np.empty(np.shape(margin)))
+    out /= w
+    np.clip(out, 0.0, 1.0, out=out)
+    out *= cost_perf
     if np.ndim(margin) == 0:
         return float(out)
     return out

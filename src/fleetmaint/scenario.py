@@ -461,6 +461,7 @@ class _Draws:
     buffer: np.ndarray | None
 
 
+@np.errstate(over="ignore")  # once per call: each chunk's scaling may overflow
 def _sample_cells(fleet: FleetSpec, seed: int, draws: _Draws, start: int, stop: int) -> None:
     """Draw cells start..stop-1, counted in (asset, scenario) order, into
     ``draws``; both bounds lie on chunk bounds within their asset.
@@ -504,12 +505,11 @@ def _sample_cells(fleet: FleetSpec, seed: int, draws: _Draws, start: int, stop: 
             if gamma is None:
                 rows[:] = asset.usage_mean_per_period
             else:
-                with np.errstate(over="ignore"):
-                    rows *= gamma[1]
+                rows *= gamma[1]
             k, rul = first // _CHUNK, draws.rul[i, first:last]
-            # written so that NaN fails each test: every comparison with NaN is False
-            usage_ok = np.all(rows > 0) and np.all(rows < np.inf)
-            rul_ok = np.all(rul >= 0) and np.all(rul < np.inf)
+            # written so that NaN fails each test: min() and max() return NaN if any value is
+            usage_ok = rows.min() > 0 and rows.max() < np.inf
+            rul_ok = rul.min() >= 0 and rul.max() < np.inf
             draws.valid[i, k] = int(usage_ok) | int(rul_ok) << 1
             _mean_term(rows, n_scenarios, draws.terms[i, k])
 

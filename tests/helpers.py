@@ -7,7 +7,10 @@ by period. The library prices every cell at once in
 :func:`fleetmaint.optimize.build_matrix`; these functions are the oracle
 for it. ``var_alpha_merged`` and ``cvar_alpha_merged`` compute the risk
 measures by merging tied values first, an independent route to the same
-numbers as :func:`fleetmaint.criteria.batch_cvar`.
+numbers as :func:`fleetmaint.criteria.batch_cvar`. ``reference_walk``
+and ``reference_descent`` are the two CVaR searches as they ran over
+every date of a whole (N, T+1, S) table, before the searches held only
+their room's rows; ``room_dates`` recomputes a room from its definition.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from typing import Iterator
 
 import numpy as np
 
-from fleetmaint.criteria import CUM_TOL, CostDistribution, _check_alpha
+from fleetmaint.criteria import CUM_TOL, CostDistribution, _check_alpha, batch_cvar
 from fleetmaint.fleet import AssetSpec, FleetSpec, Schedule, validate_schedule
-from fleetmaint.optimize import DEFAULT_EXHAUSTIVE_BUDGET, schedule_from_indices
+from fleetmaint.optimize import _PRUNE_SLACK, DEFAULT_EXHAUSTIVE_BUDGET, schedule_from_indices
 from fleetmaint.riskcost import RiskParams, failure_probability, performance_penalty
 from fleetmaint.scenario import ScenarioSet
 
@@ -284,3 +287,82 @@ def cvar_alpha_merged(dist: CostDistribution, alpha: float) -> float:
     tail = dist.values >= v
     tail_weight = float(dist.weights[tail].sum())
     return float(dist.weights[tail] @ dist.values[tail]) / tail_weight
+
+
+def _table_totals(costs: np.ndarray, indices) -> np.ndarray:
+    indices = np.asarray(indices)
+    totals = np.zeros((len(indices), costs.shape[2]))
+    for i in range(costs.shape[0]):
+        totals += costs[i][indices[:, i]]
+    return totals
+
+
+def reference_walk(matrix, alpha: float, incumbent) -> tuple[tuple[int, ...], float]:
+    """The pruned enumeration over every date of the whole table: each
+    level extends the surviving prefixes by all T+1 dates of the next asset."""
+    costs = np.asarray(matrix.costs)
+    n, k1, _ = costs.shape
+    weights = matrix.scenarios.weights
+    means = costs @ weights / weights.sum()
+    lows = means.min(axis=1)
+    bound = float(batch_cvar(_table_totals(costs, [list(incumbent)]), weights, alpha)[0])
+    threshold = bound + _PRUNE_SLACK * max(1.0, abs(bound))
+    partial = np.zeros(1)
+    chosen = np.zeros((1, 0), dtype=np.intp)
+    for i in range(n):
+        partial = np.add.outer(partial, means[i]).ravel()
+        reach = partial
+        for low in lows[i + 1:]:
+            reach = reach + low
+        keep = np.flatnonzero(reach <= threshold)
+        prefix, dates = np.divmod(keep, k1)
+        partial = partial[keep]
+        chosen = np.column_stack([chosen[prefix], dates])
+    cvars = batch_cvar(_table_totals(costs, chosen), weights, alpha)
+    best = int(np.argmin(cvars))
+    return tuple(int(c) for c in chosen[best]), float(cvars[best])
+
+
+def reference_descent(matrix, alpha: float, start) -> tuple[tuple[int, ...], float]:
+    """Coordinate descent that prices all T+1 dates of an asset at every move."""
+    costs = np.asarray(matrix.costs)
+    weights = matrix.scenarios.weights
+    current = [int(c) for c in start]
+    totals = _table_totals(costs, [current])[0]
+    current_val = float(batch_cvar(totals, weights, alpha)[0])
+    improved = True
+    while improved:
+        improved = False
+        for i in range(costs.shape[0]):
+            without = totals - costs[i, current[i]]
+            cvars = batch_cvar(without + costs[i], weights, alpha)
+            c_best = int(np.argmin(cvars))
+            if float(cvars[c_best]) < current_val:
+                current[i] = c_best
+                totals = without + costs[i, c_best]
+                current_val = float(cvars[c_best])
+                improved = True
+    return tuple(current), float(batch_cvar(_table_totals(costs, [current]), weights, alpha)[0])
+
+
+def room_dates(matrix, alpha: float, incumbent) -> list[list[int]]:
+    """Per asset, the dates c whose normalized row mean, with every other
+    asset's least one, summed in asset order from 0, is at most the
+    incumbent's CVaR plus the searches' relative slack."""
+    weights = matrix.scenarios.weights
+    costs = np.asarray(matrix.costs)
+    means = costs @ weights / weights.sum()
+    lows = means.min(axis=1)
+    bound = float(batch_cvar(_table_totals(costs, [list(incumbent)]), weights, alpha)[0])
+    threshold = bound + _PRUNE_SLACK * max(1.0, abs(bound))
+    rooms = []
+    for i in range(len(means)):
+        room = []
+        for c, mean in enumerate(means[i]):
+            reach = 0.0
+            for j in range(len(means)):
+                reach += float(mean if j == i else lows[j])
+            if reach <= threshold:
+                room.append(c)
+        rooms.append(room)
+    return rooms

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,13 +15,18 @@ import numpy as np
 import pytest
 
 import fleetmaint.cli
-from fleetmaint import scenario
+from fleetmaint import optimize, scenario
 from fleetmaint.cli import POLICY_ORDER, compute_study, run_study
 from fleetmaint.config import ConfigError, load_config, parse_config
 from fleetmaint.fleet import AssetSpec, FleetGenConfig
 from fleetmaint.policies import PolicyParams
 from fleetmaint.riskcost import RiskParams
-from fleetmaint.scenario import PricingInputs, generate_scenarios, read_scenario_csvs
+from fleetmaint.scenario import (
+    PricingInputs,
+    generate_scenarios,
+    read_scenario_csvs,
+    sample_pricing_inputs,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"
@@ -253,6 +259,38 @@ class TestParseConfig:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "asset_id, known",
+        [
+            ("A0", False),
+            ("A01", False),
+            ("A10000001", False),
+            ("A1" + "0" * 5000, False),
+            ("A\u0661", False),
+            ("a1", False),
+            ("A1", True),
+            ("A10000000", True),
+        ],
+        ids=["zero", "leading-zero", "past-the-fleet", "5000-digits", "arabic-digit", "lower-case",
+             "first", "last"],
+    )
+    def test_generated_ids_checked_in_bounded_memory(self, asset_id, known):
+        # at n_assets 10^7 no set of the fleet's ids is built
+        document = {"fleet": {"n_assets": 10**7}, "costs": {"per_asset": {asset_id: {"pm": 30}}}}
+        tracemalloc.start()
+        try:
+            if known:
+                config = parse_config(document)
+                assert config.cost_overrides == {asset_id: {"pm": 30.0}}
+            else:
+                message = f"^costs\\.per_asset references unknown assets: \\[{asset_id!r}\\]$"
+                with pytest.raises(ConfigError, match=message):
+                    parse_config(document)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_with_seed_touches_both_streams(self):
         config = parse_config(SMALL_CONFIG).with_seed(99)
         assert config.fleet_gen.seed == 99
@@ -441,6 +479,45 @@ class TestStudyDriver:
         assert scenarios.latent_rul.tobytes() == expected.latent_rul.tobytes()
         assert result.scenarios is scenarios
         assert len(calls) == 1
+
+    def test_study_prices_its_schedules_in_one_pass(self, monkeypatch):
+        # the five schedules are priced together: each asset's rows once
+        takes = []
+        take = optimize.CostTable.take
+
+        def counting(self, i, *args):
+            takes.append(i)
+            return take(self, i, *args)
+
+        monkeypatch.setattr(optimize.CostTable, "take", counting)
+        priced = []
+        price = fleetmaint.cli.schedule_cost_distributions
+
+        def pricing(matrix, schedules):
+            before = len(takes)
+            dists = price(matrix, schedules)
+            priced.append((len(schedules), takes[before:]))
+            return dists
+
+        monkeypatch.setattr(fleetmaint.cli, "schedule_cost_distributions", pricing)
+        compute_study(parse_config(SMALL_CONFIG))
+        assert priced == [(5, [0, 1, 2])]
+
+    def test_memory_after_sampling_stays_under_half_the_table(self, monkeypatch):
+        # N=40, S=2000, T=12: the study never holds the (N, T+1, S) cost
+        # table, only the descent's room and a few (S,) rows beside it
+        config = parse_config({"fleet": {"n_assets": 40}, "scenarios": {"n_scenarios": 2000}})
+        fleet = config.build_fleet()
+        inputs = sample_pricing_inputs(fleet, config.n_scenarios, config.scenario_seed)
+        monkeypatch.setattr(fleetmaint.cli, "sample_pricing_inputs", lambda *args: inputs)
+        tracemalloc.start()
+        try:
+            compute_study(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = fleet.n_assets * (fleet.horizon + 1) * config.n_scenarios * 8
+        assert peak < table / 2
 
 
 class TestCliCommands:
@@ -964,23 +1041,50 @@ class TestCliCommands:
         assert err == "error: asset 'A1': latent RUL values must be finite and >= 0\n"
         assert not out.exists()
 
-    def test_unallocatable_cost_table_exits_3_naming_the_sizes(
+    def test_unallocatable_room_exits_3_naming_the_sizes(
         self, config_file, tmp_path, monkeypatch, capsys
     ):
         empty = np.empty
 
-        def no_table(shape, *args, **kwargs):
-            # the (N, T+1, S) cost table of SMALL_CONFIG
-            if shape == (3, 7, 100):
+        def no_room(shape, *args, **kwargs):
+            # the one block of a CVaR search's room rows, whatever its size
+            if sys._getframe(1).f_code is optimize._room.__code__:
                 raise MemoryError("Unable to allocate")
             return empty(shape, *args, **kwargs)
 
-        monkeypatch.setattr(np, "empty", no_table)
-        out = tmp_path / "table_out"
+        monkeypatch.setattr(np, "empty", no_room)
+        out = tmp_path / "room_out"
+        argv = ["study", "--config", str(config_file), "--out", str(out)]
+        assert fleetmaint.cli.main(argv) == 3
+        named = re.fullmatch(
+            r"error: cannot allocate ([0-9,]+) bytes for the CVaR search room of N=3 assets,"
+            r" S=100 scenarios and T=6 periods \(config keys fleet.n_assets,"
+            r" scenarios.n_scenarios and fleet.horizon\)\n",
+            capsys.readouterr().err,
+        )
+        assert named is not None
+        # at least the incumbent's row per asset, at most all 3 * 7 rows, of 100 cells
+        nbytes = int(named[1].replace(",", ""))
+        assert nbytes % 800 == 0 and 3 <= nbytes // 800 <= 21
+        assert not out.exists()
+
+    def test_unallocatable_row_buffers_exit_3_naming_the_sizes(
+        self, config_file, tmp_path, monkeypatch, capsys
+    ):
+        empty = np.empty
+
+        def no_buffers(shape, *args, **kwargs):
+            # the matrix build's (T+1, S) and (T, S) buffers for one asset
+            if sys._getframe(1).f_code is optimize.build_matrix.__code__:
+                raise MemoryError("Unable to allocate")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", no_buffers)
+        out = tmp_path / "rows_out"
         argv = ["study", "--config", str(config_file), "--out", str(out)]
         assert fleetmaint.cli.main(argv) == 3
         assert capsys.readouterr().err == (
-            "error: cannot allocate 16,800 bytes for the cost table of N=3 assets,"
+            "error: cannot allocate 10,400 bytes for the per-asset cost rows of N=3 assets,"
             " S=100 scenarios and T=6 periods (config keys fleet.n_assets,"
             " scenarios.n_scenarios and fleet.horizon)\n"
         )

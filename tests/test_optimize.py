@@ -32,6 +32,9 @@ from helpers import (
     enumerate_schedules,
     make_fleet,
     random_scenarios,
+    reference_descent,
+    reference_walk,
+    room_dates,
     total_cost,
 )
 
@@ -78,14 +81,17 @@ class TestMatrixCells:
         fleet = make_fleet(n_assets=3, horizon=12)
         scenarios = generate_scenarios(fleet, n_scenarios=50, seed=5)
         whole = build_matrix(fleet, scenarios)
+        table = np.asarray(whole.costs)  # the rows are priced where they are read
         monkeypatch.setattr(optimize, "_TABLE_BLOCK", block)
         blocked = build_matrix(fleet, scenarios)
-        assert blocked.costs.tobytes() == whole.costs.tobytes()
+        assert np.asarray(blocked.costs).tobytes() == table.tobytes()
+        assert blocked.means.tobytes() == whole.means.tobytes()
         assert blocked.failure.tobytes() == whole.failure.tobytes()
 
-    def test_failure_row_accrues_across_blocks(self):
-        # 2,500 scenarios make three blocks of the default size, the last a
-        # partial one; the row is a running sum of weighted per-period sums
+    def test_failure_row_accrues_across_blocks(self, monkeypatch):
+        # 2,500 scenarios make three blocks of 1,024, the last a partial
+        # one; the row is a running sum of weighted per-period sums
+        monkeypatch.setattr(optimize, "_TABLE_BLOCK", 1024)
         fleet = make_fleet(n_assets=2, horizon=12)
         scenarios = generate_scenarios(fleet, n_scenarios=2500, seed=4)
         assert 2 * optimize._TABLE_BLOCK < 2500 < 3 * optimize._TABLE_BLOCK
@@ -132,11 +138,19 @@ class TestMatrixCells:
             assert matrix.costs[i, row, w] == pytest.approx(direct.total, abs=1e-9)
 
     def test_costs_read_only(self, small_setup):
-        _, _, matrix = small_setup
-        with pytest.raises(ValueError):
+        fleet, _, matrix = small_setup
+        # the built table stores no cell to assign; every read prices afresh
+        with pytest.raises(TypeError):
             matrix.costs[0, 0, 0] = 1.0
+        matrix.costs[0][0, 0] = -1.0
+        assert matrix.costs[0, 0, 0] > 0.0
         with pytest.raises(ValueError):
             matrix.failure[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            matrix.means[0, 0] = 1.0
+        hand_built = cost_only_matrix(fleet, np.ones((2, 5, 3)))
+        with pytest.raises(ValueError):
+            hand_built.costs[0, 0, 0] = 1.0
 
     def test_shape_mismatch_rejected(self, small_setup):
         fleet, scenarios, _ = small_setup
@@ -165,7 +179,7 @@ class TestMatrixCells:
         # past the matrix, a NaN cost makes descent return nan and leaves
         # the enumeration no survivor to return
         fleet, scenarios, matrix = small_setup
-        tables = {"costs": matrix.costs.copy(), "failure": matrix.failure.copy()}
+        tables = {"costs": np.array(matrix.costs), "failure": matrix.failure.copy()}
         tables[table][cell] = value
         with pytest.raises(ValueError, match=f"{named}: a cost or failure value is not finite"):
             EvaluationMatrix(fleet, scenarios, tables["costs"], tables["failure"])
@@ -218,7 +232,7 @@ class TestScheduleDistribution:
         large = generate_scenarios(fleet, n_scenarios=40, seed=3)
         m_small = build_matrix(fleet, small, RiskParams())
         m_large = build_matrix(fleet, large, RiskParams())
-        np.testing.assert_array_equal(m_small.costs, m_large.costs[:, :, :20])
+        np.testing.assert_array_equal(m_small.costs, np.asarray(m_large.costs)[:, :, :20])
 
 
 class TestEnumeration:
@@ -307,7 +321,7 @@ def lattice_survivors(matrix, weights, alpha, incumbent):
     Every one of the (T+1)^N means is summed in asset order and compared
     with the incumbent's CVaR plus the search's relative slack.
     """
-    means = matrix.costs @ weights / weights.sum()
+    means = matrix.means / weights.sum()
     lattice = np.zeros(())
     for row in means:
         lattice = np.add.outer(lattice, row)
@@ -344,7 +358,7 @@ def assert_exact_search(matrix, weights, alpha, start):
 
 def descended(matrix, weights, alpha):
     """Descent's schedule from the per-asset expected argmin, as integrated_cvar runs it."""
-    warm = np.argmin(matrix.costs @ weights, axis=1)
+    warm = np.argmin(matrix.means, axis=1)
     return coordinate_descent_cvar(matrix, alpha, warm)[0]
 
 
@@ -414,20 +428,26 @@ class TestExhaustiveSearch:
         assert value == 4.0
         assert sum(rows) == 1 + 9 ** 4 and len(rows) > 2
 
-    def test_peak_memory_is_capped_by_the_block(self):
+    def test_peak_memory_is_capped_by_the_block(self, monkeypatch):
         # neither the (T+1)^N means nor all survivors' cost rows are held at
-        # once: a few block-sized arrays at a time, whatever S
+        # once: beside its room's rows, a few block-sized arrays at a time,
+        # whatever S
         fleet = make_fleet(n_assets=5, horizon=12)
         scenarios = generate_scenarios(fleet, n_scenarios=2000, seed=1)
         matrix = build_matrix(fleet, scenarios, RiskParams())
         start = descended(matrix, scenarios.weights, 0.9)
+        rooms = []
+        room = optimize._room
+        monkeypatch.setattr(optimize, "_room", lambda *args: rooms.append(room(*args)) or rooms[-1])
         tracemalloc.start()
         try:
             exhaustive_cvar_argmin(matrix, 0.9, start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * _BLOCK_ELEMENTS * 8
+        held = sum(rows.nbytes for rows in rooms[0].rows)
+        assert held < matrix.costs.nbytes
+        assert peak < held + 4 * _BLOCK_ELEMENTS * 8
 
     @pytest.mark.parametrize(
         "search", [exhaustive_cvar_argmin, coordinate_descent_cvar], ids=["exhaustive", "descent"]
@@ -533,3 +553,61 @@ class TestReturnedValues:
             schedule = schedule_from_indices(matrix.fleet, indices)
             dist = schedule_cost_distribution(matrix, schedule)
             assert value == cvar_alpha(dist, alpha)
+
+
+class TestRoom:
+    """Both searches hold only their room's rows and answer as they did
+    over every date of the whole table."""
+
+    @staticmethod
+    def check(matrix, alpha, start):
+        for search, reference in (
+            (coordinate_descent_cvar, reference_descent),
+            (exhaustive_cvar_argmin, reference_walk),
+        ):
+            rooms = room_dates(matrix, alpha, start)
+            indices, value = search(matrix, alpha, start)
+            assert (indices, value) == reference(matrix, alpha, start)
+            assert all(c in room for c, room in zip(indices, rooms))
+            assert all(c in room for c, room in zip(start, rooms))
+        _, rows = priced_rows(matrix, alpha, start)
+        assert sum(rows) == 1 + lattice_survivors(matrix, matrix.scenarios.weights, alpha, start)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_all_dates_with_exact_ties(self, data):
+        matrix, weights, alpha = data.draw(small_instances(exact=True))
+        n, k1, _ = matrix.costs.shape
+        self.check(matrix, alpha, data.draw(st.tuples(*[st.integers(0, k1 - 1)] * n)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_all_dates_on_float_costs(self, data):
+        matrix, weights, alpha = data.draw(small_instances(exact=False))
+        n, k1, _ = matrix.costs.shape
+        self.check(matrix, alpha, data.draw(st.tuples(*[st.integers(0, k1 - 1)] * n)))
+
+    @pytest.mark.parametrize("start", ["expected", "first-date", "none"])
+    def test_matches_all_dates_on_a_built_matrix(self, start):
+        fleet = make_fleet(n_assets=4, horizon=6)
+        scenarios = random_scenarios(fleet, n_scenarios=64, seed=3)
+        matrix = build_matrix(fleet, scenarios, RiskParams())
+        indices = {
+            "expected": tuple(int(c) for c in np.argmin(matrix.means, axis=1)),
+            "first-date": (0,) * 4,
+            "none": (6,) * 4,
+        }[start]
+        self.check(matrix, 0.9, indices)
+
+    def test_room_rows_are_the_tables_rows(self):
+        fleet = make_fleet(n_assets=3, horizon=5)
+        scenarios = random_scenarios(fleet, n_scenarios=40, seed=9)
+        matrix = build_matrix(fleet, scenarios, RiskParams())
+        start = (5, 5, 5)
+        bound = cvar_alpha(schedule_cost_distribution(
+            matrix, schedule_from_indices(fleet, start)), 0.9)
+        room = optimize._room(matrix, bound, start)
+        table = np.asarray(matrix.costs)
+        assert [list(d) for d in room.dates] == room_dates(matrix, 0.9, start)
+        for i, (dates, rows) in enumerate(zip(room.dates, room.rows)):
+            assert rows.tobytes() == table[i, dates].tobytes()
