@@ -11,7 +11,10 @@ usage increments, and returns the matrix alone: it holds the fleet and
 those pricing inputs. optimize and study solve each policy on that matrix
 through :func:`_solve`, which prices all their schedules in one pass over
 the assets' cost rows. gen-scenarios samples and exports the
-full set (:func:`fleetmaint.scenario.generate_scenarios`).
+full set (:func:`fleetmaint.scenario.generate_scenarios`). All four map
+the sampler's draws from the N, S and T the config holds before they
+build the fleet (:func:`_sized_fleet`), so a size that cannot be held
+exits 3 at once, however long the fleet would take to build.
 --threads K (>= 1) sets how many worker processes sample; everything else
 runs on one thread, and no output depends on K. Exit codes: 0 on success,
 2 for configuration problems, 3 for runtime failures.
@@ -49,6 +52,8 @@ from .report import (
 )
 from .scenario import (
     ScenarioSet,
+    _Draws,
+    _map_draws,
     generate_scenarios,
     sample_pricing_inputs,
     write_scenario_csvs,
@@ -88,10 +93,23 @@ class StudyResult:
         return generate_scenarios(self.fleet, self.n_scenarios, self.scenario_seed)
 
 
-def _setup(config: RunConfig, fleet: FleetSpec, workers: int) -> EvaluationMatrix:
+def _sized_fleet(config: RunConfig, usage: bool = False) -> tuple[FleetSpec, _Draws]:
+    """The config's fleet and the scenario map to sample it into, with
+    room for every usage increment only if ``usage`` is true. The map is
+    allocated first, from the N, S and T that the config holds, so a size
+    that cannot be held exits 3 by name before any asset is built."""
+    sizes = config.explicit_fleet or config.fleet_gen
+    draws = _map_draws(sizes.n_assets, config.n_scenarios, sizes.horizon, usage)
+    return config.build_fleet(), draws
+
+
+def _setup(config: RunConfig, fleet: FleetSpec, draws: _Draws, workers: int) -> EvaluationMatrix:
     """The evaluation matrix of the fleet on the latent RULs and usage mean
-    of its scenario set, sampled by ``workers`` processes."""
-    inputs = sample_pricing_inputs(fleet, config.n_scenarios, config.scenario_seed, workers)
+    of its scenario set, sampled by ``workers`` processes into ``draws``
+    (see :func:`_sized_fleet`)."""
+    inputs = sample_pricing_inputs(
+        fleet, config.n_scenarios, config.scenario_seed, workers, draws=draws
+    )
     return build_matrix(fleet, inputs, config.risk)
 
 
@@ -112,7 +130,8 @@ def _solve(
 def compute_study(config: RunConfig, workers: int = 1) -> StudyResult:
     """Run every policy against one shared scenario set, sampled by
     ``workers`` processes."""
-    matrix = _setup(config, config.build_fleet(), workers)
+    fleet, draws = _sized_fleet(config)
+    matrix = _setup(config, fleet, draws, workers)
     solved = _solve(POLICY_ORDER, config, matrix)
     return StudyResult(
         fleet=matrix.fleet,
@@ -166,9 +185,9 @@ def _cmd_gen_fleet(args, config: RunConfig, out: Path) -> int:
 
 
 def _cmd_gen_scenarios(args, config: RunConfig, out: Path) -> int:
-    fleet = config.build_fleet()
+    fleet, draws = _sized_fleet(config, usage=True)
     scenarios = generate_scenarios(
-        fleet, config.n_scenarios, config.scenario_seed, args.threads
+        fleet, config.n_scenarios, config.scenario_seed, args.threads, draws=draws
     )
     names = ("scenario_usage.csv", "scenario_rul.csv")
     with staged_outputs(out) as stage:
@@ -179,14 +198,14 @@ def _cmd_gen_scenarios(args, config: RunConfig, out: Path) -> int:
 
 
 def _cmd_evaluate(args, config: RunConfig, out: Path) -> int:
-    fleet = config.build_fleet()
+    fleet, draws = _sized_fleet(config)
     schedule = read_schedule_csv(Path(args.schedule))
     violations = validate_schedule(schedule, fleet)
     if violations:
         for v in violations:
             print(f"invalid schedule: {v}", file=sys.stderr)
         return 3
-    dist = schedule_cost_distribution(_setup(config, fleet, args.threads), schedule)
+    dist = schedule_cost_distribution(_setup(config, fleet, draws, args.threads), schedule)
     print(f"expected_cost={expected_cost(dist):.12g}")
     alpha = config.policies.alpha
     print(f"var_{alpha:g}={var_alpha(dist, alpha):.12g}")
@@ -207,7 +226,8 @@ def _cmd_evaluate(args, config: RunConfig, out: Path) -> int:
 def _cmd_optimize(args, config: RunConfig, out: Path) -> int:
     expected = args.criterion == "expected"
     kind = PolicyKind.INTEGRATED_EXPECTED if expected else PolicyKind.INTEGRATED_CVAR
-    matrix = _setup(config, config.build_fleet(), args.threads)
+    fleet, draws = _sized_fleet(config)
+    matrix = _setup(config, fleet, draws, args.threads)
     [(schedule, _, summary)] = _solve([kind], config, matrix)
     objective = summary.expected_cost if expected else summary.cvar
     with staged_outputs(out) as stage:

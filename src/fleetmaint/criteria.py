@@ -20,6 +20,7 @@ accumulated rounding in equal weights (ten 0.1 entries sum to just under
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,20 +73,27 @@ def expected_cost(dist: CostDistribution) -> float:
     return float(dist.weights @ dist.values)
 
 
+@functools.lru_cache(maxsize=32)
+def _equal_weight_index(s: int, weight: float, alpha: float) -> int:
+    """The quantile position of S equal weights: the first whose
+    cumulative weight reaches alpha, or the last. It depends on S, the
+    weight and alpha alone, so it is accumulated once per triple."""
+    cum = np.cumsum(np.full(s, weight))
+    return min(int(np.searchsorted(cum, alpha - CUM_TOL, side="left")), s - 1)
+
+
 def _batch_var(totals: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndarray:
     """Lower alpha-quantile of each row of a (M, S) cost array.
 
-    Equal weights share one quantile index and use a partition instead of
-    a full sort. Otherwise each row is sorted and its weights accumulated
-    in that order; tied values need no merging, because the first position
-    whose cumulative weight reaches alpha holds the same value whichever
-    order the ties take.
+    Equal weights share one quantile index (:func:`_equal_weight_index`)
+    and use a partition instead of a full sort. Otherwise each row is
+    sorted and its weights accumulated in that order; tied values need no
+    merging, because the first position whose cumulative weight reaches
+    alpha holds the same value whichever order the ties take.
     """
     s = weights.size
     if np.all(weights == weights[0]):
-        cum = np.cumsum(weights)
-        k = int(np.searchsorted(cum, alpha - CUM_TOL, side="left"))
-        k = min(k, s - 1)
+        k = _equal_weight_index(s, float(weights[0]), float(alpha))
         return np.partition(totals, k, axis=1)[:, k].copy()  # frees the (M, S) copy
     order = np.argsort(totals, axis=1)
     sorted_vals = np.take_along_axis(totals, order, axis=1)

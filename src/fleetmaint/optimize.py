@@ -16,8 +16,9 @@ probability per candidate date (``failure``, so a schedule's failure
 proxy is a sum of N lookups), and the check that every cell is finite.
 ``matrix.costs`` is a :class:`CostTable`: reading ``costs[i]`` builds
 asset i's rows again, bit for bit the same. Each pass over the fleet (the
-build, each search's incumbent and room, the pricing of a study's
-schedules) prices every (asset, date) pair it reads once.
+build, each search's incumbent, the walk's room, the pricing of a study's
+schedules) prices every (asset, date) pair it reads once; the descent
+prices one asset's room at each visit.
 
 CVaR is a tail mean, so it is never below the expected cost, and the
 expected cost of a schedule is the sum of its assets' row means. Each
@@ -26,12 +27,16 @@ relative slack for rounding, is the threshold. An asset's room is every
 date whose normalized row mean, with each other asset's least row mean
 added in asset order, stays at or under the threshold: a schedule
 through any other date has a mean, and so a CVaR, over the threshold, so
-it can neither beat the incumbent nor tie the optimum. The searches hold
-only their room's rows, so their memory grows with the room, not with
-N*(T+1)*S. The enumeration grows schedules one asset at a time over room
-dates and drops a prefix as soon as its cheapest completion is over the
-threshold, so it never holds all (T+1)^N means; from a coordinate-descent
-incumbent about 400 of the default profile's 371,293 schedules survive.
+it can neither beat the incumbent nor tie the optimum. Both searches
+keep each asset's room dates. Coordinate descent holds no room rows: at
+each visit it prices that one asset's room into a reused (T+1, S)
+buffer, so its memory does not grow with N. The enumeration sums
+survivors across all assets, so it alone holds its room's rows, and its
+memory grows with the room, not with N*(T+1)*S. It grows schedules one
+asset at a time over room dates and drops a prefix as soon as its
+cheapest completion is over the threshold, so it never holds all (T+1)^N
+means; from a coordinate-descent incumbent about 400 of the default
+profile's 371,293 schedules survive.
 The caller decides whether (T+1)^N is small enough to enumerate.
 Candidate indices are ordered lexicographically by (asset order, date
 order with "none" last); ties on the objective resolve to the earliest
@@ -337,6 +342,15 @@ def schedule_cost_distribution(matrix: EvaluationMatrix, schedule: Schedule) -> 
     return schedule_cost_distributions(matrix, [schedule])[0]
 
 
+def _take(costs: Sequence[np.ndarray] | CostTable, i: int, dates, out: np.ndarray) -> None:
+    """Write asset i's rows at ``dates`` into ``out``: priced by a
+    :class:`CostTable`, copied from a whole table or a room's rows."""
+    if isinstance(costs, CostTable):
+        costs.take(i, dates, out)
+    else:
+        np.take(costs[i], dates, axis=0, out=out)
+
+
 def _schedule_totals(
     rows: Sequence[np.ndarray], indices: Sequence[Sequence[int]], n_scenarios: int
 ) -> np.ndarray:
@@ -344,12 +358,19 @@ def _schedule_totals(
     ``indices``, each its assets' cost rows summed in asset order.
 
     ``rows[i]`` is asset i's (k, S) rows and ``indices[:, i]`` index into
-    them: a matrix's ``costs``, read one asset at a time, or a search's room.
+    them: a matrix's ``costs`` or the walk's room rows. A
+    :class:`CostTable` prices only the dates the schedules use.
     """
     indices = np.asarray(indices)
     totals = np.zeros((len(indices), n_scenarios))
     for i in range(indices.shape[1]):
-        totals += rows[i][indices[:, i]]
+        if isinstance(rows, CostTable):
+            dates, at = np.unique(indices[:, i], return_inverse=True)
+            used = np.empty((dates.size, n_scenarios))
+            rows.take(i, dates, used)
+            totals += used[at]
+        else:
+            totals += rows[i][indices[:, i]]
     return totals
 
 
@@ -371,15 +392,15 @@ class _Room:
 
     ``means`` are the weight-normalized row means, ``lows`` each asset's
     least one and ``threshold`` the incumbent's CVaR plus the prune
-    slack. ``dates[i]`` is asset i's room, ascending, and ``rows[i]`` its
-    (len(dates[i]), S) cost rows, views of one block.
+    slack. ``dates[i]`` is asset i's room, ascending. No row is priced:
+    the walk prices every room row once, into one block
+    (:func:`_room_rows`), and the descent one asset's at each visit.
     """
 
     means: np.ndarray
     lows: np.ndarray
     threshold: float
     dates: list[np.ndarray]
-    rows: list[np.ndarray]
 
 
 def _room(matrix: EvaluationMatrix, bound: float, incumbent: Sequence[int]) -> _Room:
@@ -396,11 +417,10 @@ def _room(matrix: EvaluationMatrix, bound: float, incumbent: Sequence[int]) -> _
     exceeds the bound by more than any rounding: such a schedule can
     neither beat the incumbent nor tie the optimum. The incumbent itself
     lies inside by the same slack, as its mean is at most its CVaR; it is
-    added anyway, so a search always holds its own schedule's rows. Each
-    asset's rows are priced once, and a room that cannot be allocated
-    raises a MemoryError naming N, S and T.
+    added anyway, so a search always prices its own schedule's rows.
+    Only the (N, T+1) means are read; no cost row is priced.
     """
-    n, k1, s = matrix.costs.shape
+    n = matrix.fleet.n_assets
     # CVaR is a weight-normalized tail mean, so bound it by the normalized mean.
     means = matrix.means / matrix.scenarios.weights.sum()
     lows = means.min(axis=1)
@@ -411,21 +431,25 @@ def _room(matrix: EvaluationMatrix, bound: float, incumbent: Sequence[int]) -> _
         reach[:j] += lows[j]
     inside = reach <= threshold
     inside[np.arange(n), incumbent] = True
-    size = int(inside.sum())
+    return _Room(means, lows, threshold, [np.flatnonzero(row) for row in inside])
+
+
+def _room_rows(matrix: EvaluationMatrix, room: _Room) -> list[np.ndarray]:
+    """Every asset's room rows, each asset's a view of one block, priced
+    once. A block that cannot be allocated raises a MemoryError naming N,
+    S and T."""
+    n, k1, s = matrix.costs.shape
+    size = sum(dates.size for dates in room.dates)
     try:
         block = np.empty((size, s))
     except (MemoryError, ValueError):  # numpy says ValueError past the address space
         raise _size_error("CVaR search room", size * s * 8, n, s, k1 - 1) from None
-    dates, rows, start = [], [], 0
-    for i in range(n):
-        dates.append(np.flatnonzero(inside[i]))
-        rows.append(block[start:start + dates[i].size])
-        start += dates[i].size
-        if isinstance(matrix.costs, CostTable):
-            matrix.costs.take(i, dates[i], rows[i])
-        else:
-            np.take(matrix.costs[i], dates[i], axis=0, out=rows[i])
-    return _Room(means, lows, threshold, dates, rows)
+    rows, start = [], 0
+    for i, dates in enumerate(room.dates):
+        rows.append(block[start:start + dates.size])
+        start += dates.size
+        _take(matrix.costs, i, dates, rows[i])
+    return rows
 
 
 def exhaustive_cvar_argmin(
@@ -447,34 +471,50 @@ def exhaustive_cvar_argmin(
     drop every prefix through it at its own level: exactly the schedules
     with mean at most the bound survive, in enumeration order, as a walk
     over all dates would keep them. They are priced in blocks of about
-    128 KiB per array from the room's rows, with totals summed in asset
-    order, and only a strictly lower CVaR replaces the best so far. The
-    result is the exact optimum, earliest in enumeration order among
-    ties, whichever incumbent set the bound; a better one only prices
-    fewer schedules and holds fewer rows. Raises ValueError unless
-    ``incumbent`` holds one integer index in 0..T per asset.
+    128 KiB per array, with totals summed in asset order, and only a
+    strictly lower CVaR replaces the best so far. The result is the exact
+    optimum, earliest in enumeration order among ties, whichever
+    incumbent set the bound; a better one only prices fewer schedules and
+    holds fewer rows. Raises ValueError unless ``incumbent`` holds one
+    integer index in 0..T per asset.
+
+    A block of survivors mixes every asset's dates, so this is the one
+    search that holds its room's rows: every room row, priced once into
+    one block (:func:`_room_rows`). Prefixes that cannot be allocated, as
+    under a budget far past what memory holds, raise a MemoryError naming
+    N, S, T and ``policies.exhaustive_budget``.
     """
     n, k1, s = matrix.costs.shape
     incumbent = _checked_indices(incumbent, (n, k1), "incumbent")
     weights = matrix.scenarios.weights
     bound = float(batch_cvar(_schedule_totals(matrix.costs, [incumbent], s), weights, alpha)[0])
     room = _room(matrix, bound, incumbent)
+    rows = _room_rows(matrix, room)
     # One position column per asset, so no flat index into (T+1)^N can overflow.
     partial = np.zeros(1)
     chosen = np.zeros((1, 0), dtype=np.intp)
     for i, dates in enumerate(room.dates):
-        partial = np.add.outer(partial, room.means[i, dates]).ravel()
-        reach = partial
-        for low in room.lows[i + 1:]:  # one at a time: lows[i + 1:].sum() rounds otherwise
-            reach = reach + low
-        keep = np.flatnonzero(reach <= room.threshold)
-        prefix, positions = np.divmod(keep, dates.size)
-        partial = partial[keep]
-        chosen = np.column_stack([chosen[prefix], positions])
+        width = partial.size * dates.size
+        try:
+            partial = np.add.outer(partial, room.means[i, dates]).ravel()
+            reach = partial
+            for low in room.lows[i + 1:]:  # one at a time: lows[i + 1:].sum() rounds otherwise
+                reach = reach + low
+            keep = np.flatnonzero(reach <= room.threshold)
+            prefix, positions = np.divmod(keep, dates.size)
+            partial = partial[keep]
+            chosen = np.column_stack([chosen[prefix], positions])
+        except (MemoryError, ValueError):  # numpy says ValueError past the address space
+            # the level's candidates at most: a mean and i + 1 positions each
+            nbytes = width * (i + 2) * 8
+            error = _size_error("schedule prefixes of the CVaR enumeration", nbytes, n, s, k1 - 1)
+            raise MemoryError(
+                f"{error}; lower policies.exhaustive_budget to search by coordinate descent alone"
+            ) from None
     block = max(1, _BLOCK_ELEMENTS // s)
     best_val, best_row = np.inf, -1
     for start in range(0, len(chosen), block):
-        totals = _schedule_totals(room.rows, chosen[start:start + block], s)
+        totals = _schedule_totals(rows, chosen[start:start + block], s)
         cvars = batch_cvar(totals, weights, alpha)
         m = int(np.argmin(cvars))
         if cvars[m] < best_val:
@@ -487,14 +527,14 @@ def coordinate_descent_cvar(
 ) -> tuple[tuple[int, ...], float]:
     """Asset-at-a-time CVaR descent from a warm start.
 
-    Sweeps assets in fleet order, re-optimizing one date against the rest
-    of the incumbent schedule, and accepts only strict improvements (ties
-    keep the incumbent). Each accepted move lowers the objective on a
-    finite lattice, so termination is guaranteed; the result is never
-    worse than the warm start. The moves are judged on running totals,
-    but the returned value is the final schedule's CVaR, priced on its
-    rows summed in asset order. Raises ValueError unless ``start`` holds
-    one integer index in 0..T per asset.
+    Visits the assets in fleet order, round and round, re-optimizing one
+    date against the rest of the incumbent schedule, and accepts only
+    strict improvements (ties keep the incumbent). Each accepted move
+    lowers the objective on a finite lattice, so termination is
+    guaranteed; the result is never worse than the warm start. The moves
+    are judged on running totals, but the returned value is the final
+    schedule's CVaR, priced on its rows summed in asset order. Raises
+    ValueError unless ``start`` holds one integer index in 0..T per asset.
 
     Each move is taken over the dates of the asset's room (see
     :func:`_room`) for the start's CVaR, in date order, and gives the
@@ -506,6 +546,28 @@ def coordinate_descent_cvar(
     room, so the first one in the room is the scan's; when no date
     improves, none in the room does. The current date stays in the room,
     as the start's dates are in it and moves go only to room dates.
+
+    No room rows are held. A visit prices its asset's room rows into one
+    reused (T+1, S) buffer and judges all of them in one
+    :func:`~fleetmaint.criteria.batch_cvar` call, which sums each row on
+    its own: the bits are those of pricing each candidate alone.
+
+    The descent stops after N consecutive visits without a strict
+    improvement, and returns what sweeping until a whole sweep is quiet
+    returns: the same moves, ties and ``(indices, value)``. A visit to
+    asset i reads only the running totals, the objective and asset i's
+    date, and changes none of them unless it improves. After N quiet
+    visits in a row, each asset has been visited once since the last
+    change, against the totals and objective that still hold, at the
+    date it still has, and did not improve. Any later visit to asset j
+    repeats j's visit among those N on the same inputs, bit for bit, so
+    it does not improve either, and no move is ever made again. Sweeping
+    makes the same visits in the same order up to this point, since it
+    stops only after a whole quiet sweep, which is N quiet visits in a
+    row; past it, sweeping makes only such repeats before it stops. A
+    move's own asset is among the N visits because its next visit need
+    not repeat the move's: ``totals - rows[best]`` after the move need
+    not be the bits of the ``without`` the move was judged on.
     """
     n, k1, s = matrix.costs.shape
     weights = matrix.scenarios.weights
@@ -513,20 +575,21 @@ def coordinate_descent_cvar(
     totals = _schedule_totals(matrix.costs, [current], s)[0]
     current_val = float(batch_cvar(totals, weights, alpha)[0])
     room = _room(matrix, current_val, current)
+    buffer = np.empty((k1, s))  # the size of the matrix build's row buffer
     # each asset's date as a position in its room
     at = [int(np.searchsorted(dates, c)) for dates, c in zip(room.dates, current)]
-    improved = True
-    while improved:
-        improved = False
-        for i, rows in enumerate(room.rows):
-            without = totals - rows[at[i]]
-            # one candidate at a time, so a move holds O(S) beside the room
-            cvars = [batch_cvar(without + row, weights, alpha)[0] for row in rows]
-            best = int(np.argmin(cvars))
-            if float(cvars[best]) < current_val:
-                at[i] = best
-                totals = without + rows[best]
-                current_val = float(cvars[best])
-                improved = True
+    i = quiet = 0
+    while quiet < n:
+        rows = buffer[:room.dates[i].size]
+        _take(matrix.costs, i, room.dates[i], rows)
+        without = totals - rows[at[i]]
+        cvars = batch_cvar(without + rows, weights, alpha)
+        best = int(np.argmin(cvars))
+        if cvars[best] < current_val:
+            at[i], totals, current_val, quiet = best, without + rows[best], float(cvars[best]), 0
+        else:
+            quiet += 1
+        i = (i + 1) % n
     indices = tuple(int(dates[p]) for dates, p in zip(room.dates, at))
-    return indices, float(batch_cvar(_schedule_totals(room.rows, [at], s), weights, alpha)[0])
+    final = _schedule_totals(matrix.costs, [indices], s)
+    return indices, float(batch_cvar(final, weights, alpha)[0])

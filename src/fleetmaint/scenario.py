@@ -371,7 +371,7 @@ def _cell_seed_words(seed: int, n_scenarios: int, start: int, stop: int) -> np.n
 
     The entropy of a cell is the seed's words, zero-padded to the pool size,
     then i and w, one word each: both stay below :data:`SCENARIO_LIMIT`,
-    2**32, which the config and :func:`_draw` check for S and this checks
+    2**32, which the config and :func:`_map_draws` check for S and this checks
     for i (a ValueError). The seed's hash steps are the same for every cell,
     so they run once on Python ints. Each of i and w is then mixed into
     the four pool words by one pass over a (4, cells) uint32 array, whose
@@ -535,31 +535,21 @@ def _fork_block(*args) -> int:
         os._exit(status)
 
 
-def _draw(fleet: FleetSpec, n_scenarios: int, seed: int, workers: int, usage: bool) -> _Draws:
-    """Sample every cell of the fleet, keeping every usage increment only
-    if ``usage`` is true.
+def _map_draws(n: int, n_scenarios: int, t: int, usage: bool) -> _Draws:
+    """Unfilled draws for N assets, S scenarios and T periods, with room
+    for every usage increment only if ``usage`` is true.
 
     The arrays of :class:`_Draws`, but for its chunk buffer, are views of
-    one shared anonymous memory map. Its N*K (asset, chunk) pairs are
-    split, in order, into ``min(workers, usable CPUs, N*K)`` contiguous
-    blocks. The caller samples the first block itself and forks one child
-    process per other block. Every child is reaped before this returns or
-    raises, and a child that fails raises a RuntimeError naming its block.
-    With one block, or where ``os.fork`` does not exist, nothing is
-    forked. The draws never depend on ``workers``. Once every block is drawn, the
-    first asset with an increment that is not finite and > 0 is named in
-    a ValueError, and then the first with a latent RUL that is not
-    finite. A scenario count of :data:`SCENARIO_LIMIT` or more is named
-    with the limit before anything is mapped; a map or chunk buffer that
-    cannot be allocated raises a MemoryError naming N, S and T.
+    one shared anonymous memory map. Only the sizes are read, so a caller
+    can map the draws before it builds the fleet. A scenario count of
+    :data:`SCENARIO_LIMIT` or more is named with the limit before anything
+    is mapped; a map or chunk buffer that cannot be allocated raises a
+    MemoryError naming N, S and T.
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be >= 1")
     if n_scenarios >= SCENARIO_LIMIT:
         raise ValueError(f"n_scenarios must be below {SCENARIO_LIMIT} (2**32)")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    n, t = fleet.n_assets, fleet.horizon
     chunks = -(-n_scenarios // _CHUNK)
     shapes = [(n, n_scenarios), (n, chunks, t)] + ([(n, n_scenarios, t)] if usage else [])
     offsets = [0]
@@ -580,7 +570,42 @@ def _draw(fleet: FleetSpec, n_scenarios: int, seed: int, workers: int, usage: bo
         buffer = None if usage else np.empty((rows, t))
     except MemoryError:
         raise _size_error("usage chunk buffer", rows * t * 8, n, n_scenarios, t) from None
-    draws = _Draws(arrays[0], arrays[1], valid, arrays[2] if usage else None, buffer)
+    return _Draws(arrays[0], arrays[1], valid, arrays[2] if usage else None, buffer)
+
+
+def _draw(
+    fleet: FleetSpec,
+    n_scenarios: int,
+    seed: int,
+    workers: int,
+    usage: bool,
+    draws: _Draws | None = None,
+) -> _Draws:
+    """Sample every cell of the fleet, keeping every usage increment only
+    if ``usage`` is true, into ``draws``, which must be mapped by
+    :func:`_map_draws` for the fleet's N and T, S and ``usage``; if None,
+    they are mapped here.
+
+    The N*K (asset, chunk) pairs are split, in order, into
+    ``min(workers, usable CPUs, N*K)`` contiguous blocks. The caller
+    samples the first block itself and forks one child process per other
+    block. Every child is reaped before this returns or raises, and a
+    child that fails raises a RuntimeError naming its block. With one
+    block, or where ``os.fork`` does not exist, nothing is forked. The
+    draws never depend on ``workers``. Once every block is drawn, the
+    first asset with an increment that is not finite and > 0 is named in
+    a ValueError, and then the first with a latent RUL that is not
+    finite.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if draws is None:
+        draws = _map_draws(fleet.n_assets, n_scenarios, fleet.horizon, usage)
+    elif (draws.rul.shape, draws.terms.shape[2], draws.usage is not None) != (
+        (fleet.n_assets, n_scenarios), fleet.horizon, usage
+    ):
+        raise ValueError("scenario draws were mapped for another fleet, S or usage")
+    n, chunks = draws.valid.shape
     units = n * chunks
     blocks = min(workers, _usable_cpus(), units) if hasattr(os, "fork") else 1
     # the first cell of each block's first (asset, chunk) pair
@@ -604,14 +629,19 @@ def _draw(fleet: FleetSpec, n_scenarios: int, seed: int, workers: int, usage: bo
             )
     for flag, message in ((1, "usage increments must be finite and > 0"),
                           (2, "latent RUL values must be finite and >= 0")):
-        bad = np.flatnonzero(~(valid & flag).all(axis=1))
+        bad = np.flatnonzero(~(draws.valid & flag).all(axis=1))
         if bad.size:
             raise ValueError(f"asset {fleet.assets[bad[0]].id!r}: {message}")
     return draws
 
 
 def generate_scenarios(
-    fleet: FleetSpec, n_scenarios: int, seed: int, workers: int = 1
+    fleet: FleetSpec,
+    n_scenarios: int,
+    seed: int,
+    workers: int = 1,
+    *,
+    draws: _Draws | None = None,
 ) -> ScenarioSet:
     """Draw an equally weighted scenario set for a fleet.
 
@@ -624,14 +654,21 @@ def generate_scenarios(
     each cell's ``cell_stream``.
 
     ``workers`` processes sample the cells (:func:`_draw`); the result
-    never depends on it. The shared memory map backs the returned arrays.
+    never depends on it. The shared memory map backs the returned arrays:
+    ``draws``, if given, mapped by :func:`_map_draws` with ``usage`` true
+    before the fleet was built, or else one mapped here.
     """
-    draws = _draw(fleet, n_scenarios, seed, workers, usage=True)
+    draws = _draw(fleet, n_scenarios, seed, workers, True, draws)
     return ScenarioSet(usage_increments=draws.usage, latent_rul=draws.rul)
 
 
 def sample_pricing_inputs(
-    fleet: FleetSpec, n_scenarios: int, seed: int, workers: int = 1
+    fleet: FleetSpec,
+    n_scenarios: int,
+    seed: int,
+    workers: int = 1,
+    *,
+    draws: _Draws | None = None,
 ) -> PricingInputs:
     """The latent RULs and the usage mean of ``generate_scenarios(fleet,
     n_scenarios, seed)``, sampled without holding its (N, S, T) usage
@@ -640,9 +677,10 @@ def sample_pricing_inputs(
     Every gamma is still drawn, since each cell's RUL draw follows them
     in its stream, but only into one reused chunk buffer. Both arrays are
     the same bits as the full set's ``latent_rul`` and ``usage_mean`` for
-    every ``workers``.
+    every ``workers``. The RULs are drawn into ``draws``, as
+    :func:`generate_scenarios` takes them but mapped with ``usage`` false.
     """
-    draws = _draw(fleet, n_scenarios, seed, workers, usage=False)
+    draws = _draw(fleet, n_scenarios, seed, workers, False, draws)
     return PricingInputs(latent_rul=draws.rul, usage_mean=_usage_mean(draws.terms))
 
 

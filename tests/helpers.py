@@ -9,8 +9,9 @@ for it. ``var_alpha_merged`` and ``cvar_alpha_merged`` compute the risk
 measures by merging tied values first, an independent route to the same
 numbers as :func:`fleetmaint.criteria.batch_cvar`. ``reference_walk``
 and ``reference_descent`` are the two CVaR searches as they ran over
-every date of a whole (N, T+1, S) table, before the searches held only
-their room's rows; ``room_dates`` recomputes a room from its definition.
+every date of a whole (N, T+1, S) table, before the searches looked only
+at their room's dates, the descent sweeping until a whole sweep made no
+move; ``room_dates`` recomputes a room from its definition.
 """
 
 from __future__ import annotations
@@ -323,8 +324,13 @@ def reference_walk(matrix, alpha: float, incumbent) -> tuple[tuple[int, ...], fl
     return tuple(int(c) for c in chosen[best]), float(cvars[best])
 
 
-def reference_descent(matrix, alpha: float, start) -> tuple[tuple[int, ...], float]:
-    """Coordinate descent that prices all T+1 dates of an asset at every move."""
+def reference_descent(
+    matrix, alpha: float, start, trace: list | None = None
+) -> tuple[tuple[int, ...], float]:
+    """Coordinate descent that prices all T+1 dates of an asset at every
+    move, and sweeps until a whole sweep makes none. ``trace``, if given,
+    receives each visit's (asset, date moved to), the date None where the
+    visit makes no move."""
     costs = np.asarray(matrix.costs)
     weights = matrix.scenarios.weights
     current = [int(c) for c in start]
@@ -337,7 +343,10 @@ def reference_descent(matrix, alpha: float, start) -> tuple[tuple[int, ...], flo
             without = totals - costs[i, current[i]]
             cvars = batch_cvar(without + costs[i], weights, alpha)
             c_best = int(np.argmin(cvars))
-            if float(cvars[c_best]) < current_val:
+            moves = float(cvars[c_best]) < current_val
+            if trace is not None:
+                trace.append((i, c_best if moves else None))
+            if moves:
                 current[i] = c_best
                 totals = without + costs[i, c_best]
                 current_val = float(cvars[c_best])

@@ -110,6 +110,30 @@ def run_cli(args, cwd, **env_overrides):
     )
 
 
+def run_limited(args, cwd, address_space=1 << 30, timeout=60):
+    """``fleetmaint args`` in a child whose address space is capped, so a
+    runaway allocation fails in the child, and a hang fails the test,
+    rather than straining the machine."""
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space}))\n"
+        "from fleetmaint.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    # one BLAS thread, so the library's own buffers stay small under the cap
+    threads = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, **threads)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 @pytest.fixture()
 def config_file(tmp_path):
     path = tmp_path / "config.json"
@@ -446,8 +470,8 @@ class TestStudyDriver:
 
     def test_study_prices_without_the_usage_array(self):
         config = parse_config(SMALL_CONFIG)
-        fleet = config.build_fleet()
-        inputs = fleetmaint.cli._setup(config, fleet, 1).scenarios
+        fleet, draws = fleetmaint.cli._sized_fleet(config)
+        inputs = fleetmaint.cli._setup(config, fleet, draws, 1).scenarios
         values = fleet.n_assets * config.n_scenarios * fleet.horizon
         assert isinstance(inputs, PricingInputs)
         arrays = [v for v in vars(inputs).values() if isinstance(v, np.ndarray)]
@@ -503,21 +527,22 @@ class TestStudyDriver:
         compute_study(parse_config(SMALL_CONFIG))
         assert priced == [(5, [0, 1, 2])]
 
-    def test_memory_after_sampling_stays_under_half_the_table(self, monkeypatch):
-        # N=40, S=2000, T=12: the study never holds the (N, T+1, S) cost
-        # table, only the descent's room and a few (S,) rows beside it
+    def test_memory_after_sampling_stays_under_six_assets_rows(self, monkeypatch):
+        # N=40, S=2000, T=12, so past the enumeration budget: the study holds
+        # neither the (N, T+1, S) cost table nor the descent's room, only a
+        # few (T+1, S) blocks of one asset's rows at a time
         config = parse_config({"fleet": {"n_assets": 40}, "scenarios": {"n_scenarios": 2000}})
         fleet = config.build_fleet()
         inputs = sample_pricing_inputs(fleet, config.n_scenarios, config.scenario_seed)
-        monkeypatch.setattr(fleetmaint.cli, "sample_pricing_inputs", lambda *args: inputs)
+        monkeypatch.setattr(fleetmaint.cli, "sample_pricing_inputs", lambda *a, **k: inputs)
         tracemalloc.start()
         try:
             compute_study(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        table = fleet.n_assets * (fleet.horizon + 1) * config.n_scenarios * 8
-        assert peak < table / 2
+        rows = (fleet.horizon + 1) * config.n_scenarios * 8
+        assert peak < 6 * rows
 
 
 class TestCliCommands:
@@ -1047,8 +1072,8 @@ class TestCliCommands:
         empty = np.empty
 
         def no_room(shape, *args, **kwargs):
-            # the one block of a CVaR search's room rows, whatever its size
-            if sys._getframe(1).f_code is optimize._room.__code__:
+            # the one block of the enumeration's room rows, whatever its size
+            if sys._getframe(1).f_code is optimize._room_rows.__code__:
                 raise MemoryError("Unable to allocate")
             return empty(shape, *args, **kwargs)
 
@@ -1067,6 +1092,49 @@ class TestCliCommands:
         nbytes = int(named[1].replace(",", ""))
         assert nbytes % 800 == 0 and 3 <= nbytes // 800 <= 21
         assert not out.exists()
+
+    def test_runaway_enumeration_exits_3_naming_the_budget(self, tmp_path):
+        # a budget of 10^20 admits all 13^12 schedules of 12 assets to the
+        # walk, whose prefixes outgrow a 1 GiB address space
+        config = tmp_path / "walk.json"
+        config.write_text(json.dumps({
+            "fleet": {"n_assets": 12},
+            "scenarios": {"n_scenarios": 50},
+            "policies": {"exhaustive_budget": 10**20},
+        }))
+        proc = run_limited(["study", "--config", str(config), "--out", "walk_out"], tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert re.fullmatch(
+            r"error: cannot allocate [\d,]+ bytes for the schedule prefixes of the CVaR"
+            r" enumeration of N=12 assets, S=50 scenarios and T=12 periods \(config keys"
+            r" fleet\.n_assets, scenarios\.n_scenarios and fleet\.horizon\); lower"
+            r" policies\.exhaustive_budget to search by coordinate descent alone\n",
+            proc.stderr,
+        ), proc.stderr
+        assert not (tmp_path / "walk_out").exists()
+
+    @pytest.mark.parametrize("command", ["gen-scenarios", "evaluate", "optimize", "study"])
+    def test_unallocatable_fleet_exits_3_before_it_is_built(self, command, tmp_path):
+        # building 2**32 - 1 assets would take hours; the draws' map is sized
+        # from the config first and fails at once
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({
+            "fleet": {"n_assets": 2**32 - 1}, "scenarios": {"n_scenarios": 1}
+        }))
+        extra = {
+            "evaluate": ["--schedule", "never_read.csv"],
+            "optimize": ["--criterion", "cvar"],
+        }.get(command, [])
+        argv = [command, "--config", str(config), "--out", "wide_out", *extra]
+        proc = run_limited(argv, tmp_path, timeout=15)
+        assert proc.returncode == 3, proc.stderr
+        assert re.fullmatch(
+            r"error: cannot allocate [\d,]+ bytes for the scenario draws of N=4294967295"
+            r" assets, S=1 scenarios and T=12 periods \(config keys fleet\.n_assets,"
+            r" scenarios\.n_scenarios and fleet\.horizon\)\n",
+            proc.stderr,
+        ), proc.stderr
+        assert not (tmp_path / "wide_out").exists()
 
     def test_unallocatable_row_buffers_exit_3_naming_the_sizes(
         self, config_file, tmp_path, monkeypatch, capsys

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetmaint.criteria import (
+    CUM_TOL,
     CostDistribution,
+    _batch_var,
+    _equal_weight_index,
     batch_cvar,
     cvar_alpha,
     expected_cost,
@@ -363,3 +366,17 @@ class TestOneKernel:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+class TestEqualWeightIndex:
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99, 1 - 1e-12])
+    @pytest.mark.parametrize("s", [1, 2, 3, 7, 800, 10_000])
+    def test_cached_index_is_the_cumsum_rule(self, s, alpha):
+        # the first position whose cumulative weight reaches alpha, or the last
+        weights = np.full(s, 1.0 / s)
+        rule = min(int(np.searchsorted(np.cumsum(weights), alpha - CUM_TOL)), s - 1)
+        for _ in range(2):  # computed, then read from the cache
+            assert _equal_weight_index(s, 1.0 / s, alpha) == rule
+        # the quantile is the rule's order statistic, here the value rule itself
+        ranks = np.random.default_rng(s).permutation(s).astype(float)
+        assert _batch_var(ranks[None, :], weights, alpha)[0] == rule

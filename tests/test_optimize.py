@@ -437,15 +437,17 @@ class TestExhaustiveSearch:
         matrix = build_matrix(fleet, scenarios, RiskParams())
         start = descended(matrix, scenarios.weights, 0.9)
         rooms = []
-        room = optimize._room
-        monkeypatch.setattr(optimize, "_room", lambda *args: rooms.append(room(*args)) or rooms[-1])
+        room_rows = optimize._room_rows
+        monkeypatch.setattr(
+            optimize, "_room_rows", lambda *args: rooms.append(room_rows(*args)) or rooms[-1]
+        )
         tracemalloc.start()
         try:
             exhaustive_cvar_argmin(matrix, 0.9, start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = sum(rows.nbytes for rows in rooms[0].rows)
+        held = sum(rows.nbytes for rows in rooms[0])
         assert held < matrix.costs.nbytes
         assert peak < held + 4 * _BLOCK_ELEMENTS * 8
 
@@ -539,6 +541,87 @@ class TestCoordinateDescent:
         assert runs[0][1] == runs[1][1]
 
 
+def descent_trace(matrix, alpha, start):
+    """The descent's result and each visit's (asset, date moved to), the
+    date None where the visit makes no move, read off the rows each visit
+    prices and the CVaRs it judges them by."""
+    calls = []
+    take = optimize._take
+
+    def taking(costs, i, dates, out):
+        calls.append((i, list(dates)))
+        return take(costs, i, dates, out)
+
+    def judging(totals, *args):
+        cvars = batch_cvar(totals, *args)
+        calls.append(cvars)
+        return cvars
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_take", taking)
+        mp.setattr(optimize, "batch_cvar", judging)
+        result = coordinate_descent_cvar(matrix, alpha, start)
+    # the start's CVaR, then one (rows, CVaRs) pair per visit, then the result's
+    current, trace = float(calls[0][0]), []
+    for (i, dates), cvars in zip(calls[1:-1:2], calls[2:-1:2]):
+        best = int(np.argmin(cvars))
+        moves = float(cvars[best]) < current
+        trace.append((i, dates[best] if moves else None))
+        current = float(cvars[best]) if moves else current
+    return result, trace
+
+
+class TestDescentVisits:
+    """The descent prices one asset's room at a visit and stops after N
+    quiet visits; it moves as sweeping over every date until a quiet sweep."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_moves_and_result_are_the_full_sweeps(self, data):
+        matrix, weights, alpha = data.draw(small_instances(exact=data.draw(st.booleans())))
+        n, k1, _ = matrix.costs.shape
+        start = data.draw(st.tuples(*[st.integers(0, k1 - 1)] * n))
+        reference = []
+        expected = reference_descent(matrix, alpha, start, reference)
+        result, trace = descent_trace(matrix, alpha, start)
+        assert result == expected
+        moves = [visit for visit in trace if visit[1] is not None]
+        assert moves == [visit for visit in reference if visit[1] is not None]
+        assert len(trace) <= len(reference)
+        # the last N visits are quiet, one to each asset
+        assert sorted(i for i, _ in trace[-n:]) == list(range(n))
+        assert all(c is None for _, c in trace[-n:])
+
+    def test_each_visit_prices_one_assets_room(self, monkeypatch):
+        fleet = make_fleet(n_assets=4, horizon=6)
+        scenarios = random_scenarios(fleet, n_scenarios=64, seed=3)
+        matrix = build_matrix(fleet, scenarios, RiskParams())
+        start = (6, 6, 6, 6)
+        rooms = room_dates(matrix, 0.9, start)
+        events = []
+        take = optimize.CostTable.take
+
+        def taking(table, i, dates, out):
+            events.append((i, list(dates)))
+            return take(table, i, dates, out)
+
+        def judging(totals, *args):
+            events.append(None)
+            return batch_cvar(totals, *args)
+
+        monkeypatch.setattr(optimize.CostTable, "take", taking)
+        monkeypatch.setattr(optimize, "batch_cvar", judging)
+        coordinate_descent_cvar(matrix, 0.9, start)
+        calls = [k for k, event in enumerate(events) if event is None]
+        # the start's rows, one asset at a time, then its CVaR
+        assert calls[0] == fleet.n_assets
+        visits = [events[a + 1:b] for a, b in zip(calls[:-2], calls[1:-1])]
+        assert len(visits) >= fleet.n_assets
+        for k, priced in enumerate(visits):
+            # one asset's room rows, in fleet order round and round
+            assert priced == [(k % fleet.n_assets, rooms[k % fleet.n_assets])]
+
+
 class TestReturnedValues:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(st.data())
@@ -556,8 +639,8 @@ class TestReturnedValues:
 
 
 class TestRoom:
-    """Both searches hold only their room's rows and answer as they did
-    over every date of the whole table."""
+    """Both searches look only at their room's dates and answer as they
+    did over every date of the whole table."""
 
     @staticmethod
     def check(matrix, alpha, start):
@@ -609,5 +692,5 @@ class TestRoom:
         room = optimize._room(matrix, bound, start)
         table = np.asarray(matrix.costs)
         assert [list(d) for d in room.dates] == room_dates(matrix, 0.9, start)
-        for i, (dates, rows) in enumerate(zip(room.dates, room.rows)):
+        for i, (dates, rows) in enumerate(zip(room.dates, optimize._room_rows(matrix, room))):
             assert rows.tobytes() == table[i, dates].tobytes()

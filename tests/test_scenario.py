@@ -448,6 +448,24 @@ class TestPricingInputs:
         point_mass = fleet.assets[0].usage_mean_per_period
         np.testing.assert_allclose(lean.usage_mean[0], point_mass, rtol=4 * np.finfo(float).eps)
 
+    def test_draws_mapped_before_the_fleet_are_the_same_bits(self):
+        fleet = make_fleet(n_assets=3, horizon=4)
+        for usage, sample in ((True, generate_scenarios), (False, sample_pricing_inputs)):
+            draws = scenario._map_draws(3, CHUNK + 1, 4, usage)
+            mapped = sample(fleet, CHUNK + 1, 6, draws=draws)
+            assert mapped.latent_rul is draws.rul
+            assert mapped.latent_rul.tobytes() == sample(fleet, CHUNK + 1, 6).latent_rul.tobytes()
+
+    @pytest.mark.parametrize(
+        "sizes, usage",
+        [((2, 10, 4), False), ((3, 11, 4), False), ((3, 10, 5), False), ((3, 10, 4), True)],
+        ids=["assets", "scenarios", "horizon", "usage"],
+    )
+    def test_draws_mapped_for_another_shape_rejected(self, sizes, usage):
+        draws = scenario._map_draws(*sizes, usage)
+        with pytest.raises(ValueError, match="mapped for another fleet, S or usage"):
+            sample_pricing_inputs(make_fleet(n_assets=3, horizon=4), 10, 1, draws=draws)
+
     @pytest.mark.parametrize("n_scenarios", [1, 7, CHUNK + 1, 800])
     def test_usage_mean_rounds_near_the_exact_mean(self, n_scenarios):
         # pairwise sums of weighted values: a few ulp from the exact sum
