@@ -16,27 +16,27 @@ probability per candidate date (``failure``, so a schedule's failure
 proxy is a sum of N lookups), and the check that every cell is finite.
 ``matrix.costs`` is a :class:`CostTable`: reading ``costs[i]`` builds
 asset i's rows again, bit for bit the same. Each pass over the fleet (the
-build, each search's incumbent, the walk's room, the pricing of a study's
-schedules) prices every (asset, date) pair it reads once; the descent
-prices one asset's room at each visit.
+build, each search's incumbent, the rows the walk's survivors use, the
+pricing of a study's schedules) prices every (asset, date) pair it reads
+once; each descent visit prices some of one asset's rows.
 
 CVaR is a tail mean, so it is never below the expected cost, and the
 expected cost of a schedule is the sum of its assets' row means. Each
-CVaR search first prices its incumbent schedule; its CVaR, plus a 1e-9
-relative slack for rounding, is the threshold. An asset's room is every
-date whose normalized row mean, with each other asset's least row mean
-added in asset order, stays at or under the threshold: a schedule
-through any other date has a mean, and so a CVaR, over the threshold, so
-it can neither beat the incumbent nor tie the optimum. Both searches
-keep each asset's room dates. Coordinate descent holds no room rows: at
-each visit it prices that one asset's room into a reused (T+1, S)
-buffer, so its memory does not grow with N. The enumeration sums
-survivors across all assets, so it alone holds its room's rows, and its
-memory grows with the room, not with N*(T+1)*S. It grows schedules one
-asset at a time over room dates and drops a prefix as soon as its
-cheapest completion is over the threshold, so it never holds all (T+1)^N
-means; from a coordinate-descent incumbent about 400 of the default
-profile's 371,293 schedules survive.
+CVaR search prices a schedule only if its summed normalized row mean is
+at or under a threshold: the CVaR of the schedule to beat, plus a 1e-9
+relative slack for rounding. A schedule over the threshold has a CVaR
+over that CVaR, so it can neither beat the schedule nor tie the optimum.
+Coordinate descent holds no rows: a visit to one asset prices, into a
+reused (T+1, S) buffer, its current date and each date that keeps the
+schedule's mean within the current objective's threshold, so its memory
+does not grow with N. The enumeration grows schedules one asset at a
+time over all T+1 dates and drops a prefix as soon as its cheapest
+completion is over the threshold, so it never holds all (T+1)^N means;
+from a coordinate-descent incumbent about 400 of the default profile's
+371,293 schedules survive. It sums survivors across all assets, so it
+alone holds rows: each asset's rows at the dates its survivors use,
+priced once into one block, so its memory grows with those, not with
+N*(T+1)*S.
 The caller decides whether (T+1)^N is small enough to enumerate.
 Candidate indices are ordered lexicographically by (asset order, date
 order with "none" last); ties on the objective resolve to the earliest
@@ -331,7 +331,9 @@ def schedule_cost_distributions(
     matrix: EvaluationMatrix, schedules: Sequence[Schedule]
 ) -> list[CostDistribution]:
     """Fleet cost distributions of several schedules, priced together in
-    one pass over the assets' cost rows."""
+    one pass over the assets' cost rows; no schedules give none."""
+    if not schedules:
+        return []
     indices = [indices_from_schedule(schedule, matrix.fleet) for schedule in schedules]
     totals = _schedule_totals(matrix.costs, indices, matrix.scenarios.n_scenarios)
     return [CostDistribution(values=row, weights=matrix.scenarios.weights) for row in totals]
@@ -344,7 +346,7 @@ def schedule_cost_distribution(matrix: EvaluationMatrix, schedule: Schedule) -> 
 
 def _take(costs: Sequence[np.ndarray] | CostTable, i: int, dates, out: np.ndarray) -> None:
     """Write asset i's rows at ``dates`` into ``out``: priced by a
-    :class:`CostTable`, copied from a whole table or a room's rows."""
+    :class:`CostTable` or copied from a whole table."""
     if isinstance(costs, CostTable):
         costs.take(i, dates, out)
     else:
@@ -358,7 +360,7 @@ def _schedule_totals(
     ``indices``, each its assets' cost rows summed in asset order.
 
     ``rows[i]`` is asset i's (k, S) rows and ``indices[:, i]`` index into
-    them: a matrix's ``costs`` or the walk's room rows. A
+    them: a matrix's ``costs`` or the rows the walk's survivors use. A
     :class:`CostTable` prices only the dates the schedules use.
     """
     indices = np.asarray(indices)
@@ -386,69 +388,29 @@ def _checked_indices(indices: Sequence[int], shape: tuple[int, int], name: str) 
     return [int(c) for c in out]
 
 
-@dataclass(frozen=True)
-class _Room:
-    """What a CVaR search keeps of the matrix, given its incumbent's CVaR.
-
-    ``means`` are the weight-normalized row means, ``lows`` each asset's
-    least one and ``threshold`` the incumbent's CVaR plus the prune
-    slack. ``dates[i]`` is asset i's room, ascending. No row is priced:
-    the walk prices every room row once, into one block
-    (:func:`_room_rows`), and the descent one asset's at each visit.
-    """
-
-    means: np.ndarray
-    lows: np.ndarray
-    threshold: float
-    dates: list[np.ndarray]
+def _threshold(value: float) -> float:
+    """``value`` plus the prune slack. A schedule whose normalized row
+    means, summed in any order, exceed it has a mean, and so a CVaR, over
+    ``value`` by more than any rounding."""
+    return value + _PRUNE_SLACK * max(1.0, abs(value))
 
 
-def _room(matrix: EvaluationMatrix, bound: float, incumbent: Sequence[int]) -> _Room:
-    """The room of a search whose incumbent schedule has CVaR ``bound``.
-
-    Asset i's room is every date c at which ``reach[i, c]``, the sum
-    0 + lows[0] + ... + lows[i-1] + means[i, c] + lows[i+1] + ... +
-    lows[N-1], added one term at a time in that order, is at most the
-    threshold, and the incumbent's own date. Float addition is monotone,
-    so any schedule through date c at asset i has a summed mean, and
-    every prefix of it through asset i a cheapest completion as the
-    enumeration sums it, at least ``reach[i, c]``. Outside the room, that
-    is over the threshold, and the true CVaR, at least the true mean,
-    exceeds the bound by more than any rounding: such a schedule can
-    neither beat the incumbent nor tie the optimum. The incumbent itself
-    lies inside by the same slack, as its mean is at most its CVaR; it is
-    added anyway, so a search always prices its own schedule's rows.
-    Only the (N, T+1) means are read; no cost row is priced.
-    """
-    n = matrix.fleet.n_assets
-    # CVaR is a weight-normalized tail mean, so bound it by the normalized mean.
-    means = matrix.means / matrix.scenarios.weights.sum()
-    lows = means.min(axis=1)
-    threshold = bound + _PRUNE_SLACK * max(1.0, abs(bound))
-    # add.accumulate is sequential: row i starts from 0 + lows[0] + ... + lows[i-1]
-    reach = np.cumsum(np.concatenate(([0.0], lows[:-1])))[:, None] + means
-    for j in range(1, n):
-        reach[:j] += lows[j]
-    inside = reach <= threshold
-    inside[np.arange(n), incumbent] = True
-    return _Room(means, lows, threshold, [np.flatnonzero(row) for row in inside])
-
-
-def _room_rows(matrix: EvaluationMatrix, room: _Room) -> list[np.ndarray]:
-    """Every asset's room rows, each asset's a view of one block, priced
-    once. A block that cannot be allocated raises a MemoryError naming N,
-    S and T."""
+def _block_rows(matrix: EvaluationMatrix, dates: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each asset i's rows at ``dates[i]``, each asset's a view of one
+    block, priced once. A block that cannot be allocated raises a
+    MemoryError naming N, S and T."""
     n, k1, s = matrix.costs.shape
-    size = sum(dates.size for dates in room.dates)
+    size = sum(used.size for used in dates)
     try:
         block = np.empty((size, s))
     except (MemoryError, ValueError):  # numpy says ValueError past the address space
-        raise _size_error("CVaR search room", size * s * 8, n, s, k1 - 1) from None
+        nbytes = size * s * 8
+        raise _size_error("cost rows of the CVaR enumeration", nbytes, n, s, k1 - 1) from None
     rows, start = [], 0
-    for i, dates in enumerate(room.dates):
-        rows.append(block[start:start + dates.size])
-        start += dates.size
-        _take(matrix.costs, i, dates, rows[i])
+    for i, used in enumerate(dates):
+        rows.append(block[start:start + used.size])
+        start += used.size
+        _take(matrix.costs, i, used, rows[i])
     return rows
 
 
@@ -460,57 +422,63 @@ def exhaustive_cvar_argmin(
     The bound is the CVaR of the ``incumbent`` schedule. A schedule whose
     expected cost exceeds it (plus 1e-9 relative slack) has CVaR >= mean >
     bound >= optimum, so it can be neither the minimizer nor a tie, and is
-    skipped. Schedules grow one asset at a time over the dates of each
-    asset's room (see :func:`_room`): each surviving prefix's mean is
-    extended by every room date of the next asset, in the same order of
-    additions as a full (T+1)^N sum would use, and a prefix is dropped
-    once its cheapest completion, its mean plus each later asset's least
-    row mean added one at a time in asset order, is over the bound. Float
-    addition is monotone, so that sum is never above the computed mean of
-    any of the prefix's completions, and a date outside the room would
-    drop every prefix through it at its own level: exactly the schedules
-    with mean at most the bound survive, in enumeration order, as a walk
-    over all dates would keep them. They are priced in blocks of about
-    128 KiB per array, with totals summed in asset order, and only a
-    strictly lower CVaR replaces the best so far. The result is the exact
-    optimum, earliest in enumeration order among ties, whichever
-    incumbent set the bound; a better one only prices fewer schedules and
-    holds fewer rows. Raises ValueError unless ``incumbent`` holds one
-    integer index in 0..T per asset.
+    skipped. Schedules grow one asset at a time: each surviving prefix's
+    normalized mean is extended by all T+1 dates of the next asset, in the
+    same order of additions as a full (T+1)^N sum would use, and a prefix
+    is dropped once its cheapest completion, its mean plus each later
+    asset's least row mean added one at a time in asset order, is over the
+    bound. Float addition is monotone, so that sum is never above the
+    computed mean of any of the prefix's completions: exactly the
+    schedules with mean at most the bound survive, in enumeration order.
+    They are priced in blocks of about 128 KiB per array, with totals
+    summed in asset order, and only a strictly lower CVaR replaces the
+    best so far. The result is the exact optimum, earliest in enumeration
+    order among ties, whichever incumbent set the bound; a better one only
+    prices fewer schedules and holds fewer rows. Raises ValueError unless
+    ``incumbent`` holds one integer index in 0..T per asset.
 
     A block of survivors mixes every asset's dates, so this is the one
-    search that holds its room's rows: every room row, priced once into
-    one block (:func:`_room_rows`). Prefixes that cannot be allocated, as
-    under a budget far past what memory holds, raise a MemoryError naming
-    N, S, T and ``policies.exhaustive_budget``.
+    search that holds rows: once the walk is done, each asset's rows at
+    the dates its survivors use, priced once into one block
+    (:func:`_block_rows`). Prefixes that cannot be allocated, as under a
+    budget far past what memory holds, raise a MemoryError naming N, S, T
+    and ``policies.exhaustive_budget``.
     """
     n, k1, s = matrix.costs.shape
     incumbent = _checked_indices(incumbent, (n, k1), "incumbent")
     weights = matrix.scenarios.weights
     bound = float(batch_cvar(_schedule_totals(matrix.costs, [incumbent], s), weights, alpha)[0])
-    room = _room(matrix, bound, incumbent)
-    rows = _room_rows(matrix, room)
-    # One position column per asset, so no flat index into (T+1)^N can overflow.
+    threshold = _threshold(bound)
+    # CVaR is a weight-normalized tail mean, so bound it by the normalized mean.
+    means = matrix.means / weights.sum()
+    lows = means.min(axis=1)
+    # One date column per asset, so no flat index into (T+1)^N can overflow.
     partial = np.zeros(1)
     chosen = np.zeros((1, 0), dtype=np.intp)
-    for i, dates in enumerate(room.dates):
-        width = partial.size * dates.size
+    for i in range(n):
+        width = partial.size * k1
         try:
-            partial = np.add.outer(partial, room.means[i, dates]).ravel()
+            partial = np.add.outer(partial, means[i]).ravel()
             reach = partial
-            for low in room.lows[i + 1:]:  # one at a time: lows[i + 1:].sum() rounds otherwise
+            for low in lows[i + 1:]:  # one at a time: lows[i + 1:].sum() rounds otherwise
                 reach = reach + low
-            keep = np.flatnonzero(reach <= room.threshold)
-            prefix, positions = np.divmod(keep, dates.size)
+            keep = np.flatnonzero(reach <= threshold)
+            prefix, dates = np.divmod(keep, k1)
             partial = partial[keep]
-            chosen = np.column_stack([chosen[prefix], positions])
+            chosen = np.column_stack([chosen[prefix], dates])
         except (MemoryError, ValueError):  # numpy says ValueError past the address space
-            # the level's candidates at most: a mean and i + 1 positions each
+            # the level's candidates at most: a mean and i + 1 dates each
             nbytes = width * (i + 2) * 8
             error = _size_error("schedule prefixes of the CVaR enumeration", nbytes, n, s, k1 - 1)
             raise MemoryError(
                 f"{error}; lower policies.exhaustive_budget to search by coordinate descent alone"
             ) from None
+    # each asset's dates in use; each survivor's become positions among them
+    used = []
+    for i in range(n):
+        dates, chosen[:, i] = np.unique(chosen[:, i], return_inverse=True)
+        used.append(dates)
+    rows = _block_rows(matrix, used)
     block = max(1, _BLOCK_ELEMENTS // s)
     best_val, best_row = np.inf, -1
     for start in range(0, len(chosen), block):
@@ -519,7 +487,7 @@ def exhaustive_cvar_argmin(
         m = int(np.argmin(cvars))
         if cvars[m] < best_val:
             best_val, best_row = float(cvars[m]), start + m
-    return tuple(int(d[p]) for d, p in zip(room.dates, chosen[best_row])), best_val
+    return tuple(int(d[p]) for d, p in zip(used, chosen[best_row])), best_val
 
 
 def coordinate_descent_cvar(
@@ -536,60 +504,65 @@ def coordinate_descent_cvar(
     schedule's CVaR, priced on its rows summed in asset order. Raises
     ValueError unless ``start`` holds one integer index in 0..T per asset.
 
-    Each move is taken over the dates of the asset's room (see
-    :func:`_room`) for the start's CVaR, in date order, and gives the
-    move a scan of all T+1 dates would. The objective never rises above
-    the start's CVaR, and a date outside the room gives a schedule whose
-    CVaR is over it by more than rounding, so it is never a strict
-    improvement. A move therefore goes to a room date whenever a full
-    scan's first minimizer improves, and every minimizer is then in the
-    room, so the first one in the room is the scan's; when no date
-    improves, none in the room does. The current date stays in the room,
-    as the start's dates are in it and moves go only to room dates.
+    A visit to asset i prices, in date order, its current date and every
+    date c at which the other assets' normalized row means at their
+    current dates, summed in asset order, plus asset i's at c, are at
+    most the objective plus the prune slack. A date left out gives a
+    schedule whose CVaR, at least its mean, is over the objective, so it
+    is never a strict improvement. A date whose CVaR is under the
+    objective has its mean under it too, so when a scan of all T+1 dates
+    has an improving first minimizer, that date and every earlier one
+    that ties it are priced, and the first minimizer among the priced
+    dates is the scan's; when no date improves, no priced date does. The
+    moves are those of a full scan.
 
-    No room rows are held. A visit prices its asset's room rows into one
-    reused (T+1, S) buffer and judges all of them in one
+    No rows are held. A visit prices its dates' rows into one reused
+    (T+1, S) buffer and judges all of them in one
     :func:`~fleetmaint.criteria.batch_cvar` call, which sums each row on
     its own: the bits are those of pricing each candidate alone.
 
     The descent stops after N consecutive visits without a strict
     improvement, and returns what sweeping until a whole sweep is quiet
     returns: the same moves, ties and ``(indices, value)``. A visit to
-    asset i reads only the running totals, the objective and asset i's
-    date, and changes none of them unless it improves. After N quiet
-    visits in a row, each asset has been visited once since the last
-    change, against the totals and objective that still hold, at the
-    date it still has, and did not improve. Any later visit to asset j
-    repeats j's visit among those N on the same inputs, bit for bit, so
-    it does not improve either, and no move is ever made again. Sweeping
-    makes the same visits in the same order up to this point, since it
-    stops only after a whole quiet sweep, which is N quiet visits in a
-    row; past it, sweeping makes only such repeats before it stops. A
-    move's own asset is among the N visits because its next visit need
-    not repeat the move's: ``totals - rows[best]`` after the move need
-    not be the bits of the ``without`` the move was judged on.
+    asset i reads only the running totals, the objective and the assets'
+    dates (asset i's, and the others' for the bound), and changes none of
+    them unless it improves. After N quiet visits in a row, each asset
+    has been visited once since the last change, against the totals,
+    objective and dates that still hold, and did not improve. Any later
+    visit to asset j repeats j's visit among those N on the same inputs,
+    bit for bit, so it does not improve either, and no move is ever made
+    again. Sweeping makes the same visits in the same order up to this
+    point, since it stops only after a whole quiet sweep, which is N
+    quiet visits in a row; past it, sweeping makes only such repeats
+    before it stops. A move's own asset is among the N visits because
+    its next visit need not repeat the move's: ``totals`` less the row
+    of the date moved to need not be the bits of the ``without`` the
+    move was judged on.
     """
     n, k1, s = matrix.costs.shape
     weights = matrix.scenarios.weights
     current = _checked_indices(start, (n, k1), "start")
     totals = _schedule_totals(matrix.costs, [current], s)[0]
     current_val = float(batch_cvar(totals, weights, alpha)[0])
-    room = _room(matrix, current_val, current)
+    # CVaR is a weight-normalized tail mean, so bound it by the normalized mean.
+    means = matrix.means / weights.sum()
     buffer = np.empty((k1, s))  # the size of the matrix build's row buffer
-    # each asset's date as a position in its room
-    at = [int(np.searchsorted(dates, c)) for dates, c in zip(room.dates, current)]
     i = quiet = 0
     while quiet < n:
-        rows = buffer[:room.dates[i].size]
-        _take(matrix.costs, i, room.dates[i], rows)
-        without = totals - rows[at[i]]
+        others = sum(means[j, c] for j, c in enumerate(current) if j != i)
+        inside = others + means[i] <= _threshold(current_val)
+        inside[current[i]] = True
+        dates = np.flatnonzero(inside)
+        rows = buffer[:dates.size]
+        _take(matrix.costs, i, dates, rows)
+        without = totals - rows[np.searchsorted(dates, current[i])]
         cvars = batch_cvar(without + rows, weights, alpha)
         best = int(np.argmin(cvars))
         if cvars[best] < current_val:
-            at[i], totals, current_val, quiet = best, without + rows[best], float(cvars[best]), 0
+            current[i], current_val, quiet = int(dates[best]), float(cvars[best]), 0
+            totals = without + rows[best]
         else:
             quiet += 1
         i = (i + 1) % n
-    indices = tuple(int(dates[p]) for dates, p in zip(room.dates, at))
-    final = _schedule_totals(matrix.costs, [indices], s)
-    return indices, float(batch_cvar(final, weights, alpha)[0])
+    final = _schedule_totals(matrix.costs, [current], s)
+    return tuple(current), float(batch_cvar(final, weights, alpha)[0])

@@ -8,10 +8,12 @@ by period. The library prices every cell at once in
 for it. ``var_alpha_merged`` and ``cvar_alpha_merged`` compute the risk
 measures by merging tied values first, an independent route to the same
 numbers as :func:`fleetmaint.criteria.batch_cvar`. ``reference_walk``
-and ``reference_descent`` are the two CVaR searches as they ran over
-every date of a whole (N, T+1, S) table, before the searches looked only
-at their room's dates, the descent sweeping until a whole sweep made no
-move; ``room_dates`` recomputes a room from its definition.
+and ``reference_descent`` are the two CVaR searches over every date of a
+whole (N, T+1, S) table: the walk pricing every survivor's rows from that
+table, the descent pricing all T+1 dates at every visit and sweeping
+until a whole sweep makes no move. ``walk_survivors`` gives the walk's
+surviving schedules, and ``bound_dates`` recomputes, from its definition,
+the dates a descent visit prices.
 """
 
 from __future__ import annotations
@@ -298,19 +300,26 @@ def _table_totals(costs: np.ndarray, indices) -> np.ndarray:
     return totals
 
 
-def reference_walk(matrix, alpha: float, incumbent) -> tuple[tuple[int, ...], float]:
-    """The pruned enumeration over every date of the whole table: each
-    level extends the surviving prefixes by all T+1 dates of the next asset."""
-    costs = np.asarray(matrix.costs)
-    n, k1, _ = costs.shape
+def _mean_bound(matrix, bound: float) -> tuple[np.ndarray, float]:
+    """The weight-normalized row means and a bound plus the searches' slack."""
     weights = matrix.scenarios.weights
-    means = costs @ weights / weights.sum()
-    lows = means.min(axis=1)
+    means = np.asarray(matrix.costs) @ weights / weights.sum()
+    return means, bound + _PRUNE_SLACK * max(1.0, abs(bound))
+
+
+def walk_survivors(matrix, alpha: float, incumbent) -> np.ndarray:
+    """The (M, N) dates of the schedules the pruned enumeration keeps, in
+    enumeration order: each level extends the surviving prefixes by all
+    T+1 dates of the next asset."""
+    costs = np.asarray(matrix.costs)
+    k1 = costs.shape[1]
+    weights = matrix.scenarios.weights
     bound = float(batch_cvar(_table_totals(costs, [list(incumbent)]), weights, alpha)[0])
-    threshold = bound + _PRUNE_SLACK * max(1.0, abs(bound))
+    means, threshold = _mean_bound(matrix, bound)
+    lows = means.min(axis=1)
     partial = np.zeros(1)
     chosen = np.zeros((1, 0), dtype=np.intp)
-    for i in range(n):
+    for i in range(len(means)):
         partial = np.add.outer(partial, means[i]).ravel()
         reach = partial
         for low in lows[i + 1:]:
@@ -319,7 +328,14 @@ def reference_walk(matrix, alpha: float, incumbent) -> tuple[tuple[int, ...], fl
         prefix, dates = np.divmod(keep, k1)
         partial = partial[keep]
         chosen = np.column_stack([chosen[prefix], dates])
-    cvars = batch_cvar(_table_totals(costs, chosen), weights, alpha)
+    return chosen
+
+
+def reference_walk(matrix, alpha: float, incumbent) -> tuple[tuple[int, ...], float]:
+    """The pruned enumeration, pricing its survivors on the whole table."""
+    chosen = walk_survivors(matrix, alpha, incumbent)
+    totals = _table_totals(np.asarray(matrix.costs), chosen)
+    cvars = batch_cvar(totals, matrix.scenarios.weights, alpha)
     best = int(np.argmin(cvars))
     return tuple(int(c) for c in chosen[best]), float(cvars[best])
 
@@ -354,24 +370,14 @@ def reference_descent(
     return tuple(current), float(batch_cvar(_table_totals(costs, [current]), weights, alpha)[0])
 
 
-def room_dates(matrix, alpha: float, incumbent) -> list[list[int]]:
-    """Per asset, the dates c whose normalized row mean, with every other
-    asset's least one, summed in asset order from 0, is at most the
-    incumbent's CVaR plus the searches' relative slack."""
-    weights = matrix.scenarios.weights
-    costs = np.asarray(matrix.costs)
-    means = costs @ weights / weights.sum()
-    lows = means.min(axis=1)
-    bound = float(batch_cvar(_table_totals(costs, [list(incumbent)]), weights, alpha)[0])
-    threshold = bound + _PRUNE_SLACK * max(1.0, abs(bound))
-    rooms = []
-    for i in range(len(means)):
-        room = []
-        for c, mean in enumerate(means[i]):
-            reach = 0.0
-            for j in range(len(means)):
-                reach += float(mean if j == i else lows[j])
-            if reach <= threshold:
-                room.append(c)
-        rooms.append(room)
-    return rooms
+def bound_dates(matrix, objective: float, current, i: int) -> list[int]:
+    """The dates a descent visit to asset i prices at ``objective``: its
+    current date and each date c whose normalized row mean, added to the
+    other assets' at their ``current`` dates summed in asset order from
+    0, is at most the objective plus the searches' relative slack."""
+    means, threshold = _mean_bound(matrix, objective)
+    others = 0.0
+    for j, c in enumerate(current):
+        if j != i:
+            others += float(means[j, c])
+    return [c for c, mean in enumerate(means[i]) if c == current[i] or others + mean <= threshold]

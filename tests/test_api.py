@@ -171,3 +171,14 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+    # nor does a default-profile study load numpy.ma, which some numpy
+    # calls import lazily, at a cost in memory
+    code = (
+        "import sys; from fleetmaint.cli import compute_study; "
+        "from fleetmaint.config import parse_config; compute_study(parse_config({})); "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -1066,29 +1066,29 @@ class TestCliCommands:
         assert err == "error: asset 'A1': latent RUL values must be finite and >= 0\n"
         assert not out.exists()
 
-    def test_unallocatable_room_exits_3_naming_the_sizes(
+    def test_unallocatable_walk_rows_exit_3_naming_the_sizes(
         self, config_file, tmp_path, monkeypatch, capsys
     ):
         empty = np.empty
 
-        def no_room(shape, *args, **kwargs):
-            # the one block of the enumeration's room rows, whatever its size
-            if sys._getframe(1).f_code is optimize._room_rows.__code__:
+        def no_rows(shape, *args, **kwargs):
+            # the one block of the rows the enumeration's survivors use, whatever its size
+            if sys._getframe(1).f_code is optimize._block_rows.__code__:
                 raise MemoryError("Unable to allocate")
             return empty(shape, *args, **kwargs)
 
-        monkeypatch.setattr(np, "empty", no_room)
-        out = tmp_path / "room_out"
+        monkeypatch.setattr(np, "empty", no_rows)
+        out = tmp_path / "rows_out"
         argv = ["study", "--config", str(config_file), "--out", str(out)]
         assert fleetmaint.cli.main(argv) == 3
         named = re.fullmatch(
-            r"error: cannot allocate ([0-9,]+) bytes for the CVaR search room of N=3 assets,"
-            r" S=100 scenarios and T=6 periods \(config keys fleet.n_assets,"
+            r"error: cannot allocate ([0-9,]+) bytes for the cost rows of the CVaR enumeration"
+            r" of N=3 assets, S=100 scenarios and T=6 periods \(config keys fleet.n_assets,"
             r" scenarios.n_scenarios and fleet.horizon\)\n",
             capsys.readouterr().err,
         )
         assert named is not None
-        # at least the incumbent's row per asset, at most all 3 * 7 rows, of 100 cells
+        # at least one row per asset, at most all 3 * 7 rows, of 100 cells
         nbytes = int(named[1].replace(",", ""))
         assert nbytes % 800 == 0 and 3 <= nbytes // 800 <= 21
         assert not out.exists()

@@ -1,7 +1,9 @@
 """Evaluation matrix, schedule enumeration, and CVaR search."""
 
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetmaint import optimize
-from fleetmaint.criteria import CostDistribution, batch_cvar, cvar_alpha, expected_cost
+from fleetmaint.criteria import CUM_TOL, CostDistribution, batch_cvar, cvar_alpha, expected_cost
 from fleetmaint.optimize import (
     _BLOCK_ELEMENTS,
     _PRUNE_SLACK,
@@ -21,7 +23,7 @@ from fleetmaint.optimize import (
     schedule_cost_distribution,
     schedule_from_indices,
 )
-from fleetmaint.fleet import Schedule
+from fleetmaint.fleet import FleetGenConfig, Schedule, generate_fleet
 from fleetmaint.riskcost import RiskParams, failure_probability
 from fleetmaint.scenario import generate_scenarios
 from helpers import (
@@ -32,10 +34,11 @@ from helpers import (
     enumerate_schedules,
     make_fleet,
     random_scenarios,
+    bound_dates,
     reference_descent,
     reference_walk,
-    room_dates,
     total_cost,
+    walk_survivors,
 )
 
 
@@ -234,6 +237,10 @@ class TestScheduleDistribution:
         m_large = build_matrix(fleet, large, RiskParams())
         np.testing.assert_array_equal(m_small.costs, np.asarray(m_large.costs)[:, :, :20])
 
+    def test_no_schedules_give_no_distributions(self, small_setup):
+        _, _, matrix = small_setup
+        assert optimize.schedule_cost_distributions(matrix, []) == []
+
 
 class TestEnumeration:
     def test_single_asset_order(self):
@@ -430,16 +437,16 @@ class TestExhaustiveSearch:
 
     def test_peak_memory_is_capped_by_the_block(self, monkeypatch):
         # neither the (T+1)^N means nor all survivors' cost rows are held at
-        # once: beside its room's rows, a few block-sized arrays at a time,
-        # whatever S
+        # once: beside the rows its survivors use, a few block-sized arrays
+        # at a time, whatever S
         fleet = make_fleet(n_assets=5, horizon=12)
         scenarios = generate_scenarios(fleet, n_scenarios=2000, seed=1)
         matrix = build_matrix(fleet, scenarios, RiskParams())
         start = descended(matrix, scenarios.weights, 0.9)
-        rooms = []
-        room_rows = optimize._room_rows
+        blocks = []
+        block_rows = optimize._block_rows
         monkeypatch.setattr(
-            optimize, "_room_rows", lambda *args: rooms.append(room_rows(*args)) or rooms[-1]
+            optimize, "_block_rows", lambda *args: blocks.append(block_rows(*args)) or blocks[-1]
         )
         tracemalloc.start()
         try:
@@ -447,7 +454,7 @@ class TestExhaustiveSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = sum(rows.nbytes for rows in rooms[0])
+        held = sum(rows.nbytes for rows in blocks[0])
         assert held < matrix.costs.nbytes
         assert peak < held + 4 * _BLOCK_ELEMENTS * 8
 
@@ -544,7 +551,8 @@ class TestCoordinateDescent:
 def descent_trace(matrix, alpha, start):
     """The descent's result and each visit's (asset, date moved to), the
     date None where the visit makes no move, read off the rows each visit
-    prices and the CVaRs it judges them by."""
+    prices and the CVaRs it judges them by, after checking that each
+    visit priced the dates its mean bound keeps."""
     calls = []
     take = optimize._take
 
@@ -562,18 +570,22 @@ def descent_trace(matrix, alpha, start):
         mp.setattr(optimize, "batch_cvar", judging)
         result = coordinate_descent_cvar(matrix, alpha, start)
     # the start's CVaR, then one (rows, CVaRs) pair per visit, then the result's
-    current, trace = float(calls[0][0]), []
+    current, dates_now, trace = float(calls[0][0]), list(start), []
     for (i, dates), cvars in zip(calls[1:-1:2], calls[2:-1:2]):
+        # each visit prices the dates of its mean bound
+        assert dates == bound_dates(matrix, current, dates_now, i)
         best = int(np.argmin(cvars))
         moves = float(cvars[best]) < current
         trace.append((i, dates[best] if moves else None))
-        current = float(cvars[best]) if moves else current
+        if moves:
+            current, dates_now[i] = float(cvars[best]), dates[best]
     return result, trace
 
 
 class TestDescentVisits:
-    """The descent prices one asset's room at a visit and stops after N
-    quiet visits; it moves as sweeping over every date until a quiet sweep."""
+    """The descent prices the dates of one asset that its mean bound keeps
+    at a visit and stops after N quiet visits; it moves as sweeping over
+    every date until a quiet sweep."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
@@ -592,12 +604,12 @@ class TestDescentVisits:
         assert sorted(i for i, _ in trace[-n:]) == list(range(n))
         assert all(c is None for _, c in trace[-n:])
 
-    def test_each_visit_prices_one_assets_room(self, monkeypatch):
-        fleet = make_fleet(n_assets=4, horizon=6)
-        scenarios = random_scenarios(fleet, n_scenarios=64, seed=3)
+    def test_each_visit_prices_the_dates_its_mean_bound_keeps(self, monkeypatch):
+        # a generated fleet, on which visits price anywhere from 1 to 7 dates
+        fleet = generate_fleet(FleetGenConfig(n_assets=4, horizon=6, seed=1))
+        scenarios = generate_scenarios(fleet, n_scenarios=64, seed=2)
         matrix = build_matrix(fleet, scenarios, RiskParams())
         start = (6, 6, 6, 6)
-        rooms = room_dates(matrix, 0.9, start)
         events = []
         take = optimize.CostTable.take
 
@@ -606,20 +618,30 @@ class TestDescentVisits:
             return take(table, i, dates, out)
 
         def judging(totals, *args):
-            events.append(None)
-            return batch_cvar(totals, *args)
+            cvars = batch_cvar(totals, *args)
+            events.append(cvars)
+            return cvars
 
         monkeypatch.setattr(optimize.CostTable, "take", taking)
         monkeypatch.setattr(optimize, "batch_cvar", judging)
         coordinate_descent_cvar(matrix, 0.9, start)
-        calls = [k for k, event in enumerate(events) if event is None]
+        calls = [k for k, event in enumerate(events) if not isinstance(event, tuple)]
         # the start's rows, one asset at a time, then its CVaR
         assert calls[0] == fleet.n_assets
-        visits = [events[a + 1:b] for a, b in zip(calls[:-2], calls[1:-1])]
+        visits = [events[a + 1:b + 1] for a, b in zip(calls[:-2], calls[1:-1])]
         assert len(visits) >= fleet.n_assets
-        for k, priced in enumerate(visits):
-            # one asset's room rows, in fleet order round and round
-            assert priced == [(k % fleet.n_assets, rooms[k % fleet.n_assets])]
+        current, objective = list(start), float(events[calls[0]][0])
+        for k, (priced, cvars) in enumerate(visits):
+            # one call per visit, to one asset's dates, in fleet order round
+            # and round: those whose mean, with the other assets' current
+            # means, stays within the current objective, and the asset's own
+            i, dates = priced
+            assert i == k % fleet.n_assets
+            assert dates == bound_dates(matrix, objective, current, i)
+            best = int(np.argmin(cvars))
+            if cvars[best] < objective:
+                current[i], objective = dates[best], float(cvars[best])
+        assert sum(len(priced[1]) for priced, _ in visits) < len(visits) * 7
 
 
 class TestReturnedValues:
@@ -639,8 +661,8 @@ class TestReturnedValues:
 
 
 class TestRoom:
-    """Both searches look only at their room's dates and answer as they
-    did over every date of the whole table."""
+    """Both searches price only the rows the mean bound leaves them, their
+    room, and answer as they do over every date of the whole table."""
 
     @staticmethod
     def check(matrix, alpha, start):
@@ -648,11 +670,7 @@ class TestRoom:
             (coordinate_descent_cvar, reference_descent),
             (exhaustive_cvar_argmin, reference_walk),
         ):
-            rooms = room_dates(matrix, alpha, start)
-            indices, value = search(matrix, alpha, start)
-            assert (indices, value) == reference(matrix, alpha, start)
-            assert all(c in room for c, room in zip(indices, rooms))
-            assert all(c in room for c, room in zip(start, rooms))
+            assert search(matrix, alpha, start) == reference(matrix, alpha, start)
         _, rows = priced_rows(matrix, alpha, start)
         assert sum(rows) == 1 + lattice_survivors(matrix, matrix.scenarios.weights, alpha, start)
 
@@ -682,15 +700,97 @@ class TestRoom:
         }[start]
         self.check(matrix, 0.9, indices)
 
-    def test_room_rows_are_the_tables_rows(self):
+    @pytest.mark.parametrize("start", ["expected", "none"])
+    def test_block_holds_the_rows_its_survivors_use(self, start, monkeypatch):
         fleet = make_fleet(n_assets=3, horizon=5)
         scenarios = random_scenarios(fleet, n_scenarios=40, seed=9)
         matrix = build_matrix(fleet, scenarios, RiskParams())
-        start = (5, 5, 5)
-        bound = cvar_alpha(schedule_cost_distribution(
-            matrix, schedule_from_indices(fleet, start)), 0.9)
-        room = optimize._room(matrix, bound, start)
+        incumbent = {
+            "expected": tuple(int(c) for c in np.argmin(matrix.means, axis=1)),
+            "none": (5, 5, 5),
+        }[start]
+        blocks = []
+        block_rows = optimize._block_rows
+
+        def recording(matrix, dates):
+            blocks.append(([list(used) for used in dates], block_rows(matrix, dates)))
+            return blocks[-1][1]
+
+        monkeypatch.setattr(optimize, "_block_rows", recording)
+        exhaustive_cvar_argmin(matrix, 0.9, incumbent)
+        survivors = walk_survivors(matrix, 0.9, incumbent)
+        [(dates, rows)] = blocks
+        assert dates == [sorted(set(column.tolist())) for column in survivors.T]
         table = np.asarray(matrix.costs)
-        assert [list(d) for d in room.dates] == room_dates(matrix, 0.9, start)
-        for i, (dates, rows) in enumerate(zip(room.dates, optimize._room_rows(matrix, room))):
-            assert rows.tobytes() == table[i, dates].tobytes()
+        for i, (used, held) in enumerate(zip(dates, rows)):
+            assert held.tobytes() == table[i, used].tobytes()
+        # one block, and each asset's rows a view of it
+        assert all(held.base is rows[0].base for held in rows)
+
+
+def exact_cvar(costs, indices, alpha):
+    """A schedule's CVaR on equally likely scenarios in exact rationals:
+    the mean of its totals at or above their lower alpha-quantile."""
+    totals = sorted(
+        sum(Fraction(float(costs[i, c, w])) for i, c in enumerate(indices))
+        for w in range(costs.shape[2])
+    )
+    s = len(totals)
+    k = min(j for j in range(s) if Fraction(j + 1, s) >= Fraction(alpha) - Fraction(CUM_TOL))
+    tail = [v for v in totals if v >= totals[k]]
+    return sum(tail) / len(tail)
+
+
+class TestMetamorphic:
+    """Changes to the costs whose effect on every schedule's CVaR is known
+    exactly. On the exact instances every total is an exact sum, so each
+    CVaR is one correctly rounded division of exact sums: schedules with
+    different CVaRs stay apart, ties stay ties, and both searches must
+    return the same schedule and the transformed exact value."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_shift_scale_and_repeat_move_only_the_value(self, data):
+        matrix, _, alpha = data.draw(small_instances(exact=True))
+        costs = np.asarray(matrix.costs)
+        n, k1, _ = costs.shape
+        start = data.draw(st.tuples(*[st.integers(0, k1 - 1)] * n))
+        asset = data.draw(st.integers(0, n - 1))
+        shift = Fraction(data.draw(st.integers(1, 41)), 2)
+        power = data.draw(st.integers(-4, 4))
+        shifted = costs.copy()
+        shifted[asset] += float(shift)
+        changes = [
+            (shifted, lambda value: value + shift),
+            (costs * 2.0 ** power, lambda value: value * Fraction(2) ** power),
+            (np.repeat(costs, 2, axis=2), lambda value: value),
+        ]
+        for search in (coordinate_descent_cvar, exhaustive_cvar_argmin):
+            indices, value = search(matrix, alpha, start)
+            exact = exact_cvar(costs, indices, alpha)
+            assert value == float(exact)
+            for changed, image in changes:
+                result = search(cost_only_matrix(matrix.fleet, changed), alpha, start)
+                # fl(v) + shift need not be fl(v + shift), so the shift is
+                # checked against the exact value
+                assert result == (indices, float(image(exact)))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_permuting_assets_permutes_the_walks_argmin(self, data):
+        matrix, weights, alpha = data.draw(small_instances(exact=True))
+        costs = np.asarray(matrix.costs)
+        n, k1, _ = costs.shape
+        start = data.draw(st.tuples(*[st.integers(0, k1 - 1)] * n))
+        order = data.draw(st.permutations(range(n)))
+        indices, value = exhaustive_cvar_argmin(matrix, alpha, start)
+        permuted = cost_only_matrix(matrix.fleet, costs[order])
+        result = exhaustive_cvar_argmin(permuted, alpha, tuple(start[j] for j in order))
+        # exact totals do not depend on the order of their terms
+        assert result[1] == value
+        # ties resolve to the earliest schedule, which a permutation moves;
+        # the descent's path depends on the visiting order too
+        schedules = list(itertools.product(range(k1), repeat=n))
+        totals = np.array([sum(costs[i, c] for i, c in enumerate(x)) for x in schedules])
+        if np.count_nonzero(batch_cvar(totals, weights, alpha) == value) == 1:
+            assert result[0] == tuple(indices[j] for j in order)
