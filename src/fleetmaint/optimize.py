@@ -8,17 +8,24 @@ Joint search over all (T+1)^N schedules then reduces to row sums, which
 makes exhaustive enumeration practical at small fleet sizes.
 
 No (N, T+1, S) table of those costs is ever held. One function,
-``_asset_tables``, evaluates the hazard and builds an asset's rows.
+``_asset_tables``, evaluates the hazard and builds an asset's rows, period
+by period in blocks of ``_TABLE_BLOCK`` scenarios.
 :func:`build_matrix` runs it on one asset at a time, into one reused
 buffer, and keeps what the policies read of the rows: each row's
 scenario-weighted sum (``means``), each asset's expected accrued failure
 probability per candidate date (``failure``, so a schedule's failure
 proxy is a sum of N lookups), and the check that every cell is finite.
-``matrix.costs`` is a :class:`CostTable`: reading ``costs[i]`` builds
-asset i's rows again, bit for bit the same. Each pass over the fleet (the
-build, each search's incumbent, the rows the walk's survivors use, the
-pricing of a study's schedules) prices every (asset, date) pair it reads
-once; each descent visit prices some of one asset's rows.
+``matrix.costs`` is a :class:`CostTable`, whose one method, ``take``,
+builds some of an asset's rows again, bit for bit the same, stopping
+after the last period they read. Each pass over the fleet prices every
+(asset, date) pair it reads once: a study makes four such passes (the
+build, the descent's start and its result, and the five schedules'
+cost distributions), six when the walk runs too (its incumbent, and
+the rows its survivors use), and each descent visit prices some of one
+asset's rows. At N=40, T=12, S=10,000 with two sampling workers, a
+study peaks at about 43 MB RSS (2 vCPUs, Python 3.11, numpy 2.4),
+against 83 MB when the 41.6 MB cost table was held, and 123 MB when the
+(N, S, T) usage increments were too.
 
 CVaR is a tail mean, so it is never below the expected cost, and the
 expected cost of a schedule is the sum of its assets' row means. Each
@@ -40,9 +47,8 @@ N*(T+1)*S.
 The caller decides whether (T+1)^N is small enough to enumerate.
 Candidate indices are ordered lexicographically by (asset order, date
 order with "none" last); ties on the objective resolve to the earliest
-schedule in that order. One helper sums a schedule's cost rows, in
-asset order, for every schedule priced here, one or a block at a time,
-and both searches price those totals with
+schedule in that order. Every schedule priced here is its assets' cost
+rows summed in asset order, and both searches price those totals with
 :func:`fleetmaint.criteria.batch_cvar`, so the value each returns is its
 schedule's :func:`~fleetmaint.criteria.cvar_alpha` bit for bit.
 
@@ -51,13 +57,11 @@ set, a plain :class:`~fleetmaint.scenario.PricingInputs` (the latent RUL
 sample and the usage mean, never the (N, S, T) usage increments that a
 :class:`~fleetmaint.scenario.ScenarioSet` adds to them), and checks
 that they agree with its tables, so everything that prices a schedule
-takes the matrix alone and reads the scenario weights from it.
+takes the matrix alone and reads N, T, S and the scenario weights from it.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -153,48 +157,26 @@ def _asset_tables(
 
 
 class CostTable:
-    """The (N, T+1, S) cost table of a fleet on a latent RUL sample,
-    priced one asset at a time where it is read.
-
-    ``table[i]`` is a fresh (T+1, S) array of asset i's cost rows, built
-    by the same arithmetic as :func:`build_matrix`, so every read has the
-    same bits; ``table[i, c]`` and ``table[i, c, w]`` index into it. The
-    first index must be one integer; nothing is stored, so no cell can be
-    assigned. ``shape`` and ``nbytes`` are the table's logical ones, as
-    numpy reports them for a broadcast view, and ``np.asarray(table)``
-    builds the whole table, which only tests should need.
+    """A fleet's cost rows on a latent RUL sample, priced where they are
+    read: nothing is stored, and :meth:`take` builds rows by the same
+    arithmetic as :func:`build_matrix`, so every read has the same bits.
     """
-
-    dtype = np.dtype(np.float64)
 
     def __init__(self, fleet: FleetSpec, latent_rul: np.ndarray, params: RiskParams) -> None:
         self.fleet, self.latent_rul, self.params = fleet, latent_rul, params
-        self.shape = (fleet.n_assets, fleet.horizon + 1, latent_rul.shape[1])
-
-    @property
-    def nbytes(self) -> int:
-        return math.prod(self.shape) * self.dtype.itemsize
-
-    def __getitem__(self, key):
-        i, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
-        rows = np.empty(self.shape[1:])
-        self.take(operator.index(i), range(self.shape[1]), rows)
-        return rows[rest] if rest else rows
 
     def take(self, i: int, dates: Sequence[int], out: np.ndarray) -> None:
         """Write asset i's rows at the candidate ``dates`` into ``out``,
-        one row each, pricing no other row."""
-        targets: list[np.ndarray | None] = [None] * self.shape[1]
+        one row each, pricing no other row. The dates must be distinct,
+        each in 0..T, in any order; of two equal dates only the later
+        row is written."""
+        targets: list[np.ndarray | None] = [None] * (self.fleet.horizon + 1)
         for row, c in zip(out, dates):
             targets[c] = row
         with np.errstate(over="ignore"):
             _asset_tables(
                 self.fleet.assets[i], self.latent_rul[i], self.fleet.horizon, self.params, targets
             )
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        table = np.stack([self[i] for i in range(self.shape[0])])
-        return table.astype(dtype or self.dtype, copy=False)
 
 
 def _check_finite(fleet: FleetSpec, i: int, rows: np.ndarray, failure: np.ndarray) -> None:
@@ -212,62 +194,37 @@ def _check_finite(fleet: FleetSpec, i: int, rows: np.ndarray, failure: np.ndarra
 class EvaluationMatrix:
     """Per-asset, per-candidate-date cost rows of a fleet on its scenarios.
 
-    ``costs[i]`` is asset i's (T+1, S) cost rows: ``costs[i, c, w]`` is
-    its cost in scenario w when maintained at date c+1 for c < T, or
-    never maintained for c == T. :func:`build_matrix` gives a
-    :class:`CostTable`, which prices the rows where they are read and
-    holds none; a hand-built matrix may give the whole (N, T+1, S) array.
-    ``means[i, c]`` is ``costs[i][c] @ weights``, the row's scenario-weighted
-    sum. ``failure[i, c]`` is the scenario-weighted sum of asset i's
-    per-period failure probabilities over the same candidate's accrual
-    window: periods 1..c, which for c == T is the whole horizon.
-    ``fleet`` and ``scenarios`` are what the tables were priced on; their
-    shapes must agree with the tables', and every cell must be finite.
-    Given an array, the matrix checks its cells and computes ``means``
-    itself, one asset at a time; a :class:`CostTable` comes with the
-    means and the check of the one pass that built it. A
-    :class:`~fleetmaint.scenario.ScenarioSet` given as ``scenarios`` is
-    kept as its :class:`~fleetmaint.scenario.PricingInputs`, so the
-    matrix never holds the (N, S, T) usage increments.
+    ``costs`` is the row source: ``costs.take(i, dates, out)`` writes
+    asset i's (S,) cost rows at the candidate ``dates`` into ``out``,
+    where row c is its cost in each scenario when maintained at date c+1
+    for c < T, or never maintained for c == T. :func:`build_matrix` gives
+    a :class:`CostTable`, which prices the rows where they are read and
+    holds none. ``means[i, c]`` is row c of asset i times the weights,
+    the row's scenario-weighted sum. ``failure[i, c]`` is the
+    scenario-weighted sum of asset i's per-period failure probabilities
+    over the same candidate's accrual window: periods 1..c, which for
+    c == T is the whole horizon. ``fleet`` and ``scenarios`` are what the
+    tables were priced on; their N and T must agree with each other and
+    with the (N, T+1) tables, which are made read-only.
     """
 
     fleet: FleetSpec
     scenarios: PricingInputs
-    costs: np.ndarray | CostTable
+    costs: CostTable
     failure: np.ndarray
-    means: np.ndarray | None = None
+    means: np.ndarray
 
     def __post_init__(self) -> None:
         fleet, scenarios = self.fleet, self.scenarios
-        if isinstance(scenarios, ScenarioSet):
-            scenarios = PricingInputs(scenarios.latent_rul, scenarios.usage_mean)
-            object.__setattr__(self, "scenarios", scenarios)
         if scenarios.n_assets != fleet.n_assets or scenarios.horizon != fleet.horizon:
             raise ValueError("scenario set shape does not match the fleet")
-        c = self.costs if isinstance(self.costs, CostTable) else np.asarray(self.costs, float)
-        f = np.asarray(self.failure, dtype=float)
         expected = (fleet.n_assets, fleet.horizon + 1)
-        if c.shape != (*expected, scenarios.n_scenarios):
-            raise ValueError(
-                f"costs must have shape ({expected[0]}, {expected[1]}, {scenarios.n_scenarios})"
-            )
-        if f.shape != expected:
-            raise ValueError(f"failure must have shape {expected}")
-        if isinstance(c, CostTable):
-            means = np.asarray(self.means, dtype=float)
-            if means.shape != expected:
-                raise ValueError(f"means must have shape {expected}")
-        else:
-            c.setflags(write=False)
-            means = np.empty(expected)
-            for i in range(fleet.n_assets):
-                _check_finite(fleet, i, c[i], f[i])
-                means[i] = c[i] @ scenarios.weights
-        f.setflags(write=False)
-        means.setflags(write=False)
-        object.__setattr__(self, "costs", c)
-        object.__setattr__(self, "failure", f)
-        object.__setattr__(self, "means", means)
+        for name in ("failure", "means"):
+            table = np.asarray(getattr(self, name), dtype=float)
+            if table.shape != expected:
+                raise ValueError(f"{name} must have shape {expected}")
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
 
 def build_matrix(
@@ -278,9 +235,11 @@ def build_matrix(
     """Price every asset's cost rows once against a frozen scenario set.
 
     Pricing reads only the latent RUL sample of ``scenarios``, a
-    :class:`~fleetmaint.scenario.PricingInputs`, of which a full
-    :class:`~fleetmaint.scenario.ScenarioSet` is one. One pass over the
-    assets prices each one's (T+1, S) rows into one reused buffer and
+    :class:`~fleetmaint.scenario.PricingInputs`; a full
+    :class:`~fleetmaint.scenario.ScenarioSet` is kept as the
+    :class:`~fleetmaint.scenario.PricingInputs` of its RULs and mean, so
+    the matrix never holds the (N, S, T) usage increments. One pass over
+    the assets prices each one's (T+1, S) rows into one reused buffer and
     keeps, from them, the failure row, the finiteness check and the row
     means ``rows @ weights``; the rows themselves are dropped, and the
     matrix's :class:`CostTable` prices them again where they are read. A
@@ -289,6 +248,8 @@ def build_matrix(
     it overflow without a warning) by its asset and date. Buffers that
     cannot be allocated raise a MemoryError naming N, S and T.
     """
+    if isinstance(scenarios, ScenarioSet):
+        scenarios = PricingInputs(scenarios.latent_rul, scenarios.usage_mean)
     n, horizon, s = fleet.n_assets, fleet.horizon, scenarios.n_scenarios
     try:
         rows, per_period = np.empty((horizon + 1, s)), np.empty((horizon, s))
@@ -335,7 +296,7 @@ def schedule_cost_distributions(
     if not schedules:
         return []
     indices = [indices_from_schedule(schedule, matrix.fleet) for schedule in schedules]
-    totals = _schedule_totals(matrix.costs, indices, matrix.scenarios.n_scenarios)
+    totals = _schedule_totals(matrix, indices)
     return [CostDistribution(values=row, weights=matrix.scenarios.weights) for row in totals]
 
 
@@ -344,35 +305,19 @@ def schedule_cost_distribution(matrix: EvaluationMatrix, schedule: Schedule) -> 
     return schedule_cost_distributions(matrix, [schedule])[0]
 
 
-def _take(costs: Sequence[np.ndarray] | CostTable, i: int, dates, out: np.ndarray) -> None:
-    """Write asset i's rows at ``dates`` into ``out``: priced by a
-    :class:`CostTable` or copied from a whole table."""
-    if isinstance(costs, CostTable):
-        costs.take(i, dates, out)
-    else:
-        np.take(costs[i], dates, axis=0, out=out)
-
-
-def _schedule_totals(
-    rows: Sequence[np.ndarray], indices: Sequence[Sequence[int]], n_scenarios: int
-) -> np.ndarray:
+def _schedule_totals(matrix: EvaluationMatrix, indices: Sequence[Sequence[int]]) -> np.ndarray:
     """(M, S) per-scenario fleet costs of the M schedules in the (M, N)
-    ``indices``, each its assets' cost rows summed in asset order.
-
-    ``rows[i]`` is asset i's (k, S) rows and ``indices[:, i]`` index into
-    them: a matrix's ``costs`` or the rows the walk's survivors use. A
-    :class:`CostTable` prices only the dates the schedules use.
-    """
+    ``indices``, each its assets' cost rows summed in asset order. Each
+    asset's rows are priced once, at the dates the schedules use, one
+    asset at a time."""
     indices = np.asarray(indices)
-    totals = np.zeros((len(indices), n_scenarios))
-    for i in range(indices.shape[1]):
-        if isinstance(rows, CostTable):
-            dates, at = np.unique(indices[:, i], return_inverse=True)
-            used = np.empty((dates.size, n_scenarios))
-            rows.take(i, dates, used)
-            totals += used[at]
-        else:
-            totals += rows[i][indices[:, i]]
+    s = matrix.scenarios.n_scenarios
+    totals = np.zeros((len(indices), s))
+    for i in range(matrix.fleet.n_assets):
+        dates, at = np.unique(indices[:, i], return_inverse=True)
+        used = np.empty((dates.size, s))
+        matrix.costs.take(i, dates, used)
+        totals += used[at]
     return totals
 
 
@@ -399,18 +344,18 @@ def _block_rows(matrix: EvaluationMatrix, dates: Sequence[np.ndarray]) -> list[n
     """Each asset i's rows at ``dates[i]``, each asset's a view of one
     block, priced once. A block that cannot be allocated raises a
     MemoryError naming N, S and T."""
-    n, k1, s = matrix.costs.shape
+    n, horizon, s = matrix.fleet.n_assets, matrix.fleet.horizon, matrix.scenarios.n_scenarios
     size = sum(used.size for used in dates)
     try:
         block = np.empty((size, s))
     except (MemoryError, ValueError):  # numpy says ValueError past the address space
         nbytes = size * s * 8
-        raise _size_error("cost rows of the CVaR enumeration", nbytes, n, s, k1 - 1) from None
+        raise _size_error("cost rows of the CVaR enumeration", nbytes, n, s, horizon) from None
     rows, start = [], 0
     for i, used in enumerate(dates):
         rows.append(block[start:start + used.size])
         start += used.size
-        _take(matrix.costs, i, used, rows[i])
+        matrix.costs.take(i, used, rows[i])
     return rows
 
 
@@ -440,14 +385,17 @@ def exhaustive_cvar_argmin(
     A block of survivors mixes every asset's dates, so this is the one
     search that holds rows: once the walk is done, each asset's rows at
     the dates its survivors use, priced once into one block
-    (:func:`_block_rows`). Prefixes that cannot be allocated, as under a
+    (:func:`_block_rows`). At the default profile (N=5, T=12, S=800,
+    seed 1), from the descent's schedule, the largest level holds 1,222
+    prefixes, 400 of the 371,293 schedules survive, and the block holds
+    23 rows, 0.15 MB. Prefixes that cannot be allocated, as under a
     budget far past what memory holds, raise a MemoryError naming N, S, T
     and ``policies.exhaustive_budget``.
     """
-    n, k1, s = matrix.costs.shape
+    n, k1, s = matrix.fleet.n_assets, matrix.fleet.horizon + 1, matrix.scenarios.n_scenarios
     incumbent = _checked_indices(incumbent, (n, k1), "incumbent")
     weights = matrix.scenarios.weights
-    bound = float(batch_cvar(_schedule_totals(matrix.costs, [incumbent], s), weights, alpha)[0])
+    bound = float(batch_cvar(_schedule_totals(matrix, [incumbent]), weights, alpha)[0])
     threshold = _threshold(bound)
     # CVaR is a weight-normalized tail mean, so bound it by the normalized mean.
     means = matrix.means / weights.sum()
@@ -482,7 +430,10 @@ def exhaustive_cvar_argmin(
     block = max(1, _BLOCK_ELEMENTS // s)
     best_val, best_row = np.inf, -1
     for start in range(0, len(chosen), block):
-        totals = _schedule_totals(rows, chosen[start:start + block], s)
+        survivors = chosen[start:start + block]
+        totals = np.zeros((len(survivors), s))
+        for held, at in zip(rows, survivors.T):
+            totals += held[at]
         cvars = batch_cvar(totals, weights, alpha)
         m = int(np.argmin(cvars))
         if cvars[m] < best_val:
@@ -519,7 +470,9 @@ def coordinate_descent_cvar(
     No rows are held. A visit prices its dates' rows into one reused
     (T+1, S) buffer and judges all of them in one
     :func:`~fleetmaint.criteria.batch_cvar` call, which sums each row on
-    its own: the bits are those of pricing each candidate alone.
+    its own: the bits are those of pricing each candidate alone. At N=40,
+    T=12, S=10,000 the descent prices 786 rows in all at scenario seed 1
+    and 425 at seed 2, against 40 x 13 per sweep.
 
     The descent stops after N consecutive visits without a strict
     improvement, and returns what sweeping until a whole sweep is quiet
@@ -537,12 +490,13 @@ def coordinate_descent_cvar(
     before it stops. A move's own asset is among the N visits because
     its next visit need not repeat the move's: ``totals`` less the row
     of the date moved to need not be the bits of the ``without`` the
-    move was judged on.
+    move was judged on. At N=40, T=12, S=10,000, seed 2, it stops after
+    68 visits where sweeping makes 80.
     """
-    n, k1, s = matrix.costs.shape
+    n, k1, s = matrix.fleet.n_assets, matrix.fleet.horizon + 1, matrix.scenarios.n_scenarios
     weights = matrix.scenarios.weights
     current = _checked_indices(start, (n, k1), "start")
-    totals = _schedule_totals(matrix.costs, [current], s)[0]
+    totals = _schedule_totals(matrix, [current])[0]
     current_val = float(batch_cvar(totals, weights, alpha)[0])
     # CVaR is a weight-normalized tail mean, so bound it by the normalized mean.
     means = matrix.means / weights.sum()
@@ -554,7 +508,7 @@ def coordinate_descent_cvar(
         inside[current[i]] = True
         dates = np.flatnonzero(inside)
         rows = buffer[:dates.size]
-        _take(matrix.costs, i, dates, rows)
+        matrix.costs.take(i, dates, rows)
         without = totals - rows[np.searchsorted(dates, current[i])]
         cvars = batch_cvar(without + rows, weights, alpha)
         best = int(np.argmin(cvars))
@@ -564,5 +518,5 @@ def coordinate_descent_cvar(
         else:
             quiet += 1
         i = (i + 1) % n
-    final = _schedule_totals(matrix.costs, [current], s)
+    final = _schedule_totals(matrix, [current])
     return tuple(current), float(batch_cvar(final, weights, alpha)[0])

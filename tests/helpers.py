@@ -7,13 +7,17 @@ by period. The library prices every cell at once in
 :func:`fleetmaint.optimize.build_matrix`; these functions are the oracle
 for it. ``var_alpha_merged`` and ``cvar_alpha_merged`` compute the risk
 measures by merging tied values first, an independent route to the same
-numbers as :func:`fleetmaint.criteria.batch_cvar`. ``reference_walk``
-and ``reference_descent`` are the two CVaR searches over every date of a
-whole (N, T+1, S) table: the walk pricing every survivor's rows from that
-table, the descent pricing all T+1 dates at every visit and sweeping
-until a whole sweep makes no move. ``walk_survivors`` gives the walk's
-surviving schedules, and ``bound_dates`` recomputes, from its definition,
-the dates a descent visit prices.
+numbers as :func:`fleetmaint.criteria.batch_cvar`.
+
+``hand_matrix`` makes an evaluation matrix over a hand-made (N, T+1, S)
+cost table, served by ``TableRows``, and ``whole_table`` reads any
+matrix's whole table through its row source. ``reference_walk`` and
+``reference_descent`` are the two CVaR searches over every date of that
+whole table: the walk pricing every survivor's rows from it, the descent
+pricing all T+1 dates at every visit and sweeping until a whole sweep
+makes no move. ``walk_survivors`` gives the walk's surviving schedules,
+and ``bound_dates`` recomputes, from its definition, the dates a descent
+visit prices.
 """
 
 from __future__ import annotations
@@ -26,7 +30,12 @@ import numpy as np
 
 from fleetmaint.criteria import CUM_TOL, CostDistribution, _check_alpha, batch_cvar
 from fleetmaint.fleet import AssetSpec, FleetSpec, Schedule, validate_schedule
-from fleetmaint.optimize import _PRUNE_SLACK, DEFAULT_EXHAUSTIVE_BUDGET, schedule_from_indices
+from fleetmaint.optimize import (
+    _PRUNE_SLACK,
+    DEFAULT_EXHAUSTIVE_BUDGET,
+    EvaluationMatrix,
+    schedule_from_indices,
+)
 from fleetmaint.riskcost import RiskParams, failure_probability, performance_penalty
 from fleetmaint.scenario import ScenarioSet
 
@@ -292,6 +301,49 @@ def cvar_alpha_merged(dist: CostDistribution, alpha: float) -> float:
     return float(dist.weights[tail] @ dist.values[tail]) / tail_weight
 
 
+class TableRows:
+    """A whole (N, T+1, S) cost table as a matrix's row source.
+
+    ``take`` copies rows where :meth:`fleetmaint.optimize.CostTable.take`
+    prices them, and first asserts what that method requires: one row of
+    ``out`` per date, and the dates distinct, each in 0..T. So every
+    search run on a hand-made matrix checks that it asks no more.
+    """
+
+    def __init__(self, table) -> None:
+        self.table = np.array(table, dtype=float)
+        self.table.setflags(write=False)
+
+    def take(self, i: int, dates, out: np.ndarray) -> None:
+        dates = [int(c) for c in dates]
+        assert len(dates) == len(out), (dates, out.shape)
+        assert len(set(dates)) == len(dates), f"repeated dates {dates}"
+        assert all(0 <= c < self.table.shape[1] for c in dates), f"dates {dates} out of range"
+        np.take(self.table[i], dates, axis=0, out=out)
+
+
+def hand_matrix(fleet: FleetSpec, table) -> EvaluationMatrix:
+    """A matrix over a hand-made (N, T+1, S) cost table on equally likely
+    scenarios; the searches never read the failure table or the latent
+    RULs. Each asset's means are ``table[i] @ weights``, as the matrix
+    build computes them from its rows."""
+    rows = TableRows(table)
+    n, k1, s = rows.table.shape
+    scenarios = const_scenarios(fleet, np.zeros(n), s)
+    means = np.stack([asset @ scenarios.weights for asset in rows.table])
+    return EvaluationMatrix(fleet, scenarios, rows, np.zeros((n, k1)), means)
+
+
+def whole_table(matrix) -> np.ndarray:
+    """The matrix's whole (N, T+1, S) cost table, read through its row
+    source one asset at a time."""
+    k1 = matrix.fleet.horizon + 1
+    table = np.empty((matrix.fleet.n_assets, k1, matrix.scenarios.n_scenarios))
+    for i, rows in enumerate(table):
+        matrix.costs.take(i, range(k1), rows)
+    return table
+
+
 def _table_totals(costs: np.ndarray, indices) -> np.ndarray:
     indices = np.asarray(indices)
     totals = np.zeros((len(indices), costs.shape[2]))
@@ -303,7 +355,7 @@ def _table_totals(costs: np.ndarray, indices) -> np.ndarray:
 def _mean_bound(matrix, bound: float) -> tuple[np.ndarray, float]:
     """The weight-normalized row means and a bound plus the searches' slack."""
     weights = matrix.scenarios.weights
-    means = np.asarray(matrix.costs) @ weights / weights.sum()
+    means = whole_table(matrix) @ weights / weights.sum()
     return means, bound + _PRUNE_SLACK * max(1.0, abs(bound))
 
 
@@ -311,7 +363,7 @@ def walk_survivors(matrix, alpha: float, incumbent) -> np.ndarray:
     """The (M, N) dates of the schedules the pruned enumeration keeps, in
     enumeration order: each level extends the surviving prefixes by all
     T+1 dates of the next asset."""
-    costs = np.asarray(matrix.costs)
+    costs = whole_table(matrix)
     k1 = costs.shape[1]
     weights = matrix.scenarios.weights
     bound = float(batch_cvar(_table_totals(costs, [list(incumbent)]), weights, alpha)[0])
@@ -334,7 +386,7 @@ def walk_survivors(matrix, alpha: float, incumbent) -> np.ndarray:
 def reference_walk(matrix, alpha: float, incumbent) -> tuple[tuple[int, ...], float]:
     """The pruned enumeration, pricing its survivors on the whole table."""
     chosen = walk_survivors(matrix, alpha, incumbent)
-    totals = _table_totals(np.asarray(matrix.costs), chosen)
+    totals = _table_totals(whole_table(matrix), chosen)
     cvars = batch_cvar(totals, matrix.scenarios.weights, alpha)
     best = int(np.argmin(cvars))
     return tuple(int(c) for c in chosen[best]), float(cvars[best])
@@ -347,7 +399,7 @@ def reference_descent(
     move, and sweeps until a whole sweep makes none. ``trace``, if given,
     receives each visit's (asset, date moved to), the date None where the
     visit makes no move."""
-    costs = np.asarray(matrix.costs)
+    costs = whole_table(matrix)
     weights = matrix.scenarios.weights
     current = [int(c) for c in start]
     totals = _table_totals(costs, [current])[0]

@@ -529,8 +529,8 @@ class TestStudyDriver:
 
     def test_memory_after_sampling_stays_under_six_assets_rows(self, monkeypatch):
         # N=40, S=2000, T=12, so past the enumeration budget: the study holds
-        # neither the (N, T+1, S) cost table nor the descent's room, only a
-        # few (T+1, S) blocks of one asset's rows at a time
+        # no (N, T+1, S) cost table, only a few (T+1, S) blocks of one
+        # asset's rows at a time
         config = parse_config({"fleet": {"n_assets": 40}, "scenarios": {"n_scenarios": 2000}})
         fleet = config.build_fleet()
         inputs = sample_pricing_inputs(fleet, config.n_scenarios, config.scenario_seed)

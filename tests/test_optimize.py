@@ -25,13 +25,14 @@ from fleetmaint.optimize import (
 )
 from fleetmaint.fleet import FleetGenConfig, Schedule, generate_fleet
 from fleetmaint.riskcost import RiskParams, failure_probability
-from fleetmaint.scenario import generate_scenarios
+from fleetmaint.scenario import PricingInputs, generate_scenarios
 from helpers import (
+    TableRows,
     asset_cost_table,
     asset_scenario_cost,
-    const_scenarios,
     cvar_alpha_merged,
     enumerate_schedules,
+    hand_matrix,
     make_fleet,
     random_scenarios,
     bound_dates,
@@ -39,15 +40,8 @@ from helpers import (
     reference_walk,
     total_cost,
     walk_survivors,
+    whole_table,
 )
-
-
-def cost_only_matrix(fleet, costs):
-    """A matrix over hand-made cost rows on equally likely scenarios; the
-    search never reads the failure table or the latent RULs."""
-    costs = np.asarray(costs, dtype=float)
-    scenarios = const_scenarios(fleet, np.zeros(fleet.n_assets), costs.shape[2])
-    return EvaluationMatrix(fleet, scenarios, costs, np.zeros(costs.shape[:2]))
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +55,11 @@ def small_setup():
 class TestMatrixCells:
     def test_shape(self, small_setup):
         fleet, scenarios, matrix = small_setup
-        assert matrix.costs.shape == (2, 5, 12)
-        assert matrix.failure.shape == (2, 5)
+        assert whole_table(matrix).shape == (2, 5, 12)
+        assert matrix.failure.shape == matrix.means.shape == (2, 5)
         assert matrix.scenarios.n_scenarios == 12
+        # a scenario set is kept as its pricing inputs, without the increments
+        assert type(matrix.scenarios) is PricingInputs
 
     @pytest.mark.parametrize("n_assets, horizon, seed", [(2, 4, 81), (3, 12, 5), (1, 9, 2)])
     def test_costs_equal_reference_table_bit_for_bit(self, n_assets, horizon, seed):
@@ -75,7 +71,7 @@ class TestMatrixCells:
             asset_cost_table(asset, scenarios.latent_rul[i], horizon, params)
             for i, asset in enumerate(fleet.assets)
         ])
-        assert np.array_equal(matrix.costs, reference)
+        assert np.array_equal(whole_table(matrix), reference)
 
     @pytest.mark.parametrize("block", [1, 7, 49])
     def test_blocked_build_is_bit_identical(self, block, monkeypatch):
@@ -84,10 +80,10 @@ class TestMatrixCells:
         fleet = make_fleet(n_assets=3, horizon=12)
         scenarios = generate_scenarios(fleet, n_scenarios=50, seed=5)
         whole = build_matrix(fleet, scenarios)
-        table = np.asarray(whole.costs)  # the rows are priced where they are read
+        table = whole_table(whole)  # the rows are priced where they are read
         monkeypatch.setattr(optimize, "_TABLE_BLOCK", block)
         blocked = build_matrix(fleet, scenarios)
-        assert np.asarray(blocked.costs).tobytes() == table.tobytes()
+        assert whole_table(blocked).tobytes() == table.tobytes()
         assert blocked.means.tobytes() == whole.means.tobytes()
         assert blocked.failure.tobytes() == whole.failure.tobytes()
 
@@ -114,6 +110,7 @@ class TestMatrixCells:
         fleet, scenarios, matrix = small_setup
         params = RiskParams()
         horizon = fleet.horizon
+        table = whole_table(matrix)
         for i, asset in enumerate(fleet.assets):
             for row in range(horizon + 1):
                 date = row + 1 if row < horizon else None
@@ -121,14 +118,12 @@ class TestMatrixCells:
                     direct = asset_scenario_cost(
                         asset, date, float(scenarios.latent_rul[i, w]), horizon, params
                     )
-                    assert matrix.costs[i, row, w] == pytest.approx(
-                        direct.total, abs=1e-9
-                    )
+                    assert table[i, row, w] == pytest.approx(direct.total, abs=1e-9)
 
     def test_spot_cells_on_larger_instance(self):
         fleet = make_fleet(n_assets=4, horizon=10)
         scenarios = random_scenarios(fleet, n_scenarios=40, seed=5)
-        matrix = build_matrix(fleet, scenarios, RiskParams())
+        table = whole_table(build_matrix(fleet, scenarios, RiskParams()))
         rng = np.random.default_rng(7)
         for _ in range(100):
             i = int(rng.integers(0, 4))
@@ -138,54 +133,84 @@ class TestMatrixCells:
             direct = asset_scenario_cost(
                 fleet.assets[i], date, float(scenarios.latent_rul[i, w]), 10
             )
-            assert matrix.costs[i, row, w] == pytest.approx(direct.total, abs=1e-9)
+            assert table[i, row, w] == pytest.approx(direct.total, abs=1e-9)
 
     def test_costs_read_only(self, small_setup):
         fleet, _, matrix = small_setup
-        # the built table stores no cell to assign; every read prices afresh
-        with pytest.raises(TypeError):
-            matrix.costs[0, 0, 0] = 1.0
-        matrix.costs[0][0, 0] = -1.0
-        assert matrix.costs[0, 0, 0] > 0.0
+        # the built source stores no cell; every read prices afresh
+        rows = np.empty((1, 12))
+        matrix.costs.take(0, [0], rows)
+        rows[0, 0] = -1.0
+        matrix.costs.take(0, [0], rows)
+        assert rows[0, 0] > 0.0
         with pytest.raises(ValueError):
             matrix.failure[0, 0] = 1.0
         with pytest.raises(ValueError):
             matrix.means[0, 0] = 1.0
-        hand_built = cost_only_matrix(fleet, np.ones((2, 5, 3)))
+        hand_built = hand_matrix(fleet, np.ones((2, 5, 3)))
         with pytest.raises(ValueError):
-            hand_built.costs[0, 0, 0] = 1.0
+            hand_built.means[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n_assets", [1, 2, 3])
+    def test_take_on_shuffled_dates_equals_whole_table_rows(self, n_assets):
+        # distinct dates in any order, every one of them or a few
+        fleet = make_fleet(n_assets=n_assets, horizon=6)
+        matrix = build_matrix(fleet, generate_scenarios(fleet, n_scenarios=40, seed=n_assets))
+        table = whole_table(matrix)
+        rng = np.random.default_rng(n_assets)
+        for i in range(n_assets):
+            for size in (7, 3, 1):
+                dates = rng.permutation(7)[:size]
+                out = np.full((size, 40), np.nan)
+                matrix.costs.take(i, dates, out)
+                assert out.tobytes() == table[i, dates].tobytes()
+        # the tests' own source rejects what the contract leaves undefined
+        with pytest.raises(AssertionError, match="repeated dates"):
+            TableRows(table).take(0, [5, 2, 5], np.empty((3, 40)))
 
     def test_shape_mismatch_rejected(self, small_setup):
         fleet, scenarios, _ = small_setup
         other = make_fleet(n_assets=3, horizon=4)
         with pytest.raises(ValueError):
             build_matrix(other, scenarios, RiskParams())
-        with pytest.raises(ValueError):
-            EvaluationMatrix(fleet, scenarios, np.ones((2, 5, 12)), np.zeros((2, 4)))
-        # a hand-built matrix checks its scenario set's N, T and S as well
-        costs, failure = np.ones((2, 5, 12)), np.zeros((2, 5))
-        for n_assets, horizon, n_scenarios in ((3, 4, 12), (2, 6, 12), (2, 4, 11)):
+        rows, tables = TableRows(np.ones((2, 5, 12))), np.zeros((2, 5))
+        with pytest.raises(ValueError, match="failure must have shape"):
+            EvaluationMatrix(fleet, scenarios, rows, np.zeros((2, 4)), tables)
+        with pytest.raises(ValueError, match="means must have shape"):
+            EvaluationMatrix(fleet, scenarios, rows, tables, np.zeros((3, 5)))
+        # a hand-built matrix checks its scenario set's N and T as well
+        for n_assets, horizon in ((3, 4), (2, 6)):
             fleet_like = make_fleet(n_assets=n_assets, horizon=horizon)
-            wrong = random_scenarios(fleet_like, n_scenarios=n_scenarios, seed=81)
-            with pytest.raises(ValueError, match="does not match the fleet|costs must have shape"):
-                EvaluationMatrix(fleet, wrong, costs, failure)
+            wrong = random_scenarios(fleet_like, n_scenarios=12, seed=81)
+            with pytest.raises(ValueError, match="does not match the fleet"):
+                EvaluationMatrix(fleet, wrong, rows, tables, tables)
 
     @pytest.mark.parametrize(
         "table, cell, value, named",
         [
             pytest.param("costs", (1, 2, 7), np.nan, "asset 'A2' at date 3", id="nan-cost"),
             pytest.param("costs", (0, 4, 0), np.inf, "asset 'A1' at date none", id="inf-cost"),
-            pytest.param("failure", (1, 0), np.nan, "asset 'A2' at date 1", id="nan-failure"),
+            # a period-1 probability enters every accrual from date 2 on
+            pytest.param("failure", (1, 0, 7), np.nan, "asset 'A2' at date 2", id="nan-failure"),
         ],
     )
-    def test_non_finite_cell_rejected_by_name(self, small_setup, table, cell, value, named):
+    def test_non_finite_cell_rejected_by_name(
+        self, small_setup, monkeypatch, table, cell, value, named
+    ):
         # past the matrix, a NaN cost makes descent return nan and leaves
         # the enumeration no survivor to return
-        fleet, scenarios, matrix = small_setup
-        tables = {"costs": np.array(matrix.costs), "failure": matrix.failure.copy()}
-        tables[table][cell] = value
+        fleet, scenarios, _ = small_setup
+        i, row, w = cell
+        asset_tables = optimize._asset_tables
+
+        def corrupting(asset, rul, horizon, params, rows, per_period=None):
+            asset_tables(asset, rul, horizon, params, rows, per_period)
+            if asset.id == fleet.ids[i]:
+                (rows[row] if table == "costs" else per_period[row])[w] = value
+
+        monkeypatch.setattr(optimize, "_asset_tables", corrupting)
         with pytest.raises(ValueError, match=f"{named}: a cost or failure value is not finite"):
-            EvaluationMatrix(fleet, scenarios, tables["costs"], tables["failure"])
+            build_matrix(fleet, scenarios)
 
 
 class TestIndexMapping:
@@ -235,7 +260,7 @@ class TestScheduleDistribution:
         large = generate_scenarios(fleet, n_scenarios=40, seed=3)
         m_small = build_matrix(fleet, small, RiskParams())
         m_large = build_matrix(fleet, large, RiskParams())
-        np.testing.assert_array_equal(m_small.costs, np.asarray(m_large.costs)[:, :, :20])
+        np.testing.assert_array_equal(whole_table(m_small), whole_table(m_large)[:, :, :20])
 
     def test_no_schedules_give_no_distributions(self, small_setup):
         _, _, matrix = small_setup
@@ -313,10 +338,11 @@ def brute_force_cvar_argmin(matrix, fleet, alpha):
 def full_scan_cvar_argmin(matrix, weights, alpha):
     """Unpruned oracle: price every schedule in one batch, first minimum wins."""
     rows = [indices_from_schedule(s, matrix.fleet) for s in enumerate_schedules(matrix.fleet)]
+    table = whole_table(matrix)
     totals = np.zeros((len(rows), matrix.scenarios.n_scenarios))
     for r, indices in enumerate(rows):
         for i, c in enumerate(indices):
-            totals[r] += matrix.costs[i, c]
+            totals[r] += table[i, c]
     cvars = batch_cvar(totals, weights, alpha)
     best = int(np.argmin(cvars))
     return rows[best], float(cvars[best])
@@ -332,9 +358,10 @@ def lattice_survivors(matrix, weights, alpha, incumbent):
     lattice = np.zeros(())
     for row in means:
         lattice = np.add.outer(lattice, row)
+    table = whole_table(matrix)
     totals = np.zeros(matrix.scenarios.n_scenarios)
     for i, c in enumerate(incumbent):
-        totals += matrix.costs[i, c]
+        totals += table[i, c]
     bound = float(batch_cvar(totals, weights, alpha)[0])
     return int((lattice <= bound + _PRUNE_SLACK * max(1.0, abs(bound))).sum())
 
@@ -402,7 +429,7 @@ def small_instances(draw, exact: bool):
         dst = (draw(st.integers(0, n - 1)), draw(st.integers(0, horizon)))
         costs[dst] = costs[src]
     alpha = draw(st.sampled_from([0.1, 0.5, 0.75, 0.9, 0.99]))
-    matrix = cost_only_matrix(make_fleet(n_assets=n, horizon=horizon), costs)
+    matrix = hand_matrix(make_fleet(n_assets=n, horizon=horizon), costs)
     return matrix, matrix.scenarios.weights, alpha
 
 
@@ -428,7 +455,7 @@ class TestExhaustiveSearch:
         # and the walk crosses block boundaries
         fleet = make_fleet(n_assets=4, horizon=8)
         s = 64
-        matrix = cost_only_matrix(fleet, np.ones((4, 9, s)))
+        matrix = hand_matrix(fleet, np.ones((4, 9, s)))
         assert 9 ** 4 > _BLOCK_ELEMENTS // s
         (indices, value), rows = priced_rows(matrix, 0.9, (8, 8, 8, 8))
         assert indices == (0, 0, 0, 0)
@@ -455,7 +482,7 @@ class TestExhaustiveSearch:
         finally:
             tracemalloc.stop()
         held = sum(rows.nbytes for rows in blocks[0])
-        assert held < matrix.costs.nbytes
+        assert held < fleet.n_assets * (fleet.horizon + 1) * scenarios.n_scenarios * 8
         assert peak < held + 4 * _BLOCK_ELEMENTS * 8
 
     @pytest.mark.parametrize(
@@ -471,7 +498,7 @@ class TestExhaustiveSearch:
         ],
     )
     def test_bad_indices_rejected_by_name(self, search, indices, message):
-        matrix = cost_only_matrix(make_fleet(n_assets=3, horizon=3), np.ones((3, 4, 2)))
+        matrix = hand_matrix(make_fleet(n_assets=3, horizon=3), np.ones((3, 4, 2)))
         with pytest.raises(ValueError, match=message):
             search(matrix, 0.9, indices)
 
@@ -499,7 +526,7 @@ class TestExhaustiveSearch:
         # must be the first schedule in enumeration order
         fleet = make_fleet(n_assets=2, horizon=3)
         costs = np.ones((2, 4, 4))
-        matrix = cost_only_matrix(fleet, costs)
+        matrix = hand_matrix(fleet, costs)
         indices, value = exhaustive_cvar_argmin(matrix, 0.9, (3, 3))
         assert list(indices) == [0, 0]
         assert value == pytest.approx(2.0)
@@ -554,11 +581,11 @@ def descent_trace(matrix, alpha, start):
     prices and the CVaRs it judges them by, after checking that each
     visit priced the dates its mean bound keeps."""
     calls = []
-    take = optimize._take
+    take = matrix.costs.take
 
-    def taking(costs, i, dates, out):
+    def taking(i, dates, out):
         calls.append((i, list(dates)))
-        return take(costs, i, dates, out)
+        return take(i, dates, out)
 
     def judging(totals, *args):
         cvars = batch_cvar(totals, *args)
@@ -566,12 +593,15 @@ def descent_trace(matrix, alpha, start):
         return cvars
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimize, "_take", taking)
+        mp.setattr(matrix.costs, "take", taking)
         mp.setattr(optimize, "batch_cvar", judging)
         result = coordinate_descent_cvar(matrix, alpha, start)
-    # the start's CVaR, then one (rows, CVaRs) pair per visit, then the result's
-    current, dates_now, trace = float(calls[0][0]), list(start), []
-    for (i, dates), cvars in zip(calls[1:-1:2], calls[2:-1:2]):
+    # the start's N rows and CVaR, then one (rows, CVaRs) pair per visit,
+    # then the result's N rows and CVaR
+    n = matrix.fleet.n_assets
+    visits = calls[n + 1:-(n + 1)]
+    current, dates_now, trace = float(calls[n][0]), list(start), []
+    for (i, dates), cvars in zip(visits[::2], visits[1::2]):
         # each visit prices the dates of its mean bound
         assert dates == bound_dates(matrix, current, dates_now, i)
         best = int(np.argmin(cvars))
@@ -591,7 +621,7 @@ class TestDescentVisits:
     @given(st.data())
     def test_moves_and_result_are_the_full_sweeps(self, data):
         matrix, weights, alpha = data.draw(small_instances(exact=data.draw(st.booleans())))
-        n, k1, _ = matrix.costs.shape
+        n, k1 = matrix.means.shape
         start = data.draw(st.tuples(*[st.integers(0, k1 - 1)] * n))
         reference = []
         expected = reference_descent(matrix, alpha, start, reference)
@@ -651,7 +681,7 @@ class TestReturnedValues:
         # descent judges moves on running totals; what it returns must still
         # be its schedule's CVaR summed in asset order, as enumeration's is
         matrix, weights, alpha = data.draw(small_instances(exact=False))
-        n, k1, _ = matrix.costs.shape
+        n, k1 = matrix.means.shape
         start = data.draw(st.tuples(*[st.integers(0, k1 - 1)] * n))
         for search in (coordinate_descent_cvar, exhaustive_cvar_argmin):
             indices, value = search(matrix, alpha, start)
@@ -661,8 +691,8 @@ class TestReturnedValues:
 
 
 class TestRoom:
-    """Both searches price only the rows the mean bound leaves them, their
-    room, and answer as they do over every date of the whole table."""
+    """Both searches price only the rows the mean bound leaves them, and
+    answer as they do over every date of the whole table."""
 
     @staticmethod
     def check(matrix, alpha, start):
@@ -678,14 +708,14 @@ class TestRoom:
     @given(st.data())
     def test_matches_all_dates_with_exact_ties(self, data):
         matrix, weights, alpha = data.draw(small_instances(exact=True))
-        n, k1, _ = matrix.costs.shape
+        n, k1 = matrix.means.shape
         self.check(matrix, alpha, data.draw(st.tuples(*[st.integers(0, k1 - 1)] * n)))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
     def test_matches_all_dates_on_float_costs(self, data):
         matrix, weights, alpha = data.draw(small_instances(exact=False))
-        n, k1, _ = matrix.costs.shape
+        n, k1 = matrix.means.shape
         self.check(matrix, alpha, data.draw(st.tuples(*[st.integers(0, k1 - 1)] * n)))
 
     @pytest.mark.parametrize("start", ["expected", "first-date", "none"])
@@ -721,7 +751,7 @@ class TestRoom:
         survivors = walk_survivors(matrix, 0.9, incumbent)
         [(dates, rows)] = blocks
         assert dates == [sorted(set(column.tolist())) for column in survivors.T]
-        table = np.asarray(matrix.costs)
+        table = whole_table(matrix)
         for i, (used, held) in enumerate(zip(dates, rows)):
             assert held.tobytes() == table[i, used].tobytes()
         # one block, and each asset's rows a view of it
@@ -752,7 +782,7 @@ class TestMetamorphic:
     @given(st.data())
     def test_shift_scale_and_repeat_move_only_the_value(self, data):
         matrix, _, alpha = data.draw(small_instances(exact=True))
-        costs = np.asarray(matrix.costs)
+        costs = whole_table(matrix)
         n, k1, _ = costs.shape
         start = data.draw(st.tuples(*[st.integers(0, k1 - 1)] * n))
         asset = data.draw(st.integers(0, n - 1))
@@ -770,7 +800,7 @@ class TestMetamorphic:
             exact = exact_cvar(costs, indices, alpha)
             assert value == float(exact)
             for changed, image in changes:
-                result = search(cost_only_matrix(matrix.fleet, changed), alpha, start)
+                result = search(hand_matrix(matrix.fleet, changed), alpha, start)
                 # fl(v) + shift need not be fl(v + shift), so the shift is
                 # checked against the exact value
                 assert result == (indices, float(image(exact)))
@@ -779,12 +809,12 @@ class TestMetamorphic:
     @given(st.data())
     def test_permuting_assets_permutes_the_walks_argmin(self, data):
         matrix, weights, alpha = data.draw(small_instances(exact=True))
-        costs = np.asarray(matrix.costs)
+        costs = whole_table(matrix)
         n, k1, _ = costs.shape
         start = data.draw(st.tuples(*[st.integers(0, k1 - 1)] * n))
         order = data.draw(st.permutations(range(n)))
         indices, value = exhaustive_cvar_argmin(matrix, alpha, start)
-        permuted = cost_only_matrix(matrix.fleet, costs[order])
+        permuted = hand_matrix(matrix.fleet, costs[order])
         result = exhaustive_cvar_argmin(permuted, alpha, tuple(start[j] for j in order))
         # exact totals do not depend on the order of their terms
         assert result[1] == value
