@@ -10,6 +10,7 @@ absent from a schedule are treated as unscheduled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -92,6 +93,13 @@ class AssetSpec:
         _require(
             0.0 <= self.usage_cv < 1.0,
             f"asset {self.id}: usage_cv must lie in [0, 1)",
+        )
+        # the gamma shape of the usage draws is 1/usage_cv**2; the square may underflow to 0
+        square = self.usage_cv * self.usage_cv
+        _require(
+            self.usage_cv == 0.0 or (square > 0.0 and 1.0 / square < math.inf),
+            f"asset {self.id}: usage_cv {self.usage_cv!r} is too small:"
+            " 1/usage_cv**2 is not finite",
         )
         _require(self.initial_age >= 0, f"asset {self.id}: initial_age must be >= 0")
         _require(self.initial_usage >= 0, f"asset {self.id}: initial_usage must be >= 0")

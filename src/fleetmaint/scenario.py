@@ -17,11 +17,13 @@ The sampler keeps that contract without building one ``SeedSequence`` and
 one ``Generator`` per cell. SeedSequence's hash and PCG64's seeding step
 are pure functions of the seed words, so the states of a group of cells,
 ``_GROUP`` or a few more and possibly of several assets, are computed in
-array passes: the hash in uint32 arithmetic (:func:`_cell_seed_words`),
-then PCG64's 128-bit seeding step in Python's exact integers
-(:func:`_pcg64_states`). Each cell's state is set on one reused generator
-before its draws, and its gamma draws are written straight into their
-destination row. No working array grows with N or S.
+array passes. numpy's ``SeedSequence(seed)`` mixes the seed's words, once
+per group; the sampler adds only each cell's (i, w) words and the state
+step, in uint32 arithmetic (:func:`_cell_seed_words`), then PCG64's
+128-bit seeding step in Python's exact integers (:func:`_pcg64_states`).
+Each cell's state is set on one reused generator before its draws, and
+its gamma draws are written straight into their destination row. No
+working array grows with N or S.
 
 Since every cell is a pure function of (seed, i, w), the cells can also be
 split into contiguous blocks in (asset, scenario) order and sampled in
@@ -67,6 +69,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import operator
 import os
 import sys
 from array import array
@@ -283,14 +286,18 @@ def sample_gamma(
 
 def _gamma_params(mean: float, cv: float) -> tuple[float, float] | None:
     """The moment-matched (shape, scale) of :func:`sample_gamma`, or None
-    when cv is zero: the point mass at the mean, which takes no draws."""
+    when cv is zero: the point mass at the mean, which takes no draws. A
+    cv so small that the shape 1/cv^2 is not finite is a ValueError."""
     if mean <= 0:
         raise ValueError("mean must be > 0")
     if not 0.0 <= cv < 1.0:
         raise ValueError("cv must lie in [0, 1)")
     if cv == 0.0:
         return None
-    return 1.0 / (cv * cv), mean * cv * cv
+    square = cv * cv
+    if not (square > 0.0 and 1.0 / square < math.inf):
+        raise ValueError(f"cv {cv!r} is too small: the gamma shape 1/cv**2 is not finite")
+    return 1.0 / square, mean * cv * cv
 
 
 def _normal_upper_tail(a: float) -> float:
@@ -343,18 +350,6 @@ def cell_stream(seed: int, asset_index: int, scenario_index: int) -> np.random.G
     return np.random.default_rng(seq)
 
 
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian 32-bit words of a nonnegative integer, as SeedSequence splits it."""
-    if value < 0:
-        raise ValueError(f"seed and spawn key must be >= 0, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
 def _hash_constants(start: int, mult: int):
     """The (current, next) hash constant pairs of SeedSequence's hashmix."""
     const = start
@@ -372,23 +367,26 @@ def _cell_seed_words(seed: int, n_scenarios: int, start: int, stop: int) -> np.n
     The entropy of a cell is the seed's words, zero-padded to the pool size,
     then i and w, one word each: both stay below :data:`SCENARIO_LIMIT`,
     2**32, which the config and :func:`_map_draws` check for S and this checks
-    for i (a ValueError). The seed's hash steps are the same for every cell,
-    so they run once on Python ints. Each of i and w is then mixed into
-    the four pool words by one pass over a (4, cells) uint32 array, whose
-    products wrap modulo 2^32 as the reference's do.
+    for i (a ValueError). The seed's words are the same for every cell, so
+    numpy's ``SeedSequence(seed)`` mixes them: its ``pool`` is every cell's
+    pool before i and w. The hash constant goes on from the step that
+    mixing ended on, 4 steps per word of the seed zero-padded to the pool
+    size: 4 fill the pool, 12 cross-mix it, and each word past the fourth
+    takes 4. Each of i and w is then mixed into the four pool words by one
+    pass over a (4, cells) uint32 array, whose products wrap modulo 2^32 as
+    the reference's do, and the state is generated from the pool.
     """
     if (stop - 1) // n_scenarios >= SCENARIO_LIMIT:
         raise ValueError(f"asset index {(stop - 1) // n_scenarios} is not below 2**32")
-    words = _uint32_words(seed)
-    words += [0] * (_POOL_SIZE - len(words))
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed and spawn key must be >= 0, got {seed}")
+    steps = _POOL_SIZE * max(_POOL_SIZE, -(-seed.bit_length() // 32))
 
     def hashmix(value, consts):
-        # an int takes the next constant pair; an array one pair per pool word, in rows
-        if isinstance(value, int):
-            const, following = next(consts)
-        else:
-            pairs = [next(consts) for _ in range(_POOL_SIZE)]
-            const, following = np.array(pairs, np.uint32).T[:, :, None]
+        # one constant pair per pool word, in rows
+        pairs = [next(consts) for _ in range(_POOL_SIZE)]
+        const, following = np.array(pairs, np.uint32).T[:, :, None]
         value = (value ^ const) * following & _MASK32
         return value ^ value >> _XSHIFT
 
@@ -396,15 +394,8 @@ def _cell_seed_words(seed: int, n_scenarios: int, start: int, stop: int) -> np.n
         result = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
         return result ^ result >> _XSHIFT
 
-    consts = _hash_constants(_INIT_A, _MULT_A)
-    pool = [hashmix(word, consts) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src], consts))
-    for word in words[_POOL_SIZE:]:
-        pool = [mix(pool[dst], hashmix(word, consts)) for dst in range(_POOL_SIZE)]
-    pool = np.array(pool, np.uint32)[:, None]
+    consts = _hash_constants(_INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32, _MULT_A)
+    pool = np.random.SeedSequence(seed).pool[:, None]
     for key in np.divmod(np.arange(start, stop, dtype=np.uint64), n_scenarios):
         pool = mix(pool, hashmix(key.astype(np.uint32), consts))
 

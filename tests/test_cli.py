@@ -973,6 +973,31 @@ class TestCliCommands:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("cv", [1e-200, 1e-158], ids=["square-underflows", "shape-overflows"])
+    @pytest.mark.parametrize(
+        "fleet, named",
+        [
+            ({"horizon": 4, "assets": [EXPLICIT_ASSET]}, "fleet.assets[0]: asset pump-1: usage_cv"),
+            ({"n_assets": 2, "horizon": 4}, "fleet: asset A1: usage_cv"),
+        ],
+        ids=["explicit-fleet", "generated-fleet"],
+    )
+    def test_tiny_usage_cv_exits_2_naming_the_asset(self, fleet, named, cv, tmp_path, capsys):
+        # 1/cv**2, the gamma shape of the usage draws, is not finite
+        if "assets" in fleet:
+            fleet = {**fleet, "assets": [{**EXPLICIT_ASSET, "usage_cv": cv}]}
+        else:
+            fleet = {**fleet, "usage_cv_range": [cv, cv]}
+        config = tmp_path / "tiny_cv.json"
+        config.write_text(json.dumps({"fleet": fleet, "scenarios": {"n_scenarios": 10}}))
+        out = tmp_path / "tiny_cv_out"
+        code = fleetmaint.cli.main(["study", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: {named} {cv!r} is too small: 1/usage_cv**2 is not finite\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("command", ["study", "gen-scenarios"])
     def test_overflowing_increment_exits_3_naming_the_asset(
@@ -1134,6 +1159,20 @@ class TestCliCommands:
             r" scenarios\.n_scenarios and fleet\.horizon\)\n",
             proc.stderr,
         ), proc.stderr
+        assert not (tmp_path / "wide_out").exists()
+
+    def test_unallocatable_fleet_file_exits_3_before_it_is_built(self, tmp_path):
+        # gen-fleet maps its peak for 10**8 assets, about 140 GB, before it
+        # builds the first, so the 1 GiB cap fails it at once
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({"fleet": {"n_assets": 10**8}}))
+        argv = ["gen-fleet", "--config", str(config), "--out", "wide_out"]
+        proc = run_limited(argv, tmp_path, timeout=15)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            "error: cannot allocate 140,000,000,000 bytes for the fleet of"
+            " N=100000000 assets (config key fleet.n_assets)\n"
+        )
         assert not (tmp_path / "wide_out").exists()
 
     def test_unallocatable_row_buffers_exit_3_naming_the_sizes(

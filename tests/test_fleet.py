@@ -78,6 +78,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             make_asset(**{field: value})
 
+    @pytest.mark.parametrize("cv", [1e-200, 1e-158], ids=["square-underflows", "shape-overflows"])
+    def test_usage_cv_with_no_finite_gamma_shape_rejected(self, cv):
+        message = r"^asset A1: usage_cv .* is too small: 1/usage_cv\*\*2 is not finite$"
+        with pytest.raises(ValueError, match=message):
+            make_asset(usage_cv=cv)
+
+    def test_small_usage_cv_with_a_finite_gamma_shape_accepted(self):
+        assert make_asset(usage_cv=1e-150).usage_cv == 1e-150
+
     def test_carriage_return_in_id_rejected(self):
         with pytest.raises(ValueError, match=r"asset id 'a\\rb' must not contain a carriage return"):
             make_asset(id="a\rb")

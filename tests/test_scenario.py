@@ -34,9 +34,13 @@ from fleetmaint.scenario import (
 from helpers import make_asset, make_fleet
 
 # One- to five-word seeds. The pool holds four words: shorter seeds are
-# zero-padded, and the five-word seed mixes its fifth word in before the
-# spawn key.
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**70 + 5, 2**130 + 7]
+# zero-padded, and a five-word seed mixes its fifth word in before the
+# spawn key, four hash steps later. 2**128 - 1 and 2**128 sit on that
+# boundary; numpy integers are seeds as their values are.
+SEEDS = [
+    0, 1, 2**32 - 1, 2**32, 2**70 + 5, 2**130 + 7,
+    2**96, 2**128 - 1, 2**128, np.int64(3), np.uint64(2**64 - 1),
+]
 
 # Asset kinds for the property test. "wide" keeps 49% of its RUL mass below
 # zero, so with one rejection allowed about half its cells take the
@@ -100,6 +104,17 @@ class TestSampleGamma:
             sample_gamma(10.0, 1.0, rng)
         with pytest.raises(ValueError):
             sample_gamma(10.0, -0.2, rng)
+
+    @pytest.mark.parametrize("cv", [1e-200, 1e-158], ids=["square-underflows", "shape-overflows"])
+    def test_cv_with_no_finite_shape_rejected(self, cv):
+        message = r"^cv .* is too small: the gamma shape 1/cv\*\*2 is not finite$"
+        with pytest.raises(ValueError, match=message):
+            sample_gamma(12.0, cv, np.random.default_rng(0))
+
+    def test_small_cv_with_a_finite_shape_draws(self):
+        draws = sample_gamma(12.0, 1e-150, np.random.default_rng(0), size=4)
+        assert np.all(np.isfinite(draws))
+        assert draws == pytest.approx(12.0, rel=1e-12)
 
     def test_moments_match_at_scale(self):
         rng = np.random.default_rng(42)
@@ -262,6 +277,16 @@ class TestGenerateScenarios:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="must be >= 0"):
             generate_scenarios(make_fleet(), 3, seed=-1)
+
+    @pytest.mark.parametrize("sampler", [generate_scenarios, sample_pricing_inputs])
+    @pytest.mark.parametrize("seed_type", [np.int64, np.uint64, np.int32])
+    def test_numpy_integer_seed_is_its_value(self, sampler, seed_type):
+        fleet = make_fleet(n_assets=2, horizon=4)
+        a, b = sampler(fleet, 5, seed_type(3)), sampler(fleet, 5, 3)
+        assert np.array_equal(a.latent_rul, b.latent_rul)
+        assert np.array_equal(a.usage_mean, b.usage_mean)
+        if sampler is generate_scenarios:
+            assert np.array_equal(a.usage_increments, b.usage_increments)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
