@@ -11,11 +11,11 @@ usage increments, and returns the matrix alone: it holds the fleet and
 those pricing inputs. optimize and study solve each policy on that matrix
 through :func:`_solve`, which prices all their schedules in one pass over
 the assets' cost rows. gen-scenarios samples and exports the
-full set (:func:`fleetmaint.scenario.generate_scenarios`). All four map
-the sampler's draws from the N, S and T the config holds before they
-build the fleet (:func:`_sized_fleet`), and gen-fleet maps its own peak
-for a generated fleet's N, so a size that cannot be held exits 3 at once,
-however long the fleet would take to build.
+full set (:func:`fleetmaint.scenario.generate_scenarios`). All four map,
+and release, the sampler's draws for the N, S and T the config holds
+before they build the fleet (:func:`_sized_fleet`), and gen-fleet maps
+its own peak for a generated fleet's N, so a size that cannot be held
+exits 3 at once, however long the fleet would take to build.
 --threads K (>= 1) sets how many worker processes sample; everything else
 runs on one thread, and no output depends on K. Exit codes: 0 on success,
 2 for configuration problems, 3 for runtime failures.
@@ -54,7 +54,6 @@ from .report import (
 )
 from .scenario import (
     ScenarioSet,
-    _Draws,
     _map_draws,
     generate_scenarios,
     sample_pricing_inputs,
@@ -99,23 +98,22 @@ class StudyResult:
         return generate_scenarios(self.fleet, self.n_scenarios, self.scenario_seed)
 
 
-def _sized_fleet(config: RunConfig, usage: bool = False) -> tuple[FleetSpec, _Draws]:
-    """The config's fleet and the scenario map to sample it into, with
-    room for every usage increment only if ``usage`` is true. The map is
-    allocated first, from the N, S and T that the config holds, so a size
-    that cannot be held exits 3 by name before any asset is built."""
+def _sized_fleet(config: RunConfig, usage: bool = False) -> FleetSpec:
+    """The config's fleet, built only once the sampler's draws, with room
+    for every usage increment if ``usage`` is true, have been mapped for
+    the N, S and T that the config holds, so a size that cannot be held
+    exits 3 by name before any asset is built. The probe's map is
+    released at once, before a page of it is touched; the sampler maps
+    its own."""
     sizes = config.explicit_fleet or config.fleet_gen
-    draws = _map_draws(sizes.n_assets, config.n_scenarios, sizes.horizon, usage)
-    return config.build_fleet(), draws
+    _map_draws(sizes.n_assets, config.n_scenarios, sizes.horizon, usage)
+    return config.build_fleet()
 
 
-def _setup(config: RunConfig, fleet: FleetSpec, draws: _Draws, workers: int) -> EvaluationMatrix:
+def _setup(config: RunConfig, fleet: FleetSpec, workers: int) -> EvaluationMatrix:
     """The evaluation matrix of the fleet on the latent RULs and usage mean
-    of its scenario set, sampled by ``workers`` processes into ``draws``
-    (see :func:`_sized_fleet`)."""
-    inputs = sample_pricing_inputs(
-        fleet, config.n_scenarios, config.scenario_seed, workers, draws=draws
-    )
+    of its scenario set, sampled by ``workers`` processes."""
+    inputs = sample_pricing_inputs(fleet, config.n_scenarios, config.scenario_seed, workers)
     return build_matrix(fleet, inputs, config.risk)
 
 
@@ -136,8 +134,8 @@ def _solve(
 def compute_study(config: RunConfig, workers: int = 1) -> StudyResult:
     """Run every policy against one shared scenario set, sampled by
     ``workers`` processes."""
-    fleet, draws = _sized_fleet(config)
-    matrix = _setup(config, fleet, draws, workers)
+    fleet = _sized_fleet(config)
+    matrix = _setup(config, fleet, workers)
     solved = _solve(POLICY_ORDER, config, matrix)
     return StudyResult(
         fleet=matrix.fleet,
@@ -202,10 +200,8 @@ def _cmd_gen_fleet(args, config: RunConfig, out: Path) -> int:
 
 
 def _cmd_gen_scenarios(args, config: RunConfig, out: Path) -> int:
-    fleet, draws = _sized_fleet(config, usage=True)
-    scenarios = generate_scenarios(
-        fleet, config.n_scenarios, config.scenario_seed, args.threads, draws=draws
-    )
+    fleet = _sized_fleet(config, usage=True)
+    scenarios = generate_scenarios(fleet, config.n_scenarios, config.scenario_seed, args.threads)
     names = ("scenario_usage.csv", "scenario_rul.csv")
     with staged_outputs(out) as stage:
         write_scenario_csvs(scenarios, fleet, stage / names[0], stage / names[1])
@@ -215,14 +211,14 @@ def _cmd_gen_scenarios(args, config: RunConfig, out: Path) -> int:
 
 
 def _cmd_evaluate(args, config: RunConfig, out: Path) -> int:
-    fleet, draws = _sized_fleet(config)
+    fleet = _sized_fleet(config)
     schedule = read_schedule_csv(Path(args.schedule))
     violations = validate_schedule(schedule, fleet)
     if violations:
         for v in violations:
             print(f"invalid schedule: {v}", file=sys.stderr)
         return 3
-    dist = schedule_cost_distribution(_setup(config, fleet, draws, args.threads), schedule)
+    dist = schedule_cost_distribution(_setup(config, fleet, args.threads), schedule)
     print(f"expected_cost={expected_cost(dist):.12g}")
     alpha = config.policies.alpha
     print(f"var_{alpha:g}={var_alpha(dist, alpha):.12g}")
@@ -243,8 +239,8 @@ def _cmd_evaluate(args, config: RunConfig, out: Path) -> int:
 def _cmd_optimize(args, config: RunConfig, out: Path) -> int:
     expected = args.criterion == "expected"
     kind = PolicyKind.INTEGRATED_EXPECTED if expected else PolicyKind.INTEGRATED_CVAR
-    fleet, draws = _sized_fleet(config)
-    matrix = _setup(config, fleet, draws, args.threads)
+    fleet = _sized_fleet(config)
+    matrix = _setup(config, fleet, args.threads)
     [(schedule, _, summary)] = _solve([kind], config, matrix)
     objective = summary.expected_cost if expected else summary.cvar
     with staged_outputs(out) as stage:

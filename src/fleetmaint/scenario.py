@@ -380,7 +380,7 @@ def _cell_seed_words(seed: int, n_scenarios: int, start: int, stop: int) -> np.n
         raise ValueError(f"asset index {(stop - 1) // n_scenarios} is not below 2**32")
     seed = operator.index(seed)
     if seed < 0:
-        raise ValueError(f"seed and spawn key must be >= 0, got {seed}")
+        raise ValueError(f"seed must be >= 0, got {seed}")
     steps = _POOL_SIZE * max(_POOL_SIZE, -(-seed.bit_length() // 32))
 
     def hashmix(value, consts):
@@ -453,7 +453,9 @@ class _Draws:
 
 
 @np.errstate(over="ignore")  # once per call: each chunk's scaling may overflow
-def _sample_cells(fleet: FleetSpec, seed: int, draws: _Draws, start: int, stop: int) -> None:
+def _sample_cells(
+    fleet: FleetSpec, seed: int, draws: _Draws, start: int, stop: int, parent: int | None = None
+) -> None:
     """Draw cells start..stop-1, counted in (asset, scenario) order, into
     ``draws``; both bounds lie on chunk bounds within their asset.
 
@@ -467,6 +469,11 @@ def _sample_cells(fleet: FleetSpec, seed: int, draws: _Draws, start: int, stop: 
     the same multiply of each value whatever the chunk), an overflow to
     infinity left to the validity flags, and its term of the usage mean
     stored.
+
+    A forked worker is given, as ``parent``, the pid of the process that
+    forked it. Before each group it ends in ``os._exit(1)`` if that
+    process is no longer its parent: nothing is left to read its draws,
+    so a killed run leaves no worker drawing for more than one group.
     """
     n_scenarios = draws.rul.shape[1]
     bit_generator = np.random.PCG64(0)
@@ -476,6 +483,8 @@ def _sample_cells(fleet: FleetSpec, seed: int, draws: _Draws, start: int, stop: 
     generator_state = {"bit_generator": "PCG64", "state": cell, "has_uint32": 0, "uinteger": 0}
     end = start
     while end < stop:
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
         begin, chunks = end, []
         while end < stop and end - begin < _GROUP:
             i, first = divmod(end, n_scenarios)
@@ -506,18 +515,21 @@ def _sample_cells(fleet: FleetSpec, seed: int, draws: _Draws, start: int, stop: 
 
 
 def _fork_block(*args) -> int:
-    """Run ``_sample_cells(*args)`` in a forked child; return its pid.
+    """Run ``_sample_cells(*args, parent)`` in a forked child, ``parent``
+    being the caller's pid; return the child's pid.
 
     The child never returns into the caller's code: it ends in
     ``os._exit``, with status 0 once the block is drawn, or 1 after
-    printing the traceback to stderr if anything at all was raised.
+    printing the traceback to stderr if anything at all was raised, or
+    once the caller is gone (:func:`_sample_cells`).
     """
+    parent = os.getpid()
     pid = os.fork()
     if pid:
         return pid
     status = 1
     try:
-        _sample_cells(*args)
+        _sample_cells(*args, parent)
         status = 0
     except BaseException:  # not re-raised: unwinding would run the caller's code twice
         sys.__excepthook__(*sys.exc_info())
@@ -532,7 +544,8 @@ def _map_draws(n: int, n_scenarios: int, t: int, usage: bool) -> _Draws:
 
     The arrays of :class:`_Draws`, but for its chunk buffer, are views of
     one shared anonymous memory map. Only the sizes are read, so a caller
-    can map the draws before it builds the fleet. A scenario count of
+    can check that the draws can be held before it builds the fleet, and
+    drop them: mapping touches no page of the map. A scenario count of
     :data:`SCENARIO_LIMIT` or more is named with the limit before anything
     is mapped; a map or chunk buffer that cannot be allocated raises a
     MemoryError naming N, S and T.
@@ -564,38 +577,25 @@ def _map_draws(n: int, n_scenarios: int, t: int, usage: bool) -> _Draws:
     return _Draws(arrays[0], arrays[1], valid, arrays[2] if usage else None, buffer)
 
 
-def _draw(
-    fleet: FleetSpec,
-    n_scenarios: int,
-    seed: int,
-    workers: int,
-    usage: bool,
-    draws: _Draws | None = None,
-) -> _Draws:
-    """Sample every cell of the fleet, keeping every usage increment only
-    if ``usage`` is true, into ``draws``, which must be mapped by
-    :func:`_map_draws` for the fleet's N and T, S and ``usage``; if None,
-    they are mapped here.
+def _draw(fleet: FleetSpec, n_scenarios: int, seed: int, workers: int, usage: bool) -> _Draws:
+    """Sample every cell of the fleet into draws mapped here by
+    :func:`_map_draws`, keeping every usage increment only if ``usage``
+    is true.
 
     The N*K (asset, chunk) pairs are split, in order, into
     ``min(workers, usable CPUs, N*K)`` contiguous blocks. The caller
     samples the first block itself and forks one child process per other
     block. Every child is reaped before this returns or raises, and a
-    child that fails raises a RuntimeError naming its block. With one
-    block, or where ``os.fork`` does not exist, nothing is forked. The
-    draws never depend on ``workers``. Once every block is drawn, the
-    first asset with an increment that is not finite and > 0 is named in
-    a ValueError, and then the first with a latent RUL that is not
-    finite.
+    child that fails raises a RuntimeError naming its block. A child
+    whose parent dies exits within one seed group. With one block, or
+    where ``os.fork`` does not exist, nothing is forked. The draws never
+    depend on ``workers``. Once every block is drawn, the first asset
+    with an increment that is not finite and > 0 is named in a
+    ValueError, and then the first with a latent RUL that is not finite.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if draws is None:
-        draws = _map_draws(fleet.n_assets, n_scenarios, fleet.horizon, usage)
-    elif (draws.rul.shape, draws.terms.shape[2], draws.usage is not None) != (
-        (fleet.n_assets, n_scenarios), fleet.horizon, usage
-    ):
-        raise ValueError("scenario draws were mapped for another fleet, S or usage")
+    draws = _map_draws(fleet.n_assets, n_scenarios, fleet.horizon, usage)
     n, chunks = draws.valid.shape
     units = n * chunks
     blocks = min(workers, _usable_cpus(), units) if hasattr(os, "fork") else 1
@@ -627,12 +627,7 @@ def _draw(
 
 
 def generate_scenarios(
-    fleet: FleetSpec,
-    n_scenarios: int,
-    seed: int,
-    workers: int = 1,
-    *,
-    draws: _Draws | None = None,
+    fleet: FleetSpec, n_scenarios: int, seed: int, workers: int = 1
 ) -> ScenarioSet:
     """Draw an equally weighted scenario set for a fleet.
 
@@ -645,21 +640,15 @@ def generate_scenarios(
     each cell's ``cell_stream``.
 
     ``workers`` processes sample the cells (:func:`_draw`); the result
-    never depends on it. The shared memory map backs the returned arrays:
-    ``draws``, if given, mapped by :func:`_map_draws` with ``usage`` true
-    before the fleet was built, or else one mapped here.
+    never depends on it. The shared memory map they were drawn into
+    backs the returned arrays.
     """
-    draws = _draw(fleet, n_scenarios, seed, workers, True, draws)
+    draws = _draw(fleet, n_scenarios, seed, workers, True)
     return ScenarioSet(usage_increments=draws.usage, latent_rul=draws.rul)
 
 
 def sample_pricing_inputs(
-    fleet: FleetSpec,
-    n_scenarios: int,
-    seed: int,
-    workers: int = 1,
-    *,
-    draws: _Draws | None = None,
+    fleet: FleetSpec, n_scenarios: int, seed: int, workers: int = 1
 ) -> PricingInputs:
     """The latent RULs and the usage mean of ``generate_scenarios(fleet,
     n_scenarios, seed)``, sampled without holding its (N, S, T) usage
@@ -668,10 +657,10 @@ def sample_pricing_inputs(
     Every gamma is still drawn, since each cell's RUL draw follows them
     in its stream, but only into one reused chunk buffer. Both arrays are
     the same bits as the full set's ``latent_rul`` and ``usage_mean`` for
-    every ``workers``. The RULs are drawn into ``draws``, as
-    :func:`generate_scenarios` takes them but mapped with ``usage`` false.
+    every ``workers``. The RULs stay in the shared map they were drawn
+    into.
     """
-    draws = _draw(fleet, n_scenarios, seed, workers, False, draws)
+    draws = _draw(fleet, n_scenarios, seed, workers, False)
     return PricingInputs(latent_rul=draws.rul, usage_mean=_usage_mean(draws.terms))
 
 

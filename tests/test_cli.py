@@ -5,8 +5,10 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -132,6 +134,21 @@ def run_limited(args, cwd, address_space=1 << 30, timeout=60):
         text=True,
         timeout=timeout,
     )
+
+
+def live_group_members(pgid):
+    """The pids of the processes in group ``pgid`` that have not exited; a
+    zombie, exited but not yet reaped, does not count."""
+    members = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:  # exited since the listing
+            continue
+        state, _, group = stat.rsplit(")", 1)[1].split()[:3]
+        if int(group) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
 
 
 @pytest.fixture()
@@ -470,8 +487,8 @@ class TestStudyDriver:
 
     def test_study_prices_without_the_usage_array(self):
         config = parse_config(SMALL_CONFIG)
-        fleet, draws = fleetmaint.cli._sized_fleet(config)
-        inputs = fleetmaint.cli._setup(config, fleet, draws, 1).scenarios
+        fleet = fleetmaint.cli._sized_fleet(config)
+        inputs = fleetmaint.cli._setup(config, fleet, 1).scenarios
         values = fleet.n_assets * config.n_scenarios * fleet.horizon
         assert isinstance(inputs, PricingInputs)
         arrays = [v for v in vars(inputs).values() if isinstance(v, np.ndarray)]
@@ -633,10 +650,10 @@ class TestCliCommands:
     ):
         sample_cells = scenario._sample_cells
 
-        def fail_outside_first_block(fleet, seed, draws, start, stop):
+        def fail_outside_first_block(fleet, seed, draws, start, stop, *parent):
             if start:
                 raise ValueError("injected worker failure")
-            sample_cells(fleet, seed, draws, start, stop)
+            sample_cells(fleet, seed, draws, start, stop, *parent)
 
         monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(scenario, "_sample_cells", fail_outside_first_block)
@@ -647,6 +664,41 @@ class TestCliCommands:
         assert code == 3
         assert "error: scenario sampling worker for block 1 of 2" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sampling_worker_exits_with_its_killed_parent(self, tmp_path):
+        # each of two workers has seconds of draws at N=40, S=80,000, so one
+        # that outlived its parent would still be drawing 2 s later
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one usable CPU: the sampler forks no worker")
+        if not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists():
+            pytest.skip("/proc/<pid>/task/<pid>/children is absent: no list of a process's children")
+        config = tmp_path / "long.json"
+        config.write_text(json.dumps({
+            "fleet": {"n_assets": 40}, "scenarios": {"n_scenarios": 80_000}
+        }))
+        argv = ["study", "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "2"]
+        env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fleetmaint", *argv], env=env, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        try:
+            deadline = time.monotonic() + 30
+            while not children.read_text().split():
+                assert proc.poll() is None, "the study ended before it forked a worker"
+                assert time.monotonic() < deadline, "no sampling worker within 30 s"
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 2
+            while live_group_members(proc.pid):
+                assert time.monotonic() < deadline, "a sampling worker outlived its parent by 2 s"
+                time.sleep(0.02)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
     def test_failed_gen_scenarios_rerun_keeps_previous_export(
         self, config_file, tmp_path, monkeypatch

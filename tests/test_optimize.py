@@ -462,6 +462,27 @@ class TestExhaustiveSearch:
         assert value == 4.0
         assert sum(rows) == 1 + 9 ** 4 and len(rows) > 2
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_ties_across_blocks_go_to_the_earliest(self, data):
+        # costs in 0..2 on S a power of two tie exactly and often, and blocks
+        # of one or two survivors put tied schedules in different blocks
+        n, horizon = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        s = data.draw(st.sampled_from([1, 2, 4]))
+        size = n * (horizon + 1) * s
+        cells = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        matrix = hand_matrix(
+            make_fleet(n_assets=n, horizon=horizon),
+            np.array(cells, dtype=float).reshape(n, horizon + 1, s),
+        )
+        alpha = data.draw(st.sampled_from([0.5, 0.75, 0.9]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "_BLOCK_ELEMENTS", data.draw(st.integers(1, 2)) * s)
+            indices, value = exhaustive_cvar_argmin(matrix, alpha, (horizon,) * n)
+        ref_indices, ref_value = full_scan_cvar_argmin(matrix, matrix.scenarios.weights, alpha)
+        assert indices == tuple(ref_indices)
+        assert value == ref_value
+
     def test_peak_memory_is_capped_by_the_block(self, monkeypatch):
         # neither the (T+1)^N means nor all survivors' cost rows are held at
         # once: beside the rows its survivors use, a few block-sized arrays

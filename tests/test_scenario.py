@@ -371,10 +371,10 @@ class TestParallelSampling:
     ):
         sample_cells = scenario._sample_cells
 
-        def fail_outside_first_block(fleet, seed, draws, start, stop):
+        def fail_outside_first_block(fleet, seed, draws, start, stop, *parent):
             if start:
                 raise ValueError("injected worker failure")
-            sample_cells(fleet, seed, draws, start, stop)
+            sample_cells(fleet, seed, draws, start, stop, *parent)
 
         monkeypatch.setattr(scenario, "_sample_cells", fail_outside_first_block)
         fleet = mixed_fleet(["typical", "wide"], horizon=3)
@@ -389,7 +389,7 @@ class TestParallelSampling:
         assert "ValueError: injected worker failure" in capfd.readouterr().err
 
     def test_failed_first_block_still_reaps_workers(self, four_cpus, monkeypatch):
-        def fail_first_block(fleet, seed, draws, start, stop):
+        def fail_first_block(fleet, seed, draws, start, stop, *parent):
             if not start:
                 raise ValueError("injected failure in the first block")
 
@@ -398,6 +398,20 @@ class TestParallelSampling:
             generate_scenarios(make_fleet(n_assets=2, horizon=3), 10, seed=1, workers=3)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_whose_parent_is_gone_exits_before_drawing(self):
+        # a block handed a pid that is not its parent's draws no group
+        draws = scenario._map_draws(2, 10, 3, True)
+        pid = os.fork()
+        if not pid:
+            try:
+                fleet = make_fleet(n_assets=2, horizon=3)
+                scenario._sample_cells(fleet, 1, draws, 0, 20, os.getppid() + 1)
+            finally:
+                os._exit(0)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
+        assert not draws.valid.any()
+        assert not draws.usage.any()
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):
@@ -472,24 +486,6 @@ class TestPricingInputs:
         assert lean.usage_mean.shape == (3, 4)
         point_mass = fleet.assets[0].usage_mean_per_period
         np.testing.assert_allclose(lean.usage_mean[0], point_mass, rtol=4 * np.finfo(float).eps)
-
-    def test_draws_mapped_before_the_fleet_are_the_same_bits(self):
-        fleet = make_fleet(n_assets=3, horizon=4)
-        for usage, sample in ((True, generate_scenarios), (False, sample_pricing_inputs)):
-            draws = scenario._map_draws(3, CHUNK + 1, 4, usage)
-            mapped = sample(fleet, CHUNK + 1, 6, draws=draws)
-            assert mapped.latent_rul is draws.rul
-            assert mapped.latent_rul.tobytes() == sample(fleet, CHUNK + 1, 6).latent_rul.tobytes()
-
-    @pytest.mark.parametrize(
-        "sizes, usage",
-        [((2, 10, 4), False), ((3, 11, 4), False), ((3, 10, 5), False), ((3, 10, 4), True)],
-        ids=["assets", "scenarios", "horizon", "usage"],
-    )
-    def test_draws_mapped_for_another_shape_rejected(self, sizes, usage):
-        draws = scenario._map_draws(*sizes, usage)
-        with pytest.raises(ValueError, match="mapped for another fleet, S or usage"):
-            sample_pricing_inputs(make_fleet(n_assets=3, horizon=4), 10, 1, draws=draws)
 
     @pytest.mark.parametrize("n_scenarios", [1, 7, CHUNK + 1, 800])
     def test_usage_mean_rounds_near_the_exact_mean(self, n_scenarios):
