@@ -11,11 +11,12 @@ usage increments, and returns the matrix alone: it holds the fleet and
 those pricing inputs. optimize and study solve each policy on that matrix
 through :func:`_solve`, which prices all their schedules in one pass over
 the assets' cost rows. gen-scenarios samples and exports the
-full set (:func:`fleetmaint.scenario.generate_scenarios`). All four map,
-and release, the sampler's draws for the N, S and T the config holds
-before they build the fleet (:func:`_sized_fleet`), and gen-fleet maps
-its own peak for a generated fleet's N, so a size that cannot be held
-exits 3 at once, however long the fleet would take to build.
+full set (:func:`fleetmaint.scenario.generate_scenarios`). Before any
+asset is built, every command maps, and releases, what it will hold for
+the N, S and T the config holds (:func:`_sized_fleet`): the sampler's
+draws, a generated fleet, and the matrix build's row buffers or the
+scenario export's row templates. So a size that cannot be held exits 3
+at once, however long the fleet or the sampling would take.
 --threads K (>= 1) sets how many worker processes sample; everything else
 runs on one thread, and no output depends on K. Exit codes: 0 on success,
 2 for configuration problems, 3 for runtime failures.
@@ -55,6 +56,7 @@ from .report import (
 from .scenario import (
     ScenarioSet,
     _map_draws,
+    _size_error,
     generate_scenarios,
     sample_pricing_inputs,
     write_scenario_csvs,
@@ -63,7 +65,8 @@ from .scenario import (
 __all__ = ["main", "run_study", "compute_study", "StudyResult", "POLICY_ORDER"]
 
 # gen-fleet's peak memory per asset, its AssetSpec and fleet.csv row: 1,337
-# bytes at N=10^5 and 1,447 at N=10^4 (tracemalloc, CPython 3.11).
+# bytes at N=10^5 and 1,447 at N=10^4 (tracemalloc, CPython 3.11). It also
+# bounds build_fleet's own peak, 705 and 807 bytes there, for every command.
 _GEN_FLEET_BYTES_PER_ASSET = 1_400
 
 POLICY_ORDER = (
@@ -98,15 +101,37 @@ class StudyResult:
         return generate_scenarios(self.fleet, self.n_scenarios, self.scenario_seed)
 
 
-def _sized_fleet(config: RunConfig, usage: bool = False) -> FleetSpec:
-    """The config's fleet, built only once the sampler's draws, with room
-    for every usage increment if ``usage`` is true, have been mapped for
-    the N, S and T that the config holds, so a size that cannot be held
-    exits 3 by name before any asset is built. The probe's map is
-    released at once, before a page of it is touched; the sampler maps
-    its own."""
+def _sized_fleet(config: RunConfig, draws: bool = True, usage: bool = False) -> FleetSpec:
+    """The config's fleet, built only once each piece the command will hold
+    has been mapped, in turn, for the N, S and T that the config holds:
+    the sampler's draws if ``draws`` is true, with room for every usage
+    increment if ``usage`` is true; a generated fleet, at
+    :data:`_GEN_FLEET_BYTES_PER_ASSET` per asset; then, with the draws,
+    the scenario CSVs' row templates if ``usage`` is true, else the matrix
+    build's per-asset cost rows. Every piece stays mapped until the last
+    one is, so their sum is checked, and the first that cannot be held
+    exits 3 by name before any asset is built. The maps are released at
+    once, before a page of any is touched; the sampler maps its own."""
     sizes = config.explicit_fleet or config.fleet_gen
-    _map_draws(sizes.n_assets, config.n_scenarios, sizes.horizon, usage)
+    n, s, t = sizes.n_assets, config.n_scenarios, sizes.horizon
+    held = [_map_draws(n, s, t, usage)] if draws else []
+    pieces = []
+    if config.fleet_gen is not None:
+        nbytes = n * _GEN_FLEET_BYTES_PER_ASSET
+        message = f"cannot allocate {nbytes:,} bytes for the fleet of N={n} assets"
+        pieces.append((nbytes, MemoryError(message + " (config key fleet.n_assets)")))
+    if draws and usage:  # write_scenario_csvs' ",w,k,%.17g" rows, at most this long
+        nbytes = s * t * (9 + len(str(s)) + len(str(t)))
+        pieces.append((nbytes, _size_error("scenario CSV row templates", nbytes, n, s, t)))
+    elif draws:  # build_matrix's (T+1, S) and (T, S) buffers
+        nbytes = (2 * t + 1) * s * 8
+        pieces.append((nbytes, _size_error("per-asset cost rows", nbytes, n, s, t)))
+    for nbytes, error in pieces:
+        try:
+            held.append(mmap.mmap(-1, nbytes))
+        except (OSError, OverflowError):
+            raise error from None
+    del held
     return config.build_fleet()
 
 
@@ -177,21 +202,10 @@ def _print_summary_table(summaries: list[PolicySummary]) -> None:
 
 
 def _cmd_gen_fleet(args, config: RunConfig, out: Path) -> int:
-    if config.fleet_gen is not None:
-        # Map the peak first, so a fleet too large to hold exits 3 before any asset is built.
-        n = config.fleet_gen.n_assets
-        nbytes = n * _GEN_FLEET_BYTES_PER_ASSET
-        try:
-            mmap.mmap(-1, nbytes).close()
-        except (OSError, OverflowError):
-            raise MemoryError(
-                f"cannot allocate {nbytes:,} bytes for the fleet of N={n} assets"
-                " (config key fleet.n_assets)"
-            ) from None
     header = [f.name for f in fields(AssetSpec)]
     rows = [
         [a.id, *(format(getattr(a, k), ".17g") for k in header[1:])]
-        for a in config.build_fleet().assets
+        for a in _sized_fleet(config, draws=False).assets
     ]
     with staged_outputs(out) as stage:
         write_csv(stage / "fleet.csv", header, rows)
@@ -227,10 +241,10 @@ def _cmd_evaluate(args, config: RunConfig, out: Path) -> int:
         write_csv(
             stage / "eval_distribution.csv",
             ("scenario", "cost", "weight"),
-            [
+            (
                 [w, format(dist.values[w], ".17g"), format(dist.weights[w], ".17g")]
                 for w in range(dist.values.size)
-            ],
+            ),
         )
     print(f"wrote {out / 'eval_distribution.csv'}")
     return 0

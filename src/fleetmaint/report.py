@@ -164,15 +164,29 @@ def read_schedule_csv(path) -> Schedule:
 def staged_outputs(output_dir) -> Iterator[Path]:
     """A fresh staging directory inside output_dir (created if needed).
 
-    The block writes its files into the staging directory. When it finishes,
-    each file replaces its namesake in output_dir through ``os.replace``.
-    The staging directory is removed either way, so a block that fails
-    leaves output_dir as it found it; an OSError is re-raised naming
-    output_dir.
+    The staging directory is named ``.staging-<pid>-…`` after this
+    process. Before it is made, each ``.staging-<pid>-…`` directory in
+    output_dir whose process is gone (``os.kill(pid, 0)`` raises
+    ProcessLookupError) is removed, the stage of a run that was killed;
+    a live pid's, one the check may not signal, and a name without a pid
+    are left alone. The block writes its files into the staging
+    directory. When it finishes, each file replaces its namesake in
+    output_dir through ``os.replace``. The staging directory is removed
+    either way, so a block that fails leaves output_dir as it found it;
+    an OSError is re-raised naming output_dir.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    for stale in out.glob(".staging-*-*"):
+        pid = stale.name.split("-")[1]
+        if pid.isascii() and pid.isdigit():
+            try:
+                os.kill(int(pid), 0)
+            except ProcessLookupError:
+                shutil.rmtree(stale, ignore_errors=True)
+            except (OSError, OverflowError):  # PermissionError: alive, another user's
+                pass
+    stage = Path(tempfile.mkdtemp(prefix=f".staging-{os.getpid()}-", dir=out))
     try:
         yield stage
         for path in stage.iterdir():

@@ -2,14 +2,15 @@
 
     python3 tests/run_mutants.py [NAME ...]
 
-For every mutant (or only those named), copies ``src/``, ``tests/`` and
-``pyproject.toml`` to a temporary directory, replaces the mutant's old text
-by its new text in its file there, and runs its tests in a child pytest.
-``tests/`` is copied too because ``tests/conftest.py`` puts its sibling
-``src/`` first on ``sys.path``. Prints one line per mutant: killed (a test
-failed), survived (every test passed), error (pytest could not run them,
-or the old text does not occur exactly once) or timeout, with the seconds
-it took. Exits 1 if any mutant was not killed.
+For every mutant (or only those named), copies ``src/``, ``tests/``,
+``pyproject.toml`` and ``README.md`` to a temporary directory, replaces the
+mutant's old text by its new text in its file there, and runs its tests in
+a child pytest. ``tests/`` is copied too because ``tests/conftest.py`` puts
+its sibling ``src/`` first on ``sys.path``, and ``README.md`` because
+``tests/test_cli.py`` checks its config examples. Prints one line per
+mutant: killed (a test failed), survived (every test passed), error (pytest
+could not run them, or the old text does not occur exactly once) or
+timeout, with the seconds it took. Exits 1 if any mutant was not killed.
 
 Each mutant costs one run of its tests, so this is not part of tier-1;
 tests/test_mutants.py checks in tier-1 that every mutant still applies.
@@ -37,7 +38,8 @@ def run_mutant(mutant: dict) -> str:
         ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, copy / name, ignore=ignore)
-        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, copy / name)
         target = copy / mutant["file"]
         text = target.read_text()
         if text.count(mutant["old"]) != 1:

@@ -136,6 +136,17 @@ def run_limited(args, cwd, address_space=1 << 30, timeout=60):
     )
 
 
+def run_sized(command, document, cwd):
+    """``fleetmaint command`` on the config ``document`` through
+    :func:`run_limited` with a 15 s timeout, writing to ``cwd / "out"``;
+    evaluate prices a schedule that dates the first asset."""
+    (cwd / "sized.json").write_text(json.dumps(document))
+    (cwd / "schedule.csv").write_text("asset_id,date\nA1,1\n")
+    extra = {"evaluate": ["--schedule", "schedule.csv"], "optimize": ["--criterion", "cvar"]}
+    argv = [command, "--config", "sized.json", "--out", "out", *extra.get(command, [])]
+    return run_limited(argv, cwd, timeout=15)
+
+
 def live_group_members(pgid):
     """The pids of the processes in group ``pgid`` that have not exited; a
     zombie, exited but not yet reaped, does not count."""
@@ -1248,6 +1259,71 @@ class TestCliCommands:
             " scenarios.n_scenarios and fleet.horizon)\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-scenarios", "evaluate", "optimize", "study"])
+    def test_unallocatable_generated_fleet_exits_3_before_it_is_built(self, command, tmp_path):
+        # the draws for 2 * 10**7 assets at S=1, T=1 fit a 1 GiB address
+        # space and the fleet's 28 GB does not, so the check fails at the
+        # fleet before any asset is built, as gen-fleet's does
+        document = {
+            "fleet": {"n_assets": 2 * 10**7, "horizon": 1}, "scenarios": {"n_scenarios": 1}
+        }
+        proc = run_sized(command, document, tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            "error: cannot allocate 28,000,000,000 bytes for the fleet of"
+            " N=20000000 assets (config key fleet.n_assets)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, n_scenarios, what, nbytes",
+        [
+            ("gen-scenarios", 4 * 10**6, "scenario CSV row templates", "864,000,000"),
+            ("evaluate", 2 * 10**7, "per-asset cost rows", "4,000,000,000"),
+            ("optimize", 2 * 10**7, "per-asset cost rows", "4,000,000,000"),
+            ("study", 2 * 10**7, "per-asset cost rows", "4,000,000,000"),
+        ],
+    )
+    def test_unallocatable_buffers_beside_the_draws_exit_3_before_sampling(
+        self, command, n_scenarios, what, nbytes, tmp_path
+    ):
+        # one asset's draws fit a 1 GiB address space; what the command then
+        # holds beside them, the export's row templates or the matrix
+        # build's row buffers, does not, and is checked before any cell is drawn
+        document = {"fleet": {"n_assets": 1}, "scenarios": {"n_scenarios": n_scenarios}}
+        proc = run_sized(command, document, tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            f"error: cannot allocate {nbytes} bytes for the {what} of N=1 assets,"
+            f" S={n_scenarios} scenarios and T=12 periods (config keys fleet.n_assets,"
+            " scenarios.n_scenarios and fleet.horizon)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_streams_its_distribution_rows(self, tmp_path):
+        # at T=1 the matrix build's row buffers take 24 bytes a scenario; a
+        # list of every (scenario, cost, weight) row would take about ten times that
+        n_scenarios = 10**5
+        config = tmp_path / "long.json"
+        config.write_text(json.dumps({
+            "fleet": {"n_assets": 1, "horizon": 1}, "scenarios": {"n_scenarios": n_scenarios}
+        }))
+        schedule = tmp_path / "schedule.csv"
+        schedule.write_text("asset_id,date\nA1,1\n")
+        out = tmp_path / "eval"
+        argv = ["evaluate", "--config", str(config), "--schedule", str(schedule),
+                "--out", str(out)]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert fleetmaint.cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (3 * n_scenarios * 8)
+        lines = (out / "eval_distribution.csv").read_text().splitlines()
+        assert lines[0] == "scenario,cost,weight" and len(lines) == n_scenarios + 1
 
     @pytest.mark.parametrize("command", ["gen-fleet", "study"])
     @pytest.mark.parametrize(

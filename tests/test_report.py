@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from fleetmaint.report import (
     EcdfCurve,
     ecdf,
     emit_outputs,
+    staged_outputs,
     summarize_policy,
 )
 from fleetmaint.riskcost import RiskParams
@@ -236,6 +240,56 @@ class TestEmitOutputs:
         with pytest.raises(OSError, match="disk full"):
             run_emit(setup, out)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_stage_is_named_after_its_process(self, tmp_path):
+        with staged_outputs(tmp_path) as stage:
+            assert stage.parent == tmp_path
+            assert stage.name.startswith(f".staging-{os.getpid()}-")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "name, pid, error, kept",
+        [
+            (".staging-101-x1y2", 101, ProcessLookupError, False),
+            (".staging-102-x1y2", 102, None, True),
+            (".staging-103-x1y2", 103, PermissionError, True),
+            (".staging-x1y2z3w4", None, None, True),
+            (".staging-no-pid", None, None, True),
+            (".staging-\u0661\u0662-x1y2", None, None, True),
+        ],
+        ids=["gone", "live", "not-permitted", "random-name", "no-pid", "arabic-digits"],
+    )
+    def test_stale_stages_of_gone_processes_are_swept(
+        self, name, pid, error, kept, tmp_path, monkeypatch
+    ):
+        # a run killed inside staged_outputs left its stage with a file in it
+        stale = tmp_path / name
+        stale.mkdir()
+        (stale / "summary.csv").write_text("stale\n")
+        signalled = []
+
+        def kill(target, sig):
+            signalled.append((target, sig))
+            if error is not None:
+                raise error
+
+        monkeypatch.setattr(os, "kill", kill)
+        with staged_outputs(tmp_path) as stage:
+            (stage / "summary.csv").write_text("fresh\n")
+        assert stale.exists() == kept
+        assert signalled == ([] if pid is None else [(pid, 0)])
+        assert (tmp_path / "summary.csv").read_text() == "fresh\n"
+
+    def test_stage_of_an_exited_process_is_swept(self, tmp_path):
+        child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                               capture_output=True, text=True, check=True)
+        stale = tmp_path / f".staging-{int(child.stdout)}-x1y2"
+        stale.mkdir()
+        live = tmp_path / f".staging-{os.getpid()}-x1y2"
+        live.mkdir()
+        with staged_outputs(tmp_path):
+            pass
+        assert not stale.exists() and live.exists()
 
     def test_curve_type_is_reexported(self):
         assert EcdfCurve.__name__ == "EcdfCurve"
