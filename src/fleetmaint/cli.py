@@ -9,14 +9,17 @@ reads of the scenario set, its latent RULs and usage mean
 (:func:`fleetmaint.scenario.sample_pricing_inputs`), never the (N, S, T)
 usage increments, and returns the matrix alone: it holds the fleet and
 those pricing inputs. optimize and study solve each policy on that matrix
-through :func:`_solve`, which prices all their schedules in one pass over
-the assets' cost rows. gen-scenarios samples and exports the
+through :func:`_solve`, which validates and maps each schedule to its
+candidate indices once, prices all of them from those indices in one
+pass over the assets' cost rows, and summarizes each from the indices
+that priced it. gen-scenarios samples and exports the
 full set (:func:`fleetmaint.scenario.generate_scenarios`). Before any
 asset is built, every command maps, and releases, what it will hold for
 the N, S and T the config holds (:func:`_sized_fleet`): the sampler's
-draws, a generated fleet, and the matrix build's row buffers or the
-scenario export's row templates. So a size that cannot be held exits 3
-at once, however long the fleet or the sampling would take.
+draws, a generated fleet, and the scenario export's row templates or the
+larger of the matrix build's row buffers and the solved schedules' cost
+distributions. So a size that cannot be held exits 3 at once, however
+long the fleet or the sampling would take.
 --threads K (>= 1) sets how many worker processes sample; everything else
 runs on one thread, and no output depends on K. Exit codes: 0 on success,
 2 for configuration problems, 3 for runtime failures.
@@ -39,8 +42,9 @@ from .fleet import AssetSpec, FleetSpec, Schedule, validate_schedule
 from .optimize import (
     EvaluationMatrix,
     build_matrix,
+    cost_distributions,
+    indices_from_schedule,
     schedule_cost_distribution,
-    schedule_cost_distributions,
 )
 from .policies import PolicyKind, run_policy
 from .report import (
@@ -68,6 +72,13 @@ __all__ = ["main", "run_study", "compute_study", "StudyResult", "POLICY_ORDER"]
 # bytes at N=10^5 and 1,447 at N=10^4 (tracemalloc, CPython 3.11). It also
 # bounds build_fleet's own peak, 705 and 807 bytes there, for every command.
 _GEN_FLEET_BYTES_PER_ASSET = 1_400
+
+# What each pricing command holds, per scenario, at its peak once the matrix
+# is built, above what it held then: its schedules' cost distributions and,
+# for study, their ECDF curves. tracemalloc at N=1, T=1 (CPython 3.11, numpy
+# 2.4) read, at S=10^5 and 10^6: 32.0 and 32.0 bytes for evaluate, 74.7 and
+# 74.1 for optimize, 191.7 and 191.5 for study (191.6 at T=12).
+_SOLVED_BYTES_PER_SCENARIO = {"evaluate": 32, "optimize": 75, "study": 192}
 
 POLICY_ORDER = (
     PolicyKind.INTEGRATED_EXPECTED,
@@ -101,31 +112,37 @@ class StudyResult:
         return generate_scenarios(self.fleet, self.n_scenarios, self.scenario_seed)
 
 
-def _sized_fleet(config: RunConfig, draws: bool = True, usage: bool = False) -> FleetSpec:
-    """The config's fleet, built only once each piece the command will hold
-    has been mapped, in turn, for the N, S and T that the config holds:
-    the sampler's draws if ``draws`` is true, with room for every usage
-    increment if ``usage`` is true; a generated fleet, at
-    :data:`_GEN_FLEET_BYTES_PER_ASSET` per asset; then, with the draws,
-    the scenario CSVs' row templates if ``usage`` is true, else the matrix
-    build's per-asset cost rows. Every piece stays mapped until the last
-    one is, so their sum is checked, and the first that cannot be held
-    exits 3 by name before any asset is built. The maps are released at
-    once, before a page of any is touched; the sampler maps its own."""
+def _sized_fleet(config: RunConfig, command: str = "study") -> FleetSpec:
+    """The config's fleet, built only once each piece the ``command`` will
+    hold has been mapped, in turn, for the N, S and T that the config
+    holds: the sampler's draws (all but gen-fleet), with room for every
+    usage increment for gen-scenarios; a generated fleet, at
+    :data:`_GEN_FLEET_BYTES_PER_ASSET` per asset; then the scenario CSVs'
+    row templates (gen-scenarios), or the larger of the matrix build's
+    per-asset cost rows and what the command holds once they are freed,
+    its schedules' cost distributions (evaluate, optimize and study, at
+    :data:`_SOLVED_BYTES_PER_SCENARIO`). Every piece stays mapped until
+    the last one is, so their sum is checked, and the first that cannot
+    be held exits 3 by name before any asset is built. The maps are
+    released at once, before a page of any is touched; the sampler maps
+    its own."""
     sizes = config.explicit_fleet or config.fleet_gen
     n, s, t = sizes.n_assets, config.n_scenarios, sizes.horizon
+    draws, usage = command != "gen-fleet", command == "gen-scenarios"
     held = [_map_draws(n, s, t, usage)] if draws else []
     pieces = []
     if config.fleet_gen is not None:
         nbytes = n * _GEN_FLEET_BYTES_PER_ASSET
         message = f"cannot allocate {nbytes:,} bytes for the fleet of N={n} assets"
         pieces.append((nbytes, MemoryError(message + " (config key fleet.n_assets)")))
-    if draws and usage:  # write_scenario_csvs' ",w,k,%.17g" rows, at most this long
+    if usage:  # write_scenario_csvs' ",w,k,%.17g" rows, at most this long
         nbytes = s * t * (9 + len(str(s)) + len(str(t)))
         pieces.append((nbytes, _size_error("scenario CSV row templates", nbytes, n, s, t)))
-    elif draws:  # build_matrix's (T+1, S) and (T, S) buffers
-        nbytes = (2 * t + 1) * s * 8
-        pieces.append((nbytes, _size_error("per-asset cost rows", nbytes, n, s, t)))
+    elif draws:  # build_matrix's (T+1, S) and (T, S) buffers, freed before the solves
+        rows = ((2 * t + 1) * s * 8, "per-asset cost rows")
+        solved = (_SOLVED_BYTES_PER_SCENARIO[command] * s, "schedule cost distributions")
+        nbytes, what = max(rows, solved, key=lambda piece: piece[0])
+        pieces.append((nbytes, _size_error(what, nbytes, n, s, t)))
     for nbytes, error in pieces:
         try:
             held.append(mmap.mmap(-1, nbytes))
@@ -145,14 +162,15 @@ def _setup(config: RunConfig, fleet: FleetSpec, workers: int) -> EvaluationMatri
 def _solve(
     kinds: Sequence[PolicyKind], config: RunConfig, matrix: EvaluationMatrix
 ) -> list[tuple[Schedule, CostDistribution, PolicySummary]]:
-    """Each policy's schedule, its cost distribution and its summary row.
-    The schedules are priced together, in one pass over the assets' rows."""
+    """Each policy's schedule, its cost distribution and its summary row, both
+    from the schedule's candidate indices, mapped once and priced in one pass."""
     params = config.policies
     schedules = [run_policy(kind, matrix, params) for kind in kinds]
-    dists = schedule_cost_distributions(matrix, schedules)
+    indices = [indices_from_schedule(schedule, matrix.fleet) for schedule in schedules]
+    dists = cost_distributions(matrix, indices)
     return [
-        (schedule, dist, summarize_policy(kind.value, schedule, dist, matrix, params.alpha))
-        for kind, schedule, dist in zip(kinds, schedules, dists)
+        (schedule, dist, summarize_policy(kind.value, chosen, dist, matrix, params.alpha))
+        for kind, schedule, chosen, dist in zip(kinds, schedules, indices, dists)
     ]
 
 
@@ -205,7 +223,7 @@ def _cmd_gen_fleet(args, config: RunConfig, out: Path) -> int:
     header = [f.name for f in fields(AssetSpec)]
     rows = [
         [a.id, *(format(getattr(a, k), ".17g") for k in header[1:])]
-        for a in _sized_fleet(config, draws=False).assets
+        for a in _sized_fleet(config, "gen-fleet").assets
     ]
     with staged_outputs(out) as stage:
         write_csv(stage / "fleet.csv", header, rows)
@@ -214,7 +232,7 @@ def _cmd_gen_fleet(args, config: RunConfig, out: Path) -> int:
 
 
 def _cmd_gen_scenarios(args, config: RunConfig, out: Path) -> int:
-    fleet = _sized_fleet(config, usage=True)
+    fleet = _sized_fleet(config, "gen-scenarios")
     scenarios = generate_scenarios(fleet, config.n_scenarios, config.scenario_seed, args.threads)
     names = ("scenario_usage.csv", "scenario_rul.csv")
     with staged_outputs(out) as stage:
@@ -225,7 +243,7 @@ def _cmd_gen_scenarios(args, config: RunConfig, out: Path) -> int:
 
 
 def _cmd_evaluate(args, config: RunConfig, out: Path) -> int:
-    fleet = _sized_fleet(config)
+    fleet = _sized_fleet(config, "evaluate")
     schedule = read_schedule_csv(Path(args.schedule))
     violations = validate_schedule(schedule, fleet)
     if violations:
@@ -253,7 +271,7 @@ def _cmd_evaluate(args, config: RunConfig, out: Path) -> int:
 def _cmd_optimize(args, config: RunConfig, out: Path) -> int:
     expected = args.criterion == "expected"
     kind = PolicyKind.INTEGRATED_EXPECTED if expected else PolicyKind.INTEGRATED_CVAR
-    fleet = _sized_fleet(config)
+    fleet = _sized_fleet(config, "optimize")
     matrix = _setup(config, fleet, args.threads)
     [(schedule, _, summary)] = _solve([kind], config, matrix)
     objective = summary.expected_cost if expected else summary.cvar

@@ -19,13 +19,15 @@ proxy is a sum of N lookups), and the check that every cell is finite.
 builds some of an asset's rows again, bit for bit the same, stopping
 after the last period they read. Each pass over the fleet prices every
 (asset, date) pair it reads once: a study makes four such passes (the
-build, the descent's start and its result, and the five schedules'
-cost distributions), six when the walk runs too (its incumbent, and
-the rows its survivors use), and each descent visit prices some of one
-asset's rows. At N=40, T=12, S=10,000 with two sampling workers, a
-study peaks at about 43 MB RSS (2 vCPUs, Python 3.11, numpy 2.4),
-against 83 MB when the 41.6 MB cost table was held, and 123 MB when the
-(N, S, T) usage increments were too.
+build, the descent's start and its result, and
+:func:`cost_distributions` of the five schedules, from the candidate
+indices that each was mapped to once), six when the walk runs too (its
+incumbent, and the rows its survivors use), and each descent visit
+prices some of one asset's rows; ``optimize --criterion cvar`` makes
+the same passes for its one schedule. At N=40, T=12, S=10,000 with two
+sampling workers, a study peaks at about 43 MB RSS (2 vCPUs, Python
+3.11, numpy 2.4), against 83 MB when the 41.6 MB cost table was held,
+and 123 MB when the (N, S, T) usage increments were too.
 
 CVaR is a tail mean, so it is never below the expected cost, and the
 expected cost of a schedule is the sum of its assets' row means. Each
@@ -39,11 +41,11 @@ schedule's mean within the current objective's threshold, so its memory
 does not grow with N. The enumeration grows schedules one asset at a
 time over all T+1 dates and drops a prefix as soon as its cheapest
 completion is over the threshold, so it never holds all (T+1)^N means;
-from a coordinate-descent incumbent about 400 of the default profile's
-371,293 schedules survive. It sums survivors across all assets, so it
-alone holds rows: each asset's rows at the dates its survivors use,
-priced once into one block, so its memory grows with those, not with
-N*(T+1)*S.
+from a coordinate-descent incumbent 400 of the default profile's
+371,293 schedules survive (seed 1). It sums survivors across all
+assets, so it alone holds rows: each asset's rows at the dates its
+survivors use, priced once into one block, so its memory grows with
+those, not with N*(T+1)*S.
 The caller decides whether (T+1)^N is small enough to enumerate.
 Candidate indices are ordered lexicographically by (asset order, date
 order with "none" last); ties on the objective resolve to the earliest
@@ -77,8 +79,8 @@ __all__ = [
     "CostTable",
     "DEFAULT_EXHAUSTIVE_BUDGET",
     "build_matrix",
+    "cost_distributions",
     "schedule_cost_distribution",
-    "schedule_cost_distributions",
     "schedule_from_indices",
     "indices_from_schedule",
     "exhaustive_cvar_argmin",
@@ -288,29 +290,27 @@ def schedule_from_indices(fleet: FleetSpec, indices: Sequence[int]) -> Schedule:
     return Schedule(dates=dates)
 
 
-def schedule_cost_distributions(
-    matrix: EvaluationMatrix, schedules: Sequence[Schedule]
+def cost_distributions(
+    matrix: EvaluationMatrix, indices: Sequence[Sequence[int]]
 ) -> list[CostDistribution]:
-    """Fleet cost distributions of several schedules, priced together in
-    one pass over the assets' cost rows; no schedules give none."""
-    if not schedules:
-        return []
-    indices = [indices_from_schedule(schedule, matrix.fleet) for schedule in schedules]
+    """Fleet cost distributions of the schedules at candidate ``indices``, one
+    integer in 0..T per asset (else ValueError), priced in one pass over the rows."""
+    indices = [_checked_indices(chosen, matrix.means.shape, "schedule") for chosen in indices]
     totals = _schedule_totals(matrix, indices)
     return [CostDistribution(values=row, weights=matrix.scenarios.weights) for row in totals]
 
 
 def schedule_cost_distribution(matrix: EvaluationMatrix, schedule: Schedule) -> CostDistribution:
     """Fleet cost distribution of one schedule via its assets' row sums."""
-    return schedule_cost_distributions(matrix, [schedule])[0]
+    return cost_distributions(matrix, [indices_from_schedule(schedule, matrix.fleet)])[0]
 
 
 def _schedule_totals(matrix: EvaluationMatrix, indices: Sequence[Sequence[int]]) -> np.ndarray:
     """(M, S) per-scenario fleet costs of the M schedules in the (M, N)
     ``indices``, each its assets' cost rows summed in asset order. Each
     asset's rows are priced once, at the dates the schedules use, one
-    asset at a time."""
-    indices = np.asarray(indices)
+    asset at a time; M may be 0."""
+    indices = np.asarray(indices).reshape(len(indices), matrix.fleet.n_assets)
     s = matrix.scenarios.n_scenarios
     totals = np.zeros((len(indices), s))
     for i in range(matrix.fleet.n_assets):
@@ -386,11 +386,11 @@ def exhaustive_cvar_argmin(
     search that holds rows: once the walk is done, each asset's rows at
     the dates its survivors use, priced once into one block
     (:func:`_block_rows`). At the default profile (N=5, T=12, S=800,
-    seed 1), from the descent's schedule, the largest level holds 1,222
-    prefixes, 400 of the 371,293 schedules survive, and the block holds
-    23 rows, 0.15 MB. Prefixes that cannot be allocated, as under a
-    budget far past what memory holds, raise a MemoryError naming N, S, T
-    and ``policies.exhaustive_budget``.
+    seed 1), from the descent's schedule, 400 of the 371,293 schedules
+    survive and the block holds 23 rows, 0.15 MB; the largest level held
+    1,222 prefixes at commit d334120. Prefixes that cannot be allocated,
+    as under a budget far past what memory holds, raise a MemoryError
+    naming N, S, T and ``policies.exhaustive_budget``.
     """
     n, k1, s = matrix.fleet.n_assets, matrix.fleet.horizon + 1, matrix.scenarios.n_scenarios
     incumbent = _checked_indices(incumbent, (n, k1), "incumbent")
@@ -471,8 +471,9 @@ def coordinate_descent_cvar(
     (T+1, S) buffer and judges all of them in one
     :func:`~fleetmaint.criteria.batch_cvar` call, which sums each row on
     its own: the bits are those of pricing each candidate alone. At N=40,
-    T=12, S=10,000 the descent prices 786 rows in all at scenario seed 1
-    and 425 at seed 2, against 40 x 13 per sweep.
+    T=12, S=10,000 and fleet seed 1, its visits priced 786 rows in all at
+    scenario seed 1 and 425 at seed 2 (commit d334120), against 40 x 13
+    per sweep.
 
     The descent stops after N consecutive visits without a strict
     improvement, and returns what sweeping until a whole sweep is quiet
@@ -490,8 +491,8 @@ def coordinate_descent_cvar(
     before it stops. A move's own asset is among the N visits because
     its next visit need not repeat the move's: ``totals`` less the row
     of the date moved to need not be the bits of the ``without`` the
-    move was judged on. At N=40, T=12, S=10,000, seed 2, it stops after
-    68 visits where sweeping makes 80.
+    move was judged on. At N=40, T=12, S=10,000, seed 2, it stopped after
+    68 visits where sweeping makes 80 (commit d334120).
     """
     n, k1, s = matrix.fleet.n_assets, matrix.fleet.horizon + 1, matrix.scenarios.n_scenarios
     weights = matrix.scenarios.weights

@@ -22,7 +22,7 @@ import json
 import os
 import shutil
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
@@ -32,7 +32,7 @@ from . import __version__
 from .criteria import CostDistribution, cvar_alpha, expected_cost
 from .csvio import read_csv, write_csv, write_lines
 from .fleet import FleetSpec, Schedule
-from .optimize import EvaluationMatrix, indices_from_schedule
+from .optimize import EvaluationMatrix
 
 __all__ = [
     "PolicySummary",
@@ -74,12 +74,12 @@ class EcdfCurve:
 
 def summarize_policy(
     name: str,
-    schedule: Schedule,
+    indices: Sequence[int],
     dist: CostDistribution,
     matrix: EvaluationMatrix,
     alpha: float,
 ) -> PolicySummary:
-    """Headline numbers for one policy's schedule and its cost distribution.
+    """Headline numbers for the schedule at candidate ``indices`` and its ``dist``.
 
     Unscheduled assets enter the mean maintenance time as horizon + 1; the
     convention is recorded in the run metadata so the summary stays a flat
@@ -88,7 +88,6 @@ def summarize_policy(
     unscheduled), summed over assets; it is an exposure measure, not a
     cost term.
     """
-    indices = indices_from_schedule(schedule, matrix.fleet)
     proxy = 0.0
     for i, c in enumerate(indices):
         proxy += float(matrix.failure[i, c])

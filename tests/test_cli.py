@@ -136,14 +136,16 @@ def run_limited(args, cwd, address_space=1 << 30, timeout=60):
     )
 
 
-def run_sized(command, document, cwd):
-    """``fleetmaint command`` on the config ``document`` through
-    :func:`run_limited` with a 15 s timeout, writing to ``cwd / "out"``;
-    evaluate prices a schedule that dates the first asset."""
+def run_sized(command, document, cwd, threads=1):
+    """``fleetmaint command`` on the config ``document`` with ``threads``
+    sampling workers, through :func:`run_limited` with a 15 s timeout,
+    writing to ``cwd / "out"``; evaluate prices a schedule that dates the
+    first asset."""
     (cwd / "sized.json").write_text(json.dumps(document))
     (cwd / "schedule.csv").write_text("asset_id,date\nA1,1\n")
     extra = {"evaluate": ["--schedule", "schedule.csv"], "optimize": ["--criterion", "cvar"]}
-    argv = [command, "--config", "sized.json", "--out", "out", *extra.get(command, [])]
+    argv = [command, "--config", "sized.json", "--out", "out", "--threads", str(threads),
+            *extra.get(command, [])]
     return run_limited(argv, cwd, timeout=15)
 
 
@@ -533,7 +535,8 @@ class TestStudyDriver:
         assert len(calls) == 1
 
     def test_study_prices_its_schedules_in_one_pass(self, monkeypatch):
-        # the five schedules are priced together: each asset's rows once
+        # the five schedules are priced together from their candidate
+        # indices: each asset's rows once
         takes = []
         take = optimize.CostTable.take
 
@@ -543,17 +546,46 @@ class TestStudyDriver:
 
         monkeypatch.setattr(optimize.CostTable, "take", counting)
         priced = []
-        price = fleetmaint.cli.schedule_cost_distributions
+        price = fleetmaint.cli.cost_distributions
 
-        def pricing(matrix, schedules):
+        def pricing(matrix, indices):
             before = len(takes)
-            dists = price(matrix, schedules)
-            priced.append((len(schedules), takes[before:]))
+            dists = price(matrix, indices)
+            priced.append((len(indices), takes[before:]))
             return dists
 
-        monkeypatch.setattr(fleetmaint.cli, "schedule_cost_distributions", pricing)
+        monkeypatch.setattr(fleetmaint.cli, "cost_distributions", pricing)
         compute_study(parse_config(SMALL_CONFIG))
         assert priced == [(5, [0, 1, 2])]
+
+    @pytest.mark.parametrize("command, schedules", [("study", 5), ("optimize", 1)])
+    def test_each_solved_schedule_is_mapped_once(
+        self, command, schedules, config_file, tmp_path, monkeypatch
+    ):
+        # one validation and one mapping to candidate indices per schedule,
+        # which then both prices and summarizes it
+        mapped, validated = [], []
+        index, validate = fleetmaint.cli.indices_from_schedule, optimize.validate_schedule
+        monkeypatch.setattr(
+            fleetmaint.cli, "indices_from_schedule", lambda *a: mapped.append(a) or index(*a)
+        )
+        monkeypatch.setattr(
+            optimize, "validate_schedule", lambda *a: validated.append(a) or validate(*a)
+        )
+        argv = [command, "--config", str(config_file), "--out", str(tmp_path / "out")]
+        argv += ["--criterion", "cvar"] if command == "optimize" else []
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert fleetmaint.cli.main(argv) == 0
+        assert len(mapped) == len(validated) == schedules
+
+    def test_each_summary_reads_its_own_schedule(self):
+        result = compute_study(parse_config(SMALL_CONFIG))
+        horizon = result.fleet.horizon
+        times = {s.policy: s.mean_maintenance_time for s in result.summaries}
+        assert len(set(times.values())) > 1  # the policies' schedules differ
+        for name, schedule in result.schedules.items():
+            dates = [schedule.date_for(asset_id) for asset_id in result.fleet.ids]
+            assert times[name] == np.mean([horizon + 1 if d is None else d for d in dates])
 
     def test_memory_after_sampling_stays_under_six_assets_rows(self, monkeypatch):
         # N=40, S=2000, T=12, so past the enumeration budget: the study holds
@@ -1297,6 +1329,27 @@ class TestCliCommands:
         assert proc.stderr == (
             f"error: cannot allocate {nbytes} bytes for the {what} of N=1 assets,"
             f" S={n_scenarios} scenarios and T=12 periods (config keys fleet.n_assets,"
+            " scenarios.n_scenarios and fleet.horizon)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, nbytes", [("optimize", "1,500,000,000"), ("study", "3,840,000,000")]
+    )
+    def test_unallocatable_cost_distributions_exit_3_before_sampling(
+        self, command, nbytes, tmp_path
+    ):
+        # at T=1 the matrix build's row buffers take 24 bytes a scenario, and
+        # the solved schedules' distributions (and the study's ECDFs) more;
+        # beside one asset's draws they do not fit a 1 GiB address space
+        document = {
+            "fleet": {"n_assets": 1, "horizon": 1}, "scenarios": {"n_scenarios": 2 * 10**7}
+        }
+        proc = run_sized(command, document, tmp_path, threads=2)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            f"error: cannot allocate {nbytes} bytes for the schedule cost distributions of"
+            " N=1 assets, S=20000000 scenarios and T=1 periods (config keys fleet.n_assets,"
             " scenarios.n_scenarios and fleet.horizon)\n"
         )
         assert not (tmp_path / "out").exists()

@@ -23,9 +23,11 @@ from fleetmaint.optimize import (
     schedule_cost_distribution,
     schedule_from_indices,
 )
+from fleetmaint.config import parse_config
 from fleetmaint.fleet import FleetGenConfig, Schedule, generate_fleet
+from fleetmaint.policies import integrated_cvar
 from fleetmaint.riskcost import RiskParams, failure_probability
-from fleetmaint.scenario import PricingInputs, generate_scenarios
+from fleetmaint.scenario import PricingInputs, generate_scenarios, sample_pricing_inputs
 from helpers import (
     TableRows,
     asset_cost_table,
@@ -264,7 +266,7 @@ class TestScheduleDistribution:
 
     def test_no_schedules_give_no_distributions(self, small_setup):
         _, _, matrix = small_setup
-        assert optimize.schedule_cost_distributions(matrix, []) == []
+        assert optimize.cost_distributions(matrix, []) == []
 
 
 class TestEnumeration:
@@ -507,7 +509,13 @@ class TestExhaustiveSearch:
         assert peak < held + 4 * _BLOCK_ELEMENTS * 8
 
     @pytest.mark.parametrize(
-        "search", [exhaustive_cvar_argmin, coordinate_descent_cvar], ids=["exhaustive", "descent"]
+        "search",
+        [
+            exhaustive_cvar_argmin,
+            coordinate_descent_cvar,
+            lambda matrix, alpha, indices: optimize.cost_distributions(matrix, [indices]),
+        ],
+        ids=["exhaustive", "descent", "distributions"],
     )
     @pytest.mark.parametrize(
         "indices, message",
@@ -709,6 +717,33 @@ class TestReturnedValues:
             schedule = schedule_from_indices(matrix.fleet, indices)
             dist = schedule_cost_distribution(matrix, schedule)
             assert value == cvar_alpha(dist, alpha)
+
+
+class TestQuotedCounts:
+    """The walk's counts that the fleetmaint.optimize docstrings quote for
+    the default profile (N=5, T=12, S=800, seed 1), counted as the
+    hypothesis tests count rows priced."""
+
+    def test_walk_from_the_descent_at_the_default_profile(self, monkeypatch):
+        config = parse_config({}).with_seed(1)
+        fleet = config.build_fleet()
+        inputs = sample_pricing_inputs(fleet, config.n_scenarios, config.scenario_seed)
+        matrix = build_matrix(fleet, inputs, config.risk)
+        alpha = config.policies.alpha
+        start = tuple(int(c) for c in np.argmin(matrix.means, axis=1))
+        incumbent, _ = coordinate_descent_cvar(matrix, alpha, start)
+        blocks = []
+        block_rows = optimize._block_rows
+
+        def recording(matrix, dates):
+            blocks.append(sum(used.size for used in dates))
+            return block_rows(matrix, dates)
+
+        monkeypatch.setattr(optimize, "_block_rows", recording)
+        (indices, _), rows = priced_rows(matrix, alpha, incumbent)
+        assert blocks == [23]
+        assert sum(rows) == 1 + 400  # the incumbent, then the survivors
+        assert schedule_from_indices(fleet, indices) == integrated_cvar(matrix, alpha)
 
 
 class TestRoom:

@@ -12,7 +12,7 @@ import pytest
 
 from fleetmaint.criteria import CostDistribution, cvar_alpha, expected_cost
 from fleetmaint.fleet import Schedule
-from fleetmaint.optimize import build_matrix, schedule_cost_distribution
+from fleetmaint.optimize import build_matrix, indices_from_schedule, schedule_cost_distribution
 from fleetmaint.report import (
     SUMMARY_COLUMNS,
     EcdfCurve,
@@ -36,7 +36,7 @@ def setup():
 def summarize(setup, schedule, name="demo"):
     _, scenarios, matrix = setup
     dist = schedule_cost_distribution(matrix, schedule)
-    return summarize_policy(name, schedule, dist, matrix, 0.9)
+    return summarize_policy(name, indices_from_schedule(schedule, matrix.fleet), dist, matrix, 0.9)
 
 
 class TestSummarize:
@@ -44,7 +44,8 @@ class TestSummarize:
         fleet, scenarios, matrix = setup
         schedule = Schedule({"A1": 2, "A2": 5, "A3": None})
         dist = schedule_cost_distribution(matrix, schedule)
-        summary = summarize_policy("demo", schedule, dist, matrix, 0.9)
+        indices = indices_from_schedule(schedule, fleet)
+        summary = summarize_policy("demo", indices, dist, matrix, 0.9)
         assert summary.policy == "demo"
         assert summary.expected_cost == pytest.approx(expected_cost(dist))
         assert summary.cvar == pytest.approx(cvar_alpha(dist, 0.9))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fleetmaint.fleet import Schedule
-from fleetmaint.optimize import build_matrix, schedule_cost_distribution
+from fleetmaint.optimize import build_matrix, indices_from_schedule, schedule_cost_distribution
 from fleetmaint.report import summarize_policy
 from fleetmaint.riskcost import RiskParams, failure_probability, performance_penalty
 from helpers import (
@@ -56,7 +56,8 @@ def matrix_proxy(schedule, fleet, scenarios, params=RiskParams()):
     """The failure proxy as a study reports it: N lookups in the matrix."""
     matrix = build_matrix(fleet, scenarios, params)
     dist = schedule_cost_distribution(matrix, schedule)
-    return summarize_policy("p", schedule, dist, matrix, 0.9).mean_failure_proxy
+    indices = indices_from_schedule(schedule, fleet)
+    return summarize_policy("p", indices, dist, matrix, 0.9).mean_failure_proxy
 
 
 class TestEffectiveRul:
@@ -319,7 +320,8 @@ class TestFailureProxy:
         matrix = build_matrix(fleet, scenarios, params)
         for schedule in enumerate_schedules(fleet):
             dist = schedule_cost_distribution(matrix, schedule)
-            proxy = summarize_policy("p", schedule, dist, matrix, 0.9).mean_failure_proxy
+            indices = indices_from_schedule(schedule, fleet)
+            proxy = summarize_policy("p", indices, dist, matrix, 0.9).mean_failure_proxy
             assert proxy == pytest.approx(
                 failure_proxy(schedule, fleet, scenarios, params), rel=1e-12, abs=0.0
             )
