@@ -8,16 +8,22 @@ the config's fleet through :func:`_setup`, which samples only what pricing
 reads of the scenario set, its latent RULs and usage mean
 (:func:`fleetmaint.scenario.sample_pricing_inputs`), never the (N, S, T)
 usage increments, and returns the matrix alone: it holds the fleet and
-those pricing inputs. optimize and study solve each policy on that matrix
-through :func:`_solve`, which validates and maps each schedule to its
-candidate indices once, prices all of them from those indices in one
-pass over the assets' cost rows, and summarizes each from the indices
-that priced it. gen-scenarios samples and exports the
-full set (:func:`fleetmaint.scenario.generate_scenarios`). Before any
-asset is built, every command maps, and releases, what it will hold for
-the N, S and T the config holds (:func:`_sized_fleet`): the sampler's
-draws, a generated fleet, and the scenario export's row templates or the
-larger of the matrix build's row buffers and the solved schedules' cost
+those pricing inputs. Each of them validates and maps every schedule it
+prices to candidate indices once
+(:func:`fleetmaint.optimize.indices_from_schedule`) and prices them from
+those indices in one pass over the assets' cost rows
+(:func:`fleetmaint.optimize.cost_distributions`). evaluate maps its
+schedule file before it samples, and prints one ``invalid schedule: …``
+line per violation; optimize and study solve each policy on the matrix
+through :func:`_solve`, which also summarizes each schedule from the
+indices that priced it. study keeps the five cost distributions, and
+:func:`fleetmaint.report.emit_outputs` builds each ECDF curve as it
+writes that curve's file. gen-scenarios samples and exports the full set
+(:func:`fleetmaint.scenario.generate_scenarios`). Before any asset is
+built, every command maps, and releases, what it will hold for the N, S
+and T the config holds (:func:`_sized_fleet`): the sampler's draws, a
+generated fleet, and the scenario export's row templates or the larger
+of the matrix build's row buffers and the solved schedules' cost
 distributions. So a size that cannot be held exits 3 at once, however
 long the fleet or the sampling would take.
 --threads K (>= 1) sets how many worker processes sample; everything else
@@ -38,19 +44,11 @@ from pathlib import Path
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .csvio import write_csv
 from .criteria import CostDistribution, cvar_alpha, expected_cost, var_alpha
-from .fleet import AssetSpec, FleetSpec, Schedule, validate_schedule
-from .optimize import (
-    EvaluationMatrix,
-    build_matrix,
-    cost_distributions,
-    indices_from_schedule,
-    schedule_cost_distribution,
-)
+from .fleet import AssetSpec, FleetSpec, Schedule
+from .optimize import EvaluationMatrix, build_matrix, cost_distributions, indices_from_schedule
 from .policies import PolicyKind, run_policy
 from .report import (
-    EcdfCurve,
     PolicySummary,
-    ecdf,
     emit_outputs,
     read_schedule_csv,
     staged_outputs,
@@ -75,10 +73,13 @@ _GEN_FLEET_BYTES_PER_ASSET = 1_400
 
 # What each pricing command holds, per scenario, at its peak once the matrix
 # is built, above what it held then: its schedules' cost distributions and,
-# for study, their ECDF curves. tracemalloc at N=1, T=1 (CPython 3.11, numpy
-# 2.4) read, at S=10^5 and 10^6: 32.0 and 32.0 bytes for evaluate, 74.7 and
-# 74.1 for optimize, 191.7 and 191.5 for study (191.6 at T=12).
-_SOLVED_BYTES_PER_SCENARIO = {"evaluate": 32, "optimize": 75, "study": 192}
+# for study, the one ECDF curve it is writing. tracemalloc at N=1, T=1
+# (CPython 3.11, numpy 2.4) read, at S=10^5 and 10^6: 32.0 and 32.0 bytes for
+# evaluate, 74.7 and 74.1 for optimize, 129.1 and 128.9 for study. The study
+# reads 129.1 up to T=9 and more from T=10 (144.1 at T=11, 152.1 at T=12),
+# where the CVaR solve and its (T+1, S) descent buffer set the peak; the row
+# buffers' piece, (2T+1)*8 bytes a scenario, covers that.
+_SOLVED_BYTES_PER_SCENARIO = {"evaluate": 32, "optimize": 75, "study": 130}
 
 POLICY_ORDER = (
     PolicyKind.INTEGRATED_EXPECTED,
@@ -93,7 +94,10 @@ POLICY_ORDER = (
 class StudyResult:
     """Everything a full study computes, before any files are written.
 
-    The policies were priced on the latent RULs and the usage mean alone.
+    ``distributions`` maps each policy to its fleet cost distribution;
+    :func:`fleetmaint.report.emit_outputs` builds its ECDF curve as it
+    writes it, so no curve is held here. The policies were priced on the
+    latent RULs and the usage mean alone.
     ``scenarios`` is the full set of ``n_scenarios`` scenarios they come
     from, drawn from ``scenario_seed`` on first access and then kept:
     every cell is a pure function of (seed, asset, scenario), so it is
@@ -105,7 +109,7 @@ class StudyResult:
     scenario_seed: int
     schedules: dict[str, Schedule]
     summaries: list[PolicySummary]
-    curves: dict[str, EcdfCurve]
+    distributions: dict[str, CostDistribution]
 
     @cached_property
     def scenarios(self) -> ScenarioSet:
@@ -122,10 +126,11 @@ def _sized_fleet(config: RunConfig, command: str = "study") -> FleetSpec:
     per-asset cost rows and what the command holds once they are freed,
     its schedules' cost distributions (evaluate, optimize and study, at
     :data:`_SOLVED_BYTES_PER_SCENARIO`). Every piece stays mapped until
-    the last one is, so their sum is checked, and the first that cannot
-    be held exits 3 by name before any asset is built. The maps are
-    released at once, before a page of any is touched; the sampler maps
-    its own."""
+    the last one is, so under an address-space cap (``ulimit -v``) their
+    sum is checked; without one the kernel weighs each map on its own,
+    against about the RAM. The first piece that cannot be held exits 3
+    by name before any asset is built. The maps are released at once,
+    before a page of any is touched; the sampler maps its own."""
     sizes = config.explicit_fleet or config.fleet_gen
     n, s, t = sizes.n_assets, config.n_scenarios, sizes.horizon
     draws, usage = command != "gen-fleet", command == "gen-scenarios"
@@ -186,7 +191,7 @@ def compute_study(config: RunConfig, workers: int = 1) -> StudyResult:
         scenario_seed=config.scenario_seed,
         schedules={kind.value: schedule for kind, (schedule, _, _) in zip(POLICY_ORDER, solved)},
         summaries=[summary for _, _, summary in solved],
-        curves={kind.value: ecdf(dist) for kind, (_, dist, _) in zip(POLICY_ORDER, solved)},
+        distributions={kind.value: dist for kind, (_, dist, _) in zip(POLICY_ORDER, solved)},
     )
 
 
@@ -198,7 +203,7 @@ def run_study(
     meta = {"seed": config.scenario_seed, "config": config.to_json_dict()}
     paths = emit_outputs(
         result.summaries,
-        result.curves,
+        result.distributions,
         result.schedules,
         out_dir if out_dir is not None else config.out_dir,
         result.fleet,
@@ -245,12 +250,12 @@ def _cmd_gen_scenarios(args, config: RunConfig, out: Path) -> int:
 def _cmd_evaluate(args, config: RunConfig, out: Path) -> int:
     fleet = _sized_fleet(config, "evaluate")
     schedule = read_schedule_csv(Path(args.schedule))
-    violations = validate_schedule(schedule, fleet)
-    if violations:
-        for v in violations:
-            print(f"invalid schedule: {v}", file=sys.stderr)
+    try:
+        chosen = indices_from_schedule(schedule, fleet)
+    except ValueError as exc:  # one "invalid schedule: ..." line per violation
+        print(exc, file=sys.stderr)
         return 3
-    dist = schedule_cost_distribution(_setup(config, fleet, args.threads), schedule)
+    [dist] = cost_distributions(_setup(config, fleet, args.threads), [chosen])
     print(f"expected_cost={expected_cost(dist):.12g}")
     alpha = config.policies.alpha
     print(f"var_{alpha:g}={var_alpha(dist, alpha):.12g}")

@@ -272,10 +272,13 @@ def build_matrix(
 
 
 def indices_from_schedule(schedule: Schedule, fleet: FleetSpec) -> tuple[int, ...]:
-    """Map a schedule to candidate indices (date-1, or T for unscheduled)."""
+    """Map a schedule to candidate indices (date-1, or T for unscheduled).
+
+    An invalid schedule is a ValueError with one ``invalid schedule: …``
+    line per violation that :func:`~fleetmaint.fleet.validate_schedule` finds."""
     violations = validate_schedule(schedule, fleet)
     if violations:
-        raise ValueError("invalid schedule: " + "; ".join(violations))
+        raise ValueError("\n".join(f"invalid schedule: {v}" for v in violations))
     out = []
     for asset in fleet.assets:
         date = schedule.date_for(asset.id)
@@ -301,7 +304,9 @@ def cost_distributions(
 
 
 def schedule_cost_distribution(matrix: EvaluationMatrix, schedule: Schedule) -> CostDistribution:
-    """Fleet cost distribution of one schedule via its assets' row sums."""
+    """Fleet cost distribution of one schedule via its assets' row sums: the
+    Python API's shorthand for :func:`indices_from_schedule`, then
+    :func:`cost_distributions`, which the CLI calls itself."""
     return cost_distributions(matrix, [indices_from_schedule(schedule, matrix.fleet)])[0]
 
 

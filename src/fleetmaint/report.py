@@ -3,7 +3,9 @@
 Every CSV goes through :func:`fleetmaint.csvio.write_csv`, or for the
 ECDF rows, rendered a block at a time, :func:`fleetmaint.csvio.write_lines`,
 with a fixed column order, so reruns with the same seed and config are
-byte-identical.
+byte-identical. :func:`emit_outputs` takes each policy's cost
+distribution and builds its ECDF curve (:func:`ecdf`) only as it writes
+that curve's file, so at most one curve is alive.
 The study files here carry 6 significant digits for floats; ``fleet.csv``,
 ``eval_distribution.csv`` and the scenario CSVs carry 17, so their float64
 values round-trip exactly. The run metadata JSON carries the only
@@ -198,7 +200,7 @@ def staged_outputs(output_dir) -> Iterator[Path]:
 
 def emit_outputs(
     summaries: list[PolicySummary],
-    curves: dict[str, EcdfCurve],
+    distributions: dict[str, CostDistribution],
     schedules: dict[str, Schedule],
     output_dir,
     fleet: FleetSpec,
@@ -206,13 +208,16 @@ def emit_outputs(
 ) -> list[Path]:
     """Write summary.csv, per-policy ECDF files, schedules.csv, run_meta.json.
 
+    ``distributions`` maps each policy name to its cost distribution, in
+    file order; each ``ecdf_<name>.csv`` holds its :func:`ecdf`, built as
+    that file is written and dropped before the next is built.
     The files are staged (:func:`staged_outputs`) and then moved into
     output_dir together; the return value lists their final paths in that
     order. A failure leaves output_dir's earlier files untouched.
     """
     names = [
         "summary.csv",
-        *(f"ecdf_{name}.csv" for name in curves),
+        *(f"ecdf_{name}.csv" for name in distributions),
         "schedules.csv",
         "run_meta.json",
     ]
@@ -220,8 +225,8 @@ def emit_outputs(
         rows = [[s.policy, *map(_fmt, astuple(s)[1:])] for s in summaries]
         write_csv(stage / "summary.csv", SUMMARY_COLUMNS, rows)
 
-        for name, curve in curves.items():
-            write_lines(stage / f"ecdf_{name}.csv", ("cost", "cum_prob"), _ecdf_blocks(curve))
+        for name, dist in distributions.items():  # one curve alive at a time
+            write_lines(stage / f"ecdf_{name}.csv", ("cost", "cum_prob"), _ecdf_blocks(ecdf(dist)))
 
         rows = [
             [name, *row]

@@ -558,22 +558,30 @@ class TestStudyDriver:
         compute_study(parse_config(SMALL_CONFIG))
         assert priced == [(5, [0, 1, 2])]
 
-    @pytest.mark.parametrize("command, schedules", [("study", 5), ("optimize", 1)])
+    @pytest.mark.parametrize(
+        "command, schedules", [("study", 5), ("optimize", 1), ("evaluate", 1)]
+    )
     def test_each_solved_schedule_is_mapped_once(
         self, command, schedules, config_file, tmp_path, monkeypatch
     ):
         # one validation and one mapping to candidate indices per schedule,
-        # which then both prices and summarizes it
+        # which then prices it and, for study and optimize, summarizes it
         mapped, validated = [], []
         index, validate = fleetmaint.cli.indices_from_schedule, optimize.validate_schedule
         monkeypatch.setattr(
             fleetmaint.cli, "indices_from_schedule", lambda *a: mapped.append(a) or index(*a)
         )
-        monkeypatch.setattr(
-            optimize, "validate_schedule", lambda *a: validated.append(a) or validate(*a)
-        )
+        for module in (fleetmaint.cli, optimize):  # every module that may validate
+            monkeypatch.setattr(
+                module, "validate_schedule", lambda *a: validated.append(a) or validate(*a),
+                raising=False,
+            )
+        (tmp_path / "schedule.csv").write_text("asset_id,date\nA1,2\nA2,none\nA3,4\n")
         argv = [command, "--config", str(config_file), "--out", str(tmp_path / "out")]
-        argv += ["--criterion", "cvar"] if command == "optimize" else []
+        argv += {
+            "optimize": ["--criterion", "cvar"],
+            "evaluate": ["--schedule", str(tmp_path / "schedule.csv")],
+        }.get(command, [])
         with contextlib.redirect_stdout(io.StringIO()):
             assert fleetmaint.cli.main(argv) == 0
         assert len(mapped) == len(validated) == schedules
@@ -603,6 +611,25 @@ class TestStudyDriver:
             tracemalloc.stop()
         rows = (fleet.horizon + 1) * config.n_scenarios * 8
         assert peak < 6 * rows
+
+    def test_study_writes_each_ecdf_as_it_is_built(self, monkeypatch, tmp_path):
+        # N=1, T=1, so the matrix build's row buffers take 24 bytes a
+        # scenario: above the built matrix the study holds its five cost
+        # distributions and at most one ECDF curve (about 129 bytes a
+        # scenario), not all five curves (about 192)
+        n_scenarios = 10**5
+        config = parse_config(
+            {"fleet": {"n_assets": 1, "horizon": 1}, "scenarios": {"n_scenarios": n_scenarios}}
+        )
+        matrix = fleetmaint.cli._setup(config, config.build_fleet(), 1)
+        monkeypatch.setattr(fleetmaint.cli, "_setup", lambda *a: matrix)
+        tracemalloc.start()
+        try:
+            run_study(config, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * n_scenarios
 
 
 class TestCliCommands:
@@ -1334,13 +1361,13 @@ class TestCliCommands:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "command, nbytes", [("optimize", "1,500,000,000"), ("study", "3,840,000,000")]
+        "command, nbytes", [("optimize", "1,500,000,000"), ("study", "2,600,000,000")]
     )
     def test_unallocatable_cost_distributions_exit_3_before_sampling(
         self, command, nbytes, tmp_path
     ):
         # at T=1 the matrix build's row buffers take 24 bytes a scenario, and
-        # the solved schedules' distributions (and the study's ECDFs) more;
+        # the solved schedules' distributions (and the study's one ECDF) more;
         # beside one asset's draws they do not fit a 1 GiB address space
         document = {
             "fleet": {"n_assets": 1, "horizon": 1}, "scenarios": {"n_scenarios": 2 * 10**7}

@@ -107,14 +107,12 @@ def run_emit(setup, out):
         "integrated_expected": Schedule({"A1": 1, "A2": None, "A3": 4}),
     }
     summaries = []
-    curves = {}
+    distributions = {}
     for name, schedule in schedules.items():
         summaries.append(summarize(setup, schedule, name))
-        curves[name] = ecdf(
-            schedule_cost_distribution(matrix, schedule)
-        )
+        distributions[name] = schedule_cost_distribution(matrix, schedule)
     return emit_outputs(
-        summaries, curves, schedules, out, fleet, meta={"seed": 14}
+        summaries, distributions, schedules, out, fleet, meta={"seed": 14}
     )
 
 
@@ -166,14 +164,18 @@ class TestEmitOutputs:
         # %.6g text takes each form: exponents both ways, integers, -0
         fleet, _, _ = setup
         rng = np.random.default_rng(3)
-        costs = np.sort(rng.lognormal(0.0, 12.0, 2500) * rng.choice([-1.0, 1.0], 2500))
+        costs = rng.lognormal(0.0, 12.0, 2500) * rng.choice([-1.0, 1.0], 2500)
         costs[:3] = [-1e300, -0.0, 5.0]
-        curve = EcdfCurve(costs=costs, cum_probs=np.linspace(1 / 2500, 1.0, 2500))
-        emit_outputs([], {"wide": curve}, {}, tmp_path, fleet)
+        dist = CostDistribution(costs, np.full(2500, 1 / 2500))
+        emit_outputs([], {"wide": dist}, {}, tmp_path, fleet)
+        curve = ecdf(dist)
+        assert curve.costs.size == 2500
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(("cost", "cum_prob"))
-        writer.writerows([format(c, ".6g"), format(p, ".6g")] for c, p in zip(costs, curve.cum_probs))
+        writer.writerows(
+            [format(c, ".6g"), format(p, ".6g")] for c, p in zip(curve.costs, curve.cum_probs)
+        )
         assert (tmp_path / "ecdf_wide.csv").read_bytes() == expected.getvalue().encode()
 
     def test_run_meta_content(self, setup, tmp_path):
