@@ -72,14 +72,14 @@ __all__ = ["main", "run_study", "compute_study", "StudyResult", "POLICY_ORDER"]
 _GEN_FLEET_BYTES_PER_ASSET = 1_400
 
 # What each pricing command holds, per scenario, at its peak once the matrix
-# is built, above what it held then: its schedules' cost distributions and,
-# for study, the one ECDF curve it is writing. tracemalloc at N=1, T=1
-# (CPython 3.11, numpy 2.4) read, at S=10^5 and 10^6: 32.0 and 32.0 bytes for
-# evaluate, 74.7 and 74.1 for optimize, 129.1 and 128.9 for study. The study
-# reads 129.1 up to T=9 and more from T=10 (144.1 at T=11, 152.1 at T=12),
-# where the CVaR solve and its (T+1, S) descent buffer set the peak; the row
-# buffers' piece, (2T+1)*8 bytes a scenario, covers that.
-_SOLVED_BYTES_PER_SCENARIO = {"evaluate": 32, "optimize": 75, "study": 130}
+# is built: the scenario weight vector that the matrix keeps (8 bytes) and,
+# above the matrix, its schedules' cost distributions, which share that
+# vector, and for study the one ECDF curve it is writing. tracemalloc at N=1,
+# S=10^5 (CPython 3.11, numpy 2.4) read, above the built matrix, 24.1 bytes
+# for evaluate and 96.1 for study at every T up to 13, and for optimize 66.7,
+# 74.7, 72.1 and 80.1 at T=1..4, then 8 more a period (112.1 at T=8), which
+# the build's piece, 17(T+1) bytes a scenario, covers from T=5 on.
+_SOLVED_BYTES_PER_SCENARIO = {"evaluate": 33, "optimize": 89, "study": 105}
 
 POLICY_ORDER = (
     PolicyKind.INTEGRATED_EXPECTED,
@@ -123,14 +123,16 @@ def _sized_fleet(config: RunConfig, command: str = "study") -> FleetSpec:
     usage increment for gen-scenarios; a generated fleet, at
     :data:`_GEN_FLEET_BYTES_PER_ASSET` per asset; then the scenario CSVs'
     row templates (gen-scenarios), or the larger of the matrix build's
-    per-asset cost rows and what the command holds once they are freed,
-    its schedules' cost distributions (evaluate, optimize and study, at
-    :data:`_SOLVED_BYTES_PER_SCENARIO`). Every piece stays mapped until
-    the last one is, so under an address-space cap (``ulimit -v``) their
-    sum is checked; without one the kernel weighs each map on its own,
-    against about the RAM. The first piece that cannot be held exits 3
-    by name before any asset is built. The maps are released at once,
-    before a page of any is touched; the sampler maps its own."""
+    peak, its per-asset cost rows with their finiteness mask and the
+    weight vector, and what the command holds once the rows are freed,
+    the weights and its schedules' cost distributions (evaluate, optimize
+    and study, at :data:`_SOLVED_BYTES_PER_SCENARIO`). Every piece stays
+    mapped until the last one is, so under an address-space cap
+    (``ulimit -v``) their sum is checked; without one the kernel weighs
+    each map on its own, against about the RAM. The first piece that
+    cannot be held exits 3 by name before any asset is built. The maps
+    are released at once, before a page of any is touched; the sampler
+    maps its own."""
     sizes = config.explicit_fleet or config.fleet_gen
     n, s, t = sizes.n_assets, config.n_scenarios, sizes.horizon
     draws, usage = command != "gen-fleet", command == "gen-scenarios"
@@ -143,8 +145,9 @@ def _sized_fleet(config: RunConfig, command: str = "study") -> FleetSpec:
     if usage:  # write_scenario_csvs' ",w,k,%.17g" rows, at most this long
         nbytes = s * t * (9 + len(str(s)) + len(str(t)))
         pieces.append((nbytes, _size_error("scenario CSV row templates", nbytes, n, s, t)))
-    elif draws:  # build_matrix's (T+1, S) and (T, S) buffers, freed before the solves
-        rows = ((2 * t + 1) * s * 8, "per-asset cost rows")
+    elif draws:  # build_matrix's (T+1, S) and (T, S) buffers, the (T+1, S) finiteness
+        # mask and the weight vector it first reads; all but the weights are freed by the solves
+        rows = (((2 * t + 1) * 8 + (t + 1) + 8) * s, "per-asset cost rows")
         solved = (_SOLVED_BYTES_PER_SCENARIO[command] * s, "schedule cost distributions")
         nbytes, what = max(rows, solved, key=lambda piece: piece[0])
         pieces.append((nbytes, _size_error(what, nbytes, n, s, t)))

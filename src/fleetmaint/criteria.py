@@ -13,6 +13,15 @@ that share one weight vector, and the schedule search in
 one-row case and :func:`var_alpha` its quantile step, so a schedule found
 by the search reports the same objective when re-evaluated here.
 
+Every scenario-weighted sum is taken by one rule, :func:`weighted_sum`:
+the expected cost and the CVaR tail here, the matrix's row means and
+failure table, the RUL rule's probabilities and the sampler's usage
+mean. Each value is weighted first, and the products are added by
+numpy's pairwise summation along the last axis of a C-ordered array,
+whose order is fixed by the code and the length alone. So no value that
+decides or prints goes through BLAS, whose kernels, and so whose bits,
+depend on the CPU.
+
 Cumulative-weight comparisons allow 1e-12 of absolute slack; without it,
 accumulated rounding in equal weights (ten 0.1 entries sum to just under
 1) would shift quantiles off their exact discrete values.
@@ -28,6 +37,7 @@ import numpy as np
 __all__ = [
     "CostDistribution",
     "expected_cost",
+    "weighted_sum",
     "var_alpha",
     "cvar_alpha",
     "batch_cvar",
@@ -68,9 +78,25 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie strictly between 0 and 1")
 
 
+def weighted_sum(values, weights, out=None, products=None) -> np.ndarray:
+    """The sum over the last axis of ``values`` times ``weights``.
+
+    Every product is formed first, into ``products`` if given (a
+    C-ordered array, which may be ``values`` itself) or else into a new
+    C-ordered array, so no partial sum overflows where the weighted sum
+    does not. The products are then added along their last axis by
+    ``np.add.reduce``, numpy's pairwise summation, whose order of
+    additions depends only on the axis length. ``weights`` broadcasts
+    against ``values``: one weight per scenario, a scalar, or one per
+    value. The result goes to ``out`` if given.
+    """
+    products = np.multiply(values, weights, out=products, order="C")
+    return np.add.reduce(products, axis=-1, out=out)
+
+
 def expected_cost(dist: CostDistribution) -> float:
-    """Weight-averaged cost."""
-    return float(dist.weights @ dist.values)
+    """Weight-averaged cost (:func:`weighted_sum`)."""
+    return float(weighted_sum(dist.values, dist.weights))
 
 
 @functools.lru_cache(maxsize=32)
@@ -115,8 +141,8 @@ def batch_cvar(totals: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndar
     var = _batch_var(totals, weights, alpha)
     tail = (totals >= var[:, None]) * weights
     tail_weight = tail.sum(axis=1)
-    tail *= totals  # in place, so the batch needs one (M, S) buffer
-    return tail.sum(axis=1) / tail_weight
+    # weighted in place, so the batch needs one (M, S) buffer
+    return weighted_sum(totals, tail, products=tail) / tail_weight
 
 
 def var_alpha(dist: CostDistribution, alpha: float) -> float:

@@ -69,7 +69,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .criteria import CostDistribution, batch_cvar
+from .criteria import CostDistribution, batch_cvar, weighted_sum
 from .fleet import FleetSpec, Schedule, validate_schedule
 from .riskcost import RiskParams, failure_probability, performance_penalty
 from .scenario import PricingInputs, ScenarioSet, _size_error
@@ -201,11 +201,12 @@ class EvaluationMatrix:
     where row c is its cost in each scenario when maintained at date c+1
     for c < T, or never maintained for c == T. :func:`build_matrix` gives
     a :class:`CostTable`, which prices the rows where they are read and
-    holds none. ``means[i, c]`` is row c of asset i times the weights,
-    the row's scenario-weighted sum. ``failure[i, c]`` is the
-    scenario-weighted sum of asset i's per-period failure probabilities
-    over the same candidate's accrual window: periods 1..c, which for
-    c == T is the whole horizon. ``fleet`` and ``scenarios`` are what the
+    holds none. ``means[i, c]`` is the scenario-weighted sum
+    (:func:`~fleetmaint.criteria.weighted_sum`) of row c of asset i.
+    ``failure[i, c]`` is the scenario-weighted sum of asset i's
+    per-period failure probabilities over the same candidate's accrual
+    window: periods 1..c, which for c == T is the whole horizon.
+    ``fleet`` and ``scenarios`` are what the
     tables were priced on; their N and T must agree with each other and
     with the (N, T+1) tables, which are made read-only.
     """
@@ -243,7 +244,8 @@ def build_matrix(
     the matrix never holds the (N, S, T) usage increments. One pass over
     the assets prices each one's (T+1, S) rows into one reused buffer and
     keeps, from them, the failure row, the finiteness check and the row
-    means ``rows @ weights``; the rows themselves are dropped, and the
+    means, each a :func:`~fleetmaint.criteria.weighted_sum` that weights
+    the buffers in place; the rows themselves are dropped, and the
     matrix's :class:`CostTable` prices them again where they are read. A
     scenario set whose shape does not match the fleet is rejected by the
     matrix itself, and a cell that overflows to infinity (the build lets
@@ -263,9 +265,10 @@ def build_matrix(
     with np.errstate(over="ignore"):
         for i, (asset, rul) in enumerate(zip(fleet.assets, scenarios.latent_rul)):
             _asset_tables(asset, rul, horizon, params, list(rows), per_period)
-            means[i] = rows @ weights
+            # a weight of 1/S keeps each cell finite or not, so the check may follow
+            weighted_sum(rows, weights, out=means[i], products=rows)
             failure[i, 0] = 0.0
-            np.cumsum(per_period @ weights, out=failure[i, 1:])
+            np.cumsum(weighted_sum(per_period, weights, products=per_period), out=failure[i, 1:])
             _check_finite(fleet, i, rows, failure[i])
     costs = CostTable(fleet, scenarios.latent_rul, params)
     return EvaluationMatrix(fleet, scenarios, costs, failure, means)

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .criteria import CUM_TOL
+from .criteria import CUM_TOL, weighted_sum
 from .fleet import FleetSpec, Schedule
 from .optimize import (
     DEFAULT_EXHAUSTIVE_BUDGET,
@@ -127,7 +127,7 @@ def rul_threshold(
     t_grid = np.arange(1, fleet.horizon + 1)
     dates: dict[str, int | None] = {}
     for i, asset in enumerate(fleet.assets):
-        probs = scenarios.weights @ (scenarios.latent_rul[i][:, None] <= t_grid[None, :])
+        probs = weighted_sum(t_grid[:, None] >= scenarios.latent_rul[i], scenarios.weights)
         hit = np.nonzero(probs >= trigger_prob - CUM_TOL)[0]
         dates[asset.id] = None if hit.size == 0 else int(hit[0]) + 1
     return Schedule(dates=dates)

@@ -39,10 +39,11 @@ increment to them in a :class:`ScenarioSet`. Both run one sampler,
 takes an asset's scenarios in chunks of ``_CHUNK`` rows, drawn into a view
 of the (N, S, T) array or into one reused (min(``_CHUNK``, S), T) buffer. It
 scales and checks each chunk and stores the chunk's term of the usage
-mean (:func:`_mean_term`). Worker blocks start and end on chunk bounds,
-and the terms are added in scenario order (:func:`_usage_mean`), so the
-mean is the same bits for every number of workers and equals
-:attr:`ScenarioSet.usage_mean` of the full set.
+mean, its values weighted by 1/S and summed by
+:func:`fleetmaint.criteria.weighted_sum`. Worker blocks start and end on
+chunk bounds, and the terms are added in scenario order
+(:func:`_usage_mean`), so the mean is the same bits for every number of
+workers and equals :attr:`ScenarioSet.usage_mean` of the full set.
 
 A set leaves and re-enters fleetmaint as two CSV files, and both directions
 work a column at a time in bounded memory. :func:`write_scenario_csvs`
@@ -74,10 +75,12 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
 
+from .criteria import weighted_sum
 from .csvio import IntKey, line_number, quote, read_csv, write_lines
 from .fleet import FleetSpec
 
@@ -185,9 +188,10 @@ class PricingInputs:
     def n_scenarios(self) -> int:
         return self.latent_rul.shape[1]
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        """The read-only weight 1/S of each scenario, shape (S,)."""
+        """The read-only weight 1/S of each scenario, shape (S,), built on
+        first read and shared by every later one."""
         w = np.full(self.n_scenarios, 1.0 / self.n_scenarios)
         w.setflags(write=False)
         return w
@@ -209,8 +213,9 @@ class ScenarioSet(PricingInputs):
     The set does not record how it was made: the run config, echoed in
     ``run_meta.json``, holds the seed of a sampled set. The usage mean is
     computed once, chunk by chunk by the rule the sampler applies
-    (:func:`_mean_term`, :func:`_usage_mean`), so a sampled set's mean is
-    the same bits as :func:`sample_pricing_inputs` gives.
+    (:func:`~fleetmaint.criteria.weighted_sum`, :func:`_usage_mean`), so
+    a sampled set's mean is the same bits as :func:`sample_pricing_inputs`
+    gives.
 
     Attributes:
         usage_increments: shape (N, S, T) with S >= 1, strictly positive.
@@ -232,21 +237,9 @@ class ScenarioSet(PricingInputs):
         n, s, t = inc.shape
         terms = np.empty((n, -(-s // _CHUNK), t))
         for i, k in np.ndindex(terms.shape[:2]):
-            _mean_term(inc[i, k * _CHUNK:(k + 1) * _CHUNK], s, terms[i, k])
+            weighted_sum(inc[i, k * _CHUNK:(k + 1) * _CHUNK].T, 1.0 / s, out=terms[i, k])
         super().__init__(rul, _usage_mean(terms))
         _freeze(self, usage_increments=inc)
-
-
-def _mean_term(rows: np.ndarray, n_scenarios: int, out: np.ndarray) -> None:
-    """Write one chunk's term of the usage mean into ``out`` (T,).
-
-    ``rows`` are (c, T) usage rows of one asset. Each value is weighted by
-    1/S before any sum, as ``weights @ rows`` weights it, so no partial sum
-    overflows where the mean itself does not. Each period's c weighted
-    values are then laid out contiguously and added by numpy's pairwise
-    summation, whose order depends only on c.
-    """
-    np.add.reduce(np.multiply(rows.T, 1.0 / n_scenarios, order="C"), axis=1, out=out)
 
 
 def _usage_mean(terms: np.ndarray) -> np.ndarray:
@@ -511,7 +504,7 @@ def _sample_cells(
             usage_ok = rows.min() > 0 and rows.max() < np.inf
             rul_ok = rul.min() >= 0 and rul.max() < np.inf
             draws.valid[i, k] = int(usage_ok) | int(rul_ok) << 1
-            _mean_term(rows, n_scenarios, draws.terms[i, k])
+            weighted_sum(rows.T, 1.0 / n_scenarios, out=draws.terms[i, k])
 
 
 def _fork_block(*args) -> int:

@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from fleetmaint.criteria import CUM_TOL, CostDistribution, _check_alpha, batch_cvar
+from fleetmaint.criteria import CUM_TOL, CostDistribution, _check_alpha, batch_cvar, weighted_sum
 from fleetmaint.fleet import AssetSpec, FleetSpec, Schedule, validate_schedule
 from fleetmaint.optimize import (
     _PRUNE_SLACK,
@@ -325,12 +325,12 @@ class TableRows:
 def hand_matrix(fleet: FleetSpec, table) -> EvaluationMatrix:
     """A matrix over a hand-made (N, T+1, S) cost table on equally likely
     scenarios; the searches never read the failure table or the latent
-    RULs. Each asset's means are ``table[i] @ weights``, as the matrix
-    build computes them from its rows."""
+    RULs. Each asset's means are the weighted sums of its rows, by the
+    rule the matrix build applies to them."""
     rows = TableRows(table)
     n, k1, s = rows.table.shape
     scenarios = const_scenarios(fleet, np.zeros(n), s)
-    means = np.stack([asset @ scenarios.weights for asset in rows.table])
+    means = weighted_sum(rows.table, scenarios.weights)
     return EvaluationMatrix(fleet, scenarios, rows, np.zeros((n, k1)), means)
 
 

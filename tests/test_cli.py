@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import mmap
 import os
 import re
 import signal
@@ -21,7 +22,7 @@ from fleetmaint import optimize, scenario
 from fleetmaint.cli import POLICY_ORDER, compute_study, run_study
 from fleetmaint.config import ConfigError, load_config, parse_config
 from fleetmaint.fleet import AssetSpec, FleetGenConfig
-from fleetmaint.policies import PolicyParams
+from fleetmaint.policies import PolicyKind, PolicyParams
 from fleetmaint.riskcost import RiskParams
 from fleetmaint.scenario import (
     PricingInputs,
@@ -147,6 +148,32 @@ def run_sized(command, document, cwd, threads=1):
     argv = [command, "--config", "sized.json", "--out", "out", "--threads", str(threads),
             *extra.get(command, [])]
     return run_limited(argv, cwd, timeout=15)
+
+
+def mapped_piece(config, command, monkeypatch):
+    """The bytes :func:`fleetmaint.cli._sized_fleet` maps last for
+    ``command`` on ``config``: the larger of the matrix build's piece and
+    the solved state's."""
+    lengths, real = [], mmap.mmap
+
+    def recording(fileno, length, *args, **kwargs):
+        lengths.append(length)
+        return real(fileno, length, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(mmap, "mmap", recording)
+        fleetmaint.cli._sized_fleet(config, command)
+    return lengths[-1]
+
+
+def one_asset_inputs(config):
+    """The config's one-asset fleet and pricing inputs of normal RULs around
+    its RUL mean: the build and the solve hold the same without the
+    sampler's cost."""
+    fleet = config.build_fleet()
+    asset, s = fleet.assets[0], config.n_scenarios
+    rul = np.abs(np.random.default_rng(0).normal(asset.rul_mean, asset.rul_std, (1, s)))
+    return fleet, PricingInputs(rul, np.ones((1, fleet.horizon)))
 
 
 def live_group_members(pgid):
@@ -613,10 +640,10 @@ class TestStudyDriver:
         assert peak < 6 * rows
 
     def test_study_writes_each_ecdf_as_it_is_built(self, monkeypatch, tmp_path):
-        # N=1, T=1, so the matrix build's row buffers take 24 bytes a
-        # scenario: above the built matrix the study holds its five cost
-        # distributions and at most one ECDF curve (about 129 bytes a
-        # scenario), not all five curves (about 192)
+        # N=1, T=1, so the matrix build takes 34 bytes a scenario: above the
+        # built matrix the study holds its five cost distributions, which
+        # share the matrix's weights, and at most one ECDF curve (about 96
+        # bytes a scenario), not all five curves (about 152)
         n_scenarios = 10**5
         config = parse_config(
             {"fleet": {"n_assets": 1, "horizon": 1}, "scenarios": {"n_scenarios": n_scenarios}}
@@ -629,7 +656,46 @@ class TestStudyDriver:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 160 * n_scenarios
+        assert peak <= 110 * n_scenarios
+
+    @pytest.mark.parametrize("horizon, n_scenarios", [(1, 4 * 10**5), (12, 2 * 10**5)])
+    def test_matrix_build_stays_within_its_mapped_piece(self, horizon, n_scenarios, monkeypatch):
+        # the build holds its row buffers, their finiteness mask and the
+        # weight vector it first reads; evaluate's solved state is smaller at
+        # every T, so its last piece is the build's. At T=1 the S are enough
+        # for the mask, not _asset_tables' fixed (block,) temporaries, to set the peak
+        config = parse_config({
+            "fleet": {"n_assets": 1, "horizon": horizon},
+            "scenarios": {"n_scenarios": n_scenarios},
+        })
+        piece = mapped_piece(config, "evaluate", monkeypatch)
+        fleet, inputs = one_asset_inputs(config)
+        tracemalloc.start()
+        try:
+            optimize.build_matrix(fleet, inputs, config.risk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= piece + 2**16  # a few KiB of Python objects beside the arrays
+
+    @pytest.mark.parametrize("horizon", range(1, 9))
+    def test_optimize_holds_no_more_than_its_mapped_piece(self, horizon, monkeypatch):
+        # once the build's buffers are freed, optimize --criterion cvar holds
+        # the matrix's weight vector and what its solve allocates
+        n_scenarios = 10**5
+        config = parse_config({
+            "fleet": {"n_assets": 1, "horizon": horizon},
+            "scenarios": {"n_scenarios": n_scenarios},
+        })
+        piece = mapped_piece(config, "optimize", monkeypatch)
+        matrix = optimize.build_matrix(*one_asset_inputs(config), config.risk)
+        tracemalloc.start()
+        try:
+            fleetmaint.cli._solve([PolicyKind.INTEGRATED_CVAR], config, matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak + matrix.scenarios.weights.nbytes <= piece
 
 
 class TestCliCommands:
@@ -1339,9 +1405,9 @@ class TestCliCommands:
         "command, n_scenarios, what, nbytes",
         [
             ("gen-scenarios", 4 * 10**6, "scenario CSV row templates", "864,000,000"),
-            ("evaluate", 2 * 10**7, "per-asset cost rows", "4,000,000,000"),
-            ("optimize", 2 * 10**7, "per-asset cost rows", "4,000,000,000"),
-            ("study", 2 * 10**7, "per-asset cost rows", "4,000,000,000"),
+            ("evaluate", 2 * 10**7, "per-asset cost rows", "4,420,000,000"),
+            ("optimize", 2 * 10**7, "per-asset cost rows", "4,420,000,000"),
+            ("study", 2 * 10**7, "per-asset cost rows", "4,420,000,000"),
         ],
     )
     def test_unallocatable_buffers_beside_the_draws_exit_3_before_sampling(
@@ -1349,7 +1415,8 @@ class TestCliCommands:
     ):
         # one asset's draws fit a 1 GiB address space; what the command then
         # holds beside them, the export's row templates or the matrix
-        # build's row buffers, does not, and is checked before any cell is drawn
+        # build's row buffers, mask and weights, does not, and is checked
+        # before any cell is drawn
         document = {"fleet": {"n_assets": 1}, "scenarios": {"n_scenarios": n_scenarios}}
         proc = run_sized(command, document, tmp_path)
         assert proc.returncode == 3, proc.stderr
@@ -1361,14 +1428,14 @@ class TestCliCommands:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "command, nbytes", [("optimize", "1,500,000,000"), ("study", "2,600,000,000")]
+        "command, nbytes", [("optimize", "1,780,000,000"), ("study", "2,100,000,000")]
     )
     def test_unallocatable_cost_distributions_exit_3_before_sampling(
         self, command, nbytes, tmp_path
     ):
-        # at T=1 the matrix build's row buffers take 24 bytes a scenario, and
-        # the solved schedules' distributions (and the study's one ECDF) more;
-        # beside one asset's draws they do not fit a 1 GiB address space
+        # at T=1 the matrix build takes 34 bytes a scenario, and the weights
+        # with the solved schedules' distributions (and the study's one ECDF)
+        # more; beside one asset's draws they do not fit a 1 GiB address space
         document = {
             "fleet": {"n_assets": 1, "horizon": 1}, "scenarios": {"n_scenarios": 2 * 10**7}
         }

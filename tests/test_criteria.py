@@ -16,6 +16,7 @@ from fleetmaint.criteria import (
     cvar_alpha,
     expected_cost,
     var_alpha,
+    weighted_sum,
 )
 from helpers import cvar_alpha_merged, var_alpha_merged
 
@@ -380,3 +381,21 @@ class TestEqualWeightIndex:
         # the quantile is the rule's order statistic, here the value rule itself
         ranks = np.random.default_rng(s).permutation(s).astype(float)
         assert _batch_var(ranks[None, :], weights, alpha)[0] == rule
+
+
+class TestWeightedSum:
+    def test_each_row_is_summed_as_on_its_own(self):
+        # a (7, S) transposed view is weighted into a C-ordered array, so each
+        # row's products are added by the pairwise rule of a contiguous (S,) sum
+        rng = np.random.default_rng(3)
+        values = rng.random((1000, 7)).T * 1e3
+        weights = rng.random(1000)
+        one_by_one = [np.add.reduce(np.ascontiguousarray(row) * weights) for row in values]
+        assert weighted_sum(values, weights).tolist() == one_by_one
+        buffer = np.array(values, order="C")
+        assert weighted_sum(buffer, weights, products=buffer).tolist() == one_by_one
+        np.testing.assert_array_equal(buffer, values * weights)  # weighted in place
+
+    def test_expected_cost_is_the_weighted_sum(self):
+        dist = CostDistribution(np.array([3.0, 1.0, 2.0]), np.array([0.5, 0.25, 0.25]))
+        assert expected_cost(dist) == 2.25
