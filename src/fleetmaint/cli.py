@@ -23,9 +23,9 @@ writes that curve's file. gen-scenarios samples and exports the full set
 built, every command maps, and releases, what it will hold for the N, S
 and T the config holds (:func:`_sized_fleet`): the sampler's draws, a
 generated fleet, and the scenario export's row templates or the larger
-of the matrix build's row buffers and the solved schedules' cost
-distributions. So a size that cannot be held exits 3 at once, however
-long the fleet or the sampling would take.
+of the one block of cost rows the pricing holds at a time and the solved
+schedules' cost distributions. So a size that cannot be held exits 3 at
+once, however long the fleet or the sampling would take.
 --threads K (>= 1) sets how many worker processes sample; everything else
 runs on one thread, and no output depends on K. Exit codes: 0 on success,
 2 for configuration problems, 3 for runtime failures.
@@ -45,7 +45,13 @@ from .config import ConfigError, RunConfig, load_config, parse_config
 from .csvio import write_csv
 from .criteria import CostDistribution, cvar_alpha, expected_cost, var_alpha
 from .fleet import AssetSpec, FleetSpec, Schedule
-from .optimize import EvaluationMatrix, build_matrix, cost_distributions, indices_from_schedule
+from .optimize import (
+    _TABLE_BLOCK,
+    EvaluationMatrix,
+    build_matrix,
+    cost_distributions,
+    indices_from_schedule,
+)
 from .policies import PolicyKind, run_policy
 from .report import (
     PolicySummary,
@@ -71,15 +77,26 @@ __all__ = ["main", "run_study", "compute_study", "StudyResult", "POLICY_ORDER"]
 # bounds build_fleet's own peak, 705 and 807 bytes there, for every command.
 _GEN_FLEET_BYTES_PER_ASSET = 1_400
 
-# What each pricing command holds, per scenario, at its peak once the matrix
-# is built: the scenario weight vector that the matrix keeps (8 bytes) and,
-# above the matrix, its schedules' cost distributions, which share that
-# vector, and for study the one ECDF curve it is writing. tracemalloc at N=1,
-# S=10^5 (CPython 3.11, numpy 2.4) read, above the built matrix, 24.1 bytes
-# for evaluate and 96.1 for study at every T up to 13, and for optimize 66.7,
-# 74.7, 72.1 and 80.1 at T=1..4, then 8 more a period (112.1 at T=8), which
-# the build's piece, 17(T+1) bytes a scenario, covers from T=5 on.
-_SOLVED_BYTES_PER_SCENARIO = {"evaluate": 33, "optimize": 89, "study": 105}
+# After sampling, each pricing command holds at most one (T+1, S) block of
+# cost rows at a time, and beside it this many (S,) float rows: the matrix
+# build, the weight vector and one period's failure probabilities; the CVaR
+# search of optimize and study, the weights, its running totals, those
+# totals less the visited asset's row, and the accrual of the rows it
+# prices or, once they are priced, the chunk that batch_cvar judges at a
+# time (one row past 2^14 scenarios). Both also hold the row kernel's
+# three (block,) temporaries, 8 * min(S, _TABLE_BLOCK) bytes each.
+# tracemalloc at N=1, S=10^5 (CPython 3.11, numpy 2.4) read 8(T+1) + 19.6
+# bytes a scenario for the build and, with the weights, 8(T+1) + 35.6 for
+# optimize at T=3..13 (51.7 and 57.7 at T=1 and 2), the 3.6 being the
+# temporaries.
+_ROWS_BESIDE_THE_BLOCK = {"evaluate": 2, "optimize": 4, "study": 4}
+
+# What each pricing command holds, per scenario, once its block is freed:
+# the weight vector and its schedules' cost distributions, which share it,
+# and for study the one ECDF curve it is writing. tracemalloc read 35.6
+# bytes for evaluate and optimize (the 3.6 as above), which their block
+# pieces cover at every T, and 96.9 for study at T=1..13.
+_SOLVED_BYTES_PER_SCENARIO = {"evaluate": 32, "optimize": 32, "study": 97}
 
 POLICY_ORDER = (
     PolicyKind.INTEGRATED_EXPECTED,
@@ -122,11 +139,17 @@ def _sized_fleet(config: RunConfig, command: str = "study") -> FleetSpec:
     holds: the sampler's draws (all but gen-fleet), with room for every
     usage increment for gen-scenarios; a generated fleet, at
     :data:`_GEN_FLEET_BYTES_PER_ASSET` per asset; then the scenario CSVs'
-    row templates (gen-scenarios), or the larger of the matrix build's
-    peak, its per-asset cost rows with their finiteness mask and the
-    weight vector, and what the command holds once the rows are freed,
-    the weights and its schedules' cost distributions (evaluate, optimize
-    and study, at :data:`_SOLVED_BYTES_PER_SCENARIO`). Every piece stays
+    row templates (gen-scenarios), or, for evaluate, optimize and study,
+    the larger of two: the one (T+1, S) block of per-asset cost rows that
+    the matrix build, and the CVaR search, holds at a time, with the (S,)
+    rows beside it (:data:`_ROWS_BESIDE_THE_BLOCK`) and the row kernel's
+    fixed temporaries; and what the command holds once that block is
+    freed, the weights and its schedules' cost distributions
+    (:data:`_SOLVED_BYTES_PER_SCENARIO`). With one block after sampling,
+    where there were two or three, a study with two sampling workers
+    peaks at 41.8 MB at N=40, T=12, S=10,000 (was 43.0) and at 84 MB at
+    N=10, S=200,000 (was 96-98; child ru_maxrss, 2 vCPUs, CPython 3.11,
+    numpy 2.4). Every piece stays
     mapped until the last one is, so under an address-space cap
     (``ulimit -v``) their sum is checked; without one the kernel weighs
     each map on its own, against about the RAM. The first piece that
@@ -145,9 +168,9 @@ def _sized_fleet(config: RunConfig, command: str = "study") -> FleetSpec:
     if usage:  # write_scenario_csvs' ",w,k,%.17g" rows, at most this long
         nbytes = s * t * (9 + len(str(s)) + len(str(t)))
         pieces.append((nbytes, _size_error("scenario CSV row templates", nbytes, n, s, t)))
-    elif draws:  # build_matrix's (T+1, S) and (T, S) buffers, the (T+1, S) finiteness
-        # mask and the weight vector it first reads; all but the weights are freed by the solves
-        rows = (((2 * t + 1) * 8 + (t + 1) + 8) * s, "per-asset cost rows")
+    elif draws:  # the block of cost rows, the rows beside it and the kernel's temporaries
+        block = 8 * (t + 1 + _ROWS_BESIDE_THE_BLOCK[command]) * s + 24 * min(s, _TABLE_BLOCK)
+        rows = (block, "per-asset cost rows")
         solved = (_SOLVED_BYTES_PER_SCENARIO[command] * s, "schedule cost distributions")
         nbytes, what = max(rows, solved, key=lambda piece: piece[0])
         pieces.append((nbytes, _size_error(what, nbytes, n, s, t)))

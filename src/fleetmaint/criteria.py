@@ -46,6 +46,14 @@ __all__ = [
 
 CUM_TOL = 1e-12
 
+# Cost cells per chunk of rows that :func:`batch_cvar` prices at once, and
+# per block of surviving schedules the CVaR enumeration sums: a chunk has
+# max(1, _BLOCK_ELEMENTS // S) rows, so each (rows, S) array that pricing
+# it allocates stays near 128 KiB whatever S and the row count, under
+# which the C allocator reuses freed memory rather than mapping fresh
+# pages. Each row is priced on its own, so no value depends on the chunk.
+_BLOCK_ELEMENTS = 1 << 14
+
 
 @dataclass(frozen=True)
 class CostDistribution:
@@ -134,14 +142,28 @@ def batch_cvar(totals: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndar
     The VaR of each row is its lower alpha-quantile; the CVaR is the
     weight-normalized mean over the row's values at or above it. Each row
     is summed on its own, so its value does not depend on its position or
-    on the other rows of the batch.
+    on the other rows of the batch. The rows are priced in chunks of at
+    most ``_BLOCK_ELEMENTS`` cells (one row if S is larger), so the
+    quantile's partition copy and the tail weights never take a second
+    (M, S) array beside ``totals``.
     """
     totals = np.atleast_2d(np.asarray(totals, dtype=float))
     weights = np.asarray(weights, dtype=float)
+    step = max(1, _BLOCK_ELEMENTS // totals.shape[1])
+    cvars = np.empty(totals.shape[0])
+    for lo in range(0, totals.shape[0], step):
+        cvars[lo:lo + step] = _chunk_cvar(totals[lo:lo + step], weights, alpha)
+    return cvars
+
+
+def _chunk_cvar(totals: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndarray:
+    """:func:`batch_cvar` of one chunk of rows; its arrays are freed on return."""
     var = _batch_var(totals, weights, alpha)
-    tail = (totals >= var[:, None]) * weights
+    # the tail indicator is written as floats, so no boolean mask sits beside it
+    tail = np.greater_equal(totals, var[:, None], out=np.empty(totals.shape))
+    tail *= weights
     tail_weight = tail.sum(axis=1)
-    # weighted in place, so the batch needs one (M, S) buffer
+    # weighted in place, so the chunk needs one buffer of its size
     return weighted_sum(totals, tail, products=tail) / tail_weight
 
 

@@ -7,14 +7,16 @@ candidate date (dates 1..T, then the "no maintenance" candidate last).
 Joint search over all (T+1)^N schedules then reduces to row sums, which
 makes exhaustive enumeration practical at small fleet sizes.
 
-No (N, T+1, S) table of those costs is ever held. One function,
+No (N, T+1, S) table of those costs is ever held, and after sampling no
+more than one (T+1, S) block of them at a time. One function,
 ``_asset_tables``, evaluates the hazard and builds an asset's rows, period
-by period in blocks of ``_TABLE_BLOCK`` scenarios.
+by period, each period in blocks of ``_TABLE_BLOCK`` scenarios.
 :func:`build_matrix` runs it on one asset at a time, into one reused
-buffer, and keeps what the policies read of the rows: each row's
+block, and keeps what the policies read of the rows: each row's
 scenario-weighted sum (``means``), each asset's expected accrued failure
-probability per candidate date (``failure``, so a schedule's failure
-proxy is a sum of N lookups), and the check that every cell is finite.
+probability per candidate date (``failure``, from one period's (S,) row
+of probabilities at a time, so a schedule's failure proxy is a sum of N
+lookups), and the check that every row mean is finite.
 ``matrix.costs`` is a :class:`CostTable`, whose one method, ``take``,
 builds some of an asset's rows again, bit for bit the same, stopping
 after the last period they read. Each pass over the fleet prices every
@@ -23,11 +25,18 @@ build, the descent's start and its result, and
 :func:`cost_distributions` of the five schedules, from the candidate
 indices that each was mapped to once), six when the walk runs too (its
 incumbent, and the rows its survivors use), and each descent visit
-prices some of one asset's rows; ``optimize --criterion cvar`` makes
-the same passes for its one schedule. At N=40, T=12, S=10,000 with two
-sampling workers, a study peaks at about 43 MB RSS (2 vCPUs, Python
-3.11, numpy 2.4), against 83 MB when the 41.6 MB cost table was held,
-and 123 MB when the (N, S, T) usage increments were too.
+prices some of one asset's rows into one reused block and judges its
+candidates there; ``optimize --criterion cvar`` makes the same passes
+for its one schedule. :func:`~fleetmaint.criteria.batch_cvar` prices a
+chunk of at most ``_BLOCK_ELEMENTS`` cells at a time, so beside its one
+block the build or the descent holds a few (S,) rows; only the walk,
+within the budget, holds more, the rows its survivors use. At N=40,
+T=12, S=10,000 with two sampling workers, a study peaks at about
+41.8 MB RSS (2 vCPUs, Python 3.11, numpy 2.4), against 43.0 MB when the
+build held a (T, S) table of per-period probabilities beside its block
+and the descent a copy of its candidates, 83 MB when the 41.6 MB cost
+table was held, and 123 MB when the (N, S, T) usage increments were
+too; at N=10, S=200,000 it peaks at about 84 MB, against 96-98 MB.
 
 CVaR is a tail mean, so it is never below the expected cost, and the
 expected cost of a schedule is the sum of its assets' row means. Each
@@ -69,7 +78,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .criteria import CostDistribution, batch_cvar, weighted_sum
+from .criteria import _BLOCK_ELEMENTS, CostDistribution, batch_cvar, weighted_sum
 from .fleet import FleetSpec, Schedule, validate_schedule
 from .riskcost import RiskParams, failure_probability, performance_penalty
 from .scenario import PricingInputs, ScenarioSet, _size_error
@@ -89,14 +98,6 @@ __all__ = [
 
 DEFAULT_EXHAUSTIVE_BUDGET = 1_000_000
 
-# Cost cells per block of surviving schedules priced at once: a block has
-# max(1, _BLOCK_ELEMENTS // S) rows, so each (rows, S) float array that
-# pricing it allocates stays near 128 KiB whatever S and the survivor
-# count, under which the C allocator reuses freed memory (as for
-# _TABLE_BLOCK). batch_cvar prices each row on its own, so the result
-# does not depend on the block size.
-_BLOCK_ELEMENTS = 1 << 14
-
 # Scenarios per block of an asset's cost rows. Its (block,) temporaries,
 # one per period and step, then stay below 128 KiB, under which the C
 # allocator reuses freed memory rather than mapping, and faulting in,
@@ -115,34 +116,40 @@ def _asset_tables(
     horizon: int,
     params: RiskParams,
     rows: Sequence[np.ndarray | None],
-    per_period: np.ndarray | None = None,
-) -> None:
-    """Write one asset's cost rows into ``rows`` and, if given, its (T, S)
-    per-period failure probabilities into ``per_period``.
+    weights: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """Write one asset's cost rows into ``rows`` and, given the scenario
+    ``weights``, return the (T,) weighted sums of its per-period failure
+    probabilities.
 
     ``rows[c]``, for each candidate c in 0..T, is the (S,) array that
     receives candidate c's row, or None to skip it. Every cell depends on
-    its own scenario alone, so the rows are built in blocks of
-    ``_TABLE_BLOCK`` scenarios, period by period: at period t the margin
+    its own scenario alone, so the rows are built period by period, each
+    period in blocks of ``_TABLE_BLOCK`` scenarios: at period t the margin
     is m = rul - t and the hazard is cost_fail * p(m) plus the performance
-    ramp, and a running sum accrues the hazards. Before period t adds its
-    own, that sum is the accrual of periods 1..t-1, which row t-1
-    (maintained at date t) adds to its charges
-    cost_pm + cost_early * max(0, m) / rul_mean; row T, never maintained,
-    is the whole sum. Periods after the last one a wanted row reads are
-    skipped, unless ``per_period`` is given.
+    ramp, and a running sum accrues the hazards, in row T if it is wanted
+    and else in an (S,) array of its own. Before period t adds its own,
+    that sum is the accrual of periods 1..t-1, which row t-1 (maintained
+    at date t) adds to its charges cost_pm + cost_early * max(0, m) /
+    rul_mean; row T, never maintained, is the whole sum. Given
+    ``weights``, each period's failure probabilities fill one (S,) row,
+    which is summed (:func:`~fleetmaint.criteria.weighted_sum`) once the
+    period's last block is in it. Periods after the last one a wanted row
+    reads are skipped, unless ``weights`` are given.
     """
     last = max((c + 1 for c, row in enumerate(rows) if row is not None), default=0)
-    periods = horizon if per_period is not None else min(last, horizon)
-    for lo in range(0, latent_rul.size, _TABLE_BLOCK):
-        block = slice(lo, lo + _TABLE_BLOCK)
-        rul = latent_rul[block]
-        accrued = np.zeros(rul.size)
-        for t in range(1, periods + 1):
-            margins = rul - t
+    periods = horizon if weights is not None else min(last, horizon)
+    accrued = rows[horizon] if rows[horizon] is not None else np.empty(latent_rul.size)
+    accrued.fill(0.0)
+    if weights is not None:
+        per_period, failure = np.empty(latent_rul.size), np.empty(horizon)
+    for t in range(1, periods + 1):
+        for lo in range(0, latent_rul.size, _TABLE_BLOCK):
+            block = slice(lo, lo + _TABLE_BLOCK)
+            margins = latent_rul[block] - t
             hazard = failure_probability(margins, params)
-            if per_period is not None:
-                per_period[t - 1, block] = hazard
+            if weights is not None:
+                per_period[block] = hazard
             hazard *= asset.cost_fail
             hazard += performance_penalty(margins, asset.cost_perf, params)
             if rows[t - 1] is not None:
@@ -152,10 +159,11 @@ def _asset_tables(
                 charges *= asset.cost_early
                 charges /= asset.rul_mean
                 charges += asset.cost_pm
-                charges += accrued
-            accrued += hazard
-        if rows[horizon] is not None:
-            rows[horizon][block] = accrued
+                charges += accrued[block]
+            accrued[block] += hazard
+        if weights is not None:
+            failure[t - 1] = weighted_sum(per_period, weights, products=per_period)
+    return failure if weights is not None else None
 
 
 class CostTable:
@@ -181,9 +189,11 @@ class CostTable:
             )
 
 
-def _check_finite(fleet: FleetSpec, i: int, rows: np.ndarray, failure: np.ndarray) -> None:
-    """Name asset i's first date with a cost or failure value that is not finite."""
-    finite = np.isfinite(rows).all(axis=1) & np.isfinite(failure)
+def _check_finite(fleet: FleetSpec, i: int, means: np.ndarray, failure: np.ndarray) -> None:
+    """Name asset i's first date whose row mean or failure value is not
+    finite: a row with a cell that is not finite has such a mean, since
+    every scenario weight is 1/S."""
+    finite = np.isfinite(means) & np.isfinite(failure)
     if not finite.all():
         k = int(np.argmin(finite))
         date = "none" if k == fleet.horizon else k + 1
@@ -242,34 +252,43 @@ def build_matrix(
     :class:`~fleetmaint.scenario.ScenarioSet` is kept as the
     :class:`~fleetmaint.scenario.PricingInputs` of its RULs and mean, so
     the matrix never holds the (N, S, T) usage increments. One pass over
-    the assets prices each one's (T+1, S) rows into one reused buffer and
-    keeps, from them, the failure row, the finiteness check and the row
-    means, each a :func:`~fleetmaint.criteria.weighted_sum` that weights
-    the buffers in place; the rows themselves are dropped, and the
-    matrix's :class:`CostTable` prices them again where they are read. A
+    the assets prices each one's (T+1, S) rows into one reused block and
+    keeps, from them, the row means, a
+    :func:`~fleetmaint.criteria.weighted_sum` that weights the block in
+    place, the failure row, a cumulative sum of each period's weighted sum
+    of failure probabilities, taken as soon as ``_asset_tables`` has
+    formed that period's (S,) row, and the check that both are finite.
+    The rows themselves are dropped, and the matrix's :class:`CostTable`
+    prices them again where they are read. So the build holds one block,
+    two (S,) rows (the weights and one period's probabilities) and the
+    kernel's (block,) temporaries: 8(T+3) bytes a scenario and about
+    360 kB, 123.6 bytes a scenario at T=12 and S=10^5 (tracemalloc, N=1),
+    against 221 when it held a (T, S) table of the probabilities and a
+    (T+1, S) finiteness mask beside the block. With the descent's one
+    block, this takes a study's peak RSS from 43.0 to 41.8 MB at N=40,
+    T=12, S=10,000 and from 96-98 to 84 MB at N=10, S=200,000. A
     scenario set whose shape does not match the fleet is rejected by the
     matrix itself, and a cell that overflows to infinity (the build lets
-    it overflow without a warning) by its asset and date. Buffers that
-    cannot be allocated raise a MemoryError naming N, S and T.
+    it overflow without a warning), by the asset and date whose row mean
+    it makes infinite. A block that cannot be allocated raises a
+    MemoryError naming N, S and T.
     """
     if isinstance(scenarios, ScenarioSet):
         scenarios = PricingInputs(scenarios.latent_rul, scenarios.usage_mean)
     n, horizon, s = fleet.n_assets, fleet.horizon, scenarios.n_scenarios
     try:
-        rows, per_period = np.empty((horizon + 1, s)), np.empty((horizon, s))
+        rows = np.empty((horizon + 1, s))
     except (MemoryError, ValueError):  # numpy says ValueError past the address space
-        nbytes = (2 * horizon + 1) * s * 8
-        raise _size_error("per-asset cost rows", nbytes, n, s, horizon) from None
+        raise _size_error("per-asset cost rows", (horizon + 1) * s * 8, n, s, horizon) from None
     means, failure = np.empty((n, horizon + 1)), np.empty((n, horizon + 1))
     weights = scenarios.weights
     with np.errstate(over="ignore"):
         for i, (asset, rul) in enumerate(zip(fleet.assets, scenarios.latent_rul)):
-            _asset_tables(asset, rul, horizon, params, list(rows), per_period)
-            # a weight of 1/S keeps each cell finite or not, so the check may follow
+            by_period = _asset_tables(asset, rul, horizon, params, list(rows), weights)
             weighted_sum(rows, weights, out=means[i], products=rows)
             failure[i, 0] = 0.0
-            np.cumsum(weighted_sum(per_period, weights, products=per_period), out=failure[i, 1:])
-            _check_finite(fleet, i, rows, failure[i])
+            np.cumsum(by_period, out=failure[i, 1:])
+            _check_finite(fleet, i, means[i], failure[i])
     costs = CostTable(fleet, scenarios.latent_rul, params)
     return EvaluationMatrix(fleet, scenarios, costs, failure, means)
 
@@ -325,7 +344,8 @@ def _schedule_totals(matrix: EvaluationMatrix, indices: Sequence[Sequence[int]])
         dates, at = np.unique(indices[:, i], return_inverse=True)
         used = np.empty((dates.size, s))
         matrix.costs.take(i, dates, used)
-        totals += used[at]
+        for total, k in zip(totals, at):
+            total += used[k]
     return totals
 
 
@@ -476,12 +496,14 @@ def coordinate_descent_cvar(
     moves are those of a full scan.
 
     No rows are held. A visit prices its dates' rows into one reused
-    (T+1, S) buffer and judges all of them in one
+    (T+1, S) buffer, adds to each, in place, the running totals less the
+    row of the asset's current date, and judges all of them in one
     :func:`~fleetmaint.criteria.batch_cvar` call, which sums each row on
-    its own: the bits are those of pricing each candidate alone. At N=40,
-    T=12, S=10,000 and fleet seed 1, its visits priced 786 rows in all at
-    scenario seed 1 and 425 at seed 2 (commit d334120), against 40 x 13
-    per sweep.
+    its own: the bits are those of pricing each candidate alone. Beside
+    the buffer it holds the totals and that difference, and no copy of
+    the candidates. At N=40, T=12, S=10,000 and fleet seed 1, its visits
+    priced 786 rows in all at scenario seed 1 and 425 at seed 2 (commit
+    d334120), against 40 x 13 per sweep.
 
     The descent stops after N consecutive visits without a strict
     improvement, and returns what sweeping until a whole sweep is quiet
@@ -510,6 +532,7 @@ def coordinate_descent_cvar(
     # CVaR is a weight-normalized tail mean, so bound it by the normalized mean.
     means = matrix.means / weights.sum()
     buffer = np.empty((k1, s))  # the size of the matrix build's row buffer
+    without = np.empty(s)
     i = quiet = 0
     while quiet < n:
         others = sum(means[j, c] for j, c in enumerate(current) if j != i)
@@ -518,14 +541,16 @@ def coordinate_descent_cvar(
         dates = np.flatnonzero(inside)
         rows = buffer[:dates.size]
         matrix.costs.take(i, dates, rows)
-        without = totals - rows[np.searchsorted(dates, current[i])]
-        cvars = batch_cvar(without + rows, weights, alpha)
+        np.subtract(totals, rows[np.searchsorted(dates, current[i])], out=without)
+        rows += without  # each candidate's totals, in the rows' own buffer
+        cvars = batch_cvar(rows, weights, alpha)
         best = int(np.argmin(cvars))
         if cvars[best] < current_val:
             current[i], current_val, quiet = int(dates[best]), float(cvars[best]), 0
-            totals = without + rows[best]
+            totals[:] = rows[best]
         else:
             quiet += 1
         i = (i + 1) % n
+    del buffer, rows  # freed before the final schedule is priced
     final = _schedule_totals(matrix, [current])
     return tuple(current), float(batch_cvar(final, weights, alpha)[0])

@@ -124,11 +124,11 @@ def rul_threshold(
     """
     if not 0.0 < trigger_prob < 1.0:
         raise ValueError("trigger_prob must lie strictly between 0 and 1")
-    t_grid = np.arange(1, fleet.horizon + 1)
     dates: dict[str, int | None] = {}
-    for i, asset in enumerate(fleet.assets):
-        probs = weighted_sum(t_grid[:, None] >= scenarios.latent_rul[i], scenarios.weights)
-        hit = np.nonzero(probs >= trigger_prob - CUM_TOL)[0]
+    for asset, rul in zip(fleet.assets, scenarios.latent_rul):
+        # one period's (S,) comparison at a time
+        probs = [weighted_sum(rul <= t, scenarios.weights) for t in range(1, fleet.horizon + 1)]
+        hit = np.nonzero(np.array(probs) >= trigger_prob - CUM_TOL)[0]
         dates[asset.id] = None if hit.size == 0 else int(hit[0]) + 1
     return Schedule(dates=dates)
 

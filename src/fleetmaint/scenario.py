@@ -76,7 +76,6 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from statistics import NormalDist
 
 import numpy as np
 
@@ -107,8 +106,17 @@ SCENARIO_LIMIT = 2**32
 # but it guarantees termination for far-tail parameter choices.
 _MAX_REJECTS = 256
 
-# The standard normal quantile function (Wichura's AS241 algorithm).
-_normal_quantile = NormalDist().inv_cdf
+
+def _normal_quantile(p: float) -> float:
+    """The standard normal quantile function (Wichura's AS241 algorithm).
+
+    ``statistics``, and the ``fractions`` and ``decimal`` modules it
+    loads, are imported on the first call: only the sampler's far-tail
+    branch makes one."""
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(p)
+
 
 # numpy's SeedSequence: pool size, hash constants and the xorshift of its
 # hashmix/mix steps (numpy/random/bit_generator.pyx, after M. E. O'Neill's
@@ -177,10 +185,11 @@ class PricingInputs:
             raise ValueError("n_scenarios must be >= 1")
         if mean.ndim != 2 or mean.shape[0] != rul.shape[0]:
             raise ValueError(f"usage_mean must have shape ({rul.shape[0]}, T), got {mean.shape}")
-        # written so that NaN fails each test: every comparison with NaN is False
-        if not (np.all(rul >= 0) and np.all(rul < np.inf)):
+        # written so that NaN fails each test: min() and max() return NaN if any value is,
+        # and every comparison with NaN is False; their initial values pass an empty array
+        if not (rul.min(initial=np.inf) >= 0 and rul.max(initial=-np.inf) < np.inf):
             raise ValueError("latent RUL values must be finite and >= 0")
-        if not (np.all(mean >= 0) and np.all(mean < np.inf)):
+        if not (mean.min(initial=np.inf) >= 0 and mean.max(initial=-np.inf) < np.inf):
             raise ValueError("the usage mean must be finite and >= 0")
         _freeze(self, latent_rul=rul, usage_mean=mean)
 
@@ -232,7 +241,7 @@ class ScenarioSet(PricingInputs):
             raise ValueError("n_scenarios must be >= 1")
         if rul.shape != inc.shape[:2]:
             raise ValueError(f"latent_rul must have shape {inc.shape[:2]}, got {rul.shape}")
-        if not (np.all(inc > 0) and np.all(inc < np.inf)):
+        if not (inc.min(initial=np.inf) > 0 and inc.max(initial=-np.inf) < np.inf):  # as above
             raise ValueError("usage increments must be finite and > 0")
         n, s, t = inc.shape
         terms = np.empty((n, -(-s // _CHUNK), t))

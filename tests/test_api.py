@@ -163,20 +163,25 @@ def test_docstring_references_resolve():
 def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    # nor statistics, and with it fractions and decimal, which only the
+    # sampler's far-tail branch imports
+    lazy = "('statistics', 'fractions', 'decimal')"
     code = (
         "import sys, fleetmaint.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in "
+        f"{lazy}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
     # nor does a default-profile study load numpy.ma, which some numpy
-    # calls import lazily, at a cost in memory
+    # calls import lazily, at a cost in memory, or any of those three
     code = (
         "import sys; from fleetmaint.cli import compute_study; "
         "from fleetmaint.config import parse_config; compute_study(parse_config({})); "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'] or m in "
+        f"{lazy}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

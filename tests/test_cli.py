@@ -639,8 +639,40 @@ class TestStudyDriver:
         rows = (fleet.horizon + 1) * config.n_scenarios * 8
         assert peak < 6 * rows
 
+    def test_build_and_solves_hold_one_block_of_rows(self, monkeypatch):
+        # N=6, T=12 is past the enumeration budget, so the CVaR policy is the
+        # descent alone. Above the pricing inputs, the build and the five
+        # solves hold one (T+1, S) block of cost rows at a time, four (S,)
+        # rows beside it and the row kernel's three (block,) temporaries:
+        # no copy of the candidates a descent visit prices
+        s = 40_000
+        config = parse_config({"fleet": {"n_assets": 6}, "scenarios": {"n_scenarios": s}})
+        fleet = config.build_fleet()
+        # each asset's RULs spread evenly from 0 to twice its mean, so that
+        # the CVaR sits far above the mean and a visit prices several dates
+        rul = np.array([np.linspace(0.0, 2 * asset.rul_mean, s) for asset in fleet.assets])
+        inputs = PricingInputs(rul, np.ones((fleet.n_assets, fleet.horizon)))
+        priced = []
+        take = optimize.CostTable.take
+        monkeypatch.setattr(
+            optimize.CostTable, "take",
+            lambda self, i, dates, out: priced.append(len(dates)) or take(self, i, dates, out),
+        )
+        tracemalloc.start()
+        try:
+            matrix = optimize.build_matrix(fleet, inputs, config.risk)
+            fleetmaint.cli._solve(POLICY_ORDER, config, matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(priced) >= 3
+        row = 8 * s
+        block = (fleet.horizon + 1) * row
+        # a few KiB of Python objects beside the arrays, as for the build
+        assert peak <= block + 4 * row + 3 * 8 * optimize._TABLE_BLOCK + 2**16
+
     def test_study_writes_each_ecdf_as_it_is_built(self, monkeypatch, tmp_path):
-        # N=1, T=1, so the matrix build takes 34 bytes a scenario: above the
+        # N=1, T=1, so the matrix build takes 32 bytes a scenario: above the
         # built matrix the study holds its five cost distributions, which
         # share the matrix's weights, and at most one ECDF curve (about 96
         # bytes a scenario), not all five curves (about 152)
@@ -660,10 +692,10 @@ class TestStudyDriver:
 
     @pytest.mark.parametrize("horizon, n_scenarios", [(1, 4 * 10**5), (12, 2 * 10**5)])
     def test_matrix_build_stays_within_its_mapped_piece(self, horizon, n_scenarios, monkeypatch):
-        # the build holds its row buffers, their finiteness mask and the
-        # weight vector it first reads; evaluate's solved state is smaller at
-        # every T, so its last piece is the build's. At T=1 the S are enough
-        # for the mask, not _asset_tables' fixed (block,) temporaries, to set the peak
+        # the build holds its one block of rows, one period's failure
+        # probabilities and the weight vector it first reads, beside
+        # _asset_tables' fixed (block,) temporaries; evaluate's solved state
+        # is no larger at any T, so its last piece is the build's
         config = parse_config({
             "fleet": {"n_assets": 1, "horizon": horizon},
             "scenarios": {"n_scenarios": n_scenarios},
@@ -681,7 +713,8 @@ class TestStudyDriver:
     @pytest.mark.parametrize("horizon", range(1, 9))
     def test_optimize_holds_no_more_than_its_mapped_piece(self, horizon, monkeypatch):
         # once the build's buffers are freed, optimize --criterion cvar holds
-        # the matrix's weight vector and what its solve allocates
+        # the matrix's weight vector and what its solve allocates: the
+        # descent's one block of rows and the (S,) rows beside it
         n_scenarios = 10**5
         config = parse_config({
             "fleet": {"n_assets": 1, "horizon": horizon},
@@ -695,7 +728,8 @@ class TestStudyDriver:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak + matrix.scenarios.weights.nbytes <= piece
+        # a few KiB of Python objects beside the arrays, as for the build
+        assert peak + matrix.scenarios.weights.nbytes <= piece + 2**16
 
 
 class TestCliCommands:
@@ -1369,7 +1403,7 @@ class TestCliCommands:
         empty = np.empty
 
         def no_buffers(shape, *args, **kwargs):
-            # the matrix build's (T+1, S) and (T, S) buffers for one asset
+            # the matrix build's (T+1, S) block of rows for one asset
             if sys._getframe(1).f_code is optimize.build_matrix.__code__:
                 raise MemoryError("Unable to allocate")
             return empty(shape, *args, **kwargs)
@@ -1379,7 +1413,7 @@ class TestCliCommands:
         argv = ["study", "--config", str(config_file), "--out", str(out)]
         assert fleetmaint.cli.main(argv) == 3
         assert capsys.readouterr().err == (
-            "error: cannot allocate 10,400 bytes for the per-asset cost rows of N=3 assets,"
+            "error: cannot allocate 5,600 bytes for the per-asset cost rows of N=3 assets,"
             " S=100 scenarios and T=6 periods (config keys fleet.n_assets,"
             " scenarios.n_scenarios and fleet.horizon)\n"
         )
@@ -1405,18 +1439,20 @@ class TestCliCommands:
         "command, n_scenarios, what, nbytes",
         [
             ("gen-scenarios", 4 * 10**6, "scenario CSV row templates", "864,000,000"),
-            ("evaluate", 2 * 10**7, "per-asset cost rows", "4,420,000,000"),
-            ("optimize", 2 * 10**7, "per-asset cost rows", "4,420,000,000"),
-            ("study", 2 * 10**7, "per-asset cost rows", "4,420,000,000"),
+            ("evaluate", 2 * 10**7, "per-asset cost rows", "2,400,360,000"),
+            ("optimize", 2 * 10**7, "per-asset cost rows", "2,720,360,000"),
+            ("study", 2 * 10**7, "per-asset cost rows", "2,720,360,000"),
         ],
     )
     def test_unallocatable_buffers_beside_the_draws_exit_3_before_sampling(
         self, command, n_scenarios, what, nbytes, tmp_path
     ):
         # one asset's draws fit a 1 GiB address space; what the command then
-        # holds beside them, the export's row templates or the matrix
-        # build's row buffers, mask and weights, does not, and is checked
-        # before any cell is drawn
+        # holds beside them, the export's row templates or the one (T+1, S)
+        # block of cost rows, does not, and is checked before any cell is
+        # drawn. Beside its block the build holds two (S,) rows and the
+        # CVaR search four, and the row kernel 360,000 bytes of (block,)
+        # temporaries
         document = {"fleet": {"n_assets": 1}, "scenarios": {"n_scenarios": n_scenarios}}
         proc = run_sized(command, document, tmp_path)
         assert proc.returncode == 3, proc.stderr
@@ -1428,21 +1464,27 @@ class TestCliCommands:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "command, nbytes", [("optimize", "1,780,000,000"), ("study", "2,100,000,000")]
+        "command, what, nbytes",
+        [
+            ("optimize", "per-asset cost rows", "960,360,000"),
+            ("study", "schedule cost distributions", "1,940,000,000"),
+        ],
     )
     def test_unallocatable_cost_distributions_exit_3_before_sampling(
-        self, command, nbytes, tmp_path
+        self, command, what, nbytes, tmp_path
     ):
-        # at T=1 the matrix build takes 34 bytes a scenario, and the weights
-        # with the solved schedules' distributions (and the study's one ECDF)
-        # more; beside one asset's draws they do not fit a 1 GiB address space
+        # at T=1 the matrix build takes 32 bytes a scenario; optimize's CVaR
+        # search holds its one block of rows and four (S,) rows beside it (48
+        # bytes), more than its solved schedule's distribution, and the study
+        # then holds the weights, its five distributions and one ECDF (97
+        # bytes); beside one asset's draws neither fits a 1 GiB address space
         document = {
             "fleet": {"n_assets": 1, "horizon": 1}, "scenarios": {"n_scenarios": 2 * 10**7}
         }
         proc = run_sized(command, document, tmp_path, threads=2)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == (
-            f"error: cannot allocate {nbytes} bytes for the schedule cost distributions of"
+            f"error: cannot allocate {nbytes} bytes for the {what} of"
             " N=1 assets, S=20000000 scenarios and T=1 periods (config keys fleet.n_assets,"
             " scenarios.n_scenarios and fleet.horizon)\n"
         )

@@ -51,7 +51,8 @@ def pricing_bits() -> dict[str, np.ndarray]:
         matrix = build_matrix(fleet, inputs, config.risk)
         with mock.patch.object(policies, "weighted_sum", wraps=weighted_sum) as spy:
             solved = _solve(POLICY_ORDER, config, matrix)
-        assert spy.call_count == N_ASSETS  # rul_threshold's sum for each asset
+        # rul_threshold's sums, one for each asset and period
+        assert spy.call_count == N_ASSETS * fleet.horizon
         bits |= {
             f"{seed}/latent_rul": inputs.latent_rul,
             f"{seed}/usage_mean": inputs.usage_mean,

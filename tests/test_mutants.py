@@ -2,8 +2,8 @@
 
 tests/run_mutants.py applies each mutant of tests/mutants.json and runs the
 tests named to kill it; that costs a test run per mutant, so tier-1 only
-checks that every mutant would apply and would run real tests. A refactor
-that moves a mutant's text must update the list.
+checks that every mutant would apply, would still parse, and would run real
+tests. A refactor that moves a mutant's text must update the list.
 """
 
 import ast
@@ -41,6 +41,14 @@ def test_old_text_occurs_once_in_src(mutant):
     assert mutant["file"].startswith("src/")
     assert mutant["old"] != mutant["new"]
     assert (ROOT / mutant["file"]).read_text().count(mutant["old"]) == 1
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m["name"] for m in MUTANTS])
+def test_mutated_file_still_parses(mutant):
+    # a mutant that is a syntax error fails every test it names, so it
+    # would count as killed without any test having caught it
+    text = (ROOT / mutant["file"]).read_text()
+    ast.parse(text.replace(mutant["old"], mutant["new"]), filename=mutant["file"])
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m["name"] for m in MUTANTS])

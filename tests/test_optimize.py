@@ -200,15 +200,20 @@ class TestMatrixCells:
         self, small_setup, monkeypatch, table, cell, value, named
     ):
         # past the matrix, a NaN cost makes descent return nan and leaves
-        # the enumeration no survivor to return
+        # the enumeration no survivor to return. A failure cell is corrupted
+        # in its period's weighted sum, which it would make NaN
         fleet, scenarios, _ = small_setup
         i, row, w = cell
         asset_tables = optimize._asset_tables
 
-        def corrupting(asset, rul, horizon, params, rows, per_period=None):
-            asset_tables(asset, rul, horizon, params, rows, per_period)
+        def corrupting(asset, rul, horizon, params, rows, weights=None):
+            by_period = asset_tables(asset, rul, horizon, params, rows, weights)
             if asset.id == fleet.ids[i]:
-                (rows[row] if table == "costs" else per_period[row])[w] = value
+                if table == "costs":
+                    rows[row][w] = value
+                else:
+                    by_period[row] = value
+            return by_period
 
         monkeypatch.setattr(optimize, "_asset_tables", corrupting)
         with pytest.raises(ValueError, match=f"{named}: a cost or failure value is not finite"):

@@ -614,8 +614,12 @@ class TestPricingInputs:
     def test_rul_and_mean_checked(self):
         with pytest.raises(ValueError, match="latent RUL values must be finite"):
             PricingInputs(np.array([[1.0, np.nan]]), np.ones((1, 3)))
+        with pytest.raises(ValueError, match="latent RUL values must be finite"):
+            PricingInputs(np.array([[np.inf, 1.0]]), np.ones((1, 3)))
         with pytest.raises(ValueError, match="usage mean must be finite"):
             PricingInputs(np.ones((1, 2)), np.array([[1.0, np.inf, 1.0]]))
+        with pytest.raises(ValueError, match="usage mean must be finite"):
+            PricingInputs(np.ones((1, 2)), np.array([[1.0, 1.0, np.nan]]))
         with pytest.raises(ValueError, match=r"usage_mean must have shape \(1, T\)"):
             PricingInputs(np.ones((1, 2)), np.ones((2, 3)))
         with pytest.raises(ValueError, match="n_scenarios must be >= 1"):
@@ -728,8 +732,9 @@ class TestScenarioSetValidation:
             ("latent_rul", (0, 1), np.nan, "latent RUL values"),
             ("latent_rul", (0, 0), np.inf, "latent RUL values"),
             ("usage_increments", (0, 0, 2), np.inf, "usage increments"),
+            ("usage_increments", (0, 1, 0), np.nan, "usage increments"),
         ],
-        ids=["nan-rul", "inf-rul", "inf-increment"],
+        ids=["nan-rul", "inf-rul", "inf-increment", "nan-increment"],
     )
     def test_non_finite_rejected(self, field, index, value, name):
         arrays = {"usage_increments": np.ones((1, 2, 3)), "latent_rul": np.ones((1, 2))}
